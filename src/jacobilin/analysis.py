@@ -16,7 +16,6 @@ from fractions import Fraction
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import gencheb_rec_coeffs, linearize_gencheb
 from .jacobi import (
-    CoeffVector,
     linearize_jacobi,
     linearize_jacobi_plus,
     reflect_coeffs,

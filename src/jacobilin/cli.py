@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
-    SCAN_MODES,
     VERDICT_VIOLATION,
     find_negativity_witness,
     iota_zero_count,
@@ -31,13 +30,14 @@ from .jacobi import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
     FAMILY_JACOBI_PLUS,
+    CoeffVector,
     gasper_boundary,
     linearize_bruteforce,
     linearize_jacobi,
     linearize_jacobi_plus,
     theta_iota_kappa,
 )
-from .params import classify_region, make_params
+from .params import JacobiParams, classify_region, make_params
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -97,7 +97,7 @@ def _merge_value_options(argv: list[str]) -> list[str]:
     return out
 
 
-def _params_from(ns) -> "JacobiParams":
+def _params_from(ns) -> JacobiParams:
     return make_params(ns.alpha, ns.beta)
 
 
@@ -177,12 +177,8 @@ def _linearize_vector(ns, p):
         return linearize_bruteforce(p, ns.m, ns.n, FAMILY_JACOBI)
     if method == "rahman":
         m, n = min(ns.m, ns.n), max(ns.m, ns.n)
-        if m == 0:
-            return linearize_jacobi(p, m, n)
         s = n - m
         vals = tuple(rahman_coefficient(p, m, s, j) for j in range(2 * m + 1))
-        from .jacobi import CoeffVector
-
         return CoeffVector(m, n, FAMILY_JACOBI, vals)
     if method == "dougall":
         if p.alpha != p.beta:

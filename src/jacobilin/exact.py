@@ -57,10 +57,6 @@ class RationalPolynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def constant(cls, c: Rational) -> "RationalPolynomial":
-        return cls([to_fraction(c)])
-
-    @classmethod
     def variable(cls) -> "RationalPolynomial":
         return cls([0, 1])
 
@@ -176,9 +172,6 @@ class RationalPolynomial:
             return self
         lead = self.leading
         return RationalPolynomial([c / lead for c in self.coeffs])
-
-    def gcd(self, other) -> "RationalPolynomial":
-        return _poly_gcd(self, self._coerce(other))
 
     def squarefree_part(self) -> "RationalPolynomial":
         """Quotient by gcd(p, p'); same distinct roots, all simple."""

@@ -1,18 +1,18 @@
 """Generalized Chebyshev polynomials and their linearization.
 
-T_n is defined through the quadratic transform: even degrees come from R_n at
-2x^2 - 1, odd degrees carry an extra factor x and shift beta by one.  The
-family satisfies x T_n = a_n T_{n+1} + c_n T_{n-1} with a_n + c_n = 1.
-
-Products T_m T_n decompose by parity:
+T_{2r} = R_r(2x^2 - 1) and T_{2r+1} = x R+_r(2x^2 - 1), where R+ is the
+companion family at (alpha, beta + 1) with coefficients g+.  The family
+satisfies x T_n = a_n T_{n+1} + c_n T_{n-1} with a_n + c_n = 1, and products
+T_m T_n decompose by parity:
 
   even * even  -> the even-position entries are exactly the R-family vector;
-  odd  * odd   -> even positions mix two adjacent companion-family entries
-                  through the recurrence coefficients;
-  mixed parity -> odd positions are rescaled odd*odd entries, the scale being
-                  a ratio of inverse squared norms h.
+  odd  * odd   -> T_{2i+1} T_{2j+1} = sum_l g+(i, j; l) x T_{2l+1}, and
+                  x T_{2l+1} = a_{2l+1} T_{2l+2} + c_{2l+1} T_{2l};
+  mixed parity -> dividing x T_{2e} by x gives R_e = a_{2e} R+_e + c_{2e} R+_{e-1},
+                  so g_T(2i+1, 2e; 2l+1) = a_{2e} g+(i, e; l) + c_{2e} g+(i, e-1; l).
 
-All positions of the wrong parity are stored as explicit zeros.
+Entries outside a vector's support count as 0; positions of the wrong parity
+are stored as explicit zeros.
 """
 
 from dataclasses import dataclass
@@ -96,66 +96,22 @@ def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     return via_transform
 
 
-class NormTable:
-    """Inverse squared norms h(n) = 1 / g_T(n, n; 0), h(0) = 1.
-
-    Grows lazily and is memoized per parameter point; safe for concurrent
-    reads once filled.
-    """
-
-    def __init__(self, params: JacobiParams):
-        self.params = params
-        self._vals: list[Fraction] = [Fraction(1)]
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("norm index must be >= 0")
-        while len(self._vals) <= n:
-            k = len(self._vals)
-            g0 = linearize_gencheb(self.params, k, k)[0]
-            if g0 <= 0:
-                raise RuntimeError("internal: diagonal bottom coefficient not positive")
-            self._vals.append(1 / g0)
-        return self._vals[n]
-
-    def extend_to(self, n: int) -> None:
-        self.value(n)
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(self._vals)
-
-
-@lru_cache(maxsize=None)
-def _norm_table(p: JacobiParams) -> NormTable:
-    return NormTable(p)
-
-
-def gencheb_norm_h(p: JacobiParams, max_degree: int) -> NormTable:
-    """The norm table for p, filled through max_degree."""
-    tbl = _norm_table(p)
-    tbl.extend_to(max_degree)
-    return tbl
-
-
-def _odd_odd_entry(p: JacobiParams, m1: int, m2: int, ell: int) -> Fraction:
-    """g_T(2 m1 + 1, 2 m2 + 1; 2 ell), for ell in [|m1-m2|, m1+m2+1].
-
-    Out-of-range companion entries count as zero, which subsumes the two
-    boundary cases of the assembly rule.
-    """
-    cv = linearize_jacobi_plus(p, m1, m2)
-    total = Fraction(0)
-    if cv.k_min <= ell - 1 <= cv.k_max:
-        total += gencheb_rec_coeffs(p, 2 * ell - 1).a_n * cv[ell - 1]
-    if cv.k_min <= ell <= cv.k_max:
-        total += gencheb_rec_coeffs(p, 2 * ell + 1).c_n * cv[ell]
-    return total
+def gencheb_norm_h(p: JacobiParams, n: int) -> Fraction:
+    """Inverse squared norm h(n) = 1 / g_T(n, n; 0), by the recurrence norm
+    identity h(0) = 1, h(k+1) = h(k) a_k / c_{k+1} with a_0 = 1."""
+    if n < 0:
+        raise ValueError("norm index must be >= 0")
+    h, a_prev = Fraction(1), 1
+    for k in range(1, n + 1):
+        row = gencheb_rec_coeffs(p, k)
+        h, a_prev = h * a_prev / row.c_n, row.a_n
+    return h
 
 
 @lru_cache(maxsize=None)
 def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
-    """Full coefficient vector of T_m T_n in the T basis."""
+    """Full coefficient vector of T_m T_n in the T basis, assembled by parity
+    from at most two companion-family vectors (see the module docstring)."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     if m > n:
@@ -169,19 +125,19 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         for k, v in gr.items():
             vals[2 * k - k_lo] = v
     elif m % 2 == 1 and n % 2 == 1:
-        m1, m2 = (m - 1) // 2, (n - 1) // 2
-        for ell in range(abs(m1 - m2), m1 + m2 + 2):
-            vals[2 * ell - k_lo] = _odd_odd_entry(p, m1, m2, ell)
+        cv = linearize_jacobi_plus(p, (m - 1) // 2, (n - 1) // 2)
+        for ell, v in cv.items():
+            row = gencheb_rec_coeffs(p, 2 * ell + 1)
+            vals[2 * ell + 2 - k_lo] += row.a_n * v
+            vals[2 * ell - k_lo] += row.c_n * v
     else:
-        odd_arg = m if m % 2 == 1 else n
-        even_arg = n if m % 2 == 1 else m
-        mo = (odd_arg - 1) // 2
-        tbl = _norm_table(p)
-        h_even = tbl.value(even_arg)
-        for k in range(k_lo, m + n + 1):
-            if (m + n - k) % 2 == 0:
-                kap = (k - 1) // 2
-                vals[k - k_lo] = (
-                    tbl.value(k) / h_even * _odd_odd_entry(p, mo, kap, even_arg // 2)
-                )
+        odd_arg, even_arg = (m, n) if m % 2 == 1 else (n, m)
+        i, e = (odd_arg - 1) // 2, even_arg // 2
+        row = gencheb_rec_coeffs(p, even_arg)
+        for scale, cv in (
+            (row.a_n, linearize_jacobi_plus(p, i, e)),
+            (row.c_n, linearize_jacobi_plus(p, i, e - 1)),
+        ):
+            for ell, v in cv.items():
+                vals[2 * ell + 1 - k_lo] += scale * v
     return CoeffVector(m, n, FAMILY_GENCHEB, tuple(vals))

@@ -148,6 +148,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_rahman_degree_zero_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "linearize", "--alpha", "1", "--beta", "0",
+            "--m", "0", "--n", "3", "--method", "rahman",
+        )
+        assert code == 2
+        assert err.strip()
+        assert out == ""
+
 
 class TestVerifySubcommand:
     def test_recursion_consistency(self, capsys):

@@ -83,22 +83,21 @@ class TestEvaluation:
 
 class TestNorms:
     def test_frozen_values(self):
-        tbl = gencheb_norm_h(make_params(1, 0), 3)
-        assert [tbl.value(n) for n in range(4)] == [1, 3, 8, 15]
+        p = make_params(1, 0)
+        assert [gencheb_norm_h(p, n) for n in range(4)] == [1, 3, 8, 15]
 
     def test_reciprocal_of_self_product_base(self):
         rng = random.Random(5520)
         for _ in range(8):
             p = make_params(*rand_alpha_beta(rng))
-            tbl = gencheb_norm_h(p, 6)
             for n in range(7):
-                assert tbl.value(n) == 1 / linearize_gencheb(p, n, n)[0]
-                assert tbl.value(n) > 0
+                assert gencheb_norm_h(p, n) == 1 / linearize_gencheb(p, n, n)[0]
+                assert gencheb_norm_h(p, n) > 0
 
     def test_base_value(self):
         rng = random.Random(5521)
         p = make_params(*rand_alpha_beta(rng))
-        assert gencheb_norm_h(p, 0).value(0) == 1
+        assert gencheb_norm_h(p, 0) == 1
 
 
 class TestLinearize:
@@ -162,6 +161,25 @@ class TestLinearize:
     def test_degree_zero_factor(self):
         cv = linearize_gencheb(make_params(1, 0), 0, 4)
         assert cv.values == (F(1),)
+
+    # Points on boundary lines that GRID misses or only touches at a corner.
+    BOUNDARY_POINTS = [
+        (F(-1, 4), F(-3, 4)),  # a = 0, b != 0
+        (F(1, 3), F(-2, 3)),  # b = 1
+        (F(5, 7), F(-1, 2)),  # beta = -1/2, alpha != beta
+        (F(2, 7), F(2, 7)),  # alpha = beta
+    ]
+
+    @pytest.mark.parametrize("point", BOUNDARY_POINTS)
+    def test_matches_bruteforce_on_boundary_lines(self, point):
+        p = make_params(*point)
+        for n in range(10):
+            for m in range(n + 1):
+                assert (
+                    linearize_gencheb(p, m, n).values
+                    == linearize_bruteforce(p, m, n, FAMILY_GENCHEB).values
+                )
+            assert gencheb_norm_h(p, n) == 1 / linearize_gencheb(p, n, n)[0]
 
 
 class TestProductIdentity:
