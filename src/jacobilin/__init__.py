@@ -64,6 +64,7 @@ from .hypergeom import (
 )
 from .analysis import (
     SCAN_MODES,
+    NotApplicableError,
     PhiSequence,
     PQRecord,
     SignReport,
@@ -119,6 +120,7 @@ __all__ = [
     "rahman_coefficient",
     "rahman_special",
     "SCAN_MODES",
+    "NotApplicableError",
     "PhiSequence",
     "PQRecord",
     "SignReport",

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import gencheb_rec_coeffs, linearize_gencheb
 from .jacobi import (
+    internal_error,
     linearize_jacobi,
     linearize_jacobi_plus,
     reflect_coeffs,
@@ -34,6 +35,11 @@ SCAN_MODES = (
     "gencheb_odd",
     "oscillation",
 )
+
+
+class NotApplicableError(ValueError):
+    """A valid parameter point where a property's hypotheses fail, so the
+    property says nothing there (not a malformed request)."""
 
 
 @dataclass(frozen=True)
@@ -171,11 +177,13 @@ def chi_m_poly(p: JacobiParams, m: int) -> RationalPolynomial:
         2 * m + 2 * a, 1
     ) * _linear(1, 1) * _linear(1, 1) * _linear(a - 1, 2)
     if chi.degree > 4:
-        raise RuntimeError("internal: chi_m must have degree at most 4")
+        raise internal_error(p, "chi-m", "chi_m has degree above 4", m=m)
     numer = iota_numerator_poly(p, m, 0)
     for j in (1, Fraction(3, 2), 2, Fraction(7, 3), 3):
         if numer(j) != -p.b * chi(j):
-            raise RuntimeError("internal: chi_m identity fails at a sample point")
+            raise internal_error(
+                p, "chi-m", "chi_m identity fails at a sample point", m=m, n=m, j=j
+            )
     return chi
 
 
@@ -254,7 +262,9 @@ def pq_values(p: JacobiParams, m: int, s: int, j: int) -> PQRecord:
     p_inf, p_star, q_inf, q_star = _pq_limit_parts(p, s, j)
     big_d = (2 * m - j + p.a) * (2 * m + 2 * s + j + p.a + 2)
     if p_val != p_inf + p_star / big_d or q_val != q_inf + q_star / big_d:
-        raise RuntimeError("internal: p/q decomposition fails")
+        raise internal_error(
+            p, "pq-split", "p/q decomposition fails", m=m, n=m + s, j=j
+        )
     return PQRecord(m, s, j, p_val, q_val, p_inf, p_star, q_inf, q_star)
 
 
@@ -287,9 +297,12 @@ def pq_inequality_check(p: JacobiParams, m: int, s: int) -> list[bool]:
         omega = omega_value(p, s, j)
         omega_from_parts = nxt.q_inf - (1 + nxt.p_inf) * (cur.q_inf - cur.p_inf)
         if omega != omega_from_parts:
-            raise RuntimeError("internal: omega closed form disagrees with limit parts")
+            raise internal_error(
+                p, "omega", "omega closed form disagrees with limit parts",
+                m=m, n=m + s, j=j,
+            )
         if omega <= 0:
-            raise ValueError(
+            raise NotApplicableError(
                 "omega margin not positive: parameters outside the validity region"
             )
         results.append((1 + nxt.p) * (cur.q - cur.p) < nxt.q)
@@ -327,14 +340,14 @@ def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
         lower = cv[s + j - 1]
         upper = cv[s + j]
         if lower == 0:
-            raise ValueError(
+            raise NotApplicableError(
                 "zero companion coefficient: parameters outside the validity region"
             )
         c_t = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1).c_n
         a_t = gencheb_rec_coeffs(p, 2 * s + 2 * j - 1).a_n
         phi = c_t / a_t * upper / lower
         if phi >= 0:
-            raise ValueError(
+            raise NotApplicableError(
                 "nonnegative ratio: parameters outside the validity region"
             )
         vals.append(phi)

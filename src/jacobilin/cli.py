@@ -5,7 +5,10 @@ input is exact "p/q" text; output values are exact, with an optional decimal
 rendering (15 significant digits) that is explicitly marked approximate.
 
 Exit codes: 0 success / property holds, 1 property violated or methods
-disagree (witness printed), 2 usage or range error (message on stderr).
+disagree (witness printed), 2 usage or range error (message on stderr),
+3 `verify` property not applicable at a valid point (verdict
+`not_applicable` with the reason), 4 internal consistency failure (message on
+stderr naming the point, the indices and the route).
 """
 
 import argparse
@@ -17,6 +20,7 @@ from fractions import Fraction
 
 from .analysis import (
     VERDICT_VIOLATION,
+    NotApplicableError,
     find_negativity_witness,
     iota_zero_count,
     necessity_identity_values,
@@ -437,17 +441,26 @@ _PROPERTIES = {
 def _cmd_verify(ns) -> int:
     p = _params_from(ns)
     details: list[str] = []
-    ok = _PROPERTIES[ns.property](p, ns, details)
-    verdict = "pass" if ok else "fail"
+    reason = None
+    try:
+        ok = _PROPERTIES[ns.property](p, ns, details)
+        verdict, code = ("pass", 0) if ok else ("fail", 1)
+    except NotApplicableError as exc:
+        verdict, code, reason = "not_applicable", 3, str(exc)
     if ns.json:
         payload = {"property": ns.property, "details": details, "verdict": verdict}
+        if reason is not None:
+            payload["reason"] = reason
         _emit_json(_record("verify", ns, payload, verdict=verdict))
     else:
         print(f"property {ns.property} at alpha={fmt_exact(ns.alpha)} beta={fmt_exact(ns.beta)}")
         for line in details:
             print("  " + line)
-        print(f"{ns.property}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+        if reason is not None:
+            print(f"{ns.property}: NOT APPLICABLE ({reason})")
+        else:
+            print(f"{ns.property}: {verdict.upper()}")
+    return code
 
 
 # ---------------------------------------------------------------- witness
@@ -545,6 +558,9 @@ def run_command(argv: list[str]) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -1,13 +1,18 @@
 """Exact rational kernel.
 
-Scalars are `fractions.Fraction` throughout; nothing in this module (or in any
-module built on it) touches floating point.  Provides Pochhammer symbols, the
-generalized binomial coefficient, dense rational polynomials, and Sturm root
-counting with the half-open (lo, hi] convention.
+Every scalar a caller sees is a `fractions.Fraction`; nothing in this module
+(or in any module built on it) touches floating point.  Provides Pochhammer
+symbols, the generalized binomial coefficient, dense rational polynomials,
+and Sturm root counting with the half-open (lo, hi] convention.
+
+Pochhammer symbols and binomials are evaluated on integer numerators: for
+x = X/Q the rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q)
+over Q**n, so a result costs one `Fraction` (one gcd) however long the
+product, instead of one normalization per factor.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 Rational = Fraction | int | str
 
@@ -21,15 +26,27 @@ def to_fraction(x: Rational) -> Fraction:
     return Fraction(x)
 
 
+def _over_lcm(*xs: Fraction) -> tuple[int, ...]:
+    """(L, x_1 L, ..., x_k L) for L the least common denominator of the x_i,
+    so that every x_i, and every integer combination of them, is an integer
+    over L."""
+    big_l = lcm(*(x.denominator for x in xs))
+    return (big_l, *(x.numerator * (big_l // x.denominator) for x in xs))
+
+
+def _rising(x_num: int, step: int, n: int) -> int:
+    """Integer product x_num (x_num + step) ... (x_num + (n-1) step), for
+    step > 0; with x = x_num / step it equals step**n * (x)_n."""
+    return prod(range(x_num, x_num + n * step, step))
+
+
 def pochhammer(x: Rational, n: int) -> Fraction:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
     x = to_fraction(x)
-    out = Fraction(1)
-    for k in range(n):
-        out *= x + k
-    return out
+    q = x.denominator
+    return Fraction(_rising(x.numerator, q, n), q**n)
 
 
 def gen_binomial(x: Rational, m: int) -> Fraction:
@@ -37,7 +54,8 @@ def gen_binomial(x: Rational, m: int) -> Fraction:
     if m < 0:
         raise ValueError("gen_binomial needs m >= 0")
     x = to_fraction(x)
-    return pochhammer(x - m + 1, m) / factorial(m)
+    q = x.denominator
+    return Fraction(_rising(x.numerator - (m - 1) * q, q, m), q**m * factorial(m))
 
 
 class RationalPolynomial:

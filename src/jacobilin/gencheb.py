@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Rational, to_fraction
+from .exact import Rational, _over_lcm, to_fraction
 from .jacobi import (
     FAMILY_GENCHEB,
     CoeffVector,
+    internal_error,
     jacobi_eval,
     linearize_jacobi,
     linearize_jacobi_plus,
@@ -46,25 +47,30 @@ class GenChebCoeffs:
 
 
 def gencheb_rec_coeffs(p: JacobiParams, n: int) -> GenChebCoeffs:
-    """Recurrence pair for index n >= 1, cross-checked in both parametrizations."""
+    """Recurrence pair for index n >= 1, cross-checked in both parametrizations.
+
+    alpha, beta, a and b are put over one common denominator d, so each
+    entry is one integer quotient."""
     if n < 1:
         raise ValueError("recurrence index must be >= 1")
-    al, be = p.alpha, p.beta
-    a, b = p.a, p.b
+    d, al, be, a, b = _over_lcm(p.alpha, p.beta, p.a, p.b)
+    # r is the half-index scaled by d.
     if n % 2 == 1:
-        r = (n + 1) // 2
-        an = (r + al) / (2 * r + al + be)
-        an_ab = (2 * r + a + b - 1) / (4 * r + 2 * a - 2)
-        cn = (r + be) / (2 * r + al + be)
-        cn_ab = (2 * r + a - b - 1) / (4 * r + 2 * a - 2)
+        r = (n + 1) // 2 * d
+        an = Fraction(r + al, 2 * r + al + be)
+        an_ab = Fraction(2 * r + a + b - d, 4 * r + 2 * a - 2 * d)
+        cn = Fraction(r + be, 2 * r + al + be)
+        cn_ab = Fraction(2 * r + a - b - d, 4 * r + 2 * a - 2 * d)
     else:
-        r = n // 2
-        an = (r + al + be + 1) / (2 * r + al + be + 1)
-        an_ab = (r + a) / (2 * r + a)
-        cn = r / (2 * r + al + be + 1)
-        cn_ab = Fraction(r) / (2 * r + a)
+        r = n // 2 * d
+        an = Fraction(r + al + be + d, 2 * r + al + be + d)
+        an_ab = Fraction(r + a, 2 * r + a)
+        cn = Fraction(r, 2 * r + al + be + d)
+        cn_ab = Fraction(r, 2 * r + a)
     if an != an_ab or cn != cn_ab:
-        raise RuntimeError(f"internal: recurrence parametrizations disagree at n={n}")
+        raise internal_error(
+            p, "gencheb-recurrence", "recurrence parametrizations disagree", n=n
+        )
     return GenChebCoeffs(n, an, cn)
 
 
@@ -92,7 +98,10 @@ def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
             prev, cur = cur, (x * cur - row.c_n * prev) / row.a_n
         via_rec = cur
     if via_transform != via_rec:
-        raise RuntimeError("internal: transform and recurrence evaluations disagree")
+        raise internal_error(
+            p, "gencheb-eval", "transform and recurrence evaluations disagree",
+            n=n, x=x,
+        )
     return via_transform
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Rational, gen_binomial, pochhammer, to_fraction
+from .exact import Rational, _over_lcm, _rising, pochhammer, to_fraction
 from .exact import RationalPolynomial
 from .params import JacobiParams, plus_params
 
@@ -25,6 +25,15 @@ FAMILY_JACOBI = "jacobi"
 FAMILY_JACOBI_PLUS = "jacobi_plus"
 FAMILY_GENCHEB = "gencheb"
 FAMILIES = (FAMILY_JACOBI, FAMILY_JACOBI_PLUS, FAMILY_GENCHEB)
+
+
+def internal_error(p: JacobiParams, route: str, what: str, **where) -> RuntimeError:
+    """The error for a failed internal cross-check.  Its message names the
+    check, the route that ran it, the parameter point and the indices."""
+    at = "".join(f", {name}={value}" for name, value in where.items())
+    return RuntimeError(
+        f"internal: {what} (route {route}, alpha={p.alpha}, beta={p.beta}{at})"
+    )
 
 
 @dataclass(frozen=True)
@@ -90,34 +99,49 @@ class CoeffVector:
 
 
 def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
-    """Recurrence row n, computed in both parametrizations and cross-checked."""
+    """Recurrence row n, computed in both parametrizations and cross-checked.
+
+    alpha, beta, a and b are put over one common denominator d, so each
+    entry is one integer quotient (as in theta_iota_kappa)."""
     if n < 0:
         raise ValueError("recurrence index must be >= 0")
-    al, be = p.alpha, p.beta
-    a, b = p.a, p.b
+    d, al, be, a, b = _over_lcm(p.alpha, p.beta, p.a, p.b)
     if n == 0:
-        a0 = (2 * al + 2) / (al + be + 2)
-        a0_ab = (a + b + 1) / (a + 1)
-        b0 = -(al - be) / (al + be + 2)
-        b0_ab = -b / (a + 1)
+        a0 = Fraction(2 * al + 2 * d, al + be + 2 * d)
+        a0_ab = Fraction(a + b + d, a + d)
+        b0 = Fraction(be - al, al + be + 2 * d)
+        b0_ab = Fraction(-b, a + d)
         if a0 != a0_ab or b0 != b0_ab:
-            raise RuntimeError("internal: recurrence parametrizations disagree at n=0")
+            raise internal_error(
+                p, "jacobi-recurrence", "recurrence parametrizations disagree", n=0
+            )
         return RecurrenceCoeffs(0, a0, b0, None)
-    an = ((al + be + 2) * (n + al + be + 1) * (n + al + 1)) / (
-        (al + 1) * (2 * n + al + be + 1) * (2 * n + al + be + 2)
+    # Scaled by d: n_d = nd, one = d; the integer n alone is not scaled.
+    n_d, one = n * d, d
+    an = Fraction(
+        (al + be + 2 * one) * (n_d + al + be + one) * (n_d + al + one),
+        (al + one) * (2 * n_d + al + be + one) * (2 * n_d + al + be + 2 * one),
     )
-    an_ab = ((a + 1) * (n + a) * (2 * n + a + b + 1)) / (
-        (a + b + 1) * (2 * n + a) * (2 * n + a + 1)
+    an_ab = Fraction(
+        (a + one) * (n_d + a) * (2 * n_d + a + b + one),
+        (a + b + one) * (2 * n_d + a) * (2 * n_d + a + one),
     )
-    bn_ab = (4 * b * n * (n + a)) / ((a + b + 1) * (2 * n + a - 1) * (2 * n + a + 1))
-    cn_ab = ((a + 1) * n * (2 * n + a - b - 1)) / (
-        (a + b + 1) * (2 * n + a - 1) * (2 * n + a)
+    bn_ab = Fraction(
+        4 * b * n * (n_d + a) * one,
+        (a + b + one) * (2 * n_d + a - one) * (2 * n_d + a + one),
     )
-    cn = ((al + be + 2) * n * (n + be)) / (
-        (al + 1) * (2 * n + al + be) * (2 * n + al + be + 1)
+    cn_ab = Fraction(
+        (a + one) * n * (2 * n_d + a - b - one) * one,
+        (a + b + one) * (2 * n_d + a - one) * (2 * n_d + a),
+    )
+    cn = Fraction(
+        (al + be + 2 * one) * n * (n_d + be) * one,
+        (al + one) * (2 * n_d + al + be) * (2 * n_d + al + be + one),
     )
     if an != an_ab or cn != cn_ab:
-        raise RuntimeError(f"internal: recurrence parametrizations disagree at n={n}")
+        raise internal_error(
+            p, "jacobi-recurrence", "recurrence parametrizations disagree", n=n
+        )
     return RecurrenceCoeffs(n, an_ab, bn_ab, cn_ab)
 
 
@@ -147,84 +171,111 @@ def theta_iota_kappa(
     for the product R_m R_{m+s}.  j may be rational (the functions extend to
     real j, which the zero-counting analysis uses); the admissible range is
     1 <= j <= 2m - 1.
+
+    a, b and j are put over one common denominator L, so every linear factor
+    below is an integer over L and each function is one integer product over
+    one integer denominator: three `Fraction`s per call.
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     j = to_fraction(j)
     if not 1 <= j <= 2 * m - 1:
         raise ValueError("recursion index j must lie in [1, 2m-1]")
-    a, b = p.a, p.b
-    theta = (
-        (2 * m - j + a - 1)
-        * (2 * m + 2 * s + j + a + 1)
-        * (2 * s + j + 1)
-        * (2 * s + 2 * j + a - b + 1)
-        / ((2 * s + 2 * j + a + 1) * (2 * s + 2 * j + a + 2))
-        * (j + 1)
+    big_l, a, b, j = _over_lcm(p.a, p.b, j)
+    # Scaled by L: m2 = 2m, s2 = 2s, one = 1, and each factor (2m - j + a - 1)
+    # of the rational formula reads m2 - j + a - one.
+    m2, s2, one = 2 * m * big_l, 2 * s * big_l, big_l
+    up = s2 + 2 * j + a + one
+    down = s2 + 2 * j + a - one
+    theta = Fraction(
+        (m2 - j + a - one)
+        * (m2 + s2 + j + a + one)
+        * (s2 + j + one)
+        * (s2 + 2 * j + a - b + one)
+        * (j + one),
+        up * (up + one) * big_l**3,
     )
-    iota = b * (
-        (2 * m - j)
-        * (2 * m + 2 * s + j + 2 * a)
-        * (2 * s + j + 1)
-        / (2 * s + 2 * j + a + 1)
-        * (j + 1)
-        - (2 * m - j + 1)
-        * (2 * m + 2 * s + j + 2 * a - 1)
-        * (2 * s + j)
-        / (2 * s + 2 * j + a - 1)
-        * j
+    iota = Fraction(
+        b
+        * (
+            (m2 - j) * (m2 + s2 + j + 2 * a) * (s2 + j + one) * (j + one) * down
+            - (m2 - j + one) * (m2 + s2 + j + 2 * a - one) * (s2 + j) * j * up
+        ),
+        up * down * big_l**4,
     )
-    if j == 1 and s == 0 and a == 0:
-        core = Fraction(0)
+    if j == one and s == 0 and a == 0:
+        kappa = Fraction(0)
     else:
-        core = (
-            (2 * s + j + a - 1)
-            * (2 * s + 2 * j + a + b - 1)
-            / ((2 * s + 2 * j + a - 2) * (2 * s + 2 * j + a - 1))
-            * (j + a - 1)
+        kappa = Fraction(
+            (m2 - j + one)
+            * (m2 + s2 + j + 2 * a - one)
+            * (s2 + j + a - one)
+            * (s2 + 2 * j + a + b - one)
+            * (j + a - one),
+            (down - one) * down * big_l**3,
         )
-    kappa = (2 * m - j + 1) * (2 * m + 2 * s + j + 2 * a - 1) * core
     return theta, iota, kappa
 
 
 def gasper_boundary(
     p: JacobiParams, m: int, s: int
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Closed forms for g(m, m+s; k) at k = s, s+1, s+2m-1, s+2m."""
+    """Closed forms for g(m, m+s; k) at k = s, s+1, s+2m-1, s+2m.
+
+    With r = m + s and t = 2m + s, the two extreme entries are
+
+        g(s)    = C(r, m) C(2m+a-1, m) C(r+be, m)
+                  / (C(2m, m) C(2r+a, 2m) C(m+al, m)),
+        g(s+2m) = C(2r+a-1, r) C(2m+a-1, m) C(t+al, t)
+                  / (C(2t+a-1, t) C(r+al, r) C(m+al, m)),
+
+    and the two next to them are these times a rational factor.  With
+    a = A/L, b = B/L and al, be over 2L, each binomial is an integer rising
+    product over a power of L (or 2L) times a factorial; those powers and
+    factorials cancel in both quotients, which leave
+
+        g(s)    = (s+1)_m (mL+A | L)_m (2sL+L+A-B | 2L)_m L^m
+                  / ((2sL+L+A | L)_2m (L+A+B | 2L)_m),
+        g(s+2m) = (rL+A | L)_r (mL+A | L)_m (2rL+L+A+B | 2L)_m
+                  / ((tL+A | L)_t (L+A+B | 2L)_m),
+
+    where (X | Q)_n = X (X+Q) ... (X+(n-1)Q) is an integer.  One `Fraction`
+    per entry.
+    """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    a, b = p.a, p.b
-    al = (a + b - 1) / 2
-    be = (a - b - 1) / 2
-    g_lo = (
-        gen_binomial(m + s, m)
-        * gen_binomial(2 * m + a - 1, m)
-        * gen_binomial(m + s + be, m)
-        / (
-            gen_binomial(2 * m, m)
-            * gen_binomial(2 * m + 2 * s + a, 2 * m)
-            * gen_binomial(m + al, m)
-        )
+    big_l, a, b = _over_lcm(p.a, p.b)
+    r, t = m + s, 2 * m + s
+    mid = _rising(m * big_l + a, big_l, m)
+    al_part = _rising(big_l + a + b, 2 * big_l, m)
+    g_lo = Fraction(
+        _rising(s + 1, 1, m)
+        * mid
+        * _rising((2 * s + 1) * big_l + a - b, 2 * big_l, m)
+        * big_l**m,
+        _rising((2 * s + 1) * big_l + a, big_l, 2 * m) * al_part,
     )
-    g_hi = (
-        gen_binomial(2 * m + 2 * s + a - 1, m + s)
-        * gen_binomial(2 * m + a - 1, m)
-        * gen_binomial(2 * m + s + al, 2 * m + s)
-        / (
-            gen_binomial(4 * m + 2 * s + a - 1, 2 * m + s)
-            * gen_binomial(m + s + al, m + s)
-            * gen_binomial(m + al, m)
-        )
+    g_hi = Fraction(
+        _rising(r * big_l + a, big_l, r)
+        * mid
+        * _rising((2 * r + 1) * big_l + a + b, 2 * big_l, m),
+        _rising(t * big_l + a, big_l, t) * al_part,
     )
-    g_lo1 = (
-        4 * b * m * (m + s + a) * (2 * s + a + 2)
-        / ((2 * m + 2 * s + a + 1) * (2 * m + a - 1) * (2 * s + a - b + 1))
-        * g_lo
+    # Scaled by L as in theta_iota_kappa: m_l = mL, s_l = sL, one = L.
+    m_l, s_l, one = m * big_l, s * big_l, big_l
+    g_lo1 = Fraction(
+        4 * b * m * (m_l + s_l + a) * (2 * s_l + a + 2 * one) * g_lo.numerator,
+        (2 * m_l + 2 * s_l + a + one)
+        * (2 * m_l + a - one)
+        * (2 * s_l + a - b + one)
+        * g_lo.denominator,
     )
-    g_hi1 = (
-        4 * b * m * (m + s) * (4 * m + 2 * s + a - 2)
-        / ((4 * m + 2 * s + a + b - 1) * (2 * m + 2 * s + a - 1) * (2 * m + a - 1))
-        * g_hi
+    g_hi1 = Fraction(
+        4 * b * m * (m_l + s_l) * (4 * m_l + 2 * s_l + a - 2 * one) * g_hi.numerator,
+        (4 * m_l + 2 * s_l + a + b - one)
+        * (2 * m_l + 2 * s_l + a - one)
+        * (2 * m_l + a - one)
+        * g_hi.denominator,
     )
     return g_lo, g_lo1, g_hi1, g_hi
 
@@ -234,9 +285,11 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
     """Full coefficient vector of R_m R_n in the R basis.
 
     Closed forms fill the two lowest and two highest positions; the interior
-    comes from the forward recursion (theta > 0 there).  The recursion value
-    at the top of its range and the final three-point identity are both
-    checked exactly against the closed forms.
+    comes from the forward recursion (theta > 0 there), each step one integer
+    quotient built from the numerators and denominators of theta, iota,
+    kappa and the two previous entries.  The recursion value at the top of
+    its range and the final three-point identity are both checked exactly
+    against the closed forms.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
@@ -250,21 +303,37 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
     vals[0], vals[1], vals[2 * m - 1], vals[2 * m] = g_lo, g_lo1, g_hi1, g_hi
     if m == 1:
         if g_lo1 != g_hi1:
-            raise RuntimeError("internal: extreme closed forms disagree at m=1")
+            raise internal_error(
+                p, "gasper", "extreme closed forms disagree", m=m, n=n, k=s + 1
+            )
     else:
         for j in range(1, 2 * m - 1):
             theta, iota, kappa = theta_iota_kappa(p, m, s, j)
-            nxt = (iota * vals[j] + kappa * vals[j - 1]) / theta
+            cur, prev = vals[j], vals[j - 1]
+            iota_den, kappa_den = iota.denominator, kappa.denominator
+            cur_den, prev_den = cur.denominator, prev.denominator
+            nxt = Fraction(
+                (
+                    iota.numerator * cur.numerator * kappa_den * prev_den
+                    + kappa.numerator * prev.numerator * iota_den * cur_den
+                )
+                * theta.denominator,
+                iota_den * cur_den * kappa_den * prev_den * theta.numerator,
+            )
             if j + 1 == 2 * m - 1:
                 if nxt != g_hi1:
-                    raise RuntimeError(
-                        "internal: recursion disagrees with the closed form"
+                    raise internal_error(
+                        p, "gasper", "recursion disagrees with the closed form",
+                        m=m, n=n, k=s + j + 1,
                     )
             else:
                 vals[j + 1] = nxt
         theta, iota, kappa = theta_iota_kappa(p, m, s, 2 * m - 1)
         if theta * g_hi != iota * g_hi1 + kappa * vals[2 * m - 2]:
-            raise RuntimeError("internal: three-point identity fails at the top index")
+            raise internal_error(
+                p, "gasper", "three-point identity fails at the top index",
+                m=m, n=n, k=s + 2 * m,
+            )
     return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
 
 
@@ -324,10 +393,15 @@ def linearize_bruteforce(
         if c != 0:
             rem = rem - c * basis[k]
     if not rem.is_zero:
-        raise RuntimeError("internal: basis conversion left a remainder")
+        raise internal_error(
+            p, f"brute/{family}", "basis conversion left a remainder", m=m, n=n
+        )
     for k in range(0, n - m):
         if coeffs[k] != 0:
-            raise RuntimeError("internal: coefficient below the support is nonzero")
+            raise internal_error(
+                p, f"brute/{family}", "coefficient below the support is nonzero",
+                m=m, n=n, k=k,
+            )
     return CoeffVector(m, n, family, tuple(coeffs[n - m :]))
 
 

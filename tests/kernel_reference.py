@@ -1,0 +1,118 @@
+"""Reference copies of the exact kernel as it was evaluated one `Fraction`
+operation at a time, before the integer-numerator rewrite.
+
+The formulas below are kept verbatim so the kernel tests can demand exact
+equality, and the same exception types, from the library's kernel.  They
+are not used by the library.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from jacobilin.exact import to_fraction
+
+
+def ref_pochhammer(x, n):
+    if n < 0:
+        raise ValueError("pochhammer needs n >= 0")
+    x = to_fraction(x)
+    out = Fraction(1)
+    for k in range(n):
+        out *= x + k
+    return out
+
+
+def ref_gen_binomial(x, m):
+    if m < 0:
+        raise ValueError("gen_binomial needs m >= 0")
+    x = to_fraction(x)
+    return ref_pochhammer(x - m + 1, m) / factorial(m)
+
+
+def ref_theta_iota_kappa(p, m, s, j):
+    if m < 1 or s < 0:
+        raise ValueError("need m >= 1 and s >= 0")
+    j = to_fraction(j)
+    if not 1 <= j <= 2 * m - 1:
+        raise ValueError("recursion index j must lie in [1, 2m-1]")
+    a, b = p.a, p.b
+    theta = (
+        (2 * m - j + a - 1)
+        * (2 * m + 2 * s + j + a + 1)
+        * (2 * s + j + 1)
+        * (2 * s + 2 * j + a - b + 1)
+        / ((2 * s + 2 * j + a + 1) * (2 * s + 2 * j + a + 2))
+        * (j + 1)
+    )
+    iota = b * (
+        (2 * m - j)
+        * (2 * m + 2 * s + j + 2 * a)
+        * (2 * s + j + 1)
+        / (2 * s + 2 * j + a + 1)
+        * (j + 1)
+        - (2 * m - j + 1)
+        * (2 * m + 2 * s + j + 2 * a - 1)
+        * (2 * s + j)
+        / (2 * s + 2 * j + a - 1)
+        * j
+    )
+    if j == 1 and s == 0 and a == 0:
+        core = Fraction(0)
+    else:
+        core = (
+            (2 * s + j + a - 1)
+            * (2 * s + 2 * j + a + b - 1)
+            / ((2 * s + 2 * j + a - 2) * (2 * s + 2 * j + a - 1))
+            * (j + a - 1)
+        )
+    kappa = (2 * m - j + 1) * (2 * m + 2 * s + j + 2 * a - 1) * core
+    return theta, iota, kappa
+
+
+def ref_gasper_boundary(p, m, s):
+    if m < 1 or s < 0:
+        raise ValueError("need m >= 1 and s >= 0")
+    gen_binomial = ref_gen_binomial
+    a, b = p.a, p.b
+    al = (a + b - 1) / 2
+    be = (a - b - 1) / 2
+    g_lo = (
+        gen_binomial(m + s, m)
+        * gen_binomial(2 * m + a - 1, m)
+        * gen_binomial(m + s + be, m)
+        / (
+            gen_binomial(2 * m, m)
+            * gen_binomial(2 * m + 2 * s + a, 2 * m)
+            * gen_binomial(m + al, m)
+        )
+    )
+    g_hi = (
+        gen_binomial(2 * m + 2 * s + a - 1, m + s)
+        * gen_binomial(2 * m + a - 1, m)
+        * gen_binomial(2 * m + s + al, 2 * m + s)
+        / (
+            gen_binomial(4 * m + 2 * s + a - 1, 2 * m + s)
+            * gen_binomial(m + s + al, m + s)
+            * gen_binomial(m + al, m)
+        )
+    )
+    g_lo1 = (
+        4 * b * m * (m + s + a) * (2 * s + a + 2)
+        / ((2 * m + 2 * s + a + 1) * (2 * m + a - 1) * (2 * s + a - b + 1))
+        * g_lo
+    )
+    g_hi1 = (
+        4 * b * m * (m + s) * (4 * m + 2 * s + a - 2)
+        / ((4 * m + 2 * s + a + b - 1) * (2 * m + 2 * s + a - 1) * (2 * m + a - 1))
+        * g_hi
+    )
+    return g_lo, g_lo1, g_hi1, g_hi
+
+
+def outcome(fn, *args):
+    """("value", result) or ("raises", exception type), for comparing a
+    kernel function with its reference on inputs that may be invalid."""
+    try:
+        return "value", fn(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return "raises", type(exc)

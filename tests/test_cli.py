@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from jacobilin import linearize_gencheb, linearize_jacobi, make_params
+from jacobilin import jacobi, linearize_gencheb, linearize_jacobi, make_params
 from jacobilin.cli import run_command
 
 F = Fraction
@@ -159,6 +159,28 @@ class TestExitCodes:
         assert err.strip()
         assert out == ""
 
+    def test_internal_failure_exits_four(self, capsys, monkeypatch):
+        original = jacobi.gasper_boundary
+
+        def perturbed(p, m, s):
+            lo, lo1, hi1, hi = original(p, m, s)
+            return lo, lo1, hi1 + F(1, 10**6), hi
+
+        monkeypatch.setattr(jacobi, "gasper_boundary", perturbed)
+        linearize_jacobi.cache_clear()
+        try:
+            code, out, err = run(
+                capsys, "linearize", "--alpha", "1/2", "--beta", "1/4",
+                "--m", "3", "--n", "5",
+            )
+        finally:
+            linearize_jacobi.cache_clear()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: ")
+        for part in ("alpha=1/2", "beta=1/4", "m=3", "n=5", "k=7", "route gasper"):
+            assert part in err
+
 
 class TestVerifySubcommand:
     def test_recursion_consistency(self, capsys):
@@ -198,6 +220,30 @@ class TestVerifySubcommand:
             "--property", "nec-identities", "--m", "2", "--s", "1",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("prop", ["pq-inequality", "phi-alternation"])
+    def test_not_applicable_exits_three(self, capsys, prop):
+        # (1, 0) is a valid point outside the validity region of both
+        # properties: a finding about the point, not a usage error.
+        argv = ["verify", "--alpha", "1", "--beta", "0", "--property", prop]
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 3
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["verdict"] == doc["payload"]["verdict"] == "not_applicable"
+        assert "validity region" in doc["payload"]["reason"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert "NOT APPLICABLE" in out
+
+    def test_malformed_point_is_still_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--alpha", "x", "--beta", "0",
+            "--property", "pq-inequality", "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not an exact rational" in err
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -14,6 +14,8 @@ from jacobilin.exact import (
     to_fraction,
 )
 
+from kernel_reference import outcome, ref_gen_binomial, ref_pochhammer
+
 F = Fraction
 
 
@@ -54,6 +56,28 @@ class TestGenBinomial:
 
     def test_half(self):
         assert gen_binomial(F(1, 2), 2) == F(-1, 8)
+
+
+class TestKernelExactness:
+    """Integer-numerator Pochhammer and binomial equal the reference product
+    of Fractions exactly, with the same exception types."""
+
+    ARGS = [
+        F(1, 2), F(-7, 3), F(22, 7), F(-33, 100), F(-181, 400),
+        0, 5, -4, "3/8", 0.5,
+    ]
+
+    @pytest.mark.parametrize("x", ARGS)
+    def test_matches_reference(self, x):
+        for n in range(-1, 14):
+            assert outcome(pochhammer, x, n) == outcome(ref_pochhammer, x, n)
+            assert outcome(gen_binomial, x, n) == outcome(ref_gen_binomial, x, n)
+
+    def test_exception_types(self):
+        assert outcome(pochhammer, F(1, 2), -1) == ("raises", ValueError)
+        assert outcome(gen_binomial, F(1, 2), -1) == ("raises", ValueError)
+        assert outcome(pochhammer, 0.5, 2) == ("raises", TypeError)
+        assert outcome(gen_binomial, 0.5, 2) == ("raises", TypeError)
 
 
 class TestPolynomialAlgebra:

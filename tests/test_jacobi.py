@@ -23,8 +23,18 @@ from jacobilin import (
 )
 
 from conftest import GRID, GRID_DELTA_INTERIOR, rand_alpha_beta
+from kernel_reference import outcome, ref_gasper_boundary, ref_theta_iota_kappa
 
 F = Fraction
+
+# One point on each boundary line: a = 0, b = 0 (alpha = beta), b = 1 and
+# beta = -1/2.  GRID adds more on b = 0, and (-1/2, -1/2) on a = 0 and b = 0.
+BOUNDARY_POINTS = [
+    (F(-1, 4), F(-3, 4)),
+    (F(2, 7), F(2, 7)),
+    (F(1, 3), F(-2, 3)),
+    (F(5, 7), F(-1, 2)),
+]
 
 
 class TestRecurrenceCoeffs:
@@ -261,3 +271,74 @@ class TestReflection:
         for k, v in cv.items():
             sign = -1 if (1 + 2 + k) % 2 else 1
             assert sign * v >= 0
+
+
+def _kernel_cases(full: bool):
+    """(m, s, js) for m <= 8 and s <= 8, js every integer index of [1, 2m-1]
+    plus the rational 3/2 and 7/3 (out of range, so rejected, for small m).
+
+    `full` gives every (m, s) pair.  Otherwise each m is paired with two
+    values of s, and every j with one, cycling through 0..8 so that every
+    value of m, s and j still occurs.  The reference formulas cost about
+    0.2 ms per call; the full product at all 26 points took about 5 s on a
+    2-core x86 VM (Python 3.11), more than the kernel change saves on the
+    rest of tier-1."""
+    for m in range(1, 9):
+        js = [*range(1, 2 * m), F(3, 2), F(7, 3)]
+        if full:
+            for s in range(9):
+                yield m, s, js
+        else:
+            yield m, (m - 1) % 9, js[::2]
+            yield m, (m + 4) % 9, js[1::2]
+
+
+class TestKernelExactness:
+    """The integer-numerator kernel equals the one-Fraction-at-a-time
+    reference exactly, and raises the same exception types."""
+
+    # The full product of m, s and j runs at the two a = 0 points, where the
+    # special case j = 1, s = 0 applies, and at one tall-denominator point.
+    FULL = [(F(-1, 4), F(-3, 4)), (F(-1, 2), F(-1, 2)), (F(-33, 100), F(-87, 100))]
+
+    @pytest.mark.parametrize("point", GRID + BOUNDARY_POINTS)
+    def test_matches_reference(self, point):
+        p = make_params(*point)
+        for m, s, js in _kernel_cases(full=point in self.FULL):
+            assert gasper_boundary(p, m, s) == ref_gasper_boundary(p, m, s)
+            for j in js:
+                assert outcome(theta_iota_kappa, p, m, s, j) == outcome(
+                    ref_theta_iota_kappa, p, m, s, j
+                ), (m, s, j)
+
+    def test_degenerate_kappa_at_one(self):
+        p = make_params(F(-1, 4), F(-3, 4))
+        assert p.a == 0
+        got = theta_iota_kappa(p, 3, 0, 1)
+        assert got == ref_theta_iota_kappa(p, 3, 0, 1)
+        assert got[2] == 0
+
+    @pytest.mark.parametrize(
+        "args, exc",
+        [
+            ((2, 0, 0), ValueError),
+            ((2, 0, 4), ValueError),
+            ((2, 0, F(1, 2)), ValueError),
+            ((0, 0, 1), ValueError),
+            ((2, -1, 1), ValueError),
+            ((2, 0, 1.5), TypeError),
+            ((2, 0, F(11, 10)), ZeroDivisionError),
+        ],
+    )
+    def test_same_exceptions(self, args, exc):
+        # F(11, 10) is a singular rational index at (-1/4, -19/20): there
+        # 2s + 2j + a - 2 = 0, a zero denominator of kappa.
+        p = make_params(F(-1, 4), F(-19, 20))
+        assert outcome(theta_iota_kappa, p, *args) == ("raises", exc)
+        assert outcome(ref_theta_iota_kappa, p, *args) == ("raises", exc)
+
+    @pytest.mark.parametrize("m, s", [(0, 0), (1, -1)])
+    def test_boundary_rejects_bad_degrees(self, m, s):
+        p = make_params(1, 0)
+        assert outcome(gasper_boundary, p, m, s) == ("raises", ValueError)
+        assert outcome(ref_gasper_boundary, p, m, s) == ("raises", ValueError)
