@@ -26,6 +26,7 @@ from .analysis import (
     necessity_identity_values,
     phi_sequence,
     pq_inequality_check,
+    pq_values,
     scan_sign_pattern,
 )
 from .gencheb import linearize_gencheb
@@ -34,8 +35,8 @@ from .jacobi import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
     FAMILY_JACOBI_PLUS,
-    CoeffVector,
     gasper_boundary,
+    internal_error,
     linearize_bruteforce,
     linearize_jacobi,
     linearize_jacobi_plus,
@@ -44,20 +45,6 @@ from .jacobi import (
 from .params import JacobiParams, classify_region, make_params
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-_VALUE_OPTIONS = {
-    "--alpha",
-    "--beta",
-    "--m",
-    "--n",
-    "--s",
-    "--max-degree",
-    "--family",
-    "--method",
-    "--format",
-    "--check",
-    "--property",
-}
 
 
 def _rational(text: str) -> Fraction:
@@ -89,15 +76,12 @@ def _merge_value_options(argv: list[str]) -> list[str]:
     # argparse rejects option values that start with "-" unless they look like
     # plain negative numbers, so "--alpha -33/100" needs joining into one token.
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_OPTIONS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        after_bare_option = out and out[-1].startswith("--") and "=" not in out[-1]
+        if after_bare_option and tok.startswith("-") and _RATIONAL_RE.match(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -157,54 +141,82 @@ def _cmd_classify(ns) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- linearize
+# ---------------------------------------------------------------- routes
 
 
-def _linearize_vector(ns, p):
-    family = ns.family
-    method = ns.method
-    if family == "gencheb":
-        if method == "gasper":
-            return linearize_gencheb(p, ns.m, ns.n)
-        if method == "brute":
-            return linearize_bruteforce(p, ns.m, ns.n, FAMILY_GENCHEB)
-        raise ValueError(f"method {method!r} does not apply to the gencheb family")
-    if family == "jacobi-plus":
-        if method == "gasper":
-            return linearize_jacobi_plus(p, ns.m, ns.n)
-        if method == "brute":
-            return linearize_bruteforce(p, ns.m, ns.n, FAMILY_JACOBI_PLUS)
-        raise ValueError(f"method {method!r} does not apply to the jacobi-plus family")
-    if method == "gasper":
-        return linearize_jacobi(p, ns.m, ns.n)
-    if method == "brute":
-        return linearize_bruteforce(p, ns.m, ns.n, FAMILY_JACOBI)
-    if method == "rahman":
-        m, n = min(ns.m, ns.n), max(ns.m, ns.n)
-        s = n - m
-        vals = tuple(rahman_coefficient(p, m, s, j) for j in range(2 * m + 1))
-        return CoeffVector(m, n, FAMILY_JACOBI, vals)
-    if method == "dougall":
-        if p.alpha != p.beta:
-            raise ValueError("method dougall needs alpha = beta")
-        return dougall_coefficient(p.alpha, ns.m, ns.n)
-    raise ValueError(f"unknown method {method!r}")
+def _always(p, m, n) -> bool:
+    return True
+
+
+def _brute(family: str):
+    return lambda p, m, n: linearize_bruteforce(p, m, n, family).values
+
+
+def _rahman(p, m, n) -> tuple:
+    m, n = min(m, n), max(m, n)
+    out = []
+    for j in range(2 * m + 1):
+        try:
+            out.append(rahman_coefficient(p, m, n - m, j))
+        except SingularSeriesError:
+            out.append(None)
+    return tuple(out)
+
+
+# family -> method -> (applies(p, m, n), values(p, m, n)), where values are
+# g(m, n; k) for k = |m-n| .. m+n, None where a series entry is singular.  The
+# first method of each family is its reference.  Each route is called through
+# its name in this module, so a rebound name (a patch or a tracer) is honoured.
+METHODS = {
+    "jacobi": {
+        "gasper": (_always, lambda p, m, n: linearize_jacobi(p, m, n).values),
+        "brute": (_always, _brute(FAMILY_JACOBI)),
+        "rahman": (lambda p, m, n: p.a > 0 and p.b > 0 and min(m, n) >= 1, _rahman),
+        "dougall": (
+            lambda p, m, n: p.alpha == p.beta > Fraction(-1, 2),
+            lambda p, m, n: dougall_coefficient(p.alpha, m, n).values,
+        ),
+    },
+    "jacobi-plus": {
+        "gasper": (_always, lambda p, m, n: linearize_jacobi_plus(p, m, n).values),
+        "brute": (_always, _brute(FAMILY_JACOBI_PLUS)),
+    },
+    "gencheb": {
+        "gasper": (_always, lambda p, m, n: linearize_gencheb(p, m, n).values),
+        "brute": (_always, _brute(FAMILY_GENCHEB)),
+    },
+}
 
 
 def _cmd_linearize(ns) -> int:
     p = _params_from(ns)
-    cv = _linearize_vector(ns, p)
+    applies, values = METHODS[ns.family].get(ns.method, (None, None))
+    if applies is None or not applies(p, ns.m, ns.n):
+        raise ValueError(
+            f"method {ns.method} does not apply to the {ns.family} family at "
+            f"alpha={fmt_exact(p.alpha)}, beta={fmt_exact(p.beta)}, m={ns.m}, n={ns.n}"
+        )
+    m, n = min(ns.m, ns.n), max(ns.m, ns.n)
+    vals = values(p, m, n)
+    if None in vals:
+        raise SingularSeriesError(
+            f"the {ns.method} series is singular at k={n - m + vals.index(None)}; "
+            "boundary limit required"
+        )
+    if sum(vals) != 1:
+        raise internal_error(p, ns.method, "coefficients do not sum to 1", m=m, n=n)
+    coeffs = list(enumerate(vals, start=n - m))
     rows = [
-        {"m": cv.m, "n": cv.n, "k": k, "num": v.numerator, "den": v.denominator,
+        {"m": m, "n": n, "k": k, "num": v.numerator, "den": v.denominator,
          "approx": fmt_approx(v)}
-        for k, v in cv.items()
+        for k, v in coeffs
     ]
     if ns.format == "json":
         payload = {
             "family": ns.family,
             "method": ns.method,
-            "m": cv.m,
-            "n": cv.n,
+            "m": m,
+            "n": n,
             "coefficients": rows,
         }
         _emit_json(_record("linearize", ns, payload))
@@ -216,9 +228,9 @@ def _cmd_linearize(ns) -> int:
     else:
         print(
             f"{ns.family} linearization, method {ns.method}, "
-            f"m={cv.m} n={cv.n}, alpha={fmt_exact(ns.alpha)} beta={fmt_exact(ns.beta)}"
+            f"m={m} n={n}, alpha={fmt_exact(ns.alpha)} beta={fmt_exact(ns.beta)}"
         )
-        for k, v in cv.items():
+        for k, v in coeffs:
             print(f"k={k}: {fmt_exact(v)} (approx {fmt_approx(v)})")
     return 0
 
@@ -229,67 +241,52 @@ def _cmd_linearize(ns) -> int:
 def _cmd_compare(ns) -> int:
     p = _params_from(ns)
     region = classify_region(p)
+    # A method is listed where it applies at the point; none needs m > 1.
+    methods = list(dict.fromkeys(
+        method
+        for routes in METHODS.values()
+        for method, (applies, _) in routes.items()
+        if applies(p, 1, 1)
+    ))
     mismatches = []
     entries = 0
     skipped = 0
-    use_rahman = p.a > 0 and p.b > 0
-    use_dougall = p.alpha == p.beta and p.alpha > Fraction(-1, 2)
     for n in range(ns.max_degree + 1):
         for m in range(n + 1):
-            ref = linearize_jacobi(p, m, n)
-            brute = linearize_bruteforce(p, m, n, FAMILY_JACOBI)
-            entries += len(ref.values)
-            if ref.values != brute.values:
-                mismatches.append(("jacobi", m, n, "gasper-vs-brute"))
-            refp = linearize_jacobi_plus(p, m, n)
-            brutep = linearize_bruteforce(p, m, n, FAMILY_JACOBI_PLUS)
-            entries += len(refp.values)
-            if refp.values != brutep.values:
-                mismatches.append(("jacobi_plus", m, n, "gasper-vs-brute"))
-            gt = linearize_gencheb(p, m, n)
-            gtb = linearize_bruteforce(p, m, n, FAMILY_GENCHEB)
-            entries += len(gt.values)
-            if gt.values != gtb.values:
-                mismatches.append(("gencheb", m, n, "assembly-vs-brute"))
-            if use_rahman and 1 <= m:
-                s = n - m
-                for j in range(2 * m + 1):
-                    entries += 1
-                    try:
-                        rc = rahman_coefficient(p, m, s, j)
-                    except SingularSeriesError:
-                        skipped += 1
+            for family, routes in METHODS.items():
+                (_, (_, reference)), *others = routes.items()
+                ref = reference(p, m, n)
+                for method, (applies, values) in others:
+                    if not applies(p, m, n):
                         continue
-                    if rc != ref[s + j]:
-                        mismatches.append(("jacobi", m, n, f"rahman k={s + j}"))
-            if use_dougall:
-                dv = dougall_coefficient(p.alpha, m, n)
-                entries += len(dv.values)
-                if dv.values != ref.values:
-                    mismatches.append(("jacobi", m, n, "dougall"))
+                    vals = values(p, m, n)
+                    entries += len(vals)
+                    for k, (want, got) in enumerate(zip(ref, vals, strict=True), start=n - m):
+                        if got is None:
+                            skipped += 1
+                        elif got != want:
+                            mismatches.append([family, m, n, f"{method} k={k}"])
     agree = not mismatches
     payload = {
         "max_degree": ns.max_degree,
         "region": region.label.value,
-        "methods": ["gasper", "brute"]
-        + (["rahman"] if use_rahman else [])
-        + (["dougall"] if use_dougall else []),
+        "methods": methods,
         "entries_checked": entries,
         "entries_skipped_singular": skipped,
-        "mismatches": [list(t) for t in mismatches],
+        "mismatches": mismatches,
     }
     if ns.json:
         _emit_json(_record("compare", ns, payload, verdict="agree" if agree else "disagree"))
     else:
         print(
-            f"compared methods {payload['methods']} up to degree {ns.max_degree}: "
+            f"compared methods {methods} up to degree {ns.max_degree}: "
             f"{entries} entries, {skipped} skipped (singular closed form)"
         )
         if agree:
             print("all methods agree exactly")
         else:
-            for t in mismatches:
-                print(f"MISMATCH {t}")
+            for family, m, n, what in mismatches:
+                print(f"MISMATCH {family} m={m} n={n}: {what}")
     return 0 if agree else 1
 
 
@@ -334,116 +331,85 @@ def _cmd_scan(ns) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_pq(p, ns, details):
-    ms = [ns.m] if ns.m is not None else [2, 3, 4]
-    ss = [ns.s] if ns.s is not None else [0, 1, 2, 3]
-    ok = True
-    for m in ms:
-        for s in ss:
-            checks = pq_inequality_check(p, m, s)
-            good = all(checks)
-            ok = ok and good
-            details.append(f"m={m} s={s}: chained inequality {'holds' if good else 'FAILS'}")
-    return ok
+def _pq_check(p, m, s):
+    good = all(pq_inequality_check(p, m, s))
+    return good, f"chained inequality {'holds' if good else 'FAILS'}"
 
 
-def _verify_phi(p, ns, details):
-    ms = [ns.m] if ns.m is not None else [1, 2, 3, 4]
-    ss = [ns.s] if ns.s is not None else [0, 1, 2, 3]
-    ok = True
-    for m in ms:
-        for s in ss:
-            seq = phi_sequence(p, m, s)
-            good = seq.alternation_holds()
-            if m >= 2:
-                from .analysis import pq_values
-
-                for j in range(1, 2 * m):
-                    rec = pq_values(p, m, s, j)
-                    if seq.value(j + 1) != rec.p + rec.q / seq.value(j):
-                        good = False
-            ok = ok and good
-            details.append(f"m={m} s={s}: alternation {'holds' if good else 'FAILS'}")
-    return ok
+def _phi_check(p, m, s):
+    seq = phi_sequence(p, m, s)
+    good = seq.alternation_holds()
+    if m >= 2:
+        for j in range(1, 2 * m):
+            rec = pq_values(p, m, s, j)
+            if seq.value(j + 1) != rec.p + rec.q / seq.value(j):
+                good = False
+    return good, f"alternation {'holds' if good else 'FAILS'}"
 
 
-def _verify_iota(p, ns, details):
-    ms = [ns.m] if ns.m is not None else [1, 2, 3, 4, 5]
-    ss = [ns.s] if ns.s is not None else [0, 1, 2, 3]
-    rep = classify_region(p)
+def _recursion_check(p, m, s):
+    cv = linearize_jacobi(p, m, m + s)
+    lo, lo1, hi1, hi = gasper_boundary(p, m, s)
+    good = (
+        cv[s] == lo and cv[s + 1] == lo1
+        and cv[s + 2 * m - 1] == hi1 and cv[s + 2 * m] == hi
+        and sum(cv.values) == 1
+    )
+    for j in range(1, 2 * m):
+        theta, iota, kappa = theta_iota_kappa(p, m, s, j)
+        if theta * cv[s + j + 1] != iota * cv[s + j] + kappa * cv[s + j - 1]:
+            good = False
+    return good, f"recursion identity {'holds' if good else 'FAILS'}"
+
+
+def _nec_check(p, m, s):
+    first, second = necessity_identity_values(p, m, s)
+    good = first[0] == first[1] and (second is None or second[0] == second[1])
+    note = " (second skipped: b = 1)" if second is None else ""
+    return good, f"identities {'hold' if good else 'FAIL'}{note}"
+
+
+def _verify_iota(p, ms, ss, details):
     if p.b == 0:
         details.append("b = 0: iota vanishes identically (degenerate); nothing to count")
         return True
     counts = {(m, s): iota_zero_count(p, m, s) for m in ms for s in ss}
-    if rep.above_iota_threshold:
-        ok = all(c <= 1 for c in counts.values())
-        for (m, s), c in counts.items():
-            details.append(f"m={m} s={s}: {c} zero(s)")
+    details.extend(f"m={m} s={s}: {c} zero(s)" for (m, s), c in counts.items())
+    if classify_region(p).above_iota_threshold:
         details.append("above threshold: expected at most one zero each")
-    else:
-        ok = any(c >= 2 for c in counts.values())
-        for (m, s), c in counts.items():
-            details.append(f"m={m} s={s}: {c} zero(s)")
-        details.append("below threshold: expected some count >= 2 in range")
-    return ok
+        return all(c <= 1 for c in counts.values())
+    details.append("below threshold: expected some count >= 2 in range")
+    return any(c >= 2 for c in counts.values())
 
 
-def _verify_recursion(p, ns, details):
-    ms = [ns.m] if ns.m is not None else [1, 2, 3, 4, 5]
-    ss = [ns.s] if ns.s is not None else [0, 1, 2, 3]
-    ok = True
-    for m in ms:
-        for s in ss:
-            cv = linearize_jacobi(p, m, m + s)
-            lo, lo1, hi1, hi = gasper_boundary(p, m, s)
-            good = (
-                cv[s] == lo and cv[s + 1] == lo1
-                and cv[s + 2 * m - 1] == hi1 and cv[s + 2 * m] == hi
-            )
-            for j in range(1, 2 * m):
-                theta, iota, kappa = theta_iota_kappa(p, m, s, j)
-                if theta * cv[s + j + 1] != iota * cv[s + j] + kappa * cv[s + j - 1]:
-                    good = False
-            if sum(cv.values) != 1:
-                good = False
-            ok = ok and good
-            details.append(f"m={m} s={s}: recursion identity {'holds' if good else 'FAILS'}")
-    return ok
-
-
-def _verify_nec(p, ns, details):
-    ms = [ns.m] if ns.m is not None else [1, 2, 3, 4]
-    ss = [ns.s] if ns.s is not None else [0, 1, 2, 3]
-    ok = True
-    for m in ms:
-        for s in ss:
-            first, second = necessity_identity_values(p, m, s)
-            good = first[0] == first[1]
-            note = ""
-            if second is None:
-                note = " (second skipped: b = 1)"
-            else:
-                good = good and second[0] == second[1]
-            ok = ok and good
-            details.append(f"m={m} s={s}: identities {'hold' if good else 'FAIL'}{note}")
-    return ok
-
-
+# property -> (default m list, check(p, m, s) -> (holds, detail)); iota-zeros
+# judges all (m, s) together, in _verify_iota.  The default s list is 0..3.
 _PROPERTIES = {
-    "pq-inequality": _verify_pq,
-    "phi-alternation": _verify_phi,
-    "iota-zeros": _verify_iota,
-    "recursion-consistency": _verify_recursion,
-    "nec-identities": _verify_nec,
+    "pq-inequality": ([2, 3, 4], _pq_check),
+    "phi-alternation": ([1, 2, 3, 4], _phi_check),
+    "iota-zeros": ([1, 2, 3, 4, 5], None),
+    "recursion-consistency": ([1, 2, 3, 4, 5], _recursion_check),
+    "nec-identities": ([1, 2, 3, 4], _nec_check),
 }
 
 
 def _cmd_verify(ns) -> int:
     p = _params_from(ns)
+    default_ms, check = _PROPERTIES[ns.property]
+    ms = [ns.m] if ns.m is not None else default_ms
+    ss = [ns.s] if ns.s is not None else [0, 1, 2, 3]
     details: list[str] = []
     reason = None
     try:
-        ok = _PROPERTIES[ns.property](p, ns, details)
+        if check is None:
+            ok = _verify_iota(p, ms, ss, details)
+        else:
+            ok = True
+            for m in ms:
+                for s in ss:
+                    good, detail = check(p, m, s)
+                    ok = ok and good
+                    details.append(f"m={m} s={s}: {detail}")
         verdict, code = ("pass", 0) if ok else ("fail", 1)
     except NotApplicableError as exc:
         verdict, code, reason = "not_applicable", 3, str(exc)
@@ -507,12 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("linearize", help="one product expansion, all methods")
     add_params(sp)
-    sp.add_argument("--family", choices=["jacobi", "jacobi-plus", "gencheb"],
-                    default="jacobi")
+    sp.add_argument("--family", choices=list(METHODS), default="jacobi")
     sp.add_argument("--m", type=_natural, required=True)
     sp.add_argument("--n", type=_natural, required=True)
-    sp.add_argument("--method", choices=["gasper", "brute", "rahman", "dougall"],
-                    default="gasper")
+    sp.add_argument("--method", default="gasper",
+                    choices=list(dict.fromkeys(m for routes in METHODS.values() for m in routes)))
     sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
     sp.set_defaults(func=_cmd_linearize)
 

@@ -344,31 +344,26 @@ def linearize_jacobi_plus(p: JacobiParams, m: int, n: int) -> CoeffVector:
 
 
 @lru_cache(maxsize=None)
-def _monomial_basis(p: JacobiParams, family: str, count: int):
-    """Polynomials 0..count-1 of the family, as monomial-coefficient vectors."""
-    polys = [RationalPolynomial([1])]
-    if count == 1:
-        return tuple(polys)
+def _monomial_basis(p: JacobiParams, family: str) -> list:
+    """Polynomials P_0, P_1, ... of the family as monomial-coefficient vectors:
+    one list per point and family, which linearize_bruteforce extends."""
+    if family == FAMILY_GENCHEB:
+        return [RationalPolynomial([1]), RationalPolynomial.variable()]
+    row0 = jacobi_rec_coeffs(p if family == FAMILY_JACOBI else plus_params(p), 0)
+    return [RationalPolynomial([1]), RationalPolynomial([-row0.b_n / row0.a_n, 1 / row0.a_n])]
+
+
+def _next_basis_polynomial(p: JacobiParams, family: str, polys: list) -> None:
+    """Append P_{n+1} = ((P_1 - b_n) P_n - c_n P_{n-1}) / a_n (gencheb: b_n = 0)."""
+    n = len(polys) - 1
     if family == FAMILY_GENCHEB:
         from .gencheb import gencheb_rec_coeffs
 
-        polys.append(RationalPolynomial.variable())
-        x = RationalPolynomial.variable()
-        for n in range(1, count - 1):
-            row = gencheb_rec_coeffs(p, n)
-            polys.append((x * polys[n] - row.c_n * polys[n - 1]) * (1 / row.a_n))
-        return tuple(polys)
-    base = p if family == FAMILY_JACOBI else plus_params(p)
-    row0 = jacobi_rec_coeffs(base, 0)
-    r1 = RationalPolynomial([-row0.b_n / row0.a_n, 1 / row0.a_n])
-    polys.append(r1)
-    for n in range(1, count - 1):
-        row = jacobi_rec_coeffs(base, n)
-        nxt = (r1 * polys[n] - row.b_n * polys[n] - row.c_n * polys[n - 1]) * (
-            1 / row.a_n
-        )
-        polys.append(nxt)
-    return tuple(polys)
+        row, b_n = gencheb_rec_coeffs(p, n), 0
+    else:
+        row = jacobi_rec_coeffs(p if family == FAMILY_JACOBI else plus_params(p), n)
+        b_n = row.b_n
+    polys.append(((polys[1] - b_n) * polys[n] - row.c_n * polys[n - 1]) * (1 / row.a_n))
 
 
 def linearize_bruteforce(
@@ -383,7 +378,9 @@ def linearize_bruteforce(
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
-    basis = _monomial_basis(p, family, m + n + 1)
+    basis = _monomial_basis(p, family)
+    while len(basis) <= m + n:
+        _next_basis_polynomial(p, family, basis)
     product = basis[m] * basis[n]
     coeffs = [Fraction(0)] * (m + n + 1)
     rem = product

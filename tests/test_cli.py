@@ -5,14 +5,16 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from jacobilin import jacobi, linearize_gencheb, linearize_jacobi, make_params
+from jacobilin import cli, jacobi, linearize_gencheb, linearize_jacobi, make_params
 from jacobilin.cli import run_command
 
 F = Fraction
@@ -150,6 +152,52 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, value, code", [("--alpha", "-1/2", 0), ("--beta", "-33/100", 0), ("--m", "-3", 2)]
+    )
+    def test_negative_value_split_from_its_option(self, capsys, option, value, code):
+        options = {"--alpha": "1/2", "--beta": "1/4", "--m": "1", "--n": "2", option: value}
+        split = ["linearize", *(tok for item in options.items() for tok in item)]
+        joined = ["linearize", *(f"{opt}={val}" for opt, val in options.items())]
+        assert run(capsys, *split)[0] == code
+        assert run(capsys, *split) == run(capsys, *joined)
+
+    def test_compare_disagreement_names_each_entry(self, capsys, monkeypatch):
+        original = cli.linearize_bruteforce
+
+        def perturbed(p, m, n, family=jacobi.FAMILY_JACOBI):
+            cv = original(p, m, n, family)
+            if (family, m, n) != (jacobi.FAMILY_JACOBI_PLUS, 1, 2):
+                return cv
+            return SimpleNamespace(values=(cv.values[0], cv.values[1] + 1, cv.values[2]))
+
+        # Patched in the cli namespace: compare must call the route by name.
+        monkeypatch.setattr(cli, "linearize_bruteforce", perturbed)
+        argv = ["compare", "--alpha", "1/2", "--beta", "1/4", "--max-degree", "2"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "disagree"
+        assert doc["payload"]["mismatches"] == [["jacobi-plus", 1, 2, "brute k=2"]]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "MISMATCH jacobi-plus m=1 n=2: brute k=2" in out
+
+    def test_linearize_output_not_summing_to_one_exits_four(self, capsys, monkeypatch):
+        original = cli.rahman_coefficient
+
+        def perturbed(p, m, s, j):
+            return original(p, m, s, j) + (j == 0)
+
+        monkeypatch.setattr(cli, "rahman_coefficient", perturbed)
+        code, out, err = run(
+            capsys, "linearize", "--alpha", "1/2", "--beta", "1/4",
+            "--m", "2", "--n", "3", "--method", "rahman",
+        )
+        assert code == 4
+        assert out == ""
+        assert "route rahman" in err and "m=2" in err and "n=3" in err
+
     def test_rahman_degree_zero_is_rejected(self, capsys):
         code, out, err = run(
             capsys, "linearize", "--alpha", "1", "--beta", "0",
@@ -247,6 +295,29 @@ class TestVerifySubcommand:
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_examples():
+    """(argv, shown output lines) for each `$ jacobilin ...` block of README.md."""
+    blocks = (REPO / "README.md").read_text(encoding="utf-8").split("```")[1::2]
+    return [
+        (shlex.split(block.split("\n")[1].removeprefix("$ jacobilin ")),
+         [line for line in block.split("\n")[2:] if line and line != "..."])
+        for block in blocks
+        if block.startswith("\n$ jacobilin ")
+    ]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES, ids=[a[0] for a, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    lines = out.splitlines()
+    for line in shown:
+        assert line in lines
 
 # The wrapper an installer writes for a `[project.scripts]` entry.
 CONSOLE_WRAPPER = """\
