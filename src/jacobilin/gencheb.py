@@ -117,7 +117,7 @@ def gencheb_norm_h(p: JacobiParams, n: int) -> Fraction:
     return h
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
     """Full coefficient vector of T_m T_n in the T basis, assembled by parity
     from at most two companion-family vectors (see the module docstring)."""

@@ -70,7 +70,9 @@ class CoeffVector:
         expect = self.m + self.n - abs(self.m - self.n) + 1
         if len(self.values) != expect:
             raise ValueError("coefficient vector has the wrong length")
-        if sum(self.values) != 1:
+        # Summing to 1 over the common denominator L: sum(v L) == L in integers.
+        big_l, *scaled = _over_lcm(*self.values)
+        if sum(scaled) != big_l:
             raise ValueError("coefficient vector does not sum to 1")
         if self.family in (FAMILY_JACOBI, FAMILY_JACOBI_PLUS):
             if self.values[0] <= 0 or self.values[-1] <= 0:
@@ -161,6 +163,51 @@ def jacobi_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     return cur
 
 
+@lru_cache(maxsize=8)
+def _ab_over_lcm(p: JacobiParams) -> tuple[int, int, int]:
+    """(L, A, B) with a = A/L and b = B/L over their least common
+    denominator L, for theta_iota_kappa, gasper_boundary and the recursion
+    loop of linearize_jacobi: computed once per point while the point is
+    among the 8 most recently used (a scan uses two, p and plus_params(p))."""
+    return _over_lcm(p.a, p.b)
+
+
+def _recursion_numerators(
+    big_l: int, a: int, b: int, m: int, s: int, j: int
+) -> tuple[int, int, int, int, int]:
+    """(up, down, theta_N, iota_N, kappa_N) for a, b and j given as integers
+    over L (a = A/L, ...), with up = (2s+2j+a+1) L and down = (2s+2j+a-1) L:
+
+        theta = theta_N / (up (up+L) L^3),
+        iota  = iota_N  / (up down L^4),
+        kappa = kappa_N / ((down-L) down L^3).
+
+    Each factor (2m - j + a - 1) of the rational formulas reads m2 - j + a - one
+    here, with m2 = 2mL, s2 = 2sL and one = L."""
+    m2, s2, one = 2 * m * big_l, 2 * s * big_l, big_l
+    up = s2 + 2 * j + a + one
+    down = s2 + 2 * j + a - one
+    theta_n = (
+        (m2 - j + a - one)
+        * (m2 + s2 + j + a + one)
+        * (s2 + j + one)
+        * (s2 + 2 * j + a - b + one)
+        * (j + one)
+    )
+    iota_n = b * (
+        (m2 - j) * (m2 + s2 + j + 2 * a) * (s2 + j + one) * (j + one) * down
+        - (m2 - j + one) * (m2 + s2 + j + 2 * a - one) * (s2 + j) * j * up
+    )
+    kappa_n = (
+        (m2 - j + one)
+        * (m2 + s2 + j + 2 * a - one)
+        * (s2 + j + a - one)
+        * (s2 + 2 * j + a + b - one)
+        * (j + a - one)
+    )
+    return up, down, theta_n, iota_n, kappa_n
+
+
 def theta_iota_kappa(
     p: JacobiParams, m: int, s: int, j: Rational
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -172,48 +219,28 @@ def theta_iota_kappa(
     real j, which the zero-counting analysis uses); the admissible range is
     1 <= j <= 2m - 1.
 
-    a, b and j are put over one common denominator L, so every linear factor
-    below is an integer over L and each function is one integer product over
-    one integer denominator: three `Fraction`s per call.
+    a, b and j are put over one common denominator L, so each function is
+    one integer quotient (`_recursion_numerators`): three `Fraction`s per
+    call.  kappa is 0 at j = 1, s = 0, a = 0, where its denominator vanishes
+    together with its numerator.
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     j = to_fraction(j)
     if not 1 <= j <= 2 * m - 1:
         raise ValueError("recursion index j must lie in [1, 2m-1]")
-    big_l, a, b, j = _over_lcm(p.a, p.b, j)
-    # Scaled by L: m2 = 2m, s2 = 2s, one = 1, and each factor (2m - j + a - 1)
-    # of the rational formula reads m2 - j + a - one.
-    m2, s2, one = 2 * m * big_l, 2 * s * big_l, big_l
-    up = s2 + 2 * j + a + one
-    down = s2 + 2 * j + a - one
-    theta = Fraction(
-        (m2 - j + a - one)
-        * (m2 + s2 + j + a + one)
-        * (s2 + j + one)
-        * (s2 + 2 * j + a - b + one)
-        * (j + one),
-        up * (up + one) * big_l**3,
-    )
-    iota = Fraction(
-        b
-        * (
-            (m2 - j) * (m2 + s2 + j + 2 * a) * (s2 + j + one) * (j + one) * down
-            - (m2 - j + one) * (m2 + s2 + j + 2 * a - one) * (s2 + j) * j * up
-        ),
-        up * down * big_l**4,
-    )
-    if j == one and s == 0 and a == 0:
+    if j.denominator == 1:
+        big_l, a, b = _ab_over_lcm(p)
+        j = j.numerator * big_l
+    else:
+        big_l, a, b, j = _over_lcm(p.a, p.b, j)
+    up, down, theta_n, iota_n, kappa_n = _recursion_numerators(big_l, a, b, m, s, j)
+    theta = Fraction(theta_n, up * (up + big_l) * big_l**3)
+    iota = Fraction(iota_n, up * down * big_l**4)
+    if j == big_l and s == 0 and a == 0:
         kappa = Fraction(0)
     else:
-        kappa = Fraction(
-            (m2 - j + one)
-            * (m2 + s2 + j + 2 * a - one)
-            * (s2 + j + a - one)
-            * (s2 + 2 * j + a + b - one)
-            * (j + a - one),
-            (down - one) * down * big_l**3,
-        )
+        kappa = Fraction(kappa_n, (down - big_l) * down * big_l**3)
     return theta, iota, kappa
 
 
@@ -244,7 +271,7 @@ def gasper_boundary(
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    big_l, a, b = _over_lcm(p.a, p.b)
+    big_l, a, b = _ab_over_lcm(p)
     r, t = m + s, 2 * m + s
     mid = _rising(m * big_l + a, big_l, m)
     al_part = _rising(big_l + a + b, 2 * big_l, m)
@@ -280,16 +307,26 @@ def gasper_boundary(
     return g_lo, g_lo1, g_hi1, g_hi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
     """Full coefficient vector of R_m R_n in the R basis.
 
     Closed forms fill the two lowest and two highest positions; the interior
-    comes from the forward recursion (theta > 0 there), each step one integer
-    quotient built from the numerators and denominators of theta, iota,
-    kappa and the two previous entries.  The recursion value at the top of
-    its range and the final three-point identity are both checked exactly
-    against the closed forms.
+    comes from the forward recursion (theta > 0 there).  With a, b and j
+    over L (`_ab_over_lcm`, once per point), up = (2s+2j+a+1) L,
+    down = (2s+2j+a-1) L and e = down - L, theta, iota and kappa have the
+    integer numerators theta_N, iota_N, kappa_N of `_recursion_numerators`
+    over up (up+L) L^3, up down L^4 and e down L^3, so with the current
+    entry c_N/c_D and the previous one p_N/p_D each step is one quotient
+
+        g(s+j+1) = (iota_N e c_N p_D + kappa_N up L p_N c_D) (up+L)
+                   / (e down L theta_N c_D p_D),
+
+    one `Fraction` per step; at j = 1, s = 0, a = 0, where kappa = 0 and
+    e = 0, e is taken as 1.  The recursion value at the top of its range is
+    checked exactly against the closed form, and the three-point identity at
+    the top index as the same expression cross-multiplied: an integer
+    equality with no division by theta, which is 0 there when a = 0.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
@@ -306,30 +343,27 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
             raise internal_error(
                 p, "gasper", "extreme closed forms disagree", m=m, n=n, k=s + 1
             )
-    else:
-        for j in range(1, 2 * m - 1):
-            theta, iota, kappa = theta_iota_kappa(p, m, s, j)
-            cur, prev = vals[j], vals[j - 1]
-            iota_den, kappa_den = iota.denominator, kappa.denominator
-            cur_den, prev_den = cur.denominator, prev.denominator
-            nxt = Fraction(
-                (
-                    iota.numerator * cur.numerator * kappa_den * prev_den
-                    + kappa.numerator * prev.numerator * iota_den * cur_den
+        return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
+    big_l, a, b = _ab_over_lcm(p)
+    top = 2 * m - 1
+    for j in range(1, top + 1):
+        up, down, theta_n, iota_n, kappa_n = _recursion_numerators(
+            big_l, a, b, m, s, j * big_l
+        )
+        e = down - big_l or 1
+        cur, prev = vals[j], vals[j - 1]
+        c_n, c_d, p_n, p_d = cur.numerator, cur.denominator, prev.numerator, prev.denominator
+        num = (iota_n * e * c_n * p_d + kappa_n * up * big_l * p_n * c_d) * (up + big_l)
+        den = e * down * big_l * c_d * p_d
+        if j < top - 1:
+            vals[j + 1] = Fraction(num, den * theta_n)
+        elif j == top - 1:
+            if Fraction(num, den * theta_n) != g_hi1:
+                raise internal_error(
+                    p, "gasper", "recursion disagrees with the closed form",
+                    m=m, n=n, k=s + j + 1,
                 )
-                * theta.denominator,
-                iota_den * cur_den * kappa_den * prev_den * theta.numerator,
-            )
-            if j + 1 == 2 * m - 1:
-                if nxt != g_hi1:
-                    raise internal_error(
-                        p, "gasper", "recursion disagrees with the closed form",
-                        m=m, n=n, k=s + j + 1,
-                    )
-            else:
-                vals[j + 1] = nxt
-        theta, iota, kappa = theta_iota_kappa(p, m, s, 2 * m - 1)
-        if theta * g_hi != iota * g_hi1 + kappa * vals[2 * m - 2]:
+        elif theta_n * g_hi.numerator * den != num * g_hi.denominator:
             raise internal_error(
                 p, "gasper", "three-point identity fails at the top index",
                 m=m, n=n, k=s + 2 * m,
@@ -338,12 +372,17 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
 
 
 def linearize_jacobi_plus(p: JacobiParams, m: int, n: int) -> CoeffVector:
-    """Coefficient vector for the companion family at (alpha, beta + 1)."""
+    """Coefficient vector for the companion family at (alpha, beta + 1): the
+    jacobi vector there under the jacobi_plus label.  The two families have
+    the same `CoeffVector` checks, which that vector passed, so the relabelled
+    copy is not checked again."""
     cv = linearize_jacobi(plus_params(p), m, n)
-    return CoeffVector(cv.m, cv.n, FAMILY_JACOBI_PLUS, cv.values)
+    out = object.__new__(CoeffVector)
+    out.__dict__.update(m=cv.m, n=cv.n, family=FAMILY_JACOBI_PLUS, values=cv.values)
+    return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _monomial_basis(p: JacobiParams, family: str) -> list:
     """Polynomials P_0, P_1, ... of the family as monomial-coefficient vectors:
     one list per point and family, which linearize_bruteforce extends."""

@@ -1,5 +1,7 @@
 """Reference copies of the exact kernel as it was evaluated one `Fraction`
-operation at a time, before the integer-numerator rewrite.
+operation at a time, before the integer-numerator rewrite, and of the
+recursion loop of `linearize_jacobi` as it was run on reduced theta, iota
+and kappa `Fraction`s, before each step became one integer quotient.
 
 The formulas below are kept verbatim so the kernel tests can demand exact
 equality, and the same exception types, from the library's kernel.  They
@@ -10,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from jacobilin.exact import to_fraction
+from jacobilin.jacobi import FAMILY_JACOBI, CoeffVector, internal_error
 
 
 def ref_pochhammer(x, n):
@@ -107,6 +110,53 @@ def ref_gasper_boundary(p, m, s):
         * g_hi
     )
     return g_lo, g_lo1, g_hi1, g_hi
+
+
+def ref_linearize_jacobi(p, m, n):
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be >= 0")
+    if m > n:
+        m, n = n, m
+    if m == 0:
+        return CoeffVector(0, n, FAMILY_JACOBI, (Fraction(1),))
+    s = n - m
+    g_lo, g_lo1, g_hi1, g_hi = ref_gasper_boundary(p, m, s)
+    vals = [None] * (2 * m + 1)
+    vals[0], vals[1], vals[2 * m - 1], vals[2 * m] = g_lo, g_lo1, g_hi1, g_hi
+    if m == 1:
+        if g_lo1 != g_hi1:
+            raise internal_error(
+                p, "gasper", "extreme closed forms disagree", m=m, n=n, k=s + 1
+            )
+    else:
+        for j in range(1, 2 * m - 1):
+            theta, iota, kappa = ref_theta_iota_kappa(p, m, s, j)
+            cur, prev = vals[j], vals[j - 1]
+            iota_den, kappa_den = iota.denominator, kappa.denominator
+            cur_den, prev_den = cur.denominator, prev.denominator
+            nxt = Fraction(
+                (
+                    iota.numerator * cur.numerator * kappa_den * prev_den
+                    + kappa.numerator * prev.numerator * iota_den * cur_den
+                )
+                * theta.denominator,
+                iota_den * cur_den * kappa_den * prev_den * theta.numerator,
+            )
+            if j + 1 == 2 * m - 1:
+                if nxt != g_hi1:
+                    raise internal_error(
+                        p, "gasper", "recursion disagrees with the closed form",
+                        m=m, n=n, k=s + j + 1,
+                    )
+            else:
+                vals[j + 1] = nxt
+        theta, iota, kappa = ref_theta_iota_kappa(p, m, s, 2 * m - 1)
+        if theta * g_hi != iota * g_hi1 + kappa * vals[2 * m - 2]:
+            raise internal_error(
+                p, "gasper", "three-point identity fails at the top index",
+                m=m, n=n, k=s + 2 * m,
+            )
+    return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
 
 
 def outcome(fn, *args):

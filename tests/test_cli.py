@@ -230,6 +230,26 @@ class TestExitCodes:
             assert part in err
 
 
+class TestParser:
+    def test_built_once_and_commands_looked_up_at_call_time(self, capsys, monkeypatch):
+        assert run(capsys, "classify", "--alpha", "1", "--beta", "0")[0] == 0
+
+        def rebuild():
+            raise AssertionError("parser rebuilt")
+
+        seen = []
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        monkeypatch.setattr(cli, "_cmd_classify", lambda ns: seen.append(ns.alpha) or 7)
+        assert run(capsys, "classify", "--alpha", "1/2", "--beta", "0")[0] == 7
+        assert seen == [F(1, 2)]
+        assert run(capsys, "classify", "--alpha", "x", "--beta", "0")[0] == 2
+
+    def test_build_parser_is_public(self):
+        ns = cli.build_parser().parse_args(["scan", "--alpha", "1", "--beta", "0",
+                                            "--check", "nonneg", "--max-degree", "3"])
+        assert ns.subcommand == "scan" and ns.max_degree == 3
+
+
 class TestVerifySubcommand:
     def test_recursion_consistency(self, capsys):
         code, out, _ = run(

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jacobilin.jacobi as jacobi_module
 from jacobilin import (
     FAMILY_JACOBI,
     FAMILY_JACOBI_PLUS,
@@ -13,6 +16,7 @@ from jacobilin import (
     jacobi_eval,
     jacobi_rec_coeffs,
     linearize_bruteforce,
+    linearize_gencheb,
     linearize_jacobi,
     linearize_jacobi_plus,
     make_params,
@@ -23,7 +27,12 @@ from jacobilin import (
 )
 
 from conftest import GRID, GRID_DELTA_INTERIOR, rand_alpha_beta
-from kernel_reference import outcome, ref_gasper_boundary, ref_theta_iota_kappa
+from kernel_reference import (
+    outcome,
+    ref_gasper_boundary,
+    ref_linearize_jacobi,
+    ref_theta_iota_kappa,
+)
 
 F = Fraction
 
@@ -342,3 +351,70 @@ class TestKernelExactness:
         p = make_params(1, 0)
         assert outcome(gasper_boundary, p, m, s) == ("raises", ValueError)
         assert outcome(ref_gasper_boundary, p, m, s) == ("raises", ValueError)
+
+
+def _tall(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=1000).filter(
+        lambda t: lo < t < hi
+    )
+
+
+# Points for the differential test of the recursion step: the scan grid,
+# tall denominators, the line a = 0 (drawn with n = m, so that the loop runs
+# the kappa = 0 step j = 1, s = 0) and the line b = 0.
+STEP_SOURCES = {
+    "grid": st.sampled_from(GRID),
+    "tall": st.tuples(_tall(-1, 3), _tall(-1, 3)),
+    "a = 0": _tall(-1, 0).map(lambda t: (t, -1 - t)),
+    "b = 0": _tall(-1, 3).map(lambda t: (t, t)),
+}
+
+
+class TestRecursionStep:
+    """Each step of linearize_jacobi, one integer quotient, equals the loop
+    over reduced theta, iota and kappa `Fraction`s it replaced."""
+
+    @pytest.mark.parametrize("source", STEP_SOURCES)
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_reference_loop(self, source, data):
+        alpha, beta = data.draw(STEP_SOURCES[source], label="point")
+        m = data.draw(st.integers(1, 10), label="m")
+        n = m if source == "a = 0" else data.draw(st.integers(m, 10), label="n")
+        p = make_params(alpha, beta)
+        assert linearize_jacobi.__wrapped__(p, m, n) == ref_linearize_jacobi(p, m, n)
+
+    def test_perturbed_theta_is_caught(self, monkeypatch):
+        original = jacobi_module._recursion_numerators
+
+        def perturbed(*args):
+            up, down, theta_n, iota_n, kappa_n = original(*args)
+            return up, down, theta_n + 1, iota_n, kappa_n
+
+        monkeypatch.setattr(jacobi_module, "_recursion_numerators", perturbed)
+        p = make_params(F(1, 2), F(1, 4))
+        with pytest.raises(RuntimeError, match="recursion disagrees with the closed form"):
+            linearize_jacobi.__wrapped__(p, 3, 5)
+
+
+class TestCacheBounds:
+    def test_caches_stay_bounded_over_fresh_points(self):
+        caches = (linearize_jacobi, linearize_gencheb, jacobi_module._monomial_basis)
+        for cache in caches:
+            cache.cache_clear()
+        rng = random.Random(7)
+        try:
+            for _ in range(300):
+                p = make_params(*rand_alpha_beta(rng))
+                for m, n in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
+                    linearize_jacobi(p, m, n)
+                    linearize_gencheb(p, m, n)
+                linearize_bruteforce(p, 1, 1)
+            for cache in caches:
+                info = cache.cache_info()
+                assert info.maxsize is not None
+                assert info.misses > info.maxsize  # the bound was reached
+                assert info.currsize <= info.maxsize
+        finally:
+            for cache in caches:
+                cache.cache_clear()
