@@ -163,15 +163,6 @@ def jacobi_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     return cur
 
 
-@lru_cache(maxsize=8)
-def _ab_over_lcm(p: JacobiParams) -> tuple[int, int, int]:
-    """(L, A, B) with a = A/L and b = B/L over their least common
-    denominator L, for theta_iota_kappa, gasper_boundary and the recursion
-    loop of linearize_jacobi: computed once per point while the point is
-    among the 8 most recently used (a scan uses two, p and plus_params(p))."""
-    return _over_lcm(p.a, p.b)
-
-
 def _recursion_numerators(
     big_l: int, a: int, b: int, m: int, s: int, j: int
 ) -> tuple[int, int, int, int, int]:
@@ -229,11 +220,7 @@ def theta_iota_kappa(
     j = to_fraction(j)
     if not 1 <= j <= 2 * m - 1:
         raise ValueError("recursion index j must lie in [1, 2m-1]")
-    if j.denominator == 1:
-        big_l, a, b = _ab_over_lcm(p)
-        j = j.numerator * big_l
-    else:
-        big_l, a, b, j = _over_lcm(p.a, p.b, j)
+    big_l, a, b, j = _over_lcm(p.a, p.b, j)
     up, down, theta_n, iota_n, kappa_n = _recursion_numerators(big_l, a, b, m, s, j)
     theta = Fraction(theta_n, up * (up + big_l) * big_l**3)
     iota = Fraction(iota_n, up * down * big_l**4)
@@ -271,7 +258,7 @@ def gasper_boundary(
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    big_l, a, b = _ab_over_lcm(p)
+    big_l, a, b = _over_lcm(p.a, p.b)
     r, t = m + s, 2 * m + s
     mid = _rising(m * big_l + a, big_l, m)
     al_part = _rising(big_l + a + b, 2 * big_l, m)
@@ -313,11 +300,12 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
 
     Closed forms fill the two lowest and two highest positions; the interior
     comes from the forward recursion (theta > 0 there).  With a, b and j
-    over L (`_ab_over_lcm`, once per point), up = (2s+2j+a+1) L,
-    down = (2s+2j+a-1) L and e = down - L, theta, iota and kappa have the
-    integer numerators theta_N, iota_N, kappa_N of `_recursion_numerators`
-    over up (up+L) L^3, up down L^4 and e down L^3, so with the current
-    entry c_N/c_D and the previous one p_N/p_D each step is one quotient
+    over their common denominator L (computed once per call),
+    up = (2s+2j+a+1) L, down = (2s+2j+a-1) L and e = down - L, theta, iota
+    and kappa have the integer numerators theta_N, iota_N, kappa_N of
+    `_recursion_numerators` over up (up+L) L^3, up down L^4 and e down L^3,
+    so with the current entry c_N/c_D and the previous one p_N/p_D each step
+    is one quotient
 
         g(s+j+1) = (iota_N e c_N p_D + kappa_N up L p_N c_D) (up+L)
                    / (e down L theta_N c_D p_D),
@@ -344,7 +332,7 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
                 p, "gasper", "extreme closed forms disagree", m=m, n=n, k=s + 1
             )
         return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
-    big_l, a, b = _ab_over_lcm(p)
+    big_l, a, b = _over_lcm(p.a, p.b)
     top = 2 * m - 1
     for j in range(1, top + 1):
         up, down, theta_n, iota_n, kappa_n = _recursion_numerators(
@@ -372,14 +360,9 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
 
 
 def linearize_jacobi_plus(p: JacobiParams, m: int, n: int) -> CoeffVector:
-    """Coefficient vector for the companion family at (alpha, beta + 1): the
-    jacobi vector there under the jacobi_plus label.  The two families have
-    the same `CoeffVector` checks, which that vector passed, so the relabelled
-    copy is not checked again."""
+    """Coefficient vector for the companion family at (alpha, beta + 1)."""
     cv = linearize_jacobi(plus_params(p), m, n)
-    out = object.__new__(CoeffVector)
-    out.__dict__.update(m=cv.m, n=cv.n, family=FAMILY_JACOBI_PLUS, values=cv.values)
-    return out
+    return CoeffVector(cv.m, cv.n, FAMILY_JACOBI_PLUS, cv.values)
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ with interiors given by the strict versions.  The threshold test
 4 a^2 + 11 a + 3 > 0 is the rational surrogate for a > -11/8 + sqrt(73)/8.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -20,23 +20,12 @@ from .exact import Rational, to_fraction
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """A validated parameter point, carrying both (alpha, beta) and (a, b).
-
-    Points key the package's caches, so the hash is computed once per point,
-    from (alpha, beta), which determine (a, b): hashing the four `Fraction`s
-    on every lookup cost more than some of the work the caches save."""
+    """A validated parameter point, carrying both (alpha, beta) and (a, b)."""
 
     alpha: Fraction
     beta: Fraction
     a: Fraction
     b: Fraction
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
-
-    def __hash__(self):
-        return self._hash
 
 
 def make_params(alpha: Rational, beta: Rational) -> JacobiParams:

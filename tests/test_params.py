@@ -59,13 +59,6 @@ class TestMakeParams:
             assert p.a > -1
             assert -1 - p.a < p.b < 1 + p.a
 
-    def test_equal_points_hash_alike(self):
-        p, q = make_params("-33/100", "-87/100"), make_params(F(-33, 100), F(-87, 100))
-        assert p == q and hash(p) == hash(q)
-        assert p != make_params(F(-87, 100), F(-33, 100))
-        assert len({p, q, plus_params(p)}) == 2
-        assert "_hash" not in repr(p)
-
     def test_plus_and_swap(self):
         p = make_params(F(1, 3), F(-1, 4))
         assert plus_params(p).beta == F(3, 4)
