@@ -254,8 +254,8 @@ def pq_values(p: JacobiParams, m: int, s: int, j: int) -> PQRecord:
     if theta_p == 0:
         raise ValueError("singular point: the leading recursion coefficient vanishes")
     c_hi = gencheb_rec_coeffs(p, 2 * s + 2 * j + 3).c_n
-    a_mid = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1).a_n
-    c_mid = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1).c_n
+    mid = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1)
+    a_mid, c_mid = mid.a_n, mid.c_n
     a_lo = gencheb_rec_coeffs(p, 2 * s + 2 * j - 1).a_n
     p_val = c_hi / a_mid * iota_p / theta_p
     q_val = c_mid * c_hi / (a_lo * a_mid) * kappa_p / theta_p

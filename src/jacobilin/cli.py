@@ -241,13 +241,7 @@ def _cmd_linearize(ns) -> int:
 def _cmd_compare(ns) -> int:
     p = _params_from(ns)
     region = classify_region(p)
-    # A method is listed where it applies at the point; none needs m > 1.
-    methods = list(dict.fromkeys(
-        method
-        for routes in METHODS.values()
-        for method, (applies, _) in routes.items()
-        if applies(p, 1, 1)
-    ))
+    checked = set()
     mismatches = []
     entries = 0
     skipped = 0
@@ -260,12 +254,20 @@ def _cmd_compare(ns) -> int:
                     if not applies(p, m, n):
                         continue
                     vals = values(p, m, n)
+                    checked.add(method)
                     entries += len(vals)
                     for k, (want, got) in enumerate(zip(ref, vals, strict=True), start=n - m):
                         if got is None:
                             skipped += 1
                         elif got != want:
                             mismatches.append([family, m, n, f"{method} k={k}"])
+    # Each family's reference, then every method that checked an entry.
+    methods = list(dict.fromkeys(
+        method
+        for routes in METHODS.values()
+        for i, method in enumerate(routes)
+        if i == 0 or method in checked
+    ))
     agree = not mismatches
     payload = {
         "max_degree": ns.max_degree,

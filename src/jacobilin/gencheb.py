@@ -26,7 +26,6 @@ from .jacobi import (
     internal_error,
     jacobi_eval,
     linearize_jacobi,
-    linearize_jacobi_plus,
 )
 from .params import JacobiParams, plus_params
 
@@ -134,7 +133,7 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         for k, v in gr.items():
             vals[2 * k - k_lo] = v
     elif m % 2 == 1 and n % 2 == 1:
-        cv = linearize_jacobi_plus(p, (m - 1) // 2, (n - 1) // 2)
+        cv = linearize_jacobi(plus_params(p), (m - 1) // 2, (n - 1) // 2)
         for ell, v in cv.items():
             row = gencheb_rec_coeffs(p, 2 * ell + 1)
             vals[2 * ell + 2 - k_lo] += row.a_n * v
@@ -143,10 +142,10 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         odd_arg, even_arg = (m, n) if m % 2 == 1 else (n, m)
         i, e = (odd_arg - 1) // 2, even_arg // 2
         row = gencheb_rec_coeffs(p, even_arg)
-        for scale, cv in (
-            (row.a_n, linearize_jacobi_plus(p, i, e)),
-            (row.c_n, linearize_jacobi_plus(p, i, e - 1)),
-        ):
-            for ell, v in cv.items():
+        pp = plus_params(p)
+        # Companion vectors are read with their smaller degree first, so
+        # each has one key in the linearize_jacobi cache.
+        for scale, j in ((row.a_n, e), (row.c_n, e - 1)):
+            for ell, v in linearize_jacobi(pp, min(i, j), max(i, j)).items():
                 vals[2 * ell + 1 - k_lo] += scale * v
     return CoeffVector(m, n, FAMILY_GENCHEB, tuple(vals))

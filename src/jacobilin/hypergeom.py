@@ -4,8 +4,8 @@ Two routes are provided:
 
 * a general closed form for g(m, m+s; s+j) as a very-well-poised terminating
   9F8 at unit argument, valid strictly inside the open region a > 0, b > 0
-  (one branch per parity of j), plus a companion single-formula variant valid
-  for alpha >= beta >= -1/2;
+  (one series for both parities of j), plus a companion single-formula
+  variant valid for alpha >= beta >= -1/2;
 * an ultraspherical product formula (alpha = beta), valid for alpha > -1/2.
 
 On the boundary of the open region the 9F8 forms are limits only, and a few
@@ -17,7 +17,7 @@ parameter, never by scanning for zero terms.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .exact import Rational, pochhammer, to_fraction
 from .jacobi import FAMILY_JACOBI, CoeffVector
@@ -88,11 +88,20 @@ def _check_indices(m: int, s: int, j: int) -> None:
 
 
 def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
-    """g(m, m+s; s+j) by the terminating 9F8 closed form, a > 0 and b > 0."""
+    """g(m, m+s; s+j) by the terminating 9F8 closed form, a > 0 and b > 0.
+
+    One very-well-poised series serves both parities of j.  With e = j % 2,
+    up = (j+e)/2 and down = (j-e)/2, the odd-j parameters are the even-j ones
+    shifted by e (by e/2 where alpha is halved), the j/2 terms split into up
+    and down, and the factor (alpha-beta)/(alpha+beta+1) enters only when
+    e = 1.  The series has down + 1 terms.
+    """
     _check_indices(m, s, j)
     _require_open_region(p)
     al, be = p.alpha, p.beta
-    big = (
+    e = j % 2
+    up, down = (j + e) // 2, (j - e) // 2
+    pref = (
         (al + be + 1 + 2 * s + 2 * j)
         / (al + be + 1)
         * pochhammer(m + al + be + 1, m)
@@ -109,91 +118,44 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
             * factorial(s)
             * factorial(j)
         )
+        * pochhammer(-m, up)
+        * pochhammer(al + be + m + s + 1, up)
+        / (pochhammer(-m - (al + be) / 2, up) * pochhammer(al + s + 1, up))
+        * pochhammer(-m - al, down)
+        * pochhammer(be + m + s + 1, down)
+        * pochhammer(_HALF + e, down)
+        / (
+            pochhammer(_HALF - m - (al + be) / 2, down)
+            * pochhammer(s + 1, down)
+            * pochhammer(al + 1 + e, down)
+        )
     )
-    jh = Fraction(j, 2)
-    if j % 2 == 0:
-        half = j // 2
-        pref = (
-            big
-            * pochhammer(-m, half)
-            * pochhammer(al + be + m + s + 1, half)
-            / (pochhammer(-m - (al + be) / 2, half) * pochhammer(al + s + 1, half))
-            * pochhammer(-m - al, half)
-            * pochhammer(be + m + s + 1, half)
-            * pochhammer(_HALF, half)
-            / (
-                pochhammer(_HALF - m - (al + be) / 2, half)
-                * pochhammer(s + 1, half)
-                * pochhammer(al + 1, half)
-            )
-        )
-        series = HypTermSum(
-            numerator_params=(
-                al,
-                1 + al / 2,
-                al + _HALF,
-                (al - be) / 2,
-                (al - be + 1) / 2,
-                al + be + m + s + 1 + jh,
-                -m + jh,
-                -s - jh,
-                -jh,
-            ),
-            denominator_params=(
-                al / 2,
-                _HALF,
-                (al + be) / 2 + 1,
-                (al + be + 1) / 2,
-                -be - m - s - jh,
-                al + m + 1 - jh,
-                al + s + 1 + jh,
-                al + 1 + jh,
-            ),
-            term_count=half,
-        )
-    else:
-        up = (j + 1) // 2
-        down = (j - 1) // 2
-        pref = (
-            big
-            * pochhammer(-m, up)
-            * pochhammer(al + be + m + s + 1, up)
-            / (pochhammer(-m - (al + be) / 2, up) * pochhammer(al + s + 1, up))
-            * pochhammer(-m - al, down)
-            * pochhammer(be + m + s + 1, down)
-            * pochhammer(Fraction(3, 2), down)
-            / (
-                pochhammer(_HALF - m - (al + be) / 2, down)
-                * pochhammer(s + 1, down)
-                * pochhammer(al + 2, down)
-            )
-            * (al - be)
-            / (al + be + 1)
-        )
-        series = HypTermSum(
-            numerator_params=(
-                al + 1,
-                (al + 3) / 2,
-                al + _HALF,
-                (al - be) / 2 + 1,
-                (al - be + 1) / 2,
-                al + be + m + s + Fraction(3, 2) + jh,
-                -m + _HALF + jh,
-                _HALF - s - jh,
-                Fraction(1 - j, 2),
-            ),
-            denominator_params=(
-                (al + 1) / 2,
-                Fraction(3, 2),
-                (al + be) / 2 + 1,
-                (al + be + 3) / 2,
-                Fraction(1 - j, 2) - be - m - s,
-                al + m + Fraction(3, 2) - jh,
-                al + s + Fraction(3, 2) + jh,
-                al + Fraction(3, 2) + jh,
-            ),
-            term_count=down,
-        )
+    if e:
+        pref = pref * (al - be) / (al + be + 1)
+    series = HypTermSum(
+        numerator_params=(
+            al + e,
+            1 + (al + e) / 2,
+            al + _HALF,
+            (al - be) / 2 + e,
+            (al - be + 1) / 2,
+            al + be + m + s + 1 + up,
+            Fraction(up - m),
+            Fraction(-s - down),
+            Fraction(-down),
+        ),
+        denominator_params=(
+            (al + e) / 2,
+            _HALF + e,
+            (al + be) / 2 + 1,
+            (al + be + 1) / 2 + e,
+            -be - m - s - down,
+            al + m + 1 - down,
+            al + s + 1 + up,
+            al + 1 + up,
+        ),
+        term_count=down,
+    )
     return pref * series.evaluate()
 
 
@@ -281,8 +243,8 @@ def dougall_coefficient(alpha: Rational, m: int, n: int) -> CoeffVector:
         c = (
             factorial(t)
             * pochhammer(alpha + _HALF, t)
-            * binom_nat(m, t)
-            * binom_nat(n, t)
+            * comb(m, t)
+            * comb(n, t)
             * (m + n + alpha + _HALF - 2 * t)
             * pochhammer(alpha + _HALF, m - t)
             * pochhammer(alpha + _HALF, n - t)
@@ -296,10 +258,3 @@ def dougall_coefficient(alpha: Rational, m: int, n: int) -> CoeffVector:
         )
         vals[k - (n - m)] = c
     return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
-
-
-def binom_nat(n: int, k: int) -> Fraction:
-    """Binomial coefficient for naturals, exact."""
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(factorial(n), factorial(k) * factorial(n - k))

@@ -132,6 +132,18 @@ class TestExitCodes:
         assert code == 0
         assert "agree exactly" in out
 
+    def test_compare_lists_only_methods_that_checked_an_entry(self, capsys):
+        # Rahman applies at (1/2, 1/4) but needs min(m, n) >= 1: at degree 0
+        # only brute checks entries, one per family.
+        code, out, _ = run(
+            capsys, "compare", "--alpha", "1/2", "--beta", "1/4", "--max-degree", "0",
+            "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["methods"] == ["gasper", "brute"]
+        assert payload["entries_checked"] == 3
+
     def test_witness_found_signals_one(self, capsys):
         code, out, _ = run(capsys, "witness", "--alpha", "-1/2", "--beta", "0",
                            "--max-degree", "8")
