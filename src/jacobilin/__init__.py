@@ -50,7 +50,6 @@ from .jacobi import (
     theta_iota_kappa,
 )
 from .gencheb import (
-    GenChebCoeffs,
     gencheb_eval,
     gencheb_norm_h,
     gencheb_rec_coeffs,
@@ -110,7 +109,6 @@ __all__ = [
     "linearize_jacobi_plus",
     "reflect_coeffs",
     "theta_iota_kappa",
-    "GenChebCoeffs",
     "gencheb_eval",
     "gencheb_norm_h",
     "gencheb_rec_coeffs",

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import gencheb_rec_coeffs, linearize_gencheb
 from .jacobi import (
+    gasper_boundary,
     internal_error,
     linearize_jacobi,
     linearize_jacobi_plus,
@@ -393,11 +394,9 @@ def gasper_simplification_values(
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
     a, b = p.a, p.b
+    g_lo, g_lo1, g_hi1, g_hi = gasper_boundary(p, m, s)
+    ratio_lo, ratio_hi = g_lo1 / g_lo, g_hi1 / g_hi
     theta1, iota1, kappa1 = theta_iota_kappa(p, m, s, 1)
-    ratio_lo = (
-        4 * b * m * (m + s + a) * (2 * s + a + 2)
-        / ((2 * m + 2 * s + a + 1) * (2 * m + a - 1) * (2 * s + a - b + 1))
-    )
     pref1 = (
         (2 * m + a - 1)
         * (2 * s + a - b + 1)
@@ -417,10 +416,6 @@ def gasper_simplification_values(
         - 3 * (a + 1) * (a + 2) * b * b
     )
     theta2, iota2, kappa2 = theta_iota_kappa(p, m, s, 2 * m - 1)
-    ratio_hi = (
-        4 * b * m * (m + s) * (4 * m + 2 * s + a - 2)
-        / ((4 * m + 2 * s + a + b - 1) * (2 * m + 2 * s + a - 1) * (2 * m + a - 1))
-    )
     pref2 = (
         (2 * m + a - 1)
         * (2 * m + 2 * s + a - 1)
@@ -454,11 +449,8 @@ def necessity_identity_values(
         raise ValueError("need m >= 1 and s >= 0")
     a, b = p.a, p.b
     pp = plus_params(p)
-    ap, bp = pp.a, pp.b
-    ratio1 = (
-        4 * bp * m * (m + s + ap) * (2 * s + ap + 2)
-        / ((2 * m + 2 * s + ap + 1) * (2 * m + ap - 1) * (2 * s + ap - bp + 1))
-    )
+    g_lo, g_lo1, _, _ = gasper_boundary(pp, m, s)
+    ratio1 = g_lo1 / g_lo
     c3 = gencheb_rec_coeffs(p, 2 * s + 3).c_n
     a1 = gencheb_rec_coeffs(p, 2 * s + 1).a_n
     lhs1 = (

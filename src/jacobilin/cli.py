@@ -372,6 +372,9 @@ def _nec_check(p, m, s):
 
 
 def _verify_iota(p, ms, ss, details):
+    # m is checked before the b = 0 shortcut, as iota_zero_count checks it.
+    if min(ms) < 1:
+        raise ValueError("need m >= 1 and s >= 0")
     if p.b == 0:
         details.append("b = 0: iota vanishes identically (degenerate); nothing to count")
         return True

@@ -12,65 +12,25 @@ T_m T_n decompose by parity:
                   so g_T(2i+1, 2e; 2l+1) = a_{2e} g+(i, e; l) + c_{2e} g+(i, e-1; l).
 
 Entries outside a vector's support count as 0; positions of the wrong parity
-are stored as explicit zeros.
+are stored as explicit zeros.  The recurrence rows (`gencheb_rec_coeffs`, a
+`RecurrenceCoeffs` with b_n = 0) and the walker that evaluates T_n by them
+(`walk_recurrence`) live in the jacobi module, next to the R-family rows.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Rational, _over_lcm, to_fraction
+from .exact import Rational, to_fraction
 from .jacobi import (
     FAMILY_GENCHEB,
     CoeffVector,
+    gencheb_rec_coeffs,
     internal_error,
     jacobi_eval,
     linearize_jacobi,
+    walk_recurrence,
 )
 from .params import JacobiParams, plus_params
-
-
-@dataclass(frozen=True)
-class GenChebCoeffs:
-    """Recurrence pair (a_n, c_n) for x T_n = a_n T_{n+1} + c_n T_{n-1}."""
-
-    n: int
-    a_n: Fraction
-    c_n: Fraction
-
-    def __post_init__(self):
-        if self.a_n + self.c_n != 1:
-            raise ValueError(f"recurrence pair does not sum to 1 at n={self.n}")
-        if not (0 < self.a_n < 1):
-            raise ValueError(f"recurrence pair outside (0,1) at n={self.n}")
-
-
-def gencheb_rec_coeffs(p: JacobiParams, n: int) -> GenChebCoeffs:
-    """Recurrence pair for index n >= 1, cross-checked in both parametrizations.
-
-    alpha, beta, a and b are put over one common denominator d, so each
-    entry is one integer quotient."""
-    if n < 1:
-        raise ValueError("recurrence index must be >= 1")
-    d, al, be, a, b = _over_lcm(p.alpha, p.beta, p.a, p.b)
-    # r is the half-index scaled by d.
-    if n % 2 == 1:
-        r = (n + 1) // 2 * d
-        an = Fraction(r + al, 2 * r + al + be)
-        an_ab = Fraction(2 * r + a + b - d, 4 * r + 2 * a - 2 * d)
-        cn = Fraction(r + be, 2 * r + al + be)
-        cn_ab = Fraction(2 * r + a - b - d, 4 * r + 2 * a - 2 * d)
-    else:
-        r = n // 2 * d
-        an = Fraction(r + al + be + d, 2 * r + al + be + d)
-        an_ab = Fraction(r + a, 2 * r + a)
-        cn = Fraction(r, 2 * r + al + be + d)
-        cn_ab = Fraction(r, 2 * r + a)
-    if an != an_ab or cn != cn_ab:
-        raise internal_error(
-            p, "gencheb-recurrence", "recurrence parametrizations disagree", n=n
-        )
-    return GenChebCoeffs(n, an, cn)
 
 
 def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
@@ -86,16 +46,7 @@ def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
         via_transform = jacobi_eval(p, n // 2, 2 * x * x - 1)
     else:
         via_transform = x * jacobi_eval(plus_params(p), (n - 1) // 2, 2 * x * x - 1)
-    prev, cur = Fraction(1), x
-    if n == 0:
-        via_rec = prev
-    elif n == 1:
-        via_rec = cur
-    else:
-        for k in range(1, n):
-            row = gencheb_rec_coeffs(p, k)
-            prev, cur = cur, (x * cur - row.c_n * prev) / row.a_n
-        via_rec = cur
+    via_rec = walk_recurrence(p, FAMILY_GENCHEB, x, [Fraction(1)], n)[n]
     if via_transform != via_rec:
         raise internal_error(
             p, "gencheb-eval", "transform and recurrence evaluations disagree",

@@ -4,7 +4,10 @@ The polynomials R_n are normalized so R_n(1) = 1 and satisfy
 
     R_1(x) R_n(x) = a_n R_{n+1}(x) + b_n R_n(x) + c_n R_{n-1}(x),
 
-with all coefficient sequences exact rationals in the parameters.  The product
+with all coefficient sequences exact rationals in the parameters.  The rows of
+every family are one type, `RecurrenceCoeffs` (gencheb rows from
+`gencheb_rec_coeffs`, with b_n = 0), and one walker, `walk_recurrence`, runs
+the recurrence for every family, on values and on polynomials.  The product
 expansion R_m R_{m+s} = sum_k g(m, m+s; k) R_k is computed from closed forms at
 the four extreme indices k in {s, s+1, s+2m-1, s+2m} together with a
 three-point recursion in the interior; every run cross-checks the recursion
@@ -25,6 +28,7 @@ FAMILY_JACOBI = "jacobi"
 FAMILY_JACOBI_PLUS = "jacobi_plus"
 FAMILY_GENCHEB = "gencheb"
 FAMILIES = (FAMILY_JACOBI, FAMILY_JACOBI_PLUS, FAMILY_GENCHEB)
+_ZERO = Fraction(0)
 
 
 def internal_error(p: JacobiParams, route: str, what: str, **where) -> RuntimeError:
@@ -38,7 +42,8 @@ def internal_error(p: JacobiParams, route: str, what: str, **where) -> RuntimeEr
 
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
-    """One row of the three-term recurrence; c_n is None for n = 0."""
+    """One row of the three-term recurrence P_1 P_n = a_n P_{n+1} + b_n P_n
+    + c_n P_{n-1}; c_n is None for n = 0, and gencheb rows have b_n = 0."""
 
     n: int
     a_n: Fraction
@@ -46,8 +51,9 @@ class RecurrenceCoeffs:
     c_n: Fraction | None
 
     def __post_init__(self):
-        total = self.a_n + self.b_n + (self.c_n if self.c_n is not None else 0)
-        if total != 1:
+        # A zero b_n (every gencheb row, a hot path) is not added.
+        total = self.a_n + self.b_n if self.b_n else self.a_n
+        if total + (self.c_n if self.c_n is not None else 0) != 1:
             raise ValueError(f"recurrence row does not sum to 1 at n={self.n}")
 
 
@@ -147,20 +153,60 @@ def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(n, an_ab, bn_ab, cn_ab)
 
 
+def gencheb_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
+    """Row n >= 1 of x T_n = a_n T_{n+1} + c_n T_{n-1} (b_n = 0), computed in
+    both parametrizations and cross-checked.
+
+    alpha, beta, a and b are put over one common denominator d, so each
+    entry is one integer quotient."""
+    if n < 1:
+        raise ValueError("recurrence index must be >= 1")
+    d, al, be, a, b = _over_lcm(p.alpha, p.beta, p.a, p.b)
+    # r is the half-index scaled by d.
+    if n % 2 == 1:
+        r = (n + 1) // 2 * d
+        an = Fraction(r + al, 2 * r + al + be)
+        an_ab = Fraction(2 * r + a + b - d, 4 * r + 2 * a - 2 * d)
+        cn = Fraction(r + be, 2 * r + al + be)
+        cn_ab = Fraction(2 * r + a - b - d, 4 * r + 2 * a - 2 * d)
+    else:
+        r = n // 2 * d
+        an = Fraction(r + al + be + d, 2 * r + al + be + d)
+        an_ab = Fraction(r + a, 2 * r + a)
+        cn = Fraction(r, 2 * r + al + be + d)
+        cn_ab = Fraction(r, 2 * r + a)
+    if an != an_ab or cn != cn_ab:
+        raise internal_error(
+            p, "gencheb-recurrence", "recurrence parametrizations disagree", n=n
+        )
+    if not 0 < an.numerator < an.denominator:  # 0 < a_n < 1, on integers
+        raise ValueError(f"recurrence pair outside (0,1) at n={n}")
+    return RecurrenceCoeffs(n, an, _ZERO, cn)
+
+
+def walk_recurrence(p: JacobiParams, family: str, x, ps: list, n: int) -> list:
+    """Extend ps = [P_0, ...] of the family at x (a `Fraction`, or the
+    `RationalPolynomial` variable) up to P_n, in place, by P_1 = (x - b_0) / a_0
+    (gencheb: P_1 = x) and P_{k+1} = ((P_1 - b_k) P_k - c_k P_{k-1}) / a_k, with
+    the rows of jacobi at p, jacobi_plus at plus_params(p), or gencheb at p."""
+    if len(ps) > n:
+        return ps
+    rows = gencheb_rec_coeffs if family == FAMILY_GENCHEB else jacobi_rec_coeffs
+    p = plus_params(p) if family == FAMILY_JACOBI_PLUS else p
+    if len(ps) == 1:
+        row = None if family == FAMILY_GENCHEB else rows(p, 0)
+        ps.append(x if row is None else (x - row.b_n) * (1 / row.a_n))
+    for k in range(len(ps) - 1, n):
+        row = rows(p, k)
+        ps.append(((ps[1] - row.b_n) * ps[k] - row.c_n * ps[k - 1]) * (1 / row.a_n))
+    return ps
+
+
 def jacobi_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     """Evaluate R_n at a rational point by the three-term recurrence."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    x = to_fraction(x)
-    if n == 0:
-        return Fraction(1)
-    row0 = jacobi_rec_coeffs(p, 0)
-    r1 = (x - row0.b_n) / row0.a_n
-    prev, cur = Fraction(1), r1
-    for k in range(1, n):
-        row = jacobi_rec_coeffs(p, k)
-        prev, cur = cur, ((r1 - row.b_n) * cur - row.c_n * prev) / row.a_n
-    return cur
+    return walk_recurrence(p, FAMILY_JACOBI, to_fraction(x), [Fraction(1)], n)[n]
 
 
 def _recursion_numerators(
@@ -369,23 +415,7 @@ def linearize_jacobi_plus(p: JacobiParams, m: int, n: int) -> CoeffVector:
 def _monomial_basis(p: JacobiParams, family: str) -> list:
     """Polynomials P_0, P_1, ... of the family as monomial-coefficient vectors:
     one list per point and family, which linearize_bruteforce extends."""
-    if family == FAMILY_GENCHEB:
-        return [RationalPolynomial([1]), RationalPolynomial.variable()]
-    row0 = jacobi_rec_coeffs(p if family == FAMILY_JACOBI else plus_params(p), 0)
-    return [RationalPolynomial([1]), RationalPolynomial([-row0.b_n / row0.a_n, 1 / row0.a_n])]
-
-
-def _next_basis_polynomial(p: JacobiParams, family: str, polys: list) -> None:
-    """Append P_{n+1} = ((P_1 - b_n) P_n - c_n P_{n-1}) / a_n (gencheb: b_n = 0)."""
-    n = len(polys) - 1
-    if family == FAMILY_GENCHEB:
-        from .gencheb import gencheb_rec_coeffs
-
-        row, b_n = gencheb_rec_coeffs(p, n), 0
-    else:
-        row = jacobi_rec_coeffs(p if family == FAMILY_JACOBI else plus_params(p), n)
-        b_n = row.b_n
-    polys.append(((polys[1] - b_n) * polys[n] - row.c_n * polys[n - 1]) * (1 / row.a_n))
+    return [RationalPolynomial([1])]
 
 
 def linearize_bruteforce(
@@ -400,9 +430,9 @@ def linearize_bruteforce(
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
-    basis = _monomial_basis(p, family)
-    while len(basis) <= m + n:
-        _next_basis_polynomial(p, family, basis)
+    basis = walk_recurrence(
+        p, family, RationalPolynomial.variable(), _monomial_basis(p, family), m + n
+    )
     product = basis[m] * basis[n]
     coeffs = [Fraction(0)] * (m + n + 1)
     rem = product

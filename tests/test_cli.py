@@ -286,6 +286,18 @@ class TestVerifySubcommand:
         assert code == 0
         assert "2 zero(s)" in out
 
+    @pytest.mark.parametrize("point", [("1", "1"), ("1/2", "1/4")])
+    def test_iota_zeros_m_zero_is_a_usage_error(self, capsys, point):
+        # b = 0 at (1, 1): iota vanishes identically, but m = 0 is still out
+        # of range there, as at any other point.
+        code, out, err = run(
+            capsys, "verify", "--alpha", point[0], "--beta", point[1],
+            "--property", "iota-zeros", "--m", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "need m >= 1 and s >= 0" in err
+
     def test_pq_inequality_json(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import jacobilin.jacobi as jacobi_module
 from jacobilin import (
     FAMILY_GENCHEB,
+    RationalPolynomial,
+    RecurrenceCoeffs,
     gencheb_eval,
     gencheb_norm_h,
     gencheb_rec_coeffs,
@@ -35,6 +38,20 @@ class TestRecurrenceCoeffs:
             rc = gencheb_rec_coeffs(p, rng.randint(1, 14))
             assert rc.a_n + rc.c_n == 1
             assert 0 < rc.a_n < 1
+
+    @pytest.mark.parametrize("point", GRID[::3])
+    def test_row_identity_on_basis_polynomials(self, point):
+        # x T_n = a_n T_{n+1} + b_n T_n + c_n T_{n-1} with b_n = 0, checked
+        # on the oracle's monomial basis, where T_1 = x.
+        p = make_params(*point)
+        linearize_bruteforce(p, 0, 9, FAMILY_GENCHEB)
+        basis = jacobi_module._monomial_basis(p, FAMILY_GENCHEB)
+        assert basis[1] == RationalPolynomial.variable()
+        for n in range(1, 9):
+            rc = gencheb_rec_coeffs(p, n)
+            assert isinstance(rc, RecurrenceCoeffs) and rc.b_n == 0
+            rhs = rc.a_n * basis[n + 1] + rc.b_n * basis[n] + rc.c_n * basis[n - 1]
+            assert basis[1] * basis[n] == rhs
 
     def test_half_line_reduces_to_symmetric_family(self):
         # At beta = -1/2 the transform family coincides with the symmetric

@@ -13,6 +13,7 @@ from jacobilin import (
     FAMILY_JACOBI,
     FAMILY_JACOBI_PLUS,
     gasper_boundary,
+    gencheb_eval,
     jacobi_eval,
     jacobi_rec_coeffs,
     linearize_bruteforce,
@@ -99,6 +100,34 @@ class TestEvaluation:
                 + rc.c_n * jacobi_eval(p, n - 1, x)
             )
             assert lhs == rhs
+
+
+class TestWalker:
+    """The one recurrence walker gives the same P_n on values and on
+    polynomials: the oracle's monomial basis, evaluated at x, equals the
+    rational-point evaluation of each family."""
+
+    @pytest.mark.parametrize("point", GRID[::3] + BOUNDARY_POINTS)
+    @pytest.mark.parametrize("family", ["jacobi", "jacobi_plus", "gencheb"])
+    def test_basis_polynomials_match_evaluation(self, point, family):
+        p = make_params(*point)
+        evaluate = {
+            "jacobi": lambda n, x: jacobi_eval(p, n, x),
+            "jacobi_plus": lambda n, x: jacobi_eval(plus_params(p), n, x),
+            "gencheb": lambda n, x: gencheb_eval(p, n, x),
+        }[family]
+        linearize_bruteforce(p, 0, 8, family)
+        basis = jacobi_module._monomial_basis(p, family)
+        for n in range(9):
+            for x in (F(-3, 5), F(1, 3), F(7, 4)):
+                assert basis[n](x) == evaluate(n, x)
+
+    def test_extends_in_place_from_any_length(self):
+        p = make_params(F(1, 2), F(1, 4))
+        grown = jacobi_module.walk_recurrence(p, FAMILY_JACOBI, F(2, 9), [F(1)], 3)
+        again = jacobi_module.walk_recurrence(p, FAMILY_JACOBI, F(2, 9), grown[:2], 6)
+        assert again[:4] == grown and len(again) == 7
+        assert again[6] == jacobi_eval(p, 6, F(2, 9))
 
 
 class TestRecursionCoefficients:
