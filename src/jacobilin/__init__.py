@@ -37,7 +37,6 @@ from .jacobi import (
     FAMILIES,
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
-    FAMILY_JACOBI_PLUS,
     CoeffVector,
     RecurrenceCoeffs,
     gasper_boundary,
@@ -45,7 +44,6 @@ from .jacobi import (
     jacobi_rec_coeffs,
     linearize_bruteforce,
     linearize_jacobi,
-    linearize_jacobi_plus,
     reflect_coeffs,
     theta_iota_kappa,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "FAMILIES",
     "FAMILY_GENCHEB",
     "FAMILY_JACOBI",
-    "FAMILY_JACOBI_PLUS",
     "CoeffVector",
     "RecurrenceCoeffs",
     "gasper_boundary",
@@ -106,7 +103,6 @@ __all__ = [
     "jacobi_rec_coeffs",
     "linearize_bruteforce",
     "linearize_jacobi",
-    "linearize_jacobi_plus",
     "reflect_coeffs",
     "theta_iota_kappa",
     "gencheb_eval",

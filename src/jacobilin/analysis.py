@@ -19,7 +19,6 @@ from .jacobi import (
     gasper_boundary,
     internal_error,
     linearize_jacobi,
-    linearize_jacobi_plus,
     reflect_coeffs,
     theta_iota_kappa,
 )
@@ -335,7 +334,7 @@ class PhiSequence:
 def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    cv = linearize_jacobi_plus(p, m, m + s)
+    cv = linearize_jacobi(plus_params(p), m, m + s)
     vals = []
     for j in range(1, 2 * m + 1):
         lower = cv[s + j - 1]

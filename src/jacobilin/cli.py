@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
+    SCAN_MODES,
+    VERDICT_ALL_POSITIVE,
     VERDICT_VIOLATION,
     NotApplicableError,
     find_negativity_witness,
@@ -34,15 +36,13 @@ from .hypergeom import SingularSeriesError, dougall_coefficient, rahman_coeffici
 from .jacobi import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
-    FAMILY_JACOBI_PLUS,
     gasper_boundary,
     internal_error,
     linearize_bruteforce,
     linearize_jacobi,
-    linearize_jacobi_plus,
     theta_iota_kappa,
 )
-from .params import JacobiParams, classify_region, make_params
+from .params import JacobiParams, classify_region, make_params, plus_params
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -127,15 +127,7 @@ def _cmd_classify(ns) -> int:
     else:
         print(f"alpha = {fmt_exact(ns.alpha)}   beta = {fmt_exact(ns.beta)}")
         print(f"a = {fmt_exact(p.a)}   b = {fmt_exact(p.b)}")
-        for key in (
-            "in_Delta",
-            "in_Delta_interior",
-            "in_V",
-            "in_V_interior",
-            "in_Vprime",
-            "above_iota_threshold",
-            "on_iota_threshold",
-        ):
+        for key in list(payload)[2:-1]:  # the keys between b and label
             print(f"{key} = {payload[key]}")
         print(f"label: {rep.label.value}")
     return 0
@@ -178,8 +170,8 @@ METHODS = {
         ),
     },
     "jacobi-plus": {
-        "gasper": (_always, lambda p, m, n: linearize_jacobi_plus(p, m, n).values),
-        "brute": (_always, _brute(FAMILY_JACOBI_PLUS)),
+        "gasper": (_always, lambda p, m, n: linearize_jacobi(plus_params(p), m, n).values),
+        "brute": (_always, lambda p, m, n: linearize_bruteforce(plus_params(p), m, n).values),
     },
     "gencheb": {
         "gasper": (_always, lambda p, m, n: linearize_gencheb(p, m, n).values),
@@ -295,13 +287,7 @@ def _cmd_compare(ns) -> int:
 # ---------------------------------------------------------------- scan
 
 
-_CHECK_TO_MODE = {
-    "nonneg": "jacobi_nonneg",
-    "strict": "jacobi_strict",
-    "all": "gencheb_all",
-    "odd": "gencheb_odd",
-    "oscillation": "oscillation",
-}
+_CHECK_TO_MODE = {mode.rpartition("_")[2]: mode for mode in SCAN_MODES}
 
 
 def _cmd_scan(ns) -> int:
@@ -327,6 +313,8 @@ def _cmd_scan(ns) -> int:
             print(f"violation at ({m},{n},{k}) value {fmt_exact(rep.witness_value)}")
         else:
             print(f"verdict: {rep.verdict}")
+    if ns.check == "strict":  # a zero in the support fails strict, too
+        return 0 if rep.verdict == VERDICT_ALL_POSITIVE else 1
     return 1 if rep.verdict == VERDICT_VIOLATION else 0
 
 

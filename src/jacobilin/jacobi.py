@@ -4,16 +4,17 @@ The polynomials R_n are normalized so R_n(1) = 1 and satisfy
 
     R_1(x) R_n(x) = a_n R_{n+1}(x) + b_n R_n(x) + c_n R_{n-1}(x),
 
-with all coefficient sequences exact rationals in the parameters.  The rows of
-every family are one type, `RecurrenceCoeffs` (gencheb rows from
-`gencheb_rec_coeffs`, with b_n = 0), and one walker, `walk_recurrence`, runs
-the recurrence for every family, on values and on polynomials.  The product
-expansion R_m R_{m+s} = sum_k g(m, m+s; k) R_k is computed from closed forms at
-the four extreme indices k in {s, s+1, s+2m-1, s+2m} together with a
-three-point recursion in the interior; every run cross-checks the recursion
-against the closed forms exactly, so an internal inconsistency cannot produce a
-silently wrong vector.  A brute-force route through monomial coefficients
-provides a fully independent oracle.
+with all coefficient sequences exact rationals in the parameters.  There are
+two families, jacobi and gencheb; the companion family R+ of the paper is
+jacobi at the point `plus_params(p)`.  Their rows are one type,
+`RecurrenceCoeffs` (gencheb rows from `gencheb_rec_coeffs`, with b_n = 0), and
+one walker, `walk_recurrence`, runs the recurrence for both, on values and on
+polynomials.  The product expansion R_m R_{m+s} = sum_k g(m, m+s; k) R_k is
+computed from closed forms at the four extreme indices k in {s, s+1, s+2m-1,
+s+2m} together with a three-point recursion in the interior; every run
+cross-checks the recursion against the closed forms exactly, so an internal
+inconsistency cannot produce a silently wrong vector.  A brute-force route
+through monomial coefficients provides a fully independent oracle.
 """
 
 from dataclasses import dataclass
@@ -22,12 +23,11 @@ from functools import lru_cache
 
 from .exact import Rational, _over_lcm, _rising, pochhammer, to_fraction
 from .exact import RationalPolynomial
-from .params import JacobiParams, plus_params
+from .params import JacobiParams
 
 FAMILY_JACOBI = "jacobi"
-FAMILY_JACOBI_PLUS = "jacobi_plus"
 FAMILY_GENCHEB = "gencheb"
-FAMILIES = (FAMILY_JACOBI, FAMILY_JACOBI_PLUS, FAMILY_GENCHEB)
+FAMILIES = (FAMILY_JACOBI, FAMILY_GENCHEB)
 _ZERO = Fraction(0)
 
 
@@ -80,7 +80,7 @@ class CoeffVector:
         big_l, *scaled = _over_lcm(*self.values)
         if sum(scaled) != big_l:
             raise ValueError("coefficient vector does not sum to 1")
-        if self.family in (FAMILY_JACOBI, FAMILY_JACOBI_PLUS):
+        if self.family == FAMILY_JACOBI:
             if self.values[0] <= 0 or self.values[-1] <= 0:
                 raise ValueError("extreme coefficients must be positive")
         else:
@@ -188,11 +188,11 @@ def walk_recurrence(p: JacobiParams, family: str, x, ps: list, n: int) -> list:
     """Extend ps = [P_0, ...] of the family at x (a `Fraction`, or the
     `RationalPolynomial` variable) up to P_n, in place, by P_1 = (x - b_0) / a_0
     (gencheb: P_1 = x) and P_{k+1} = ((P_1 - b_k) P_k - c_k P_{k-1}) / a_k, with
-    the rows of jacobi at p, jacobi_plus at plus_params(p), or gencheb at p."""
+    the family's rows at p.  The companion family R+ is jacobi at
+    plus_params(p)."""
     if len(ps) > n:
         return ps
     rows = gencheb_rec_coeffs if family == FAMILY_GENCHEB else jacobi_rec_coeffs
-    p = plus_params(p) if family == FAMILY_JACOBI_PLUS else p
     if len(ps) == 1:
         row = None if family == FAMILY_GENCHEB else rows(p, 0)
         ps.append(x if row is None else (x - row.b_n) * (1 / row.a_n))
@@ -403,12 +403,6 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
                 m=m, n=n, k=s + 2 * m,
             )
     return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
-
-
-def linearize_jacobi_plus(p: JacobiParams, m: int, n: int) -> CoeffVector:
-    """Coefficient vector for the companion family at (alpha, beta + 1)."""
-    cv = linearize_jacobi(plus_params(p), m, n)
-    return CoeffVector(cv.m, cv.n, FAMILY_JACOBI_PLUS, cv.values)
 
 
 @lru_cache(maxsize=64)

@@ -177,9 +177,10 @@ class TestExitCodes:
     def test_compare_disagreement_names_each_entry(self, capsys, monkeypatch):
         original = cli.linearize_bruteforce
 
+        # Perturbed on the companion point (1/2, 1/4 + 1) = (1/2, 5/4) only.
         def perturbed(p, m, n, family=jacobi.FAMILY_JACOBI):
             cv = original(p, m, n, family)
-            if (family, m, n) != (jacobi.FAMILY_JACOBI_PLUS, 1, 2):
+            if (family, p.beta, m, n) != (jacobi.FAMILY_JACOBI, F(5, 4), 1, 2):
                 return cv
             return SimpleNamespace(values=(cv.values[0], cv.values[1] + 1, cv.values[2]))
 
@@ -194,6 +195,32 @@ class TestExitCodes:
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert "MISMATCH jacobi-plus m=1 n=2: brute k=2" in out
+
+    @pytest.mark.parametrize(
+        "alpha, beta, check, verdict, code",
+        [
+            ("-1/2", "-1/2", "nonneg", "all_nonneg", 0),
+            ("-1/2", "-1/2", "strict", "all_nonneg", 1),
+            ("1/2", "1/4", "strict", "all_positive_on_support", 0),
+        ],
+    )
+    def test_scan_strict_fails_on_a_zero(self, capsys, alpha, beta, check, verdict, code):
+        # The first-kind Chebyshev point has zeros in the support and no negatives.
+        argv = ["scan", "--alpha", alpha, "--beta", beta, "--check", check, "--max-degree", "6"]
+        got, out, _ = run(capsys, *argv, "--json")
+        assert (got, json.loads(out)["verdict"]) == (code, verdict)
+        assert run(capsys, *argv)[0] == code
+
+    @pytest.mark.parametrize("method", ["gasper", "brute"])
+    def test_companion_family_is_jacobi_at_the_plus_point(self, capsys, method):
+        def coefficients(family, beta):
+            argv = ["linearize", "--alpha", "1/4", "--beta", beta, "--family", family,
+                    "--m", "2", "--n", "3", "--method", method, "--format", "json"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            return json.loads(out)["payload"]["coefficients"]
+
+        assert coefficients("jacobi-plus", "-1/4") == coefficients("jacobi", "3/4")
 
     def test_linearize_output_not_summing_to_one_exits_four(self, capsys, monkeypatch):
         original = cli.rahman_coefficient

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import jacobilin.jacobi as jacobi_module
 from jacobilin import (
+    FAMILY_GENCHEB,
     FAMILY_JACOBI,
-    FAMILY_JACOBI_PLUS,
     gasper_boundary,
     gencheb_eval,
     jacobi_eval,
@@ -19,7 +19,6 @@ from jacobilin import (
     linearize_bruteforce,
     linearize_gencheb,
     linearize_jacobi,
-    linearize_jacobi_plus,
     make_params,
     plus_params,
     reflect_coeffs,
@@ -105,22 +104,23 @@ class TestEvaluation:
 class TestWalker:
     """The one recurrence walker gives the same P_n on values and on
     polynomials: the oracle's monomial basis, evaluated at x, equals the
-    rational-point evaluation of each family."""
+    rational-point evaluation of each family.  The jacobi_plus case is the
+    companion family: jacobi walked at plus_params(p)."""
 
     @pytest.mark.parametrize("point", GRID[::3] + BOUNDARY_POINTS)
     @pytest.mark.parametrize("family", ["jacobi", "jacobi_plus", "gencheb"])
     def test_basis_polynomials_match_evaluation(self, point, family):
         p = make_params(*point)
-        evaluate = {
-            "jacobi": lambda n, x: jacobi_eval(p, n, x),
-            "jacobi_plus": lambda n, x: jacobi_eval(plus_params(p), n, x),
-            "gencheb": lambda n, x: gencheb_eval(p, n, x),
+        q, walked, evaluate = {
+            "jacobi": (p, FAMILY_JACOBI, jacobi_eval),
+            "jacobi_plus": (plus_params(p), FAMILY_JACOBI, jacobi_eval),
+            "gencheb": (p, FAMILY_GENCHEB, gencheb_eval),
         }[family]
-        linearize_bruteforce(p, 0, 8, family)
-        basis = jacobi_module._monomial_basis(p, family)
+        linearize_bruteforce(q, 0, 8, walked)
+        basis = jacobi_module._monomial_basis(q, walked)
         for n in range(9):
             for x in (F(-3, 5), F(1, 3), F(7, 4)):
-                assert basis[n](x) == evaluate(n, x)
+                assert basis[n](x) == evaluate(q, n, x)
 
     def test_extends_in_place_from_any_length(self):
         p = make_params(F(1, 2), F(1, 4))
@@ -253,11 +253,9 @@ class TestLinearize:
             )
 
     def test_plus_family_is_shifted_parameters(self):
-        p = make_params(F(1, 4), F(-1, 4))
-        cvp = linearize_jacobi_plus(p, 2, 3)
-        assert cvp.family == FAMILY_JACOBI_PLUS
-        assert cvp.values == linearize_jacobi(plus_params(p), 2, 3).values
-        assert cvp.values == linearize_bruteforce(p, 2, 3, FAMILY_JACOBI_PLUS).values
+        pp = plus_params(make_params(F(1, 4), F(-1, 4)))
+        assert (pp.alpha, pp.beta) == (F(1, 4), F(3, 4))
+        assert linearize_jacobi(pp, 2, 3).values == linearize_bruteforce(pp, 2, 3).values
 
 
 class TestClosedFormSpots:
