@@ -168,9 +168,6 @@ class RationalPolynomial:
                     rem[i + j] -= c * dj
         return RationalPolynomial(q), RationalPolynomial(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

@@ -10,9 +10,10 @@ Two routes are provided:
 
 On the boundary of the open region the 9F8 forms are limits only, and a few
 isolated interior lines make denominator parameters hit nonpositive integers;
-both cases raise SingularSeriesError rather than being evaluated.  The
-summation bound of every series is derived from its terminating numerator
-parameter, never by scanning for zero terms.
+both cases raise SingularSeriesError rather than being evaluated.  Both 9F8
+forms are very-well-poised series from one builder.  Each series is summed to
+the term count its formula derives from a terminating numerator parameter, or
+stops earlier at a zero numerator factor (see HypTermSum).
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from math import comb, factorial
 
 from .exact import Rational, pochhammer, to_fraction
 from .jacobi import FAMILY_JACOBI, CoeffVector
-from .params import JacobiParams, make_params
+from .params import JacobiParams
 
 _HALF = Fraction(1, 2)
 
@@ -37,7 +38,10 @@ class HypTermSum:
 
     value = sum_{r=0}^{term_count} prod (num_i)_r / (prod (den_j)_r * r!).
     term_count comes from the terminating numerator parameter of the formula
-    that builds the sum.
+    that builds the sum.  Summation also stops at the first zero numerator
+    factor, after that term's denominator is checked.  term_count stays
+    explicit on purpose: a count derived from the smallest terminating
+    parameter would skip that check and change which entries are singular.
     """
 
     numerator_params: tuple[Fraction, ...]
@@ -87,6 +91,28 @@ def _check_indices(m: int, s: int, j: int) -> None:
         raise ValueError("offset j must lie in [0, 2m]")
 
 
+def _very_well_poised(a: Fraction, *bs: Fraction, term_count: int) -> HypTermSum:
+    """The very-well-poised series with numerators (a, 1 + a/2, *bs) and
+    denominators (a/2, 1 + a - b for each b in bs)."""
+    return HypTermSum(
+        numerator_params=(a, 1 + a / 2, *bs),
+        denominator_params=(a / 2, *(1 + a - b for b in bs)),
+        term_count=term_count,
+    )
+
+
+def _shared_prefactor(al: Fraction, be: Fraction, m: int, s: int, j: int) -> Fraction:
+    """The factors that both 9F8 prefactors of g(m, m+s; s+j) share."""
+    return (
+        (al + be + 1 + 2 * s + 2 * j)
+        / (al + be + 1)
+        * Fraction(factorial(m + s), factorial(s) * factorial(j))
+        * pochhammer(be + 1, m + s)
+        * pochhammer(al + be + 1, 2 * s + j)
+        / (pochhammer(al + 1, m) * pochhammer(al + be + 2, 2 * m + 2 * s + j))
+    )
+
+
 def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     """g(m, m+s; s+j) by the terminating 9F8 closed form, a > 0 and b > 0.
 
@@ -94,7 +120,8 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     up = (j+e)/2 and down = (j-e)/2, the odd-j parameters are the even-j ones
     shifted by e (by e/2 where alpha is halved), the j/2 terms split into up
     and down, and the factor (alpha-beta)/(alpha+beta+1) enters only when
-    e = 1.  The series has down + 1 terms.
+    e = 1.  The series is summed to r = down, but when j > m its parameter
+    up - m reaches 0 first, and it stops after r = m - up.
     """
     _check_indices(m, s, j)
     _require_open_region(p)
@@ -102,22 +129,11 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     e = j % 2
     up, down = (j + e) // 2, (j - e) // 2
     pref = (
-        (al + be + 1 + 2 * s + 2 * j)
-        / (al + be + 1)
+        _shared_prefactor(al, be, m, s, j)
         * pochhammer(m + al + be + 1, m)
         * pochhammer(al + 1, s + j)
-        * pochhammer(be + 1, m + s)
-        * pochhammer(al + be + 1, 2 * s + j)
         * pochhammer(al + be + 1, j)
-        * factorial(m + s)
-        / (
-            pochhammer(al + 1, s)
-            * pochhammer(al + 1, m)
-            * pochhammer(be + 1, s + j)
-            * pochhammer(al + be + 2, 2 * m + 2 * s + j)
-            * factorial(s)
-            * factorial(j)
-        )
+        / (pochhammer(al + 1, s) * pochhammer(be + 1, s + j))
         * pochhammer(-m, up)
         * pochhammer(al + be + m + s + 1, up)
         / (pochhammer(-m - (al + be) / 2, up) * pochhammer(al + s + 1, up))
@@ -132,28 +148,9 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     )
     if e:
         pref = pref * (al - be) / (al + be + 1)
-    series = HypTermSum(
-        numerator_params=(
-            al + e,
-            1 + (al + e) / 2,
-            al + _HALF,
-            (al - be) / 2 + e,
-            (al - be + 1) / 2,
-            al + be + m + s + 1 + up,
-            Fraction(up - m),
-            Fraction(-s - down),
-            Fraction(-down),
-        ),
-        denominator_params=(
-            (al + e) / 2,
-            _HALF + e,
-            (al + be) / 2 + 1,
-            (al + be + 1) / 2 + e,
-            -be - m - s - down,
-            al + m + 1 - down,
-            al + s + 1 + up,
-            al + 1 + up,
-        ),
+    series = _very_well_poised(
+        al + e, al + _HALF, (al - be) / 2 + e, (al - be + 1) / 2,
+        al + be + m + s + 1 + up, Fraction(up - m), Fraction(-s - down), Fraction(-down),
         term_count=down,
     )
     return pref * series.evaluate()
@@ -162,9 +159,11 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
 def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     """g(m, m+s; s+j) by the single-series companion form, alpha >= beta >= -1/2.
 
-    At alpha = beta the odd-j values come out exactly zero.  Configurations
-    where a denominator parameter vanishes before termination (alpha = beta
-    with even j >= 2, or beta = -1/2 with s = 0) raise SingularSeriesError.
+    The corner alpha = beta = -1/2 is excluded: a = 0 there divides the
+    prefactor, so every entry raises SingularSeriesError.  At alpha = beta the
+    odd-j values come out exactly zero.  Configurations where a denominator
+    parameter vanishes before termination (alpha = beta with even j >= 2, or
+    beta = -1/2 with s = 0) also raise SingularSeriesError.
     """
     _check_indices(m, s, j)
     al, be = p.alpha, p.beta
@@ -172,51 +171,25 @@ def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
         raise ValueError(
             "companion formula needs alpha >= beta >= -1/2"
         )
+    if p.a == 0:
+        raise SingularSeriesError(
+            "companion formula at alpha = beta = -1/2 divides by a = 0; "
+            "boundary limit required"
+        )
     jh = Fraction(j, 2)
-    e = be + s + _HALF
-    series = HypTermSum(
-        numerator_params=(
-            e,
-            1 + e / 2,
-            be + _HALF,
-            be + m + s + 1,
-            -m - al,
-            (al + be + 1) / 2 + s + jh,
-            (al + be + 2) / 2 + s + jh,
-            Fraction(1 - j, 2),
-            -jh,
-        ),
-        denominator_params=(
-            e / 2,
-            Fraction(s + 1),
-            -m + _HALF,
-            al + be + m + s + Fraction(3, 2),
-            (be - al) / 2 + Fraction(2 - j, 2),
-            (be - al) / 2 + Fraction(1 - j, 2),
-            be + s + 1 + jh,
-            be + s + Fraction(3, 2) + jh,
-        ),
+    series = _very_well_poised(
+        be + s + _HALF, be + _HALF, be + m + s + 1, -m - al,
+        (al + be + 1) / 2 + s + jh, (al + be + 2) / 2 + s + jh, Fraction(1 - j, 2), -jh,
         term_count=j // 2,
     )
     value = series.evaluate()
     pref = (
-        (al + be + 1 + 2 * s + 2 * j)
-        / (al + be + 1)
-        * Fraction(factorial(m + s), factorial(s) * factorial(j))
-        * pochhammer(be + 1, m + s)
+        _shared_prefactor(al, be, m, s, j)
         * pochhammer(al + be + 1, 2 * m)
-        / (
-            pochhammer(al + 1, m)
-            * pochhammer(be + 1, s)
-            * pochhammer(al + be + 1, m)
-        )
-        * pochhammer(al + be + 1, 2 * s + j)
+        / (pochhammer(be + 1, s) * pochhammer(al + be + 1, m))
         * pochhammer(-2 * m, j)
         * pochhammer(2 * al + 2 * be + 2 * m + 2 * s + 2, j)
-        / (
-            pochhammer(al + be + 2, 2 * m + 2 * s + j)
-            * pochhammer(-2 * m - al - be, j)
-        )
+        / pochhammer(-2 * m - al - be, j)
         * pochhammer(al - be, j)
         / pochhammer(2 * be + 2 * s + 2, j)
     )
@@ -234,7 +207,6 @@ def dougall_coefficient(alpha: Rational, m: int, n: int) -> CoeffVector:
         raise ValueError("ultraspherical closed form needs alpha > -1/2")
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
-    make_params(alpha, alpha)  # range check alpha > -1
     if m > n:
         m, n = n, m
     vals = [Fraction(0)] * (2 * m + 1)

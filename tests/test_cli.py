@@ -237,6 +237,27 @@ class TestExitCodes:
         assert out == ""
         assert "route rahman" in err and "m=2" in err and "n=3" in err
 
+    def test_compare_skips_singular_series_entries(self, capsys):
+        # alpha = 0 zeroes a denominator parameter of the even-j series.
+        code, out, _ = run(
+            capsys, "compare", "--alpha", "0", "--beta", "-1/4", "--max-degree", "4",
+            "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "agree"
+        assert doc["payload"]["entries_checked"] == 215
+        assert doc["payload"]["entries_skipped_singular"] == 20
+
+    def test_linearize_singular_series_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "linearize", "--alpha", "0", "--beta", "-1/4",
+            "--m", "2", "--n", "2", "--method", "rahman",
+        )
+        assert code == 2
+        assert out == ""
+        assert "k=2" in err
+
     def test_rahman_degree_zero_is_rejected(self, capsys):
         code, out, err = run(
             capsys, "linearize", "--alpha", "1", "--beta", "0",

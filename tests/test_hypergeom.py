@@ -106,6 +106,23 @@ class TestRahmanBranches:
             assert rahman_coefficient(p, 2, 0, j) == cv[j]
 
 
+def _companion_closed_domain():
+    """The corner, points on the lines beta = -1/2 and alpha = beta, and
+    seeded interior points of alpha > beta > -1/2."""
+    rng = random.Random(10)
+    interior = []
+    while len(interior) < 4:
+        alpha, beta = rand_alpha_beta(rng, F(-1, 2), F(3))
+        if alpha > beta:
+            interior.append((alpha, beta))
+    return [
+        (F(-1, 2), F(-1, 2)),
+        (F(0), F(-1, 2)), (F(1, 3), F(-1, 2)), (F(2), F(-1, 2)),
+        (F(-1, 4), F(-1, 4)), (F(0), F(0)), (F(3, 2), F(3, 2)),
+        *interior,
+    ]
+
+
 class TestCompanionForm:
     def test_frozen_value(self):
         assert rahman_special(make_params(1, 0), 1, 0, 1) == F(1, 5)
@@ -127,6 +144,25 @@ class TestCompanionForm:
             rahman_special(make_params(0, F(1, 2)), 1, 0, 1)
         with pytest.raises(ValueError, match="alpha >= beta"):
             rahman_special(make_params(F(1, 4), F(-3, 4)), 1, 0, 1)
+
+    @pytest.mark.parametrize("point", _companion_closed_domain())
+    def test_closed_domain_value_or_singular(self, point):
+        p = make_params(*point)
+        for m in range(1, 5):
+            for s in range(4):
+                cv = linearize_jacobi(p, m, m + s)
+                for j in range(2 * m + 1):
+                    try:
+                        got = rahman_special(p, m, s, j)
+                    except SingularSeriesError:
+                        continue
+                    assert got == cv[s + j], (m, s, j)
+
+    def test_corner_is_singular_and_names_a_zero(self):
+        p = make_params(F(-1, 2), F(-1, 2))
+        for m, s, j in [(1, 0, 0), (1, 0, 1), (2, 1, 2), (4, 3, 8)]:
+            with pytest.raises(SingularSeriesError, match="a = 0"):
+                rahman_special(p, m, s, j)
 
     def test_symmetric_line_even_entries_need_limits(self):
         p = make_params(F(1, 2), F(1, 2))
