@@ -20,7 +20,6 @@ no floating point anywhere on a result path.  The package provides:
 from .exact import (
     RationalPolynomial,
     count_real_roots,
-    gen_binomial,
     pochhammer,
     to_fraction,
 )
@@ -31,7 +30,6 @@ from .params import (
     classify_region,
     make_params,
     plus_params,
-    swap_params,
 )
 from .jacobi import (
     FAMILIES,
@@ -49,7 +47,6 @@ from .jacobi import (
 )
 from .gencheb import (
     gencheb_eval,
-    gencheb_norm_h,
     gencheb_rec_coeffs,
     linearize_gencheb,
 )
@@ -83,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RationalPolynomial",
     "count_real_roots",
-    "gen_binomial",
     "pochhammer",
     "to_fraction",
     "JacobiParams",
@@ -92,7 +88,6 @@ __all__ = [
     "classify_region",
     "make_params",
     "plus_params",
-    "swap_params",
     "FAMILIES",
     "FAMILY_GENCHEB",
     "FAMILY_JACOBI",
@@ -106,7 +101,6 @@ __all__ = [
     "reflect_coeffs",
     "theta_iota_kappa",
     "gencheb_eval",
-    "gencheb_norm_h",
     "gencheb_rec_coeffs",
     "linearize_gencheb",
     "SingularSeriesError",

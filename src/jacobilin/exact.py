@@ -2,17 +2,17 @@
 
 Every scalar a caller sees is a `fractions.Fraction`; nothing in this module
 (or in any module built on it) touches floating point.  Provides Pochhammer
-symbols, the generalized binomial coefficient, dense rational polynomials,
-and Sturm root counting with the half-open (lo, hi] convention.
+symbols, dense rational polynomials, and Sturm root counting with the
+half-open (lo, hi] convention, from one remainder sequence per count.
 
-Pochhammer symbols and binomials are evaluated on integer numerators: for
-x = X/Q the rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q)
-over Q**n, so a result costs one `Fraction` (one gcd) however long the
-product, instead of one normalization per factor.
+Pochhammer symbols are evaluated on integer numerators: for x = X/Q the
+rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q) over Q**n, so
+a result costs one `Fraction` (one gcd) however long the product, instead of
+one normalization per factor.
 """
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 Rational = Fraction | int | str
 
@@ -47,15 +47,6 @@ def pochhammer(x: Rational, n: int) -> Fraction:
     x = to_fraction(x)
     q = x.denominator
     return Fraction(_rising(x.numerator, q, n), q**n)
-
-
-def gen_binomial(x: Rational, m: int) -> Fraction:
-    """Generalized binomial C(x, m) = (x-m+1)_m / m! for rational x, natural m."""
-    if m < 0:
-        raise ValueError("gen_binomial needs m >= 0")
-    x = to_fraction(x)
-    q = x.denominator
-    return Fraction(_rising(x.numerator - (m - 1) * q, q, m), q**m * factorial(m))
 
 
 class RationalPolynomial:
@@ -182,32 +173,6 @@ class RationalPolynomial:
             [i * c for i, c in enumerate(self.coeffs)][1:]
         )
 
-    def monic(self) -> "RationalPolynomial":
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return RationalPolynomial([c / lead for c in self.coeffs])
-
-    def squarefree_part(self) -> "RationalPolynomial":
-        """Quotient by gcd(p, p'); same distinct roots, all simple."""
-        if self.is_zero:
-            return self
-        if self.degree <= 1:
-            return self
-        g = _poly_gcd(self, self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.exact_div(g)
-
-
-def _poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    # Monic normalization at each step keeps coefficient growth in check.
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
-
 
 def _sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
     chain = [p, p.derivative()]
@@ -229,17 +194,20 @@ def _sign_variations(chain, x: Fraction) -> int:
 def count_real_roots(p: RationalPolynomial, lo: Rational, hi: Rational) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    Multiplicities are ignored (the squarefree part is counted).  Sign
-    variations are taken with zeros dropped, which yields exactly the
-    (lo, hi] convention: a root at lo is excluded, a root at hi included.
+    Multiplicities are ignored: the chain of p ends in g = gcd(p, p') up to a
+    constant, and when g has positive degree every element is divided by it.
+    The quotients form a Sturm sequence of the squarefree part p/g, whose
+    second element p'/g is nonzero at each of its roots.  Sign variations are
+    taken with zeros dropped, which yields exactly the (lo, hi] convention:
+    a root at lo is excluded, a root at hi included.
     """
     if p.is_zero:
         raise ValueError("indeterminate root count for the zero polynomial")
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
         raise ValueError("count_real_roots needs lo < hi")
-    sf = p.squarefree_part()
-    if sf.degree <= 0:
-        return 0
-    chain = _sturm_chain(sf)
+    chain = _sturm_chain(p)
+    g = chain[-1]
+    if g.degree > 0:
+        chain = [q.exact_div(g) for q in chain]
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)

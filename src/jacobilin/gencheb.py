@@ -55,18 +55,6 @@ def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     return via_transform
 
 
-def gencheb_norm_h(p: JacobiParams, n: int) -> Fraction:
-    """Inverse squared norm h(n) = 1 / g_T(n, n; 0), by the recurrence norm
-    identity h(0) = 1, h(k+1) = h(k) a_k / c_{k+1} with a_0 = 1."""
-    if n < 0:
-        raise ValueError("norm index must be >= 0")
-    h, a_prev = Fraction(1), 1
-    for k in range(1, n + 1):
-        row = gencheb_rec_coeffs(p, k)
-        h, a_prev = h * a_prev / row.c_n, row.a_n
-    return h
-
-
 @lru_cache(maxsize=1024)
 def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
     """Full coefficient vector of T_m T_n in the T basis, assembled by parity

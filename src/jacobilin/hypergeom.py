@@ -131,9 +131,9 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     pref = (
         _shared_prefactor(al, be, m, s, j)
         * pochhammer(m + al + be + 1, m)
-        * pochhammer(al + 1, s + j)
+        * pochhammer(al + s + 1, j)
         * pochhammer(al + be + 1, j)
-        / (pochhammer(al + 1, s) * pochhammer(be + 1, s + j))
+        / pochhammer(be + 1, s + j)
         * pochhammer(-m, up)
         * pochhammer(al + be + m + s + 1, up)
         / (pochhammer(-m - (al + be) / 2, up) * pochhammer(al + s + 1, up))
@@ -185,8 +185,8 @@ def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     value = series.evaluate()
     pref = (
         _shared_prefactor(al, be, m, s, j)
-        * pochhammer(al + be + 1, 2 * m)
-        / (pochhammer(be + 1, s) * pochhammer(al + be + 1, m))
+        * pochhammer(al + be + m + 1, m)
+        / pochhammer(be + 1, s)
         * pochhammer(-2 * m, j)
         * pochhammer(2 * al + 2 * be + 2 * m + 2 * s + 2, j)
         / pochhammer(-2 * m - al - be, j)

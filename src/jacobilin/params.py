@@ -43,11 +43,6 @@ def plus_params(p: JacobiParams) -> JacobiParams:
     return make_params(p.alpha, p.beta + 1)
 
 
-def swap_params(p: JacobiParams) -> JacobiParams:
-    """The reflected point (beta, alpha); in (a, b) terms, (a, -b)."""
-    return make_params(p.beta, p.alpha)
-
-
 class RegionLabel(str, Enum):
     DELTA_INTERIOR = "Δ°"
     DELTA_BOUNDARY_IN_V = "∂Δ∩V"

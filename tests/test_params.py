@@ -11,7 +11,6 @@ from jacobilin import (
     classify_region,
     make_params,
     plus_params,
-    swap_params,
 )
 
 from conftest import (
@@ -63,7 +62,7 @@ class TestMakeParams:
         p = make_params(F(1, 3), F(-1, 4))
         assert plus_params(p).beta == F(3, 4)
         assert plus_params(p).alpha == p.alpha
-        q = swap_params(p)
+        q = make_params(p.beta, p.alpha)
         assert (q.alpha, q.beta) == (p.beta, p.alpha)
         assert q.b == -p.b
 
