@@ -42,7 +42,6 @@ from .jacobi import (
     jacobi_rec_coeffs,
     linearize_bruteforce,
     linearize_jacobi,
-    reflect_coeffs,
     theta_iota_kappa,
 )
 from .gencheb import (
@@ -98,7 +97,6 @@ __all__ = [
     "jacobi_rec_coeffs",
     "linearize_bruteforce",
     "linearize_jacobi",
-    "reflect_coeffs",
     "theta_iota_kappa",
     "gencheb_eval",
     "gencheb_rec_coeffs",

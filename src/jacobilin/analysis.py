@@ -15,14 +15,8 @@ from fractions import Fraction
 
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import gencheb_rec_coeffs, linearize_gencheb
-from .jacobi import (
-    gasper_boundary,
-    internal_error,
-    linearize_jacobi,
-    reflect_coeffs,
-    theta_iota_kappa,
-)
-from .params import JacobiParams, classify_region, plus_params
+from .jacobi import gasper_boundary, internal_error, linearize_jacobi, theta_iota_kappa
+from .params import JacobiParams, classify_region, make_params, plus_params
 
 VERDICT_ALL_NONNEG = "all_nonneg"
 VERDICT_ALL_POSITIVE = "all_positive_on_support"
@@ -55,33 +49,25 @@ class SignReport:
 def _scan_entries(p: JacobiParams, max_degree: int, mode: str):
     """Yield (m, n, k, value) in deterministic order for the given mode.
 
-    Structural zeros are not part of any support: the gencheb family drops
-    entries with m+n-k odd always, and on the symmetric line b = 0 the same
-    parity entries of the plain family vanish identically and are skipped.
+    Structural zeros are not part of any support: entries with m+n-k odd are
+    skipped always for the gencheb family, and on the symmetric line b = 0 for
+    the jacobi family, where they vanish identically.  The oscillation mode
+    scans (-1)^(m+n+k) g(m, n; k) of the reflected family, which by
+    P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x) is jacobi at the point (beta, alpha).
     """
-    symmetric = p.b == 0
+    gencheb = mode.startswith("gencheb")
+    linearize = linearize_gencheb if gencheb else linearize_jacobi
+    oscillation = mode == "oscillation"
+    point = make_params(p.beta, p.alpha) if oscillation else p
+    skip_odd = gencheb or p.b == 0
     for n in range(max_degree + 1):
         for m in range(n + 1):
-            if mode in ("jacobi_nonneg", "jacobi_strict"):
-                cv = linearize_jacobi(p, m, n)
-                for k, v in cv.items():
-                    if symmetric and (m + n - k) % 2:
-                        continue
-                    yield m, n, k, v
-            elif mode == "oscillation":
-                cv = reflect_coeffs(p, linearize_jacobi(p, m, n))
-                for k, v in cv.items():
-                    if symmetric and (m + n - k) % 2:
-                        continue
-                    sign = -1 if (m + n + k) % 2 else 1
-                    yield m, n, k, sign * v
-            else:
-                if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
+            if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
+                continue
+            for k, v in linearize(point, m, n).items():
+                if skip_odd and (m + n - k) % 2:
                     continue
-                cv = linearize_gencheb(p, m, n)
-                for k, v in cv.items():
-                    if (m + n - k) % 2 == 0:
-                        yield m, n, k, v
+                yield m, n, k, -v if oscillation and (m + n + k) % 2 else v
 
 
 def scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport:
@@ -243,6 +229,14 @@ def _pq_limit_parts(p: JacobiParams, s: int, j) -> tuple[Fraction, ...]:
     return p_inf, p_star, q_inf, q_star
 
 
+def _odd_scale(p: JacobiParams, s: int, j: int) -> Fraction:
+    """r(j) = c_{2s+2j+1} / a_{2s+2j-1} of the gencheb rows: the factor that
+    turns a ratio of consecutive companion entries g+ into one of gencheb
+    odd-index entries."""
+    c = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1).c_n
+    return c / gencheb_rec_coeffs(p, 2 * s + 2 * j - 1).a_n
+
+
 def pq_values(p: JacobiParams, m: int, s: int, j: int) -> PQRecord:
     """p(j) and q(j) for the odd-index even-position analysis at (m, s)."""
     if m < 2:
@@ -253,12 +247,9 @@ def pq_values(p: JacobiParams, m: int, s: int, j: int) -> PQRecord:
     theta_p, iota_p, kappa_p = theta_iota_kappa(pp, m, s, j)
     if theta_p == 0:
         raise ValueError("singular point: the leading recursion coefficient vanishes")
-    c_hi = gencheb_rec_coeffs(p, 2 * s + 2 * j + 3).c_n
-    mid = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1)
-    a_mid, c_mid = mid.a_n, mid.c_n
-    a_lo = gencheb_rec_coeffs(p, 2 * s + 2 * j - 1).a_n
-    p_val = c_hi / a_mid * iota_p / theta_p
-    q_val = c_mid * c_hi / (a_lo * a_mid) * kappa_p / theta_p
+    r_next = _odd_scale(p, s, j + 1)
+    p_val = r_next * iota_p / theta_p
+    q_val = _odd_scale(p, s, j) * r_next * kappa_p / theta_p
     p_inf, p_star, q_inf, q_star = _pq_limit_parts(p, s, j)
     big_d = (2 * m - j + p.a) * (2 * m + 2 * s + j + p.a + 2)
     if p_val != p_inf + p_star / big_d or q_val != q_inf + q_star / big_d:
@@ -343,9 +334,7 @@ def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
             raise NotApplicableError(
                 "zero companion coefficient: parameters outside the validity region"
             )
-        c_t = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1).c_n
-        a_t = gencheb_rec_coeffs(p, 2 * s + 2 * j - 1).a_n
-        phi = c_t / a_t * upper / lower
+        phi = _odd_scale(p, s, j) * upper / lower
         if phi >= 0:
             raise NotApplicableError(
                 "nonnegative ratio: parameters outside the validity region"
@@ -369,18 +358,15 @@ def find_negativity_witness(
     report = classify_region(p)
     if report.in_vprime:
         return None
-    if p.b < 0:
-        for big in range(3, max_degree + 1, 2):
-            for s in range((big - 3) // 2 + 1):
-                small = big - 2 * s
-                entry = linearize_gencheb(p, small, big)[2 * s + 2]
-                if entry < 0:
-                    return (small, big, 2 * s + 2, entry)
-        return None
     for big in range(3, max_degree + 1, 2):
-        entry = linearize_gencheb(p, big, big)[4]
-        if entry < 0:
-            return (big, big, 4, entry)
+        if p.b < 0:
+            candidates = [(big - 2 * s, 2 * s + 2) for s in range((big - 3) // 2 + 1)]
+        else:
+            candidates = [(big, 4)]
+        for small, k in candidates:
+            entry = linearize_gencheb(p, small, big)[k]
+            if entry < 0:
+                return (small, big, k, entry)
     return None
 
 
@@ -450,22 +436,18 @@ def necessity_identity_values(
     pp = plus_params(p)
     g_lo, g_lo1, _, _ = gasper_boundary(pp, m, s)
     ratio1 = g_lo1 / g_lo
-    c3 = gencheb_rec_coeffs(p, 2 * s + 3).c_n
-    a1 = gencheb_rec_coeffs(p, 2 * s + 1).a_n
     lhs1 = (
         (2 * m + a)
         * (2 * m + 2 * s + a + 2)
         * (2 * s + a + b + 1)
         / (2 * s + a + 2)
-        * (c3 / a1 * ratio1 + 1)
+        * (_odd_scale(p, s, 1) * ratio1 + 1)
     )
     rhs1 = 4 * b * m * m + 4 * b * (s + a + 1) * m + a * (2 * s + a + b + 1)
     if b == 1:
         return (lhs1, rhs1), None
     theta_p, iota_p, kappa_p = theta_iota_kappa(pp, m, s, 1)
     ratio2 = iota_p / theta_p + kappa_p / theta_p / ratio1
-    c5 = gencheb_rec_coeffs(p, 2 * s + 5).c_n
-    a3 = gencheb_rec_coeffs(p, 2 * s + 3).a_n
     lhs2 = (
         4
         * (b - 1)
@@ -474,7 +456,7 @@ def necessity_identity_values(
         * (s + 1)
         * (2 * s + a + b + 3)
         / (2 * s + a + 4)
-        * (c5 / a3 * ratio2 + 1)
+        * (_odd_scale(p, s, 2) * ratio2 + 1)
     )
     rhs2 = (4 * m - 4) * (m + s + a + 2) * (
         (a * a + 2 * b * b + 3 * a) * (s + 1) - a * (a + 1) * s

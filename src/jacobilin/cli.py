@@ -64,10 +64,6 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def fmt_exact(v: Fraction) -> str:
-    return str(v)
-
-
 def fmt_approx(v: Fraction) -> str:
     return f"{float(v):.15g}"
 
@@ -92,7 +88,7 @@ def _params_from(ns) -> JacobiParams:
 def _record(command: str, ns, payload, verdict=None) -> dict:
     rec = {
         "command": command,
-        "params": {"alpha": fmt_exact(ns.alpha), "beta": fmt_exact(ns.beta)},
+        "params": {"alpha": str(ns.alpha), "beta": str(ns.beta)},
         "payload": payload,
     }
     if verdict is not None:
@@ -111,8 +107,8 @@ def _cmd_classify(ns) -> int:
     p = _params_from(ns)
     rep = classify_region(p)
     payload = {
-        "a": fmt_exact(p.a),
-        "b": fmt_exact(p.b),
+        "a": str(p.a),
+        "b": str(p.b),
         "in_Delta": rep.in_delta,
         "in_Delta_interior": rep.in_delta_interior,
         "in_V": rep.in_v,
@@ -125,8 +121,8 @@ def _cmd_classify(ns) -> int:
     if ns.json:
         _emit_json(_record("classify", ns, payload, verdict=rep.label.value))
     else:
-        print(f"alpha = {fmt_exact(ns.alpha)}   beta = {fmt_exact(ns.beta)}")
-        print(f"a = {fmt_exact(p.a)}   b = {fmt_exact(p.b)}")
+        print(f"alpha = {ns.alpha}   beta = {ns.beta}")
+        print(f"a = {p.a}   b = {p.b}")
         for key in list(payload)[2:-1]:  # the keys between b and label
             print(f"{key} = {payload[key]}")
         print(f"label: {rep.label.value}")
@@ -186,7 +182,7 @@ def _cmd_linearize(ns) -> int:
     if applies is None or not applies(p, ns.m, ns.n):
         raise ValueError(
             f"method {ns.method} does not apply to the {ns.family} family at "
-            f"alpha={fmt_exact(p.alpha)}, beta={fmt_exact(p.beta)}, m={ns.m}, n={ns.n}"
+            f"alpha={p.alpha}, beta={p.beta}, m={ns.m}, n={ns.n}"
         )
     m, n = min(ns.m, ns.n), max(ns.m, ns.n)
     vals = values(p, m, n)
@@ -220,10 +216,10 @@ def _cmd_linearize(ns) -> int:
     else:
         print(
             f"{ns.family} linearization, method {ns.method}, "
-            f"m={m} n={n}, alpha={fmt_exact(ns.alpha)} beta={fmt_exact(ns.beta)}"
+            f"m={m} n={n}, alpha={ns.alpha} beta={ns.beta}"
         )
         for k, v in coeffs:
-            print(f"k={k}: {fmt_exact(v)} (approx {fmt_approx(v)})")
+            print(f"k={k}: {v} (approx {fmt_approx(v)})")
     return 0
 
 
@@ -298,19 +294,19 @@ def _cmd_scan(ns) -> int:
         "mode": mode,
         "max_degree": ns.max_degree,
         "verdict": rep.verdict,
-        "min_value": fmt_exact(rep.min_value),
+        "min_value": str(rep.min_value),
         "min_value_approx": fmt_approx(rep.min_value),
         "witness": list(rep.witness) if rep.witness else None,
-        "witness_value": fmt_exact(rep.witness_value) if rep.witness_value is not None else None,
+        "witness_value": str(rep.witness_value) if rep.witness_value is not None else None,
     }
     if ns.json:
         _emit_json(_record("scan", ns, payload, verdict=rep.verdict))
     else:
         print(f"mode: {mode}   degrees scanned: 0..{ns.max_degree}")
-        print(f"min value: {fmt_exact(rep.min_value)} (approx {fmt_approx(rep.min_value)})")
+        print(f"min value: {rep.min_value} (approx {fmt_approx(rep.min_value)})")
         if rep.verdict == VERDICT_VIOLATION:
             m, n, k = rep.witness
-            print(f"violation at ({m},{n},{k}) value {fmt_exact(rep.witness_value)}")
+            print(f"violation at ({m},{n},{k}) value {rep.witness_value}")
         else:
             print(f"verdict: {rep.verdict}")
     if ns.check == "strict":  # a zero in the support fails strict, too
@@ -412,7 +408,7 @@ def _cmd_verify(ns) -> int:
             payload["reason"] = reason
         _emit_json(_record("verify", ns, payload, verdict=verdict))
     else:
-        print(f"property {ns.property} at alpha={fmt_exact(ns.alpha)} beta={fmt_exact(ns.beta)}")
+        print(f"property {ns.property} at alpha={ns.alpha} beta={ns.beta}")
         for line in details:
             print("  " + line)
         if reason is not None:
@@ -432,12 +428,12 @@ def _cmd_witness(ns) -> int:
         payload = {
             "max_degree": ns.max_degree,
             "witness": list(w[:3]) if w else None,
-            "value": fmt_exact(w[3]) if w else None,
+            "value": str(w[3]) if w else None,
         }
         _emit_json(_record("witness", ns, payload, verdict="found" if w else "none"))
     elif w:
         m, n, k, v = w
-        print(f"negative coefficient: gencheb (m={m}, n={n}, k={k}) value {fmt_exact(v)} "
+        print(f"negative coefficient: gencheb (m={m}, n={n}, k={k}) value {v} "
               f"(approx {fmt_approx(v)})")
     else:
         print(f"no negative coefficient found in the guided families up to degree {ns.max_degree}")

@@ -164,6 +164,12 @@ def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     odd-j values come out exactly zero.  Configurations where a denominator
     parameter vanishes before termination (alpha = beta with even j >= 2, or
     beta = -1/2 with s = 0) also raise SingularSeriesError.
+
+    This route is library-only: nothing in the package calls it.  It is a
+    second 9F8 form of entries that `rahman_coefficient` already routes where
+    the two overlap, so it is deliberately not in `cli.METHODS` and `compare`
+    records keep their method list.  Acceptance C3 and the hypergeometric
+    tests check it against the Gasper vector.
     """
     _check_indices(m, s, j)
     al, be = p.alpha, p.beta

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Rational, _over_lcm, _rising, pochhammer, to_fraction
+from .exact import Rational, _over_lcm, _rising, to_fraction
 from .exact import RationalPolynomial
 from .params import JacobiParams
 
@@ -447,24 +447,3 @@ def linearize_bruteforce(
             )
     return CoeffVector(m, n, family, tuple(coeffs[n - m :]))
 
-
-def reflect_coeffs(p: JacobiParams, cv: CoeffVector) -> CoeffVector:
-    """Coefficient vector of the parameter-swapped family (beta, alpha),
-    obtained from the (alpha, beta) vector by the exact reflection rule
-
-        (-1)^(m+n+k) g~(m, n; k) =
-            (alpha+1)_m (alpha+1)_n (beta+1)_k
-            / ((alpha+1)_k (beta+1)_m (beta+1)_n) * g(m, n; k).
-    """
-    if cv.family != FAMILY_JACOBI:
-        raise ValueError("reflection is defined for the jacobi family")
-    al, be = p.alpha, p.beta
-    m, n = cv.m, cv.n
-    num_const = pochhammer(al + 1, m) * pochhammer(al + 1, n)
-    den_const = pochhammer(be + 1, m) * pochhammer(be + 1, n)
-    out = []
-    for k, v in cv.items():
-        ratio = num_const * pochhammer(be + 1, k) / (pochhammer(al + 1, k) * den_const)
-        sign = -1 if (m + n + k) % 2 else 1
-        out.append(sign * ratio * v)
-    return CoeffVector(m, n, FAMILY_JACOBI, tuple(out))

@@ -78,6 +78,15 @@ class TestScan:
         assert (rep.verdict == VERDICT_VIOLATION) == (rep.witness is not None)
         assert (rep.witness is not None) == (rep.min_value < 0)
 
+    @pytest.mark.parametrize("point", GRID)
+    def test_oscillation_signs_follow_jacobi(self, point):
+        # The oscillation scan reads (-1)^(m+n+k) times the reflected family,
+        # which is g(m, n; k) times a positive ratio: same signs, same verdict.
+        p = make_params(*point)
+        osc = scan_sign_pattern(p, 6, "oscillation")
+        plain = scan_sign_pattern(p, 6, "jacobi_nonneg")
+        assert (osc.verdict, osc.witness) == (plain.verdict, plain.witness)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             scan_sign_pattern(make_params(1, 0), 3, "bogus")

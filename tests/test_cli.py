@@ -14,7 +14,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from jacobilin import cli, jacobi, linearize_gencheb, linearize_jacobi, make_params
+from jacobilin import (
+    cli,
+    jacobi,
+    linearize_gencheb,
+    linearize_jacobi,
+    make_params,
+    scan_sign_pattern,
+)
+from jacobilin.analysis import VERDICT_VIOLATION
 from jacobilin.cli import run_command
 
 F = Fraction
@@ -210,6 +218,22 @@ class TestExitCodes:
         got, out, _ = run(capsys, *argv, "--json")
         assert (got, json.loads(out)["verdict"]) == (code, verdict)
         assert run(capsys, *argv)[0] == code
+
+    @pytest.mark.parametrize("check", ["all", "odd", "oscillation"])
+    @pytest.mark.parametrize("alpha, beta", [("1/2", "1/4"), ("-1/2", "0")])
+    def test_scan_json_matches_library(self, capsys, alpha, beta, check):
+        # (1/2, 1/4) lies in V, (-1/2, 0) outside V' (b < 0).
+        mode = cli._CHECK_TO_MODE[check]
+        rep = scan_sign_pattern(make_params(F(alpha), F(beta)), 5, mode)
+        argv = ["scan", "--alpha", alpha, "--beta", beta, "--check", check,
+                "--max-degree", "5", "--json"]
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)["payload"]
+        assert code == (1 if rep.verdict == VERDICT_VIOLATION else 0)
+        assert payload["mode"] == mode
+        assert payload["verdict"] == rep.verdict
+        assert payload["min_value"] == str(rep.min_value)
+        assert payload["witness"] == (list(rep.witness) if rep.witness else None)
 
     @pytest.mark.parametrize("method", ["gasper", "brute"])
     def test_companion_family_is_jacobi_at_the_plus_point(self, capsys, method):

@@ -21,7 +21,6 @@ from jacobilin import (
     linearize_jacobi,
     make_params,
     plus_params,
-    reflect_coeffs,
     theta_iota_kappa,
 )
 
@@ -279,31 +278,10 @@ class TestClosedFormSpots:
 
 
 class TestReflection:
-    def test_ultraspherical_fixed_point(self):
-        p = make_params(F(1, 3), F(1, 3))
-        cv = linearize_jacobi(p, 2, 2)
-        assert reflect_coeffs(p, cv).values == cv.values
-
-    def test_matches_swapped_parameters(self):
-        p = make_params(1, 0)
-        cv = reflect_coeffs(p, linearize_jacobi(p, 1, 1))
-        assert cv.values == linearize_jacobi(make_params(p.beta, p.alpha), 1, 1).values
-
-    def test_matches_swapped_parameters_random(self):
-        rng = random.Random(4242)
-        for _ in range(10):
-            p = make_params(*rand_alpha_beta(rng))
-            n = rng.randint(1, 5)
-            m = rng.randint(1, n)
-            cv = reflect_coeffs(p, linearize_jacobi(p, m, n))
-            assert cv.values == linearize_jacobi(make_params(p.beta, p.alpha), m, n).values
-
     def test_oscillation_signs(self):
-        # Reflecting a point of the nonnegativity region flips b, and the
-        # reflected coefficients alternate in sign with m+n+k.
-        p = make_params(1, 0)
-        cv = reflect_coeffs(p, linearize_jacobi(p, 1, 2))
-        for k, v in cv.items():
+        # (0, 1) is the reflected point (beta, alpha) of (1, 0), which lies in
+        # the nonnegativity region; its coefficients alternate in sign with m+n+k.
+        for k, v in linearize_jacobi(make_params(0, 1), 1, 2).items():
             sign = -1 if (1 + 2 + k) % 2 else 1
             assert sign * v >= 0
 
