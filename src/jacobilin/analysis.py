@@ -106,12 +106,9 @@ def _linear(c0, c1) -> RationalPolynomial:
     return RationalPolynomial([c0, c1])
 
 
-def iota_numerator_poly(p: JacobiParams, m: int, s: int) -> RationalPolynomial:
-    """iota(m, m+s; j) with its positive denominators cleared, as a polynomial
-    in the real variable j.  On j >= 1 its zeros are exactly iota's zeros."""
-    if m < 1 or s < 0:
-        raise ValueError("need m >= 1 and s >= 0")
-    a, b = p.a, p.b
+def _iota_bracket(a, m: int, s: int) -> RationalPolynomial:
+    """iota(m, m+s; j) (2s+2j+a-1)(2s+2j+a+1) / b as a polynomial in j; it
+    does not depend on b."""
     first = (
         _linear(2 * m, -1)
         * _linear(2 * m + 2 * s + 2 * a, 1)
@@ -126,7 +123,15 @@ def iota_numerator_poly(p: JacobiParams, m: int, s: int) -> RationalPolynomial:
         * _linear(0, 1)
         * _linear(2 * s + a + 1, 2)
     )
-    return b * (first - second)
+    return first - second
+
+
+def iota_numerator_poly(p: JacobiParams, m: int, s: int) -> RationalPolynomial:
+    """iota(m, m+s; j) with its positive denominators cleared, as a polynomial
+    in the real variable j.  On j >= 1 its zeros are exactly iota's zeros."""
+    if m < 1 or s < 0:
+        raise ValueError("need m >= 1 and s >= 0")
+    return p.b * _iota_bracket(p.a, m, s)
 
 
 def iota_zero_count(p: JacobiParams, m: int, s: int) -> int | None:
@@ -150,26 +155,15 @@ def iota_zero_count(p: JacobiParams, m: int, s: int) -> int | None:
 def chi_m_poly(p: JacobiParams, m: int) -> RationalPolynomial:
     """The degree-4 polynomial chi_m with
 
-        iota(m, m; j) (2j+a-1)(2j+a+1) = -b * chi_m(j).
+        iota(m, m; j) (2j+a-1)(2j+a+1) = -b * chi_m(j),
 
-    The identity is verified exactly at sample rational j before returning.
+    that is, minus iota's b-free bracket at s = 0.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    a = p.a
-    chi = _linear(2 * m + 1, -1) * _linear(2 * m + 2 * a - 1, 1) * _linear(
-        0, 1
-    ) * _linear(0, 1) * _linear(a + 1, 2) - _linear(2 * m, -1) * _linear(
-        2 * m + 2 * a, 1
-    ) * _linear(1, 1) * _linear(1, 1) * _linear(a - 1, 2)
+    chi = -_iota_bracket(p.a, m, 0)
     if chi.degree > 4:
         raise internal_error(p, "chi-m", "chi_m has degree above 4", m=m)
-    numer = iota_numerator_poly(p, m, 0)
-    for j in (1, Fraction(3, 2), 2, Fraction(7, 3), 3):
-        if numer(j) != -p.b * chi(j):
-            raise internal_error(
-                p, "chi-m", "chi_m identity fails at a sample point", m=m, n=m, j=j
-            )
     return chi
 
 
@@ -217,24 +211,17 @@ def _pq_limit_parts(p: JacobiParams, s: int, j) -> tuple[Fraction, ...]:
         * (j + a)
         / den
     )
-    q_star = (
-        (2 * s + 2 * j + a + 2)
-        / den
-        * (1 - a)
-        * (2 * s + j + a)
-        * (2 * s + 2 * j + a + 1)
-        * (j + a)
-        * (2 * s + 2 * j + a - b + 1)
-    )
+    q_star = (1 - a) * (2 * s + 2 * j + a + 1) * q_inf
     return p_inf, p_star, q_inf, q_star
 
 
-def _odd_scale(p: JacobiParams, s: int, j: int) -> Fraction:
-    """r(j) = c_{2s+2j+1} / a_{2s+2j-1} of the gencheb rows: the factor that
-    turns a ratio of consecutive companion entries g+ into one of gencheb
-    odd-index entries."""
-    c = gencheb_rec_coeffs(p, 2 * s + 2 * j + 1).c_n
-    return c / gencheb_rec_coeffs(p, 2 * s + 2 * j - 1).a_n
+def _odd_scales(p: JacobiParams, s: int, count: int) -> list[Fraction]:
+    """r(1..count), r(j) = c_{2s+2j+1} / a_{2s+2j-1} of the gencheb rows: the
+    factor that turns a ratio of consecutive companion entries g+ into one of
+    gencheb odd-index entries.  r depends on s + j only; the count + 1 odd
+    rows 2s+1 .. 2s+2count+1 are each built once."""
+    rows = [gencheb_rec_coeffs(p, 2 * s + 2 * i + 1) for i in range(count + 1)]
+    return [rows[i].c_n / rows[i - 1].a_n for i in range(1, count + 1)]
 
 
 def pq_values(p: JacobiParams, m: int, s: int, j: int) -> PQRecord:
@@ -244,12 +231,12 @@ def pq_values(p: JacobiParams, m: int, s: int, j: int) -> PQRecord:
     if not 1 <= j <= 2 * m - 1:
         raise ValueError("index j must lie in [1, 2m-1]")
     pp = plus_params(p)
+    # theta at (a+1, b-1) is never 0: its factors 2m-j+a, 2m+2s+j+a+2, 2s+j+1,
+    # 2s+2j+2beta+4 and j+1 are positive for alpha, beta > -1 and 1 <= j <= 2m-1.
     theta_p, iota_p, kappa_p = theta_iota_kappa(pp, m, s, j)
-    if theta_p == 0:
-        raise ValueError("singular point: the leading recursion coefficient vanishes")
-    r_next = _odd_scale(p, s, j + 1)
+    r_cur, r_next = _odd_scales(p, s + j - 1, 2)
     p_val = r_next * iota_p / theta_p
-    q_val = _odd_scale(p, s, j) * r_next * kappa_p / theta_p
+    q_val = r_cur * r_next * kappa_p / theta_p
     p_inf, p_star, q_inf, q_star = _pq_limit_parts(p, s, j)
     big_d = (2 * m - j + p.a) * (2 * m + 2 * s + j + p.a + 2)
     if p_val != p_inf + p_star / big_d or q_val != q_inf + q_star / big_d:
@@ -327,14 +314,14 @@ def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
         raise ValueError("need m >= 1 and s >= 0")
     cv = linearize_jacobi(plus_params(p), m, m + s)
     vals = []
-    for j in range(1, 2 * m + 1):
+    for j, r in enumerate(_odd_scales(p, s, 2 * m), start=1):
         lower = cv[s + j - 1]
         upper = cv[s + j]
         if lower == 0:
             raise NotApplicableError(
                 "zero companion coefficient: parameters outside the validity region"
             )
-        phi = _odd_scale(p, s, j) * upper / lower
+        phi = r * upper / lower
         if phi >= 0:
             raise NotApplicableError(
                 "nonnegative ratio: parameters outside the validity region"
@@ -436,12 +423,13 @@ def necessity_identity_values(
     pp = plus_params(p)
     g_lo, g_lo1, _, _ = gasper_boundary(pp, m, s)
     ratio1 = g_lo1 / g_lo
+    r1, r2 = _odd_scales(p, s, 2)
     lhs1 = (
         (2 * m + a)
         * (2 * m + 2 * s + a + 2)
         * (2 * s + a + b + 1)
         / (2 * s + a + 2)
-        * (_odd_scale(p, s, 1) * ratio1 + 1)
+        * (r1 * ratio1 + 1)
     )
     rhs1 = 4 * b * m * m + 4 * b * (s + a + 1) * m + a * (2 * s + a + b + 1)
     if b == 1:
@@ -456,7 +444,7 @@ def necessity_identity_values(
         * (s + 1)
         * (2 * s + a + b + 3)
         / (2 * s + a + 4)
-        * (_odd_scale(p, s, 2) * ratio2 + 1)
+        * (r2 * ratio2 + 1)
     )
     rhs2 = (4 * m - 4) * (m + s + a + 2) * (
         (a * a + 2 * b * b + 3 * a) * (s + 1) - a * (a + 1) * s

@@ -131,12 +131,12 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     pref = (
         _shared_prefactor(al, be, m, s, j)
         * pochhammer(m + al + be + 1, m)
-        * pochhammer(al + s + 1, j)
         * pochhammer(al + be + 1, j)
         / pochhammer(be + 1, s + j)
         * pochhammer(-m, up)
         * pochhammer(al + be + m + s + 1, up)
-        / (pochhammer(-m - (al + be) / 2, up) * pochhammer(al + s + 1, up))
+        / pochhammer(-m - (al + be) / 2, up)
+        * pochhammer(al + s + 1 + up, down)
         * pochhammer(-m - al, down)
         * pochhammer(be + m + s + 1, down)
         * pochhammer(_HALF + e, down)

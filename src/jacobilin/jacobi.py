@@ -252,9 +252,9 @@ def theta_iota_kappa(
 
         theta(j) g(s+j+1) = iota(j) g(s+j) + kappa(j) g(s+j-1)
 
-    for the product R_m R_{m+s}.  j may be rational (the functions extend to
-    real j, which the zero-counting analysis uses); the admissible range is
-    1 <= j <= 2m - 1.
+    for the product R_m R_{m+s}.  j may be rational: the functions extend to
+    real j, and the zero count reads that extension of iota as the polynomial
+    `analysis.iota_numerator_poly`.  The admissible range is 1 <= j <= 2m - 1.
 
     a, b and j are put over one common denominator L, so each function is
     one integer quotient (`_recursion_numerators`): three `Fraction`s per

@@ -12,6 +12,7 @@ from jacobilin import (
     classify_region,
     find_negativity_witness,
     gasper_simplification_values,
+    gencheb_rec_coeffs,
     iota_numerator_poly,
     iota_zero_count,
     linearize_gencheb,
@@ -24,6 +25,7 @@ from jacobilin import (
     scan_sign_pattern,
     theta_iota_kappa,
 )
+from jacobilin import analysis
 from jacobilin.analysis import (
     VERDICT_ALL_NONNEG,
     VERDICT_ALL_POSITIVE,
@@ -39,6 +41,7 @@ from conftest import (
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
 )
+from kernel_reference import ref_theta_iota_kappa
 
 F = Fraction
 BETWEEN = make_params(F(-33, 100), F(-87, 100))
@@ -134,6 +137,20 @@ class TestIotaZeroCount:
                 else:
                     assert (poly(j) == 0) == (iota == 0)
                     assert (poly(j) > 0) == (iota > 0)
+        # Exactly iota times its cleared denominators, against the independent
+        # typing, at integer and at rational j in [1, 2m-1].
+        for point in GRID:
+            p = make_params(*point)
+            for m in range(1, 5):
+                js = [F(jnum) for jnum in range(1, 2 * m)]
+                if m > 1:
+                    js += [F(3, 2), F(5, 3), F(4 * m - 1, 4)]
+                for s in range(4):
+                    poly = iota_numerator_poly(p, m, s)
+                    for j in js:
+                        _, iota, _ = ref_theta_iota_kappa(p, m, s, j)
+                        up, down = 2 * s + 2 * j + p.a + 1, 2 * s + 2 * j + p.a - 1
+                        assert poly(j) == iota * up * down
 
 
 class TestChiPolynomial:
@@ -168,7 +185,7 @@ class TestChiPolynomial:
             chi = chi_m_poly(p, m)
             a, b = p.a, p.b
             for j in (F(1), F(3, 2), F(2), F(2 * m - 1)):
-                _, iota, _ = theta_iota_kappa(p, m, 0, j)
+                _, iota, _ = ref_theta_iota_kappa(p, m, 0, j)
                 assert iota * (2 * j + a - 1) * (2 * j + a + 1) == -b * chi(j)
 
 
@@ -254,6 +271,26 @@ class TestPhi:
             seq.value(0)
         with pytest.raises(IndexError):
             seq.value(5)
+
+
+def test_each_odd_row_built_once(monkeypatch):
+    # r(j) = c_{2s+2j+1} / a_{2s+2j-1}: count scales need count + 1 odd rows.
+    calls = []
+
+    def counting(p, n):
+        calls.append(n)
+        return gencheb_rec_coeffs(p, n)
+
+    monkeypatch.setattr(analysis, "gencheb_rec_coeffs", counting)
+    for run, expected in [
+        (lambda: pq_values(BETWEEN, 3, 1, 2), 3),
+        (lambda: phi_sequence(BETWEEN, 3, 1), 7),
+        (lambda: necessity_identity_values(BETWEEN, 3, 1), 3),
+    ]:
+        calls.clear()
+        run()
+        assert len(calls) == expected
+        assert len(set(calls)) == expected
 
 
 class TestWitnessSearch:

@@ -358,13 +358,22 @@ class TestVerifySubcommand:
         assert code == 0
         assert "2 zero(s)" in out
 
-    @pytest.mark.parametrize("point", [("1", "1"), ("1/2", "1/4")])
-    def test_iota_zeros_m_zero_is_a_usage_error(self, capsys, point):
+    @pytest.mark.parametrize(
+        "point, prop",
+        [
+            pytest.param(("1", "1"), "iota-zeros", id="point0"),
+            pytest.param(("1/2", "1/4"), "iota-zeros", id="point1"),
+            pytest.param(("1", "1"), "recursion-consistency", id="rec-point0"),
+            pytest.param(("1/2", "1/4"), "recursion-consistency", id="rec-point1"),
+        ],
+    )
+    def test_iota_zeros_m_zero_is_a_usage_error(self, capsys, point, prop):
         # b = 0 at (1, 1): iota vanishes identically, but m = 0 is still out
-        # of range there, as at any other point.
+        # of range there, as at any other point.  The recursion check's loop
+        # over j would be empty at m = 0, so it rejects m = 0 explicitly.
         code, out, err = run(
             capsys, "verify", "--alpha", point[0], "--beta", point[1],
-            "--property", "iota-zeros", "--m", "0",
+            "--property", prop, "--m", "0",
         )
         assert code == 2
         assert out == ""
