@@ -175,7 +175,7 @@ class PQRecord:
         D = (2m - j + a)(2m + 2s + j + a + 2),
 
     where p_inf, p_star, q_inf, q_star do not depend on m.  The split is
-    asserted exactly on construction."""
+    asserted exactly by `pq_values`."""
 
     m: int
     s: int
@@ -224,26 +224,31 @@ def _odd_scales(p: JacobiParams, s: int, count: int) -> list[Fraction]:
     return [rows[i].c_n / rows[i - 1].a_n for i in range(1, count + 1)]
 
 
-def pq_values(p: JacobiParams, m: int, s: int, j: int) -> PQRecord:
-    """p(j) and q(j) for the odd-index even-position analysis at (m, s)."""
+def pq_values(p: JacobiParams, m: int, s: int) -> tuple[PQRecord, ...]:
+    """p(j) and q(j) for the odd-index even-position analysis at (m, s), as
+    one run j = 1 .. 2m-1 like phi_sequence: the record for j is at index
+    j - 1, and the 2m+1 odd gencheb rows behind r(1..2m) are each built once."""
     if m < 2:
         raise ValueError("need m >= 2")
-    if not 1 <= j <= 2 * m - 1:
-        raise ValueError("index j must lie in [1, 2m-1]")
+    if s < 0:
+        raise ValueError("need m >= 1 and s >= 0")
     pp = plus_params(p)
-    # theta at (a+1, b-1) is never 0: its factors 2m-j+a, 2m+2s+j+a+2, 2s+j+1,
-    # 2s+2j+2beta+4 and j+1 are positive for alpha, beta > -1 and 1 <= j <= 2m-1.
-    theta_p, iota_p, kappa_p = theta_iota_kappa(pp, m, s, j)
-    r_cur, r_next = _odd_scales(p, s + j - 1, 2)
-    p_val = r_next * iota_p / theta_p
-    q_val = r_cur * r_next * kappa_p / theta_p
-    p_inf, p_star, q_inf, q_star = _pq_limit_parts(p, s, j)
-    big_d = (2 * m - j + p.a) * (2 * m + 2 * s + j + p.a + 2)
-    if p_val != p_inf + p_star / big_d or q_val != q_inf + q_star / big_d:
-        raise internal_error(
-            p, "pq-split", "p/q decomposition fails", m=m, n=m + s, j=j
-        )
-    return PQRecord(m, s, j, p_val, q_val, p_inf, p_star, q_inf, q_star)
+    r = _odd_scales(p, s, 2 * m)
+    records = []
+    for j in range(1, 2 * m):
+        # theta at (a+1, b-1) is never 0: its factors 2m-j+a, 2m+2s+j+a+2, 2s+j+1,
+        # 2s+2j+2beta+4 and j+1 are positive for alpha, beta > -1 and 1 <= j <= 2m-1.
+        theta_p, iota_p, kappa_p = theta_iota_kappa(pp, m, s, j)
+        p_val = r[j] * iota_p / theta_p
+        q_val = r[j - 1] * r[j] * kappa_p / theta_p
+        p_inf, p_star, q_inf, q_star = _pq_limit_parts(p, s, j)
+        big_d = (2 * m - j + p.a) * (2 * m + 2 * s + j + p.a + 2)
+        if p_val != p_inf + p_star / big_d or q_val != q_inf + q_star / big_d:
+            raise internal_error(
+                p, "pq-split", "p/q decomposition fails", m=m, n=m + s, j=j
+            )
+        records.append(PQRecord(m, s, j, p_val, q_val, p_inf, p_star, q_inf, q_star))
+    return tuple(records)
 
 
 def omega_value(p: JacobiParams, s: int, j: int) -> Fraction:
@@ -266,18 +271,15 @@ def pq_inequality_check(p: JacobiParams, m: int, s: int) -> list[bool]:
     Also recomputes omega_j both from its closed form and from the limit
     parts, asserts they agree and are positive (these margins are what makes
     the inequality uniform in m inside the validity region)."""
-    if m < 2:
-        raise ValueError("need m >= 2")
     results = []
-    records = {j: pq_values(p, m, s, j) for j in range(1, 2 * m)}
-    for j in range(1, 2 * m - 1):
-        cur, nxt = records[j], records[j + 1]
-        omega = omega_value(p, s, j)
+    run = pq_values(p, m, s)
+    for cur, nxt in zip(run, run[1:]):
+        omega = omega_value(p, s, cur.j)
         omega_from_parts = nxt.q_inf - (1 + nxt.p_inf) * (cur.q_inf - cur.p_inf)
         if omega != omega_from_parts:
             raise internal_error(
                 p, "omega", "omega closed form disagrees with limit parts",
-                m=m, n=m + s, j=j,
+                m=m, n=m + s, j=cur.j,
             )
         if omega <= 0:
             raise NotApplicableError(

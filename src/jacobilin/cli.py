@@ -325,9 +325,8 @@ def _phi_check(p, m, s):
     seq = phi_sequence(p, m, s)
     good = seq.alternation_holds()
     if m >= 2:
-        for j in range(1, 2 * m):
-            rec = pq_values(p, m, s, j)
-            if seq.value(j + 1) != rec.p + rec.q / seq.value(j):
+        for rec in pq_values(p, m, s):
+            if seq.value(rec.j + 1) != rec.p + rec.q / seq.value(rec.j):
                 good = False
     return good, f"alternation {'holds' if good else 'FAILS'}"
 

@@ -416,8 +416,9 @@ def linearize_bruteforce(
     p: JacobiParams, m: int, n: int, family: str = FAMILY_JACOBI
 ) -> CoeffVector:
     """Independent oracle: multiply in the monomial basis, convert back by
-    leading-term elimination, and assert exact orthogonality (all positions
-    below |m-n| vanish, remainder zero)."""
+    leading-term elimination in place (step k zeroes coefficient k and changes
+    only lower ones), and assert exact orthogonality: all positions below
+    |m-n| vanish."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if m < 0 or n < 0:
@@ -427,18 +428,15 @@ def linearize_bruteforce(
     basis = walk_recurrence(
         p, family, RationalPolynomial.variable(), _monomial_basis(p, family), m + n
     )
-    product = basis[m] * basis[n]
+    rem = list((basis[m] * basis[n]).coeffs)
     coeffs = [Fraction(0)] * (m + n + 1)
-    rem = product
     for k in range(m + n, -1, -1):
-        c = rem.coefficient(k) / basis[k].leading
+        b_k = basis[k].coeffs
+        c = rem[k] / b_k[k]
         coeffs[k] = c
         if c != 0:
-            rem = rem - c * basis[k]
-    if not rem.is_zero:
-        raise internal_error(
-            p, f"brute/{family}", "basis conversion left a remainder", m=m, n=n
-        )
+            for i, b_i in enumerate(b_k):
+                rem[i] -= c * b_i
     for k in range(0, n - m):
         if coeffs[k] != 0:
             raise internal_error(

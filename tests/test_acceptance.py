@@ -183,8 +183,9 @@ def test_c07_ratio_machinery_instances():
         a = p.a
         for m in range(2, 5):
             for s in range(4):
+                run = pq_values(p, m, s)
                 for j in range(1, 2 * m):
-                    rec = pq_values(p, m, s, j)
+                    rec = run[j - 1]
                     den = (2 * m - j + a) * (2 * m + 2 * s + j + a + 2)
                     if rec.p != rec.p_inf + rec.p_star / den:
                         failures.append((point, m, s, j, "p decomposition"))
@@ -198,7 +199,7 @@ def test_c07_ratio_machinery_instances():
                 if not seq.alternation_holds():
                     failures.append((point, m, s, "alternation"))
                 for j in range(1, 2 * m):
-                    rec = pq_values(p, m, s, j)
+                    rec = run[j - 1]
                     if seq.value(j + 1) != rec.p + rec.q / seq.value(j):
                         failures.append((point, m, s, j, "recurrence"))
     _finish("C7", failures)

@@ -191,24 +191,24 @@ class TestChiPolynomial:
 
 class TestPQ:
     def test_record_signs_between_regions(self):
-        rec = pq_values(BETWEEN, 2, 0, 1)
+        rec = pq_values(BETWEEN, 2, 0)[0]
         assert rec.q > 0 and rec.p > -1
         assert rec.p_star > 0 and rec.q_inf > 0 and rec.q_star > 0
 
     def test_decomposition_identity(self):
         a = BETWEEN.a
         for m, s, j in [(3, 1, 2), (2, 0, 1), (4, 2, 5)]:
-            rec = pq_values(BETWEEN, m, s, j)
+            rec = pq_values(BETWEEN, m, s)[j - 1]
             den = (2 * m - j + a) * (2 * m + 2 * s + j + a + 2)
             assert rec.p == rec.p_inf + rec.p_star / den
             assert rec.q == rec.q_inf + rec.q_star / den
 
     def test_limit_part_is_large_m_limit(self):
         s, j = 1, 2
-        target = pq_values(BETWEEN, 10, s, j).p_inf
+        target = pq_values(BETWEEN, 10, s)[j - 1].p_inf
         gaps = []
         for m in (10, 20, 50):
-            rec = pq_values(BETWEEN, m, s, j)
+            rec = pq_values(BETWEEN, m, s)[j - 1]
             assert rec.p_inf == target
             gaps.append(abs(rec.p - rec.p_inf))
         assert gaps[0] > gaps[1] > gaps[2]
@@ -233,10 +233,10 @@ class TestPQ:
                 assert omega_value(BETWEEN, s, j) > 0
 
     def test_index_range_enforced(self):
-        with pytest.raises(ValueError):
-            pq_values(BETWEEN, 2, 0, 4)
-        with pytest.raises(ValueError):
-            pq_values(BETWEEN, 1, 0, 1)
+        with pytest.raises(ValueError, match="need m >= 2"):
+            pq_values(BETWEEN, 1, 0)
+        with pytest.raises(ValueError, match="need m >= 1 and s >= 0"):
+            pq_values(BETWEEN, 2, -1)
 
 
 class TestPhi:
@@ -261,8 +261,11 @@ class TestPhi:
     def test_recurrence_identity(self):
         for m, s in [(2, 0), (3, 1), (4, 0)]:
             seq = phi_sequence(BETWEEN, m, s)
+            run = pq_values(BETWEEN, m, s)
+            assert len(run) == 2 * m - 1
             for j in range(1, 2 * m):
-                rec = pq_values(BETWEEN, m, s, j)
+                rec = run[j - 1]
+                assert rec.j == j
                 assert seq.value(j + 1) == rec.p + rec.q / seq.value(j)
 
     def test_index_bounds(self):
@@ -283,7 +286,8 @@ def test_each_odd_row_built_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "gencheb_rec_coeffs", counting)
     for run, expected in [
-        (lambda: pq_values(BETWEEN, 3, 1, 2), 3),
+        (lambda: pq_values(BETWEEN, 3, 1), 7),
+        (lambda: pq_inequality_check(BETWEEN, 3, 1), 7),
         (lambda: phi_sequence(BETWEEN, 3, 1), 7),
         (lambda: necessity_identity_values(BETWEEN, 3, 1), 3),
     ]:

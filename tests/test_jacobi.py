@@ -12,6 +12,7 @@ import jacobilin.jacobi as jacobi_module
 from jacobilin import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
+    RationalPolynomial,
     gasper_boundary,
     gencheb_eval,
     jacobi_eval,
@@ -254,6 +255,24 @@ class TestLinearize:
         pp = plus_params(make_params(F(1, 4), F(-1, 4)))
         assert (pp.alpha, pp.beta) == (F(1, 4), F(3, 4))
         assert linearize_jacobi(pp, 2, 3).values == linearize_bruteforce(pp, 2, 3).values
+
+    @pytest.mark.parametrize("family", [FAMILY_JACOBI, FAMILY_GENCHEB])
+    def test_bruteforce_orthogonality_check_fires(self, family):
+        # A perturbed recurrence row would still give an orthogonal family
+        # (Favard), so the cached basis polynomial itself is perturbed.
+        p = make_params(F(1, 2), F(1, 4))
+        basis = jacobi_module._monomial_basis(p, family)
+        try:
+            jacobi_module.walk_recurrence(
+                p, family, RationalPolynomial.variable(), basis, 4
+            )
+            basis[3] = basis[3] + F(1, 5)
+            with pytest.raises(
+                RuntimeError, match=rf"brute/{family}, .*m=1, n=3, k=\d"
+            ):
+                linearize_bruteforce(p, 1, 3, family)
+        finally:
+            jacobi_module._monomial_basis.cache_clear()
 
 
 class TestClosedFormSpots:
