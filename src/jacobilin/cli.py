@@ -4,6 +4,11 @@ Subcommands: classify, linearize, compare, scan, verify, witness.  All numeric
 input is exact "p/q" text; output values are exact, with an optional decimal
 rendering (15 significant digits) that is explicitly marked approximate.
 
+Each subcommand is a handler `_cmd_<name>(p, ns)` that prints nothing and
+returns `(payload, verdict, text_lines, code)`.  `run_command` builds the point
+p and alone writes stdout: the JSON record (`command`, `params`, `payload`, and
+`verdict` unless None) or the text lines, only after the handler has returned.
+
 Exit codes: 0 success / property holds, 1 property violated or methods
 disagree (witness printed), 2 usage or range error (message on stderr),
 3 `verify` property not applicable at a valid point (verdict
@@ -13,6 +18,7 @@ stderr naming the point, the indices and the route).
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -41,7 +47,7 @@ from .jacobi import (
     linearize_jacobi,
     theta_iota_kappa,
 )
-from .params import JacobiParams, classify_region, make_params, plus_params
+from .params import classify_region, make_params, plus_params
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -80,30 +86,10 @@ def _merge_value_options(argv: list[str]) -> list[str]:
     return out
 
 
-def _params_from(ns) -> JacobiParams:
-    return make_params(ns.alpha, ns.beta)
-
-
-def _record(command: str, ns, payload, verdict=None) -> dict:
-    rec = {
-        "command": command,
-        "params": {"alpha": str(ns.alpha), "beta": str(ns.beta)},
-        "payload": payload,
-    }
-    if verdict is not None:
-        rec["verdict"] = verdict
-    return rec
-
-
-def _emit_json(rec: dict) -> None:
-    print(json.dumps(rec, ensure_ascii=False, indent=2))
-
-
 # ---------------------------------------------------------------- classify
 
 
-def _cmd_classify(ns) -> int:
-    p = _params_from(ns)
+def _cmd_classify(p, ns):
     rep = classify_region(p)
     payload = {
         "a": str(p.a),
@@ -117,15 +103,13 @@ def _cmd_classify(ns) -> int:
         "on_iota_threshold": rep.on_iota_threshold,
         "label": rep.label.value,
     }
-    if ns.json:
-        _emit_json(_record("classify", ns, payload, verdict=rep.label.value))
-    else:
-        print(f"alpha = {ns.alpha}   beta = {ns.beta}")
-        print(f"a = {p.a}   b = {p.b}")
-        for key in list(payload)[2:-1]:  # the keys between b and label
-            print(f"{key} = {payload[key]}")
-        print(f"label: {rep.label.value}")
-    return 0
+    lines = [
+        f"alpha = {ns.alpha}   beta = {ns.beta}",
+        f"a = {p.a}   b = {p.b}",
+        *(f"{key} = {payload[key]}" for key in list(payload)[2:-1]),  # between b and label
+        f"label: {rep.label.value}",
+    ]
+    return payload, rep.label.value, lines, 0
 
 
 # ---------------------------------------------------------------- routes
@@ -175,8 +159,7 @@ METHODS = {
 }
 
 
-def _cmd_linearize(ns) -> int:
-    p = _params_from(ns)
+def _cmd_linearize(p, ns):
     applies, values = METHODS[ns.family].get(ns.method, (None, None))
     if applies is None or not applies(p, ns.m, ns.n):
         raise ValueError(
@@ -198,35 +181,33 @@ def _cmd_linearize(ns) -> int:
          "approx": fmt_approx(v)}
         for k, v in coeffs
     ]
-    if ns.format == "json":
-        payload = {
-            "family": ns.family,
-            "method": ns.method,
-            "m": m,
-            "n": n,
-            "coefficients": rows,
-        }
-        _emit_json(_record("linearize", ns, payload))
-    elif ns.format == "csv":
-        writer = csv.writer(sys.stdout)
+    payload = {
+        "family": ns.family,
+        "method": ns.method,
+        "m": m,
+        "n": n,
+        "coefficients": rows,
+    }
+    if ns.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         writer.writerow(["m", "n", "k", "value_num", "value_den", "approx"])
-        for r in rows:
-            writer.writerow([r["m"], r["n"], r["k"], r["num"], r["den"], r["approx"]])
+        writer.writerows(r.values() for r in rows)
+        # Each line keeps the "\r" of csv's "\r\n"; printing it adds the "\n".
+        lines = buf.getvalue().split("\n")[:-1]
     else:
-        print(
+        lines = [
             f"{ns.family} linearization, method {ns.method}, "
-            f"m={m} n={n}, alpha={ns.alpha} beta={ns.beta}"
-        )
-        for k, v in coeffs:
-            print(f"k={k}: {v} (approx {fmt_approx(v)})")
-    return 0
+            f"m={m} n={n}, alpha={ns.alpha} beta={ns.beta}",
+            *(f"k={k}: {v} (approx {fmt_approx(v)})" for k, v in coeffs),
+        ]
+    return payload, None, lines, 0
 
 
 # ---------------------------------------------------------------- compare
 
 
-def _cmd_compare(ns) -> int:
-    p = _params_from(ns)
+def _cmd_compare(p, ns):
     region = classify_region(p)
     checked = set()
     mismatches = []
@@ -264,19 +245,13 @@ def _cmd_compare(ns) -> int:
         "entries_skipped_singular": skipped,
         "mismatches": mismatches,
     }
-    if ns.json:
-        _emit_json(_record("compare", ns, payload, verdict="agree" if agree else "disagree"))
-    else:
-        print(
-            f"compared methods {methods} up to degree {ns.max_degree}: "
-            f"{entries} entries, {skipped} skipped (singular closed form)"
-        )
-        if agree:
-            print("all methods agree exactly")
-        else:
-            for family, m, n, what in mismatches:
-                print(f"MISMATCH {family} m={m} n={n}: {what}")
-    return 0 if agree else 1
+    lines = [
+        f"compared methods {methods} up to degree {ns.max_degree}: "
+        f"{entries} entries, {skipped} skipped (singular closed form)",
+        *(["all methods agree exactly"] if agree else []),
+        *(f"MISMATCH {family} m={m} n={n}: {what}" for family, m, n, what in mismatches),
+    ]
+    return payload, "agree" if agree else "disagree", lines, 0 if agree else 1
 
 
 # ---------------------------------------------------------------- scan
@@ -285,8 +260,7 @@ def _cmd_compare(ns) -> int:
 _CHECK_TO_MODE = {mode.rpartition("_")[2]: mode for mode in SCAN_MODES}
 
 
-def _cmd_scan(ns) -> int:
-    p = _params_from(ns)
+def _cmd_scan(p, ns):
     mode = _CHECK_TO_MODE[ns.check]
     rep = scan_sign_pattern(p, ns.max_degree, mode)
     payload = {
@@ -298,19 +272,15 @@ def _cmd_scan(ns) -> int:
         "witness": list(rep.witness) if rep.witness else None,
         "witness_value": str(rep.witness_value) if rep.witness_value is not None else None,
     }
-    if ns.json:
-        _emit_json(_record("scan", ns, payload, verdict=rep.verdict))
-    else:
-        print(f"mode: {mode}   degrees scanned: 0..{ns.max_degree}")
-        print(f"min value: {rep.min_value} (approx {fmt_approx(rep.min_value)})")
-        if rep.verdict == VERDICT_VIOLATION:
-            m, n, k = rep.witness
-            print(f"violation at ({m},{n},{k}) value {rep.witness_value}")
-        else:
-            print(f"verdict: {rep.verdict}")
+    lines = [
+        f"mode: {mode}   degrees scanned: 0..{ns.max_degree}",
+        f"min value: {rep.min_value} (approx {fmt_approx(rep.min_value)})",
+        "violation at ({},{},{}) value {}".format(*rep.witness, rep.witness_value)
+        if rep.verdict == VERDICT_VIOLATION else f"verdict: {rep.verdict}",
+    ]
     if ns.check == "strict":  # a zero in the support fails strict, too
-        return 0 if rep.verdict == VERDICT_ALL_POSITIVE else 1
-    return 1 if rep.verdict == VERDICT_VIOLATION else 0
+        return payload, rep.verdict, lines, 0 if rep.verdict == VERDICT_ALL_POSITIVE else 1
+    return payload, rep.verdict, lines, 1 if rep.verdict == VERDICT_VIOLATION else 0
 
 
 # ---------------------------------------------------------------- verify
@@ -351,13 +321,10 @@ def _nec_check(p, m, s):
 
 
 def _verify_iota(p, ms, ss, details):
-    # m is checked before the b = 0 shortcut, as iota_zero_count checks it.
-    if min(ms) < 1:
-        raise ValueError("need m >= 1 and s >= 0")
-    if p.b == 0:
+    counts = {(m, s): iota_zero_count(p, m, s) for m in ms for s in ss}
+    if None in counts.values():  # b = 0
         details.append("b = 0: iota vanishes identically (degenerate); nothing to count")
         return True
-    counts = {(m, s): iota_zero_count(p, m, s) for m in ms for s in ss}
     details.extend(f"m={m} s={s}: {c} zero(s)" for (m, s), c in counts.items())
     if classify_region(p).above_iota_threshold:
         details.append("above threshold: expected at most one zero each")
@@ -377,13 +344,12 @@ _PROPERTIES = {
 }
 
 
-def _cmd_verify(ns) -> int:
-    p = _params_from(ns)
+def _cmd_verify(p, ns):
     default_ms, check = _PROPERTIES[ns.property]
     ms = [ns.m] if ns.m is not None else default_ms
     ss = [ns.s] if ns.s is not None else [0, 1, 2, 3]
     details: list[str] = []
-    reason = None
+    payload = {"property": ns.property, "details": details}
     try:
         if check is None:
             ok = _verify_iota(p, ms, ss, details)
@@ -394,45 +360,36 @@ def _cmd_verify(ns) -> int:
                     good, detail = check(p, m, s)
                     ok = ok and good
                     details.append(f"m={m} s={s}: {detail}")
-        verdict, code = ("pass", 0) if ok else ("fail", 1)
+        payload["verdict"], code = ("pass", 0) if ok else ("fail", 1)
+        outcome = payload["verdict"].upper()
     except NotApplicableError as exc:
-        verdict, code, reason = "not_applicable", 3, str(exc)
-    if ns.json:
-        payload = {"property": ns.property, "details": details, "verdict": verdict}
-        if reason is not None:
-            payload["reason"] = reason
-        _emit_json(_record("verify", ns, payload, verdict=verdict))
-    else:
-        print(f"property {ns.property} at alpha={ns.alpha} beta={ns.beta}")
-        for line in details:
-            print("  " + line)
-        if reason is not None:
-            print(f"{ns.property}: NOT APPLICABLE ({reason})")
-        else:
-            print(f"{ns.property}: {verdict.upper()}")
-    return code
+        payload.update(verdict="not_applicable", reason=str(exc))
+        code, outcome = 3, f"NOT APPLICABLE ({exc})"
+    lines = [
+        f"property {ns.property} at alpha={ns.alpha} beta={ns.beta}",
+        *("  " + line for line in details),
+        f"{ns.property}: {outcome}",
+    ]
+    return payload, payload["verdict"], lines, code
 
 
 # ---------------------------------------------------------------- witness
 
 
-def _cmd_witness(ns) -> int:
-    p = _params_from(ns)
+def _cmd_witness(p, ns):
     w = find_negativity_witness(p, ns.max_degree)
-    if ns.json:
-        payload = {
-            "max_degree": ns.max_degree,
-            "witness": list(w[:3]) if w else None,
-            "value": str(w[3]) if w else None,
-        }
-        _emit_json(_record("witness", ns, payload, verdict="found" if w else "none"))
-    elif w:
+    payload = {
+        "max_degree": ns.max_degree,
+        "witness": list(w[:3]) if w else None,
+        "value": str(w[3]) if w else None,
+    }
+    if w:
         m, n, k, v = w
-        print(f"negative coefficient: gencheb (m={m}, n={n}, k={k}) value {v} "
-              f"(approx {fmt_approx(v)})")
+        line = (f"negative coefficient: gencheb (m={m}, n={n}, k={k}) value {v} "
+                f"(approx {fmt_approx(v)})")
     else:
-        print(f"no negative coefficient found in the guided families up to degree {ns.max_degree}")
-    return 1 if w else 0
+        line = f"no negative coefficient found in the guided families up to degree {ns.max_degree}"
+    return payload, "found" if w else "none", [line], 1 if w else 0
 
 
 # ---------------------------------------------------------------- parser
@@ -446,16 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_params(sp):
+    def command(name, summary):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--alpha", type=_rational, required=True)
         sp.add_argument("--beta", type=_rational, required=True)
+        return sp
 
-    sp = sub.add_parser("classify", help="exact region membership of a parameter point")
-    add_params(sp)
-    sp.add_argument("--json", action="store_true")
+    command("classify", "exact region membership of a parameter point")
 
-    sp = sub.add_parser("linearize", help="one product expansion, all methods")
-    add_params(sp)
+    sp = command("linearize", "one product expansion, all methods")
     sp.add_argument("--family", choices=list(METHODS), default="jacobi")
     sp.add_argument("--m", type=_natural, required=True)
     sp.add_argument("--n", type=_natural, required=True)
@@ -463,29 +419,25 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=list(dict.fromkeys(m for routes in METHODS.values() for m in routes)))
     sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
-    sp = sub.add_parser("compare", help="cross-check all applicable methods")
-    add_params(sp)
+    sp = command("compare", "cross-check all applicable methods")
     sp.add_argument("--max-degree", type=_natural, required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("scan", help="exhaustive sign scan of a coefficient family")
-    add_params(sp)
+    sp = command("scan", "exhaustive sign scan of a coefficient family")
     sp.add_argument("--check", choices=sorted(_CHECK_TO_MODE), required=True)
     sp.add_argument("--max-degree", type=_natural, required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("verify", help="verify a structural property at one point")
-    add_params(sp)
+    sp = command("verify", "verify a structural property at one point")
     sp.add_argument("--property", choices=sorted(_PROPERTIES), required=True)
     sp.add_argument("--m", type=_natural, default=None)
     sp.add_argument("--s", type=_natural, default=None)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("witness", help="search the guided families for a negative entry")
-    add_params(sp)
+    sp = command("witness", "search the guided families for a negative entry")
     sp.add_argument("--max-degree", type=_natural, required=True)
-    sp.add_argument("--json", action="store_true")
 
+    # Last in each usage line; sets `format` as linearize's --format json does.
+    for name, sp in sub.choices.items():
+        if name != "linearize":
+            sp.add_argument("--json", action="store_const", const="json", dest="format")
     return parser
 
 
@@ -507,13 +459,26 @@ def run_command(argv: list[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return globals()[f"_cmd_{ns.subcommand}"](ns)
+        p = make_params(ns.alpha, ns.beta)
+        payload, verdict, lines, code = globals()[f"_cmd_{ns.subcommand}"](p, ns)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
         return 4
+    if ns.format == "json":
+        record = {
+            "command": ns.subcommand,
+            "params": {"alpha": str(ns.alpha), "beta": str(ns.beta)},
+            "payload": payload,
+        }
+        if verdict is not None:
+            record["verdict"] = verdict
+        lines = [json.dumps(record, ensure_ascii=False, indent=2)]
+    for line in lines:
+        print(line)
+    return code
 
 
 def main() -> None:

@@ -77,12 +77,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 

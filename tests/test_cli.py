@@ -34,6 +34,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.fixture
+def broken_gasper(monkeypatch):
+    """Perturb one closed form of `jacobi.gasper_boundary`, so that the Gasper
+    route's cross-check fails; both linearize caches are cleared around it."""
+    original = jacobi.gasper_boundary
+
+    def perturbed(p, m, s):
+        lo, lo1, hi1, hi = original(p, m, s)
+        return lo, lo1, hi1 + F(1, 10**6), hi
+
+    monkeypatch.setattr(jacobi, "gasper_boundary", perturbed)
+    linearize_jacobi.cache_clear()
+    linearize_gencheb.cache_clear()
+    yield
+    linearize_jacobi.cache_clear()
+    linearize_gencheb.cache_clear()
+
+
 class TestDocumentedInvocations:
     def test_classify_between_regions(self, capsys):
         code, out, _ = run(capsys, "classify", "--alpha", "-33/100", "--beta", "-87/100")
@@ -291,27 +309,39 @@ class TestExitCodes:
         assert err.strip()
         assert out == ""
 
-    def test_internal_failure_exits_four(self, capsys, monkeypatch):
-        original = jacobi.gasper_boundary
-
-        def perturbed(p, m, s):
-            lo, lo1, hi1, hi = original(p, m, s)
-            return lo, lo1, hi1 + F(1, 10**6), hi
-
-        monkeypatch.setattr(jacobi, "gasper_boundary", perturbed)
-        linearize_jacobi.cache_clear()
-        try:
-            code, out, err = run(
-                capsys, "linearize", "--alpha", "1/2", "--beta", "1/4",
-                "--m", "3", "--n", "5",
-            )
-        finally:
-            linearize_jacobi.cache_clear()
+    def test_internal_failure_exits_four(self, capsys, broken_gasper):
+        code, out, err = run(
+            capsys, "linearize", "--alpha", "1/2", "--beta", "1/4",
+            "--m", "3", "--n", "5",
+        )
         assert code == 4
         assert out == ""
         assert err.startswith("internal error: ")
         for part in ("alpha=1/2", "beta=1/4", "m=3", "n=5", "k=7", "route gasper"):
             assert part in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            (["compare", "--max-degree", "3"], "alpha=-1/2, beta=0"),
+            (["scan", "--check", "nonneg", "--max-degree", "4"], "alpha=-1/2, beta=0"),
+            (["verify", "--property", "recursion-consistency"], "alpha=-1/2, beta=0"),
+            # The odd products of the gencheb family run at the companion point.
+            (["witness", "--max-degree", "8"], "alpha=-1/2, beta=1"),
+        ],
+        ids=["compare", "scan", "verify", "witness"],
+    )
+    def test_internal_failure_exits_four_in_every_subcommand(
+        self, capsys, broken_gasper, argv, point, json_flag
+    ):
+        # (-1/2, 0) lies outside V' (b < 0).
+        code, out, err = run(capsys, argv[0], "--alpha", "-1/2", "--beta", "0",
+                             *argv[1:], *json_flag)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert "route gasper" in err and point in err
 
 
 class TestParser:
@@ -323,7 +353,9 @@ class TestParser:
 
         seen = []
         monkeypatch.setattr(cli, "build_parser", rebuild)
-        monkeypatch.setattr(cli, "_cmd_classify", lambda ns: seen.append(ns.alpha) or 7)
+        monkeypatch.setattr(
+            cli, "_cmd_classify", lambda p, ns: seen.append(p.alpha) or ({}, None, [], 7)
+        )
         assert run(capsys, "classify", "--alpha", "1/2", "--beta", "0")[0] == 7
         assert seen == [F(1, 2)]
         assert run(capsys, "classify", "--alpha", "x", "--beta", "0")[0] == 2
