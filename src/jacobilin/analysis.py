@@ -77,6 +77,8 @@ def scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport
     witness is the first such entry in scan order); otherwise the scan
     distinguishes a strictly positive support from one containing zeros.
     Structural parity zeros of the gencheb family are not part of the support.
+    Entries are compared on integers: by the sign of the numerator, and with
+    the running minimum min_n/min_d by cross-multiplying.
     """
     if mode not in SCAN_MODES:
         raise ValueError(f"unknown scan mode {mode!r}")
@@ -86,9 +88,10 @@ def scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport
     witness = None
     witness_value = None
     for m, n, k, v in _scan_entries(p, max_degree, mode):
-        if min_value is None or v < min_value:
-            min_value = v
-        if v < 0 and witness is None:
+        v_n, v_d = v.numerator, v.denominator
+        if min_value is None or v_n * min_d < min_n * v_d:
+            min_value, min_n, min_d = v, v_n, v_d
+        if v_n < 0 and witness is None:
             witness = (m, n, k)
             witness_value = v
     if min_value is None:

@@ -19,9 +19,11 @@ are stored as explicit zeros.  The recurrence rows (`gencheb_rec_coeffs`, a
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .exact import Rational, to_fraction
 from .jacobi import (
+    _ZERO,
     FAMILY_GENCHEB,
     CoeffVector,
     gencheb_rec_coeffs,
@@ -55,36 +57,54 @@ def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     return via_transform
 
 
+def _dot(x: Fraction, u: Fraction, y: Fraction, v: Fraction) -> Fraction:
+    """x u + y v as one quotient of integers: one gcd."""
+    xu, yv = x.denominator * u.denominator, y.denominator * v.denominator
+    return Fraction(x.numerator * u.numerator * yv + y.numerator * v.numerator * xu, xu * yv)
+
+
+def _padded(cv: CoeffVector, lo: int, hi: int) -> list[Fraction]:
+    """The entries of cv at k = lo .. hi, zero outside its support."""
+    return [_ZERO] * (cv.k_min - lo) + list(cv.values) + [_ZERO] * (hi - cv.k_max)
+
+
+def _companion(p: JacobiParams, i: int, j: int) -> CoeffVector:
+    """g+(i, j; .), smaller degree first (one cache key per vector).  An
+    internal error there names p as well as the companion point."""
+    try:
+        return linearize_jacobi(plus_params(p), min(i, j), max(i, j))
+    except RuntimeError as exc:
+        raise RuntimeError(f"{exc}; companion of alpha={p.alpha}, beta={p.beta}") from exc
+
+
 @lru_cache(maxsize=1024)
 def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
     """Full coefficient vector of T_m T_n in the T basis, assembled by parity
-    from at most two companion-family vectors (see the module docstring)."""
+    from at most two companion-family vectors (see the module docstring).
+    Each odd*odd or mixed entry, a g+ + c g+', is one quotient (`_dot`)."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
     if m == 0:
         return CoeffVector(0, n, FAMILY_GENCHEB, (Fraction(1),))
-    k_lo = n - m
-    vals = [Fraction(0)] * (2 * m + 1)
     if m % 2 == 0 and n % 2 == 0:
-        gr = linearize_jacobi(p, m // 2, n // 2)
-        for k, v in gr.items():
-            vals[2 * k - k_lo] = v
+        entries = linearize_jacobi(p, m // 2, n // 2).values
     elif m % 2 == 1 and n % 2 == 1:
-        cv = linearize_jacobi(plus_params(p), (m - 1) // 2, (n - 1) // 2)
-        for ell, v in cv.items():
-            row = gencheb_rec_coeffs(p, 2 * ell + 1)
-            vals[2 * ell + 2 - k_lo] += row.a_n * v
-            vals[2 * ell - k_lo] += row.c_n * v
+        # At k = 2l: a_{2l-1} g+(l-1) + c_{2l+1} g+(l).
+        cv = _companion(p, (m - 1) // 2, (n - 1) // 2)
+        rows = [gencheb_rec_coeffs(p, 2 * ell + 1) for ell, _ in cv.items()]
+        a_s, c_s = [_ZERO] + [r.a_n for r in rows], [r.c_n for r in rows] + [_ZERO]
+        entries = map(_dot, a_s, (_ZERO, *cv.values), c_s, (*cv.values, _ZERO))
     else:
+        # At k = 2l+1: a_{2e} g+(i, e; l) + c_{2e} g+(i, e-1; l).
         odd_arg, even_arg = (m, n) if m % 2 == 1 else (n, m)
         i, e = (odd_arg - 1) // 2, even_arg // 2
         row = gencheb_rec_coeffs(p, even_arg)
-        pp = plus_params(p)
-        # Companion vectors are read with their smaller degree first, so
-        # each has one key in the linearize_jacobi cache.
-        for scale, j in ((row.a_n, e), (row.c_n, e - 1)):
-            for ell, v in linearize_jacobi(pp, min(i, j), max(i, j)).items():
-                vals[2 * ell + 1 - k_lo] += scale * v
+        lo, hi = (n - m - 1) // 2, (m + n - 1) // 2
+        up, down = (_padded(_companion(p, i, j), lo, hi) for j in (e, e - 1))
+        entries = map(_dot, repeat(row.a_n), up, repeat(row.c_n), down)
+    # Only k = |m-n|, |m-n| + 2, .., m+n can be nonzero.
+    vals = [_ZERO] * (2 * m + 1)
+    vals[::2] = entries
     return CoeffVector(m, n, FAMILY_GENCHEB, tuple(vals))

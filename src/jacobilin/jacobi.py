@@ -102,8 +102,7 @@ class CoeffVector:
         return self.values[k - self.k_min]
 
     def items(self):
-        for i, v in enumerate(self.values):
-            yield self.k_min + i, v
+        return enumerate(self.values, self.k_min)
 
 
 def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
@@ -153,9 +152,11 @@ def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(n, an_ab, bn_ab, cn_ab)
 
 
+@lru_cache(maxsize=64)
 def gencheb_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
     """Row n >= 1 of x T_n = a_n T_{n+1} + c_n T_{n-1} (b_n = 0), computed in
-    both parametrizations and cross-checked.
+    both parametrizations and cross-checked when it is built; cached, so a
+    scan to degree 31 builds each row of its point once.
 
     alpha, beta, a and b are put over one common denominator d, so each
     entry is one integer quotient."""

@@ -11,21 +11,23 @@ with interiors given by the strict versions.  The threshold test
 4 a^2 + 11 a + 3 > 0 is the rational surrogate for a > -11/8 + sqrt(73)/8.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import Rational, to_fraction
 
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """A validated parameter point, carrying both (alpha, beta) and (a, b)."""
+    """A validated parameter point, carrying both (alpha, beta) and (a, b).
+    Equality and hash read (alpha, beta) only; make_params derives a, b."""
 
     alpha: Fraction
     beta: Fraction
-    a: Fraction
-    b: Fraction
+    a: Fraction = field(compare=False)
+    b: Fraction = field(compare=False)
 
 
 def make_params(alpha: Rational, beta: Rational) -> JacobiParams:
@@ -38,8 +40,10 @@ def make_params(alpha: Rational, beta: Rational) -> JacobiParams:
     return JacobiParams(alpha, beta, alpha + beta + 1, alpha - beta)
 
 
+@lru_cache(maxsize=16)
 def plus_params(p: JacobiParams) -> JacobiParams:
-    """The companion point (alpha, beta+1); in (a, b) terms, (a+1, b-1)."""
+    """The companion point (alpha, beta+1); in (a, b) terms, (a+1, b-1).
+    Cached, so a point's companion is one object, built once."""
     return make_params(p.alpha, p.beta + 1)
 
 

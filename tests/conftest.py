@@ -68,6 +68,10 @@ GRID = (
     + [POINT_BELOW_THRESHOLD]
 )
 
+# The grid, the rational point (-346/1057, -1333/1661) on the boundary of V,
+# and a point far outside V' with tall entries.
+GRID_WIDE = GRID + [(F(-346, 1057), F(-1333, 1661)), (F(29, 12), F(39, 16))]
+
 GRID_IN_V = GRID_DELTA_INTERIOR + GRID_V_INTERIOR_NOT_DELTA + GRID_SYMMETRIC_BOUNDARY
 GRID_V_INTERIOR = GRID_DELTA_INTERIOR + GRID_V_INTERIOR_NOT_DELTA
 

@@ -1,7 +1,9 @@
 """Reference copies of the exact kernel as it was evaluated one `Fraction`
 operation at a time, before the integer-numerator rewrite, and of the
 recursion loop of `linearize_jacobi` as it was run on reduced theta, iota
-and kappa `Fraction`s, before each step became one integer quotient.
+and kappa `Fraction`s, before each step became one integer quotient.  The
+gencheb assembly is kept as it accumulated each entry from two `Fraction`
+products, and the sign scan as it compared `Fraction`s.
 
 The formulas below are kept verbatim so the kernel tests can demand exact
 equality, and the same exception types, from the library's kernel.  They
@@ -11,8 +13,23 @@ are not used by the library.
 from fractions import Fraction
 from math import factorial
 
+from jacobilin.analysis import (
+    SCAN_MODES,
+    VERDICT_ALL_NONNEG,
+    VERDICT_ALL_POSITIVE,
+    VERDICT_VIOLATION,
+    SignReport,
+)
 from jacobilin.exact import to_fraction
-from jacobilin.jacobi import FAMILY_JACOBI, CoeffVector, internal_error
+from jacobilin.jacobi import (
+    FAMILY_GENCHEB,
+    FAMILY_JACOBI,
+    CoeffVector,
+    gencheb_rec_coeffs,
+    internal_error,
+    linearize_jacobi,
+)
+from jacobilin.params import make_params, plus_params
 
 
 def ref_pochhammer(x, n):
@@ -157,6 +174,79 @@ def ref_linearize_jacobi(p, m, n):
                 m=m, n=n, k=s + 2 * m,
             )
     return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
+
+
+def ref_linearize_gencheb(p, m, n):
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be >= 0")
+    if m > n:
+        m, n = n, m
+    if m == 0:
+        return CoeffVector(0, n, FAMILY_GENCHEB, (Fraction(1),))
+    k_lo = n - m
+    vals = [Fraction(0)] * (2 * m + 1)
+    if m % 2 == 0 and n % 2 == 0:
+        gr = linearize_jacobi(p, m // 2, n // 2)
+        for k, v in gr.items():
+            vals[2 * k - k_lo] = v
+    elif m % 2 == 1 and n % 2 == 1:
+        cv = linearize_jacobi(plus_params(p), (m - 1) // 2, (n - 1) // 2)
+        for ell, v in cv.items():
+            row = gencheb_rec_coeffs(p, 2 * ell + 1)
+            vals[2 * ell + 2 - k_lo] += row.a_n * v
+            vals[2 * ell - k_lo] += row.c_n * v
+    else:
+        odd_arg, even_arg = (m, n) if m % 2 == 1 else (n, m)
+        i, e = (odd_arg - 1) // 2, even_arg // 2
+        row = gencheb_rec_coeffs(p, even_arg)
+        pp = plus_params(p)
+        # Companion vectors are read with their smaller degree first, so
+        # each has one key in the linearize_jacobi cache.
+        for scale, j in ((row.a_n, e), (row.c_n, e - 1)):
+            for ell, v in linearize_jacobi(pp, min(i, j), max(i, j)).items():
+                vals[2 * ell + 1 - k_lo] += scale * v
+    return CoeffVector(m, n, FAMILY_GENCHEB, tuple(vals))
+
+
+def _ref_scan_entries(p, max_degree, mode):
+    gencheb = mode.startswith("gencheb")
+    linearize = ref_linearize_gencheb if gencheb else linearize_jacobi
+    oscillation = mode == "oscillation"
+    point = make_params(p.beta, p.alpha) if oscillation else p
+    skip_odd = gencheb or p.b == 0
+    for n in range(max_degree + 1):
+        for m in range(n + 1):
+            if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
+                continue
+            for k, v in linearize(point, m, n).items():
+                if skip_odd and (m + n - k) % 2:
+                    continue
+                yield m, n, k, -v if oscillation and (m + n + k) % 2 else v
+
+
+def ref_scan_sign_pattern(p, max_degree, mode):
+    if mode not in SCAN_MODES:
+        raise ValueError(f"unknown scan mode {mode!r}")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    min_value = None
+    witness = None
+    witness_value = None
+    for m, n, k, v in _ref_scan_entries(p, max_degree, mode):
+        if min_value is None or v < min_value:
+            min_value = v
+        if v < 0 and witness is None:
+            witness = (m, n, k)
+            witness_value = v
+    if min_value is None:
+        min_value = Fraction(0)
+    if witness is not None:
+        verdict = VERDICT_VIOLATION
+    elif min_value > 0:
+        verdict = VERDICT_ALL_POSITIVE
+    else:
+        verdict = VERDICT_ALL_NONNEG
+    return SignReport(mode, max_degree, verdict, min_value, witness, witness_value)
 
 
 def outcome(fn, *args):

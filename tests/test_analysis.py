@@ -27,6 +27,7 @@ from jacobilin import (
 )
 from jacobilin import analysis
 from jacobilin.analysis import (
+    SCAN_MODES,
     VERDICT_ALL_NONNEG,
     VERDICT_ALL_POSITIVE,
     VERDICT_VIOLATION,
@@ -38,10 +39,11 @@ from conftest import (
     GRID_DELTA_INTERIOR,
     GRID_IN_V,
     GRID_VPRIME_NOT_V,
+    GRID_WIDE,
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
 )
-from kernel_reference import ref_theta_iota_kappa
+from kernel_reference import ref_scan_sign_pattern, ref_theta_iota_kappa
 
 F = Fraction
 BETWEEN = make_params(F(-33, 100), F(-87, 100))
@@ -93,6 +95,17 @@ class TestScan:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             scan_sign_pattern(make_params(1, 0), 3, "bogus")
+
+    @pytest.mark.parametrize("point", GRID_WIDE)
+    def test_matches_reference_scan(self, point):
+        # Pins the degree budget and the min_value default as well: at
+        # max_degree 0 the gencheb_odd scan has no entries at all.
+        p = make_params(*point)
+        for mode in SCAN_MODES:
+            for max_degree in (0, 1, 4, 8):
+                assert scan_sign_pattern(p, max_degree, mode) == ref_scan_sign_pattern(
+                    p, max_degree, mode
+                )
 
 
 class TestIotaZeroCount:

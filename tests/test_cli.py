@@ -16,6 +16,7 @@ import pytest
 
 from jacobilin import (
     cli,
+    gencheb_rec_coeffs,
     jacobi,
     linearize_gencheb,
     linearize_jacobi,
@@ -322,18 +323,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize(
-        "argv, point",
+        "argv, points",
         [
-            (["compare", "--max-degree", "3"], "alpha=-1/2, beta=0"),
-            (["scan", "--check", "nonneg", "--max-degree", "4"], "alpha=-1/2, beta=0"),
-            (["verify", "--property", "recursion-consistency"], "alpha=-1/2, beta=0"),
-            # The odd products of the gencheb family run at the companion point.
-            (["witness", "--max-degree", "8"], "alpha=-1/2, beta=1"),
+            (["compare", "--max-degree", "3"], ["alpha=-1/2, beta=0"]),
+            (["scan", "--check", "nonneg", "--max-degree", "4"], ["alpha=-1/2, beta=0"]),
+            (["verify", "--property", "recursion-consistency"], ["alpha=-1/2, beta=0"]),
+            # The odd products of the gencheb family run at the companion
+            # point, and the message names the point asked about as well.
+            (
+                ["witness", "--max-degree", "8"],
+                ["alpha=-1/2, beta=1", "companion of alpha=-1/2, beta=0"],
+            ),
         ],
         ids=["compare", "scan", "verify", "witness"],
     )
     def test_internal_failure_exits_four_in_every_subcommand(
-        self, capsys, broken_gasper, argv, point, json_flag
+        self, capsys, broken_gasper, argv, points, json_flag
     ):
         # (-1/2, 0) lies outside V' (b < 0).
         code, out, err = run(capsys, argv[0], "--alpha", "-1/2", "--beta", "0",
@@ -341,7 +346,9 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err.startswith("internal error: ")
-        assert "route gasper" in err and point in err
+        assert "route gasper" in err
+        for point in points:
+            assert point in err
 
 
 class TestParser:
@@ -376,11 +383,15 @@ class TestVerifySubcommand:
         assert "PASS" in out
 
     def test_phi_alternation(self, capsys):
+        gencheb_rec_coeffs.cache_clear()
         code, out, _ = run(
             capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",
             "--property", "phi-alternation", "--m", "3", "--s", "1",
         )
         assert code == 0
+        # phi_sequence and pq_values read the same 2m + 1 odd rows: each is
+        # built once.
+        assert gencheb_rec_coeffs.cache_info().misses == 7
 
     def test_iota_zeros_below_threshold(self, capsys):
         code, out, _ = run(

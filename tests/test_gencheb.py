@@ -9,6 +9,7 @@ import pytest
 import jacobilin.jacobi as jacobi_module
 from jacobilin import (
     FAMILY_GENCHEB,
+    JacobiParams,
     RationalPolynomial,
     RecurrenceCoeffs,
     gencheb_eval,
@@ -20,7 +21,8 @@ from jacobilin import (
     make_params,
 )
 
-from conftest import GRID, rand_alpha_beta
+from conftest import GRID, GRID_WIDE, rand_alpha_beta
+from kernel_reference import ref_linearize_gencheb
 
 F = Fraction
 
@@ -37,6 +39,16 @@ class TestRecurrenceCoeffs:
             rc = gencheb_rec_coeffs(p, rng.randint(1, 14))
             assert rc.a_n + rc.c_n == 1
             assert 0 < rc.a_n < 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_row_cross_checked_when_built(self, n):
+        # A point whose (a, b) do not match (alpha, beta) makes the two
+        # parametrizations disagree; the failed build is not cached.
+        bad = JacobiParams(F(1, 2), F(1, 4), F(2), F(0))
+        gencheb_rec_coeffs.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=rf"gencheb-recurrence.*n={n}"):
+                gencheb_rec_coeffs(bad, n)
 
     @pytest.mark.parametrize("point", GRID[::3])
     def test_row_identity_on_basis_polynomials(self, point):
@@ -206,6 +218,13 @@ class TestLinearize:
                     == linearize_bruteforce(p, m, n, FAMILY_GENCHEB).values
                 )
             assert norm_h(p, n) == 1 / linearize_gencheb(p, n, n)[0]
+
+    @pytest.mark.parametrize("point", GRID_WIDE)
+    def test_matches_reference_assembly(self, point):
+        p = make_params(*point)
+        for n in range(13):
+            for m in range(n + 1):
+                assert linearize_gencheb(p, m, n) == ref_linearize_gencheb(p, m, n)
 
 
 class TestProductIdentity:

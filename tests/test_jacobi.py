@@ -15,6 +15,7 @@ from jacobilin import (
     RationalPolynomial,
     gasper_boundary,
     gencheb_eval,
+    gencheb_rec_coeffs,
     jacobi_eval,
     jacobi_rec_coeffs,
     linearize_bruteforce,
@@ -422,7 +423,13 @@ class TestRecursionStep:
 
 class TestCacheBounds:
     def test_caches_stay_bounded_over_fresh_points(self):
-        caches = (linearize_jacobi, linearize_gencheb, jacobi_module._monomial_basis)
+        caches = (
+            linearize_jacobi,
+            linearize_gencheb,
+            jacobi_module._monomial_basis,
+            gencheb_rec_coeffs,
+            plus_params,
+        )
         for cache in caches:
             cache.cache_clear()
         rng = random.Random(7)

@@ -66,6 +66,14 @@ class TestMakeParams:
         assert (q.alpha, q.beta) == (p.beta, p.alpha)
         assert q.b == -p.b
 
+    def test_points_equal_on_alpha_beta(self):
+        p, q = make_params(F(1, 3), F(-1, 4)), make_params("1/3", "-1/4")
+        assert p == q and hash(p) == hash(q)
+        assert p != make_params(F(1, 3), F(-1, 5))
+        # The companion point is cached: one object per point.
+        assert plus_params(p) is plus_params(q)
+        assert plus_params(p) == make_params(p.alpha, p.beta + 1)
+
 
 class TestClassifyExamples:
     def test_legendre_point(self):
