@@ -13,7 +13,7 @@ forces strictly positive even-position entries in the odd-index families.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RationalPolynomial, count_real_roots
+from .exact import RationalPolynomial, _over_lcm, count_real_roots
 from .gencheb import gencheb_rec_coeffs, linearize_gencheb
 from .jacobi import gasper_boundary, internal_error, linearize_jacobi, theta_iota_kappa
 from .params import JacobiParams, classify_region, make_params, plus_params
@@ -192,30 +192,26 @@ class PQRecord:
 
 
 def _pq_limit_parts(p: JacobiParams, s: int, j) -> tuple[Fraction, ...]:
-    a, b = p.a, p.b
-    den = (2 * s + j + 1) * (2 * s + 2 * j + a) * (2 * s + 2 * j + a + b + 1) * (j + 1)
-    p_inf = -1 + (2 * s + 2 * j + a + 2) / den * (
-        b * (2 * s + j + 1) * (2 * s + 2 * j + a) * (j + 1)
-        + (1 - b) * (2 * s + j) * (2 * s + 2 * j + a + 1) * j
+    """(p_inf, p_star, q_inf, q_star) at (s, j), each one integer quotient.
+    As in `theta_iota_kappa`, a, b and j are integers over L = lcm of their
+    denominators, and a factor (2s + j + 1) reads s2 + j + one, with
+    s2 = 2sL and one = L."""
+    one, a, b, j = _over_lcm(p.a, p.b, j)
+    s2 = 2 * s * one
+    den = (s2 + j + one) * (s2 + 2 * j + a) * (s2 + 2 * j + a + b + one) * (j + one)
+    up = s2 + 2 * j + a + 2 * one
+    bracket = (
+        b * (s2 + j + one) * (s2 + 2 * j + a) * (j + one)
+        + (one - b) * (s2 + j) * (s2 + 2 * j + a + one) * j
     )
     p_star = (
-        (1 - b)
-        * (2 * s + j + a)
-        * (2 * s + 2 * j + a + 1)
-        * (2 * s + 2 * j + a + 2)
-        * (j + a)
-        * (2 * s + 2 * j + 1)
-        / den
+        (one - b) * (s2 + j + a) * (s2 + 2 * j + a + one) * up * (j + a)
+        * (s2 + 2 * j + one)
     )
-    q_inf = (
-        (2 * s + 2 * j + a + 2)
-        * (2 * s + j + a)
-        * (2 * s + 2 * j + a - b + 1)
-        * (j + a)
-        / den
-    )
-    q_star = (1 - a) * (2 * s + 2 * j + a + 1) * q_inf
-    return p_inf, p_star, q_inf, q_star
+    q_inf = up * (s2 + j + a) * (s2 + 2 * j + a - b + one) * (j + a)
+    q_star = (one - a) * (s2 + 2 * j + a + one) * q_inf
+    return (Fraction(up * bracket - one * den, one * den), Fraction(p_star, one**2 * den),
+            Fraction(q_inf, den), Fraction(q_star, one**2 * den))
 
 
 def _odd_scales(p: JacobiParams, s: int, count: int) -> list[Fraction]:

@@ -12,7 +12,7 @@ one normalization per factor.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 Rational = Fraction | int | str
 
@@ -50,48 +50,73 @@ def pochhammer(x: Rational, n: int) -> Fraction:
 
 
 class RationalPolynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with exact rational coefficients.
 
-    Immutable; `coeffs[i]` is the coefficient of x**i with trailing zeros
-    stripped, so the zero polynomial has an empty coefficient tuple and
-    degree -1.
+    Immutable.  Stored as integer numerators `nums` over one positive common
+    denominator `den` in lowest terms, gcd(den, *nums) == 1, with trailing
+    zeros stripped, so the zero polynomial is ((), 1) and has degree -1.
+    Sums, products, pseudo-division, derivatives and Horner evaluation run on
+    the integers with one gcd normalization per result; `coeffs[i]`, the
+    coefficient of x**i as a `Fraction`, is formed when asked for.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list, den: int) -> None:
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(x // g for x in nums))
+        object.__setattr__(self, "den", den // g)
+
+    @classmethod
+    def _of(cls, nums: list, den: int) -> "RationalPolynomial":
+        """sum(nums[i] x**i) / den in canonical form, for any den != 0."""
+        poly = cls.__new__(cls)
+        poly._set(nums, den)
+        return poly
 
     @classmethod
     def variable(cls) -> "RationalPolynomial":
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     def __call__(self, x: Rational) -> Fraction:
+        # Homogenized Horner on x = xn / xd: acc = sum c_i xn**i xd**(d-i).
         x = to_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        xn, xd = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * xn + c * scale
+            scale *= xd
+        return Fraction(acc * xd, self.den * scale)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
+        return isinstance(other, RationalPolynomial) and (
+            self.den == other.den and self.nums == other.nums
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         if self.is_zero:
@@ -100,31 +125,36 @@ class RationalPolynomial:
         return "RationalPolynomial(" + " + ".join(parts) + ")"
 
     def __neg__(self):
-        return RationalPolynomial([-c for c in self.coeffs])
+        return RationalPolynomial._of([-c for c in self.nums], self.den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        long_, short = self, self._coerce(other)
+        if len(long_.nums) < len(short.nums):
+            long_, short = short, long_
+        big_l = lcm(long_.den, short.den)
+        out = [c * (big_l // long_.den) for c in long_.nums]
+        scale = big_l // short.den
+        for i, c in enumerate(short.nums):
+            out[i] += c * scale
+        return RationalPolynomial._of(out, big_l)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            return RationalPolynomial([c * other for c in self.coeffs])
+            return RationalPolynomial._of(
+                [c * other.numerator for c in self.nums], self.den * other.denominator
+            )
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
             return RationalPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(other.nums, i):
+                    out[j] += a * b
+        return RationalPolynomial._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -137,21 +167,33 @@ class RationalPolynomial:
         raise TypeError(f"cannot combine RationalPolynomial with {type(other)!r}")
 
     def __divmod__(self, other):
+        """Pseudo-division on the numerators A, B: each step scales by
+        lead / gcd(lead, top), keeping S A = Q B + R on the integers, so
+        self = (Q other.den) / (S self.den) * other + R / (S self.den)."""
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        if len(rem) < len(other.coeffs):
+        rem, d = list(self.nums), other.nums
+        if len(rem) < len(d):
             return RationalPolynomial(), self
-        q = [Fraction(0)] * (len(rem) - len(other.coeffs) + 1)
-        d = other.coeffs
+        lead, top = d[-1], len(d) - 1
+        q = [0] * (len(rem) - top)
+        scale = 1
         for i in range(len(q) - 1, -1, -1):
-            c = rem[i + len(d) - 1] / d[-1]
-            q[i] = c
-            if c != 0:
-                for j, dj in enumerate(d):
-                    rem[i + j] -= c * dj
-        return RationalPolynomial(q), RationalPolynomial(rem)
+            c = rem.pop()
+            if c:
+                g = gcd(lead, c)
+                ell, c = lead // g, c // g
+                if ell != 1:
+                    rem = [r * ell for r in rem]
+                    q = [t * ell for t in q]
+                    scale *= ell
+                q[i] = c
+                for j in range(top):
+                    rem[i + j] -= c * d[j]
+        den = scale * self.den
+        quotient = RationalPolynomial._of([t * other.den for t in q], den)
+        return quotient, RationalPolynomial._of(rem, den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -163,8 +205,8 @@ class RationalPolynomial:
         return q
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
+        return RationalPolynomial._of(
+            [i * c for i, c in enumerate(self.nums)][1:], self.den
         )
 
 

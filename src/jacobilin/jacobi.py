@@ -20,6 +20,7 @@ through monomial coefficients provides a fully independent oracle.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .exact import Rational, _over_lcm, _rising, to_fraction
 from .exact import RationalPolynomial
@@ -417,9 +418,13 @@ def linearize_bruteforce(
     p: JacobiParams, m: int, n: int, family: str = FAMILY_JACOBI
 ) -> CoeffVector:
     """Independent oracle: multiply in the monomial basis, convert back by
-    leading-term elimination in place (step k zeroes coefficient k and changes
-    only lower ones), and assert exact orthogonality: all positions below
-    |m-n| vanish."""
+    leading-term elimination, and assert exact orthogonality: all positions
+    below |m-n| vanish.
+
+    The elimination is fraction-free: the remainder is integers R over one Q.
+    With P_k = N_k / D_k and lead = N_k[k], step k forms g(k) = R[k] D_k /
+    (Q lead) as one `Fraction`, sets R <- R lead - R[k] N_k (zeroing R[k])
+    and Q <- Q lead, and divides R and Q by their gcd."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if m < 0 or n < 0:
@@ -429,15 +434,19 @@ def linearize_bruteforce(
     basis = walk_recurrence(
         p, family, RationalPolynomial.variable(), _monomial_basis(p, family), m + n
     )
-    rem = list((basis[m] * basis[n]).coeffs)
-    coeffs = [Fraction(0)] * (m + n + 1)
+    product = basis[m] * basis[n]
+    rem, big_q = list(product.nums), product.den
+    coeffs = [_ZERO] * (m + n + 1)
     for k in range(m + n, -1, -1):
-        b_k = basis[k].coeffs
-        c = rem[k] / b_k[k]
-        coeffs[k] = c
-        if c != 0:
-            for i, b_i in enumerate(b_k):
-                rem[i] -= c * b_i
+        top, n_k = rem.pop(), basis[k].nums
+        if top:
+            lead = n_k[k]
+            coeffs[k] = Fraction(top * basis[k].den, big_q * lead)
+            rem = [r * lead - top * c for r, c in zip(rem, n_k)]
+            big_q *= lead
+            g = gcd(big_q, *rem)
+            if g != 1:
+                rem, big_q = [r // g for r in rem], big_q // g
     for k in range(0, n - m):
         if coeffs[k] != 0:
             raise internal_error(

@@ -3,7 +3,10 @@ operation at a time, before the integer-numerator rewrite, and of the
 recursion loop of `linearize_jacobi` as it was run on reduced theta, iota
 and kappa `Fraction`s, before each step became one integer quotient.  The
 gencheb assembly is kept as it accumulated each entry from two `Fraction`
-products, and the sign scan as it compared `Fraction`s.
+products, and the sign scan as it compared `Fraction`s.  The polynomial class
+is kept as it stored one `Fraction` per coefficient (`RefPolynomial`), with
+the brute-force elimination and the p/q limit parts that ran one `Fraction`
+operation per coefficient or factor.
 
 The formulas below are kept verbatim so the kernel tests can demand exact
 equality, and the same exception types, from the library's kernel.  They
@@ -20,14 +23,16 @@ from jacobilin.analysis import (
     VERDICT_VIOLATION,
     SignReport,
 )
-from jacobilin.exact import to_fraction
+from jacobilin.exact import Rational, to_fraction
 from jacobilin.jacobi import (
+    FAMILIES,
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
     CoeffVector,
     gencheb_rec_coeffs,
     internal_error,
     linearize_jacobi,
+    walk_recurrence,
 )
 from jacobilin.params import make_params, plus_params
 
@@ -256,3 +261,179 @@ def outcome(fn, *args):
         return "value", fn(*args)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         return "raises", type(exc)
+
+
+class RefPolynomial:
+    """Dense univariate polynomial with Fraction coefficients.
+
+    Immutable; `coeffs[i]` is the coefficient of x**i with trailing zeros
+    stripped, so the zero polynomial has an empty coefficient tuple and
+    degree -1.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [to_fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def variable(cls) -> "RefPolynomial":
+        return cls([0, 1])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __call__(self, x: Rational) -> Fraction:
+        x = to_fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RefPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        if self.is_zero:
+            return "RefPolynomial(0)"
+        parts = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
+        return "RefPolynomial(" + " + ".join(parts) + ")"
+
+    def __neg__(self):
+        return RefPolynomial([-c for c in self.coeffs])
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPolynomial(
+            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
+        )
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (Fraction, int)):
+            return RefPolynomial([c * other for c in self.coeffs])
+        other = self._coerce(other)
+        if self.is_zero or other.is_zero:
+            return RefPolynomial()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPolynomial(out)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _coerce(other) -> "RefPolynomial":
+        if isinstance(other, RefPolynomial):
+            return other
+        if isinstance(other, (Fraction, int)):
+            return RefPolynomial([other])
+        raise TypeError(f"cannot combine RefPolynomial with {type(other)!r}")
+
+    def __divmod__(self, other):
+        other = self._coerce(other)
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        if len(rem) < len(other.coeffs):
+            return RefPolynomial(), self
+        q = [Fraction(0)] * (len(rem) - len(other.coeffs) + 1)
+        d = other.coeffs
+        for i in range(len(q) - 1, -1, -1):
+            c = rem[i + len(d) - 1] / d[-1]
+            q[i] = c
+            if c != 0:
+                for j, dj in enumerate(d):
+                    rem[i + j] -= c * dj
+        return RefPolynomial(q), RefPolynomial(rem)
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def exact_div(self, other) -> "RefPolynomial":
+        q, r = divmod(self, other)
+        if not r.is_zero:
+            raise ValueError("exact_div with nonzero remainder")
+        return q
+
+    def derivative(self) -> "RefPolynomial":
+        return RefPolynomial(
+            [i * c for i, c in enumerate(self.coeffs)][1:]
+        )
+
+
+def ref_linearize_bruteforce(p, m, n, family=FAMILY_JACOBI, basis=None):
+    """The elimination of `linearize_bruteforce` on `RefPolynomial`s; the
+    basis list [P_0, ...] may be passed in, and is extended in place."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be >= 0")
+    if m > n:
+        m, n = n, m
+    if basis is None:
+        basis = [RefPolynomial([1])]
+    basis = walk_recurrence(p, family, RefPolynomial.variable(), basis, m + n)
+    rem = list((basis[m] * basis[n]).coeffs)
+    coeffs = [Fraction(0)] * (m + n + 1)
+    for k in range(m + n, -1, -1):
+        b_k = basis[k].coeffs
+        c = rem[k] / b_k[k]
+        coeffs[k] = c
+        if c != 0:
+            for i, b_i in enumerate(b_k):
+                rem[i] -= c * b_i
+    for k in range(0, n - m):
+        if coeffs[k] != 0:
+            raise internal_error(
+                p, f"brute/{family}", "coefficient below the support is nonzero",
+                m=m, n=n, k=k,
+            )
+    return CoeffVector(m, n, family, tuple(coeffs[n - m :]))
+
+
+def ref_pq_limit_parts(p, s, j):
+    a, b = p.a, p.b
+    den = (2 * s + j + 1) * (2 * s + 2 * j + a) * (2 * s + 2 * j + a + b + 1) * (j + 1)
+    p_inf = -1 + (2 * s + 2 * j + a + 2) / den * (
+        b * (2 * s + j + 1) * (2 * s + 2 * j + a) * (j + 1)
+        + (1 - b) * (2 * s + j) * (2 * s + 2 * j + a + 1) * j
+    )
+    p_star = (
+        (1 - b)
+        * (2 * s + j + a)
+        * (2 * s + 2 * j + a + 1)
+        * (2 * s + 2 * j + a + 2)
+        * (j + a)
+        * (2 * s + 2 * j + 1)
+        / den
+    )
+    q_inf = (
+        (2 * s + 2 * j + a + 2)
+        * (2 * s + j + a)
+        * (2 * s + 2 * j + a - b + 1)
+        * (j + a)
+        / den
+    )
+    q_star = (1 - a) * (2 * s + 2 * j + a + 1) * q_inf
+    return p_inf, p_star, q_inf, q_star

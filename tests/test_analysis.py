@@ -43,7 +43,12 @@ from conftest import (
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
 )
-from kernel_reference import ref_scan_sign_pattern, ref_theta_iota_kappa
+from kernel_reference import (
+    outcome,
+    ref_pq_limit_parts,
+    ref_scan_sign_pattern,
+    ref_theta_iota_kappa,
+)
 
 F = Fraction
 BETWEEN = make_params(F(-33, 100), F(-87, 100))
@@ -250,6 +255,15 @@ class TestPQ:
             pq_values(BETWEEN, 1, 0)
         with pytest.raises(ValueError, match="need m >= 1 and s >= 0"):
             pq_values(BETWEEN, 2, -1)
+
+    @pytest.mark.parametrize("point", GRID_WIDE)
+    def test_limit_parts_match_reference(self, point):
+        # Four integer quotients over lcm(a, b) against one Fraction per factor.
+        p = make_params(*point)
+        for s in range(4):
+            for j in range(1, 8):
+                got = outcome(analysis._pq_limit_parts, p, s, j)
+                assert got == outcome(ref_pq_limit_parts, p, s, j), (s, j)
 
 
 class TestPhi:

@@ -26,10 +26,12 @@ from jacobilin import (
     theta_iota_kappa,
 )
 
-from conftest import GRID, GRID_DELTA_INTERIOR, rand_alpha_beta
+from conftest import GRID, GRID_DELTA_INTERIOR, GRID_WIDE, rand_alpha_beta
 from kernel_reference import (
+    RefPolynomial,
     outcome,
     ref_gasper_boundary,
+    ref_linearize_bruteforce,
     ref_linearize_jacobi,
     ref_theta_iota_kappa,
 )
@@ -59,6 +61,10 @@ class TestRecurrenceCoeffs:
         rc = jacobi_rec_coeffs(make_params(1, 0), 0)
         assert rc.c_n is None
         assert rc.a_n == F(4, 3) and rc.b_n == F(-1, 3)
+
+    def test_rows_carry_their_index(self):
+        p = make_params(F(-1, 3), F(2, 5))
+        assert [jacobi_rec_coeffs(p, n).n for n in range(4)] == [0, 1, 2, 3]
 
     def test_sum_is_one_random(self):
         rng = random.Random(2207)
@@ -419,6 +425,46 @@ class TestRecursionStep:
         p = make_params(F(1, 2), F(1, 4))
         with pytest.raises(RuntimeError, match="recursion disagrees with the closed form"):
             linearize_jacobi.__wrapped__(p, 3, 5)
+
+    @pytest.mark.parametrize(
+        "part, m, s, what, k",
+        [
+            (1, 1, 0, "extreme closed forms disagree", 1),
+            (1, 1, 3, "extreme closed forms disagree", 4),
+            (3, 2, 0, "three-point identity fails at the top index", 4),
+            (3, 3, 2, "three-point identity fails at the top index", 8),
+        ],
+    )
+    def test_perturbed_closed_form_names_its_index(self, monkeypatch, part, m, s, what, k):
+        # part 1 is g(s+1), part 3 is g(s+2m); the message must name (m, n, k).
+        original = jacobi_module.gasper_boundary
+
+        def perturbed(p, m, s):
+            parts = list(original(p, m, s))
+            parts[part] += F(1, 10**6)
+            return tuple(parts)
+
+        monkeypatch.setattr(jacobi_module, "gasper_boundary", perturbed)
+        p = make_params(F(1, 2), F(1, 4))
+        with pytest.raises(RuntimeError, match=rf"{what} .*, m={m}, n={m + s}, k={k}\)$"):
+            linearize_jacobi.__wrapped__(p, m, m + s)
+
+
+class TestBruteforceExactness:
+    """The fraction-free elimination of `linearize_bruteforce` equals the
+    one-Fraction-at-a-time elimination on `RefPolynomial`, in every family
+    and at the companion point, for m <= n <= 10."""
+
+    @pytest.mark.parametrize("point", GRID_WIDE)
+    def test_matches_reference(self, point):
+        p = make_params(*point)
+        routes = ((p, FAMILY_JACOBI), (p, FAMILY_GENCHEB), (plus_params(p), FAMILY_JACOBI))
+        for q, family in routes:
+            basis = [RefPolynomial([1])]
+            for n in range(11):
+                for m in range(n + 1):
+                    want = ref_linearize_bruteforce(q, m, n, family, basis)
+                    assert linearize_bruteforce(q, m, n, family) == want, (family, m, n)
 
 
 class TestCacheBounds:

@@ -3,12 +3,14 @@ classification."""
 
 import random
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
 
 from jacobilin import (
     RegionLabel,
     classify_region,
+    linearize_jacobi,
     make_params,
     plus_params,
 )
@@ -22,6 +24,7 @@ from conftest import (
     GRID_VPRIME_NOT_V,
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
+    rand_fraction,
 )
 
 F = Fraction
@@ -172,3 +175,113 @@ def test_threshold_flags():
             assert not rep.above_iota_threshold
         else:
             assert rep.above_iota_threshold
+
+
+def _point_ab(a, b):
+    """The (alpha, beta) of the point with a = alpha + beta + 1, b = alpha - beta."""
+    return (a + b - 1) / 2, (a - b - 1) / 2
+
+
+def _region_points():
+    """The grid, 100 seeded points of the whole plane and 100 of the strip
+    -1/3 < a < 0, 0 < b < 1 + a, where V, V' and the threshold meet."""
+    rng = random.Random(20261019)
+    points = list(GRID) + [rand_alpha_beta(rng) for _ in range(100)]
+    for _ in range(100):
+        a = rand_fraction(rng, F(-1, 3), 0)
+        points.append(_point_ab(a, rand_fraction(rng, 0, 1 + a)))
+    return points
+
+
+REGION_POINTS = _region_points()
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_region_polynomials_are_coefficients():
+    # The V test is the sign of g(2,2;2): its numerator over the positive
+    # (a+3)(a+5)(a+6)(a+b+1)(a+b+3) is 4 (lhs - rhs).  b is the sign of g(1,1;1).
+    for point in REGION_POINTS:
+        p = make_params(*point)
+        a, b = p.a, p.b
+        lhs = (a * a + 2 * b * b + 3 * a) * (a + 3) * (a + 5)
+        rhs = 3 * (a + 1) * (a + 2) * b * b
+        cleared = (a + 3) * (a + 5) * (a + 6) * (a + b + 1) * (a + b + 3)
+        assert linearize_jacobi(p, 2, 2)[2] * cleared == 4 * (lhs - rhs), point
+        assert _sign(linearize_jacobi(p, 1, 1)[1]) == _sign(b), point
+
+
+def test_v_is_the_sign_of_the_coefficients():
+    for point in REGION_POINTS:
+        p = make_params(*point)
+        g111, g222 = linearize_jacobi(p, 1, 1)[1], linearize_jacobi(p, 2, 2)[2]
+        rep = classify_region(p)
+        assert rep.in_v == (g111 >= 0 and g222 >= 0), point
+        assert rep.in_v_interior == (g111 > 0 and g222 > 0), point
+
+
+def test_label_on_the_boundary_of_v():
+    # lhs = rhs exactly at this rational point, so g(2,2;2) = 0.
+    p = make_params(F(-346, 1057), F(-1333, 1661))
+    rep = classify_region(p)
+    assert linearize_jacobi(p, 2, 2)[2] == 0
+    assert rep.in_v and not rep.in_v_interior and rep.in_vprime
+    assert rep.label is RegionLabel.V_BOUNDARY
+
+
+def _straddle(b_squared):
+    """Rational b just below and just above sqrt(b_squared), each within 1/100."""
+    root = F(isqrt(floor(b_squared * 10**6)), 1000)  # root <= sqrt < root + 1/1000
+    return root - F(1, 200), root + F(1, 200)
+
+
+def _dv_b_squared(a):
+    # lhs = rhs solved for b^2: (a^2 + 3a)(a+3)(a+5) + b^2 (24 + 7a - a^2) = 0.
+    return -a * (a + 3) ** 2 * (a + 5) / (24 + 7 * a - a * a)
+
+
+def _dvprime_b_squared(a):
+    return -(a * a + 3 * a) / 2
+
+
+NEAR_BOUNDARY_A = [F(-3, 10), F(-1, 5), F(-1, 10), F(-1, 50)]
+
+
+def _label(a, b) -> RegionLabel:
+    return classify_region(make_params(*_point_ab(a, b))).label
+
+
+@pytest.mark.parametrize("a", NEAR_BOUNDARY_A)
+def test_labels_across_the_boundary_of_v(a):
+    below, above = _straddle(_dv_b_squared(a))
+    assert _label(a, below) is RegionLabel.VPRIME_ONLY
+    assert _label(a, above) is RegionLabel.V_INTERIOR_OFF_DELTA
+
+
+@pytest.mark.parametrize("a", NEAR_BOUNDARY_A)
+def test_labels_across_the_boundary_of_vprime(a):
+    below, above = _straddle(_dvprime_b_squared(a))
+    assert _label(a, below) is RegionLabel.OUTSIDE_VPRIME
+    assert _label(a, above) is RegionLabel.VPRIME_ONLY
+
+
+@pytest.mark.parametrize(
+    "a, above",
+    # The threshold 4a^2 + 11a + 3 = 0 is at a = (-11 + sqrt 73) / 8 = -0.306999...
+    [(F(-31, 100), False), (F(-307, 1000), False), (F(-3069, 10000), True), (F(-3, 10), True)],
+)
+def test_flags_across_the_iota_threshold(a, above):
+    for b in (F(1, 2), F(3, 5)):
+        rep = classify_region(make_params(*_point_ab(a, b)))
+        assert rep.above_iota_threshold is above
+        assert not rep.on_iota_threshold
+
+
+def test_labels_on_the_boundary_of_delta():
+    # a = 0 with b > 0, and b = 0 with a > 0: in V, not in the interior of Delta.
+    for a, b in ((F(0), F(1, 2)), (F(0), F(1, 100)), (F(1, 100), F(0)), (F(2), F(0))):
+        rep = classify_region(make_params(*_point_ab(a, b)))
+        assert rep.in_delta and not rep.in_delta_interior
+        assert rep.label is RegionLabel.DELTA_BOUNDARY_IN_V
