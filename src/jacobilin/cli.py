@@ -22,6 +22,7 @@ import io
 import json
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .analysis import (
@@ -70,7 +71,13 @@ def _natural(text: str) -> int:
 
 
 def fmt_approx(v: Fraction) -> str:
-    return f"{float(v):.15g}"
+    try:
+        return f"{float(v):.15g}"
+    except OverflowError:
+        # |v| above the float range: round the exact quotient to 15 digits.
+        with localcontext() as ctx:
+            ctx.prec = 15
+            return f"{(Decimal(v.numerator) / v.denominator).normalize():.15g}"
 
 
 def _merge_value_options(argv: list[str]) -> list[str]:

@@ -6,9 +6,10 @@ symbols, dense rational polynomials, and Sturm root counting with the
 half-open (lo, hi] convention, from one remainder sequence per count.
 
 Pochhammer symbols are evaluated on integer numerators: for x = X/Q the
-rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q) over Q**n, so
-a result costs one `Fraction` (one gcd) however long the product, instead of
-one normalization per factor.
+rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q) over Q**n.
+`pochhammer_ratio` takes a whole ratio of such products, so a closed form
+costs one `Fraction` (one gcd) however many factors it has, instead of one
+normalization per factor.
 """
 
 from fractions import Fraction
@@ -40,13 +41,26 @@ def _rising(x_num: int, step: int, n: int) -> int:
     return prod(range(x_num, x_num + n * step, step))
 
 
+def pochhammer_ratio(ups, downs=()) -> Fraction:
+    """The product of (x)_n over the (x, n) pairs in `ups`, divided by the
+    product over `downs`, as one quotient of integers: with x = X/Q,
+    (x)_n = _rising(X, Q, n) / Q**n.  A zero product below the line raises
+    ZeroDivisionError."""
+    acc = [1, 1]
+    for side, pairs in enumerate((ups, downs)):
+        for x, n in pairs:
+            if n < 0:
+                raise ValueError("pochhammer needs n >= 0")
+            x = to_fraction(x)
+            q = x.denominator
+            acc[side] *= _rising(x.numerator, q, n)
+            acc[1 - side] *= q**n
+    return Fraction(*acc)
+
+
 def pochhammer(x: Rational, n: int) -> Fraction:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    x = to_fraction(x)
-    q = x.denominator
-    return Fraction(_rising(x.numerator, q, n), q**n)
+    return pochhammer_ratio([(x, n)])
 
 
 class RationalPolynomial:

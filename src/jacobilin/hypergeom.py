@@ -14,13 +14,16 @@ both cases raise SingularSeriesError rather than being evaluated.  Both 9F8
 forms are very-well-poised series from one builder.  Each series is summed to
 the term count its formula derives from a terminating numerator parameter, or
 stops earlier at a zero numerator factor (see HypTermSum).
+
+Every prefactor, and Dougall's product, is a table of (x, n) factors above
+and below the line, evaluated by `exact.pochhammer_ratio` as one quotient of
+integers: the package has one evaluator for products of rising factorials.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 
-from .exact import Rational, pochhammer, to_fraction
+from .exact import Rational, pochhammer_ratio, to_fraction
 from .jacobi import FAMILY_JACOBI, CoeffVector
 from .params import JacobiParams
 
@@ -101,15 +104,13 @@ def _very_well_poised(a: Fraction, *bs: Fraction, term_count: int) -> HypTermSum
     )
 
 
-def _shared_prefactor(al: Fraction, be: Fraction, m: int, s: int, j: int) -> Fraction:
-    """The factors that both 9F8 prefactors of g(m, m+s; s+j) share."""
-    return (
-        (al + be + 1 + 2 * s + 2 * j)
-        / (al + be + 1)
-        * Fraction(factorial(m + s), factorial(s) * factorial(j))
-        * pochhammer(be + 1, m + s)
-        * pochhammer(al + be + 1, 2 * s + j)
-        / (pochhammer(al + 1, m) * pochhammer(al + be + 2, 2 * m + 2 * s + j))
+def _prefactor(al: Fraction, be: Fraction, m: int, s: int, j: int, ups, downs) -> Fraction:
+    """A 9F8 prefactor of g(m, m+s; s+j): the factors both forms share, times
+    the (x, n) factors `ups` over `downs` of one form."""
+    return pochhammer_ratio(
+        [(al + be + 1 + 2 * s + 2 * j, 1), (s + 1, m), (be + 1, m + s),
+         (al + be + 1, 2 * s + j), *ups],
+        [(al + be + 1, 1), (1, j), (al + 1, m), (al + be + 2, 2 * m + 2 * s + j), *downs],
     )
 
 
@@ -119,8 +120,8 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     One very-well-poised series serves both parities of j.  With e = j % 2,
     up = (j+e)/2 and down = (j-e)/2, the odd-j parameters are the even-j ones
     shifted by e (by e/2 where alpha is halved), the j/2 terms split into up
-    and down, and the factor (alpha-beta)/(alpha+beta+1) enters only when
-    e = 1.  The series is summed to r = down, but when j > m its parameter
+    and down, and the factor (alpha-beta)/(alpha+beta+1) enters as its e-th
+    power.  The series is summed to r = down, but when j > m its parameter
     up - m reaches 0 first, and it stops after r = m - up.
     """
     _check_indices(m, s, j)
@@ -128,26 +129,14 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     al, be = p.alpha, p.beta
     e = j % 2
     up, down = (j + e) // 2, (j - e) // 2
-    pref = (
-        _shared_prefactor(al, be, m, s, j)
-        * pochhammer(m + al + be + 1, m)
-        * pochhammer(al + be + 1, j)
-        / pochhammer(be + 1, s + j)
-        * pochhammer(-m, up)
-        * pochhammer(al + be + m + s + 1, up)
-        / pochhammer(-m - (al + be) / 2, up)
-        * pochhammer(al + s + 1 + up, down)
-        * pochhammer(-m - al, down)
-        * pochhammer(be + m + s + 1, down)
-        * pochhammer(_HALF + e, down)
-        / (
-            pochhammer(_HALF - m - (al + be) / 2, down)
-            * pochhammer(s + 1, down)
-            * pochhammer(al + 1 + e, down)
-        )
+    pref = _prefactor(
+        al, be, m, s, j,
+        [(m + al + be + 1, m), (al + be + 1, j), (-m, up), (al + be + m + s + 1, up),
+         (al + s + 1 + up, down), (-m - al, down), (be + m + s + 1, down),
+         (_HALF + e, down), (al - be, e)],
+        [(be + 1, s + j), (-m - (al + be) / 2, up), (_HALF - m - (al + be) / 2, down),
+         (s + 1, down), (al + 1 + e, down), (al + be + 1, e)],
     )
-    if e:
-        pref = pref * (al - be) / (al + be + 1)
     series = _very_well_poised(
         al + e, al + _HALF, (al - be) / 2 + e, (al - be + 1) / 2,
         al + be + m + s + 1 + up, Fraction(up - m), Fraction(-s - down), Fraction(-down),
@@ -189,15 +178,11 @@ def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
         term_count=j // 2,
     )
     value = series.evaluate()
-    pref = (
-        _shared_prefactor(al, be, m, s, j)
-        * pochhammer(al + be + m + 1, m)
-        / pochhammer(be + 1, s)
-        * pochhammer(-2 * m, j)
-        * pochhammer(2 * al + 2 * be + 2 * m + 2 * s + 2, j)
-        / pochhammer(-2 * m - al - be, j)
-        * pochhammer(al - be, j)
-        / pochhammer(2 * be + 2 * s + 2, j)
+    pref = _prefactor(
+        al, be, m, s, j,
+        [(al + be + m + 1, m), (-2 * m, j), (2 * al + 2 * be + 2 * m + 2 * s + 2, j),
+         (al - be, j)],
+        [(be + 1, s), (-2 * m - al - be, j), (2 * be + 2 * s + 2, j)],
     )
     return pref * value
 
@@ -215,24 +200,14 @@ def dougall_coefficient(alpha: Rational, m: int, n: int) -> CoeffVector:
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
+    h, two_h = alpha + _HALF, 2 * alpha + 1
     vals = [Fraction(0)] * (2 * m + 1)
     for t in range(m + 1):
-        k = m + n - 2 * t
-        c = (
-            factorial(t)
-            * pochhammer(alpha + _HALF, t)
-            * comb(m, t)
-            * comb(n, t)
-            * (m + n + alpha + _HALF - 2 * t)
-            * pochhammer(alpha + _HALF, m - t)
-            * pochhammer(alpha + _HALF, n - t)
-            * pochhammer(2 * alpha + 1, m + n - t)
-            / (
-                (m + n + alpha + _HALF - t)
-                * pochhammer(alpha + _HALF, m + n - t)
-                * pochhammer(2 * alpha + 1, m)
-                * pochhammer(2 * alpha + 1, n)
-            )
+        # t! C(m, t) C(n, t) = m! n! / (t! (m-t)! (n-t)!).
+        vals[2 * (m - t)] = pochhammer_ratio(
+            [(1, m), (1, n), (h, t), (m + n + h - 2 * t, 1), (h, m - t), (h, n - t),
+             (two_h, m + n - t)],
+            [(1, t), (1, m - t), (1, n - t), (m + n + h - t, 1), (h, m + n - t),
+             (two_h, m), (two_h, n)],
         )
-        vals[k - (n - m)] = c
     return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))

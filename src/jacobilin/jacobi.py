@@ -286,15 +286,12 @@ def gasper_boundary(
 
     With r = m + s and t = 2m + s, the two extreme entries are
 
-        g(s)    = C(r, m) C(2m+a-1, m) C(r+be, m)
-                  / (C(2m, m) C(2r+a, 2m) C(m+al, m)),
-        g(s+2m) = C(2r+a-1, r) C(2m+a-1, m) C(t+al, t)
-                  / (C(2t+a-1, t) C(r+al, r) C(m+al, m)),
+        g(s)    = (s+1)_m (m+a)_m (s+be+1)_m / ((2s+a+1)_2m (al+1)_m),
+        g(s+2m) = (r+a)_r (m+a)_m (r+al+1)_m / ((t+a)_t (al+1)_m),
 
     and the two next to them are these times a rational factor.  With
-    a = A/L, b = B/L and al, be over 2L, each binomial is an integer rising
-    product over a power of L (or 2L) times a factorial; those powers and
-    factorials cancel in both quotients, which leave
+    a = A/L, b = B/L and al, be over 2L, each rising factorial is an integer
+    rising product over a power of L (or 2L); clearing those powers leaves
 
         g(s)    = (s+1)_m (mL+A | L)_m (2sL+L+A-B | 2L)_m L^m
                   / ((2sL+L+A | L)_2m (L+A+B | 2L)_m),
@@ -302,7 +299,9 @@ def gasper_boundary(
                   / ((tL+A | L)_t (L+A+B | 2L)_m),
 
     where (X | Q)_n = X (X+Q) ... (X+(n-1)Q) is an integer.  One `Fraction`
-    per entry.
+    per entry.  The code scales by L itself instead of passing these tables
+    to `exact.pochhammer_ratio`: a scan calls it at every (m, s), and building
+    the `Fraction` arguments costs more than the products do.
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")

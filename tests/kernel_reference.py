@@ -6,7 +6,9 @@ gencheb assembly is kept as it accumulated each entry from two `Fraction`
 products, and the sign scan as it compared `Fraction`s.  The polynomial class
 is kept as it stored one `Fraction` per coefficient (`RefPolynomial`), with
 the brute-force elimination and the p/q limit parts that ran one `Fraction`
-operation per coefficient or factor.
+operation per coefficient or factor.  The 9F8 prefactors and Dougall's
+product are kept as the chains of one `pochhammer` `Fraction` per factor that
+they were before each became one table of factors for one integer quotient.
 
 The formulas below are kept verbatim so the kernel tests can demand exact
 equality, and the same exception types, from the library's kernel.  They
@@ -14,7 +16,7 @@ are not used by the library.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from jacobilin.analysis import (
     SCAN_MODES,
@@ -23,7 +25,13 @@ from jacobilin.analysis import (
     VERDICT_VIOLATION,
     SignReport,
 )
-from jacobilin.exact import Rational, to_fraction
+from jacobilin.exact import Rational, pochhammer, to_fraction
+from jacobilin.hypergeom import (
+    SingularSeriesError,
+    _check_indices,
+    _require_open_region,
+    _very_well_poised,
+)
 from jacobilin.jacobi import (
     FAMILIES,
     FAMILY_GENCHEB,
@@ -437,3 +445,127 @@ def ref_pq_limit_parts(p, s, j):
     )
     q_star = (1 - a) * (2 * s + 2 * j + a + 1) * q_inf
     return p_inf, p_star, q_inf, q_star
+
+
+_HALF = Fraction(1, 2)
+
+
+def outcome_with_message(fn, *args):
+    """Like `outcome`, with the exception message as well; a
+    ZeroDivisionError is compared by type only, since its message names the
+    operation that divided."""
+    try:
+        return "value", fn(*args)
+    except ZeroDivisionError as exc:
+        return "raises", type(exc)
+    except (ValueError, TypeError) as exc:
+        return "raises", type(exc), str(exc)
+
+
+def ref_shared_prefactor(al, be, m, s, j):
+    """The factors that both 9F8 prefactors of g(m, m+s; s+j) share."""
+    return (
+        (al + be + 1 + 2 * s + 2 * j)
+        / (al + be + 1)
+        * Fraction(factorial(m + s), factorial(s) * factorial(j))
+        * pochhammer(be + 1, m + s)
+        * pochhammer(al + be + 1, 2 * s + j)
+        / (pochhammer(al + 1, m) * pochhammer(al + be + 2, 2 * m + 2 * s + j))
+    )
+
+
+def ref_rahman_coefficient(p, m, s, j):
+    _check_indices(m, s, j)
+    _require_open_region(p)
+    al, be = p.alpha, p.beta
+    e = j % 2
+    up, down = (j + e) // 2, (j - e) // 2
+    pref = (
+        ref_shared_prefactor(al, be, m, s, j)
+        * pochhammer(m + al + be + 1, m)
+        * pochhammer(al + be + 1, j)
+        / pochhammer(be + 1, s + j)
+        * pochhammer(-m, up)
+        * pochhammer(al + be + m + s + 1, up)
+        / pochhammer(-m - (al + be) / 2, up)
+        * pochhammer(al + s + 1 + up, down)
+        * pochhammer(-m - al, down)
+        * pochhammer(be + m + s + 1, down)
+        * pochhammer(_HALF + e, down)
+        / (
+            pochhammer(_HALF - m - (al + be) / 2, down)
+            * pochhammer(s + 1, down)
+            * pochhammer(al + 1 + e, down)
+        )
+    )
+    if e:
+        pref = pref * (al - be) / (al + be + 1)
+    series = _very_well_poised(
+        al + e, al + _HALF, (al - be) / 2 + e, (al - be + 1) / 2,
+        al + be + m + s + 1 + up, Fraction(up - m), Fraction(-s - down), Fraction(-down),
+        term_count=down,
+    )
+    return pref * series.evaluate()
+
+
+def ref_rahman_special(p, m, s, j):
+    _check_indices(m, s, j)
+    al, be = p.alpha, p.beta
+    if not (al >= be >= -_HALF):
+        raise ValueError(
+            "companion formula needs alpha >= beta >= -1/2"
+        )
+    if p.a == 0:
+        raise SingularSeriesError(
+            "companion formula at alpha = beta = -1/2 divides by a = 0; "
+            "boundary limit required"
+        )
+    jh = Fraction(j, 2)
+    series = _very_well_poised(
+        be + s + _HALF, be + _HALF, be + m + s + 1, -m - al,
+        (al + be + 1) / 2 + s + jh, (al + be + 2) / 2 + s + jh, Fraction(1 - j, 2), -jh,
+        term_count=j // 2,
+    )
+    value = series.evaluate()
+    pref = (
+        ref_shared_prefactor(al, be, m, s, j)
+        * pochhammer(al + be + m + 1, m)
+        / pochhammer(be + 1, s)
+        * pochhammer(-2 * m, j)
+        * pochhammer(2 * al + 2 * be + 2 * m + 2 * s + 2, j)
+        / pochhammer(-2 * m - al - be, j)
+        * pochhammer(al - be, j)
+        / pochhammer(2 * be + 2 * s + 2, j)
+    )
+    return pref * value
+
+
+def ref_dougall_coefficient(alpha, m, n):
+    alpha = to_fraction(alpha)
+    if alpha <= -_HALF:
+        raise ValueError("ultraspherical closed form needs alpha > -1/2")
+    if m < 0 or n < 0:
+        raise ValueError("degrees must be >= 0")
+    if m > n:
+        m, n = n, m
+    vals = [Fraction(0)] * (2 * m + 1)
+    for t in range(m + 1):
+        k = m + n - 2 * t
+        c = (
+            factorial(t)
+            * pochhammer(alpha + _HALF, t)
+            * comb(m, t)
+            * comb(n, t)
+            * (m + n + alpha + _HALF - 2 * t)
+            * pochhammer(alpha + _HALF, m - t)
+            * pochhammer(alpha + _HALF, n - t)
+            * pochhammer(2 * alpha + 1, m + n - t)
+            / (
+                (m + n + alpha + _HALF - t)
+                * pochhammer(alpha + _HALF, m + n - t)
+                * pochhammer(2 * alpha + 1, m)
+                * pochhammer(2 * alpha + 1, n)
+            )
+        )
+        vals[k - (n - m)] = c
+    return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))

@@ -352,6 +352,46 @@ class TestWitnessSearch:
         assert find_negativity_witness(BETWEEN, 8) is None
         assert find_negativity_witness(make_params(0, 0), 8) is None
 
+    def test_degree_budget_is_exact_and_zero_is_not_negative(self):
+        # On rhs2(1, 0) = 0, b = -a(a+5)/(4-a), outside V': g_T(3,3;4) is
+        # exactly 0, and the first negative entry of the family has degree 5.
+        p = make_params(F(-33, 68), F(-13, 17))
+        assert p.b == -p.a * (p.a + 5) / (4 - p.a)
+        assert not classify_region(p).in_vprime
+        assert linearize_gencheb(p, 3, 3)[4] == 0
+        assert find_negativity_witness(p, 4) is None
+        assert find_negativity_witness(p, 5) == (5, 5, 4, F(-19968, 281911))
+
+    def test_b_zero_searches_the_second_family(self):
+        p = make_params(F(-3, 4), F(-3, 4))
+        assert p.b == 0 and not classify_region(p).in_vprime
+        assert find_negativity_witness(p, 3) == (3, 3, 4, F(-1, 2))
+
+    def test_max_degree_zero_searches_nothing(self):
+        assert find_negativity_witness(make_params(F(-1, 2), 0), 0) is None
+        with pytest.raises(ValueError):
+            find_negativity_witness(make_params(F(-1, 2), 0), -1)
+
+    @pytest.mark.parametrize("point, witness", zip(GRID_B_NEGATIVE, [
+        (3, 3, 2, F(-8, 21)),
+        (3, 3, 2, F(-8, 99)),
+        (5, 5, 2, F(-36736, 1905849)),
+        (5, 5, 2, F(-17408, 1953341)),
+    ]))
+    def test_negative_b_indices(self, point, witness):
+        p = make_params(*point)
+        assert find_negativity_witness(p, witness[1] - 1) is None
+        assert find_negativity_witness(p, witness[1]) == witness
+        assert find_negativity_witness(p, 9) == witness
+
+    def test_negative_b_candidates_stay_in_the_support(self):
+        # At (29/12, 39/16), b = -1/48, and no entry of the b < 0 family is
+        # negative up to degree 9: every candidate (big - 2s, big; 2s + 2)
+        # is read from its support window.
+        p = make_params(F(29, 12), F(39, 16))
+        assert p.b == F(-1, 48)
+        assert find_negativity_witness(p, 9) is None
+
 
 class TestIdentityAudits:
     def test_exact_on_random_points(self):

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,7 +25,9 @@ from jacobilin import (
     scan_sign_pattern,
 )
 from jacobilin.analysis import VERDICT_VIOLATION
-from jacobilin.cli import run_command
+from jacobilin.cli import fmt_approx, run_command
+
+from conftest import GRID_WIDE
 
 F = Fraction
 
@@ -127,6 +130,75 @@ class TestSerialization:
         doc = json.loads(out)
         assert doc["payload"]["witness"] == [1, 1, 1]
         assert doc["payload"]["witness_value"] == "-4/7"
+
+
+# alpha = -(10**400 - 1) / 10**400: valid, and its entries overflow a float.
+NEAR_MINUS_ONE = f"-{10**400 - 1}/{10**400}"
+
+
+class TestApproximations:
+    """`approx` fields are 15 significant digits, inside and outside the
+    float range."""
+
+    @pytest.mark.parametrize("point", GRID_WIDE)
+    def test_in_range_values_format_as_floats(self, point):
+        p = make_params(*point)
+        for n in range(7):
+            for m in range(n + 1):
+                for cv in (linearize_jacobi(p, m, n), linearize_gencheb(p, m, n)):
+                    for _, v in cv.items():
+                        assert fmt_approx(v) == f"{float(v):.15g}"
+
+    def test_overflowing_values_keep_fifteen_digits(self):
+        assert fmt_approx(-F(10**401, 3)) == "-3.33333333333333e+400"
+        assert fmt_approx(F(10**400, 2)) == "5e+399"
+        assert fmt_approx(F(1, 10**400)) == "0"
+
+    @staticmethod
+    def _close(approx, v):
+        return abs(F(Decimal(approx)) - v) <= abs(v) / 10**14
+
+    def test_linearize_near_alpha_minus_one(self, capsys):
+        argv = ["linearize", "--alpha", NEAR_MINUS_ONE, "--beta", "0", "--m", "1", "--n", "1"]
+        cv = linearize_jacobi(make_params(F(NEAR_MINUS_ONE), 0), 1, 1)
+        assert abs(cv[0]) > 10**308
+
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        for k, v in cv.items():
+            line = next(x for x in out.splitlines() if x.startswith(f"k={k}: "))
+            assert self._close(line.rsplit("(approx ", 1)[1].rstrip(")"), v)
+
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out)["payload"]["coefficients"]
+        assert [F(r["num"], r["den"]) for r in rows] == [v for _, v in cv.items()]
+        assert all(self._close(r["approx"], F(r["num"], r["den"])) for r in rows)
+
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 3
+        assert all(
+            self._close(r["approx"], F(int(r["value_num"]), int(r["value_den"]))) for r in rows
+        )
+
+    def test_scan_near_alpha_minus_one(self, capsys):
+        # b < 0 there, so the scan finds g(1,1;1) < 0 and exits 1, its
+        # documented code for a violation.
+        argv = ["scan", "--alpha", NEAR_MINUS_ONE, "--beta", "0",
+                "--check", "nonneg", "--max-degree", "2"]
+        rep = scan_sign_pattern(make_params(F(NEAR_MINUS_ONE), 0), 2, "jacobi_nonneg")
+        assert abs(rep.min_value) > 10**308
+
+        code, out, err = run(capsys, *argv)
+        assert code == 1, err
+        line = next(x for x in out.splitlines() if x.startswith("min value: "))
+        assert self._close(line.rsplit("(approx ", 1)[1].rstrip(")"), rep.min_value)
+
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1, err
+        assert self._close(json.loads(out)["payload"]["min_value_approx"], rep.min_value)
 
 
 class TestExitCodes:
@@ -486,6 +558,18 @@ def test_readme_example(capsys, argv, shown):
     lines = out.splitlines()
     for line in shown:
         assert line in lines
+
+
+def test_readme_library_quick_start(capsys):
+    """The README's `python` block runs and prints what its comments say: a
+    dict over k = 1..5 and the label Δ°."""
+    blocks = (REPO / "README.md").read_text(encoding="utf-8").split("```")[1::2]
+    (code,) = [b.removeprefix("python\n") for b in blocks if b.startswith("python\n")]
+    exec(compile(code, "README.md", "exec"), {})
+    first, second = capsys.readouterr().out.splitlines()
+    assert set(eval(first, {"Fraction": Fraction})) == {1, 2, 3, 4, 5}
+    assert second == "Δ°"
+
 
 # The wrapper an installer writes for a `[project.scripts]` entry.
 CONSOLE_WRAPPER = """\

@@ -12,6 +12,7 @@ from jacobilin.exact import (
     RationalPolynomial,
     count_real_roots,
     pochhammer,
+    pochhammer_ratio,
     to_fraction,
 )
 
@@ -65,6 +66,66 @@ class TestKernelExactness:
     def test_exception_types(self):
         assert outcome(pochhammer, F(1, 2), -1) == ("raises", ValueError)
         assert outcome(pochhammer, 0.5, 2) == ("raises", TypeError)
+
+
+class TestPochhammerRatio:
+    """Products of rising factorials over products of rising factorials, as
+    one quotient."""
+
+    def test_empty_lists_give_one(self):
+        assert pochhammer_ratio([]) == 1
+        assert pochhammer_ratio([], []) == 1
+
+    def test_zero_factor_above_the_line(self):
+        assert pochhammer_ratio([(F(1, 3), 2), (-2, 3)], [(F(5, 7), 4)]) == 0
+
+    def test_negative_x(self):
+        assert pochhammer_ratio([(F(-7, 3), 3)], [(-4, 2)]) == (
+            F(-7, 3) * F(-4, 3) * F(-1, 3) / ((-4) * (-3))
+        )
+
+    def test_zero_count_is_one(self):
+        assert pochhammer_ratio([(F(-33, 100), 0)], [(0, 0)]) == 1
+
+    def test_linear_factors_and_factorials(self):
+        # (x, 1) is x and (1, n) is n!.
+        assert pochhammer_ratio([(F(3, 4), 1), (1, 5)], [(1, 3)]) == F(3, 4) * 20
+
+    def test_exceptions(self):
+        with pytest.raises(ValueError):
+            pochhammer_ratio([(F(1, 2), -1)])
+        with pytest.raises(ValueError):
+            pochhammer_ratio([], [(F(1, 2), -1)])
+        with pytest.raises(TypeError):
+            pochhammer_ratio([(0.5, 2)])
+        with pytest.raises(ZeroDivisionError):
+            pochhammer_ratio([(F(1, 2), 3)], [(-1, 2)])
+        with pytest.raises(ZeroDivisionError):
+            pochhammer_ratio([(-1, 2)], [(-1, 2)])
+
+    def test_negative_count_checked_before_float(self):
+        assert outcome(pochhammer, 0.5, -1) == ("raises", ValueError)
+        assert outcome(pochhammer_ratio, [(0.5, -1)]) == ("raises", ValueError)
+
+    @pytest.mark.parametrize("x", TestKernelExactness.ARGS)
+    def test_one_pair_is_pochhammer(self, x):
+        for n in range(-1, 14):
+            assert outcome(pochhammer, x, n) == outcome(pochhammer_ratio, [(x, n)])
+
+    def test_matches_product_of_references(self):
+        rng = random.Random(18)
+        xs = [F(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(120)]
+        for _ in range(200):
+            ups = [(rng.choice(xs), rng.randint(0, 6)) for _ in range(rng.randint(0, 5))]
+            downs = [(rng.choice(xs), rng.randint(0, 6)) for _ in range(rng.randint(0, 5))]
+            num = F(1)
+            for x, n in ups:
+                num *= ref_pochhammer(x, n)
+            den = F(1)
+            for x, n in downs:
+                den *= ref_pochhammer(x, n)
+            expected = outcome(lambda: num / den)
+            assert outcome(pochhammer_ratio, ups, downs) == expected
 
 
 class TestPolynomialAlgebra:
