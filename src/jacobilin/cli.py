@@ -454,38 +454,49 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None
 
 
+# Exact values can pass Python's cap on int <-> str conversion (4,300 digits by
+# default), so run_command lifts it for one invocation; older builds have none.
+_get_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
 def run_command(argv: list[str]) -> int:
     """Run one invocation.  The parser is built on the first call and reused;
     the subcommand's `_cmd_<name>` is looked up by name at each call."""
     global _parser
     if _parser is None:
         _parser = build_parser()
+    digit_cap = _get_int_max_str_digits()
+    _set_int_max_str_digits(0)
     try:
-        ns = _parser.parse_args(_merge_value_options(list(argv)))
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        p = make_params(ns.alpha, ns.beta)
-        payload, verdict, lines, code = globals()[f"_cmd_{ns.subcommand}"](p, ns)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
-        return 4
-    if ns.format == "json":
-        record = {
-            "command": ns.subcommand,
-            "params": {"alpha": str(ns.alpha), "beta": str(ns.beta)},
-            "payload": payload,
-        }
-        if verdict is not None:
-            record["verdict"] = verdict
-        lines = [json.dumps(record, ensure_ascii=False, indent=2)]
-    for line in lines:
-        print(line)
-    return code
+        try:
+            ns = _parser.parse_args(_merge_value_options(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
+        try:
+            p = make_params(ns.alpha, ns.beta)
+            payload, verdict, lines, code = globals()[f"_cmd_{ns.subcommand}"](p, ns)
+        except (ValueError, ZeroDivisionError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except RuntimeError as exc:
+            print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
+            return 4
+        if ns.format == "json":
+            record = {
+                "command": ns.subcommand,
+                "params": {"alpha": str(ns.alpha), "beta": str(ns.beta)},
+                "payload": payload,
+            }
+            if verdict is not None:
+                record["verdict"] = verdict
+            lines = [json.dumps(record, ensure_ascii=False, indent=2)]
+        for line in lines:
+            print(line)
+        return code
+    finally:
+        _set_int_max_str_digits(digit_cap)
 
 
 def main() -> None:

@@ -15,9 +15,10 @@ forms are very-well-poised series from one builder.  Each series is summed to
 the term count its formula derives from a terminating numerator parameter, or
 stops earlier at a zero numerator factor (see HypTermSum).
 
-Every prefactor, and Dougall's product, is a table of (x, n) factors above
-and below the line, evaluated by `exact.pochhammer_ratio` as one quotient of
-integers: the package has one evaluator for products of rising factorials.
+Every prefactor, every series term, and Dougall's product is a table of
+(x, n) factors above and below the line, evaluated by `exact.pochhammer_ratio`
+as one quotient of integers: the package has one evaluator for products of
+rising factorials.
 """
 
 from dataclasses import dataclass
@@ -39,12 +40,13 @@ class SingularSeriesError(ValueError):
 class HypTermSum:
     """A terminating hypergeometric sum at unit argument.
 
-    value = sum_{r=0}^{term_count} prod (num_i)_r / (prod (den_j)_r * r!).
-    term_count comes from the terminating numerator parameter of the formula
-    that builds the sum.  Summation also stops at the first zero numerator
-    factor, after that term's denominator is checked.  term_count stays
-    explicit on purpose: a count derived from the smallest terminating
-    parameter would skip that check and change which entries are singular.
+    value = sum_{r=0}^{term_count} prod (num_i)_r / (prod (den_j)_r * r!),
+    each term one `pochhammer_ratio` table.  term_count comes from the
+    terminating numerator parameter of the formula that builds the sum.
+    Summation also stops at the first zero term, after that term's
+    denominator is checked.  term_count stays explicit on purpose: a count
+    derived from the smallest terminating parameter would skip that check and
+    change which entries are singular.
     """
 
     numerator_params: tuple[Fraction, ...]
@@ -52,26 +54,21 @@ class HypTermSum:
     term_count: int
 
     def evaluate(self) -> Fraction:
-        total = Fraction(0)
-        term = Fraction(1)
-        for r in range(self.term_count + 1):
-            total += term
-            if r == self.term_count:
-                break
-            den = Fraction(r + 1)
-            for d in self.denominator_params:
-                den *= d + r
-            if den == 0:
+        total = Fraction(1)
+        for r in range(1, self.term_count + 1):
+            try:
+                term = pochhammer_ratio(
+                    [(a, r) for a in self.numerator_params],
+                    [(1, r), *((d, r) for d in self.denominator_params)],
+                )
+            except ZeroDivisionError:
                 raise SingularSeriesError(
                     "denominator parameter vanishes before termination; "
                     "boundary limit required"
-                )
-            num = Fraction(1)
-            for a in self.numerator_params:
-                num *= a + r
-            if num == 0:
+                ) from None
+            if not term:
                 break
-            term = term * num / den
+            total += term
         return total
 
 

@@ -8,7 +8,9 @@ is kept as it stored one `Fraction` per coefficient (`RefPolynomial`), with
 the brute-force elimination and the p/q limit parts that ran one `Fraction`
 operation per coefficient or factor.  The 9F8 prefactors and Dougall's
 product are kept as the chains of one `pochhammer` `Fraction` per factor that
-they were before each became one table of factors for one integer quotient.
+they were before each became one table of factors for one integer quotient,
+and the 9F8 series sum as the loop of one `Fraction` product per parameter
+that it was before each term became one such table.
 
 The formulas below are kept verbatim so the kernel tests can demand exact
 equality, and the same exception types, from the library's kernel.  They
@@ -569,3 +571,29 @@ def ref_dougall_coefficient(alpha, m, n):
         )
         vals[k - (n - m)] = c
     return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
+
+
+def ref_hyp_term_sum(numerator_params, denominator_params, term_count):
+    """`HypTermSum(numerator_params, denominator_params, term_count).evaluate()`
+    as the loop it was."""
+    total = Fraction(0)
+    term = Fraction(1)
+    for r in range(term_count + 1):
+        total += term
+        if r == term_count:
+            break
+        den = Fraction(r + 1)
+        for d in denominator_params:
+            den *= d + r
+        if den == 0:
+            raise SingularSeriesError(
+                "denominator parameter vanishes before termination; "
+                "boundary limit required"
+            )
+        num = Fraction(1)
+        for a in numerator_params:
+            num *= a + r
+        if num == 0:
+            break
+        term = term * num / den
+    return total

@@ -201,6 +201,43 @@ class TestApproximations:
         assert self._close(json.loads(out)["payload"]["min_value_approx"], rep.min_value)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no cap on int <-> str conversion")
+class TestDigitCap:
+    """Values with more digits than Python's default cap on int <-> str
+    conversion (4,300) are valid input and output, and the caller's cap is
+    restored after each invocation."""
+
+    TALL = f"-{10**1500 - 1}/{10**1500}"
+
+    def test_tall_values_keep_their_exit_codes(self, capsys):
+        tall = ["--alpha", self.TALL, "--beta", "0"]
+        p = make_params(F(self.TALL), 0)
+        cv = linearize_jacobi(p, 2, 2)
+        rep = scan_sign_pattern(p, 2, "jacobi_nonneg")
+        caller_cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            out = {}
+            for name, argv, want in [
+                ("text", ["linearize", *tall, "--m", "2", "--n", "2"], 0),
+                ("json", ["linearize", *tall, "--m", "2", "--n", "2", "--format", "json"], 0),
+                # b < 0 there: g(1,1;1) < 0, the documented exit 1 of a violation.
+                ("scan", ["scan", *tall, "--check", "nonneg", "--max-degree", "2", "--json"], 1),
+                ("classify", ["classify", "--alpha", "1/" + "7" * 4400, "--beta", "0"], 0),
+            ]:
+                code, out[name], err = run(capsys, *argv)
+                assert code == want, (name, err)
+                assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            assert max(len(str(v.numerator)) for _, v in cv.items()) > 4300
+            rows = json.loads(out["json"])["payload"]["coefficients"]
+            assert [F(r["num"], r["den"]) for r in rows] == [v for _, v in cv.items()]
+            assert F(json.loads(out["scan"])["payload"]["witness_value"]) == rep.witness_value
+        finally:
+            sys.set_int_max_str_digits(caller_cap)
+
+
 class TestExitCodes:
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "classify", "--alpha", "0.5", "--beta", "0")

@@ -20,6 +20,7 @@ from conftest import GRID_DELTA_INTERIOR, GRID_WIDE, rand_alpha_beta
 from kernel_reference import (
     outcome_with_message,
     ref_dougall_coefficient,
+    ref_hyp_term_sum,
     ref_rahman_coefficient,
     ref_rahman_special,
 )
@@ -59,6 +60,42 @@ class TestTermSum:
             term_count=1,
         )
         assert series.evaluate() == 1 + F(-1) * 3 / (1 * F(-3, 2))
+
+    def test_zero_term_stops_before_a_later_singular_denominator(self):
+        # 1 + (-1)/(-2); the next term is zero, and (-2)_3 = 0 is never reached.
+        series = HypTermSum(numerator_params=(F(-1),), denominator_params=(F(-2),), term_count=3)
+        assert series.evaluate() == F(3, 2)
+
+    def test_denominator_checked_before_numerator_at_the_same_term(self):
+        # At r = 2 both the numerator and the denominator (-1)_2 vanish:
+        # singular, not a clean stop.
+        series = HypTermSum(numerator_params=(F(-1),), denominator_params=(F(-1),), term_count=3)
+        with pytest.raises(SingularSeriesError, match="boundary limit required"):
+            series.evaluate()
+
+    def test_no_term_past_the_first_is_looked_at(self):
+        # (0)_1 = 0 would be singular at r = 1, which term_count 0 never reaches.
+        series = HypTermSum(numerator_params=(F(5),), denominator_params=(F(0),), term_count=0)
+        assert series.evaluate() == 1
+
+    def test_matches_reference_on_seeded_series(self):
+        # Parameters k/d with k in -8..8 and d in {1, 2, 3}: many of them are
+        # nonpositive integers, so stops and singular sums are both common.
+        rng = random.Random(19)
+
+        def params(most):
+            return tuple(
+                F(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(rng.randint(0, most))
+            )
+
+        singular = 0
+        for _ in range(5000):
+            nums, dens, count = params(9), params(8), rng.randint(0, 9)
+            want = outcome_with_message(ref_hyp_term_sum, nums, dens, count)
+            series = HypTermSum(nums, dens, count)
+            assert outcome_with_message(series.evaluate) == want, (nums, dens, count)
+            singular += want[0] == "raises"
+        assert 1000 < singular < 4000
 
 
 class TestRahmanBranches:
