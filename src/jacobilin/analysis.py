@@ -227,10 +227,8 @@ def pq_values(p: JacobiParams, m: int, s: int) -> tuple[PQRecord, ...]:
     """p(j) and q(j) for the odd-index even-position analysis at (m, s), as
     one run j = 1 .. 2m-1 like phi_sequence: the record for j is at index
     j - 1, and the 2m+1 odd gencheb rows behind r(1..2m) are each built once."""
-    if m < 2:
-        raise ValueError("need m >= 2")
-    if s < 0:
-        raise ValueError("need m >= 1 and s >= 0")
+    if m < 2 or s < 0:
+        raise ValueError("need m >= 2 and s >= 0")
     pp = plus_params(p)
     r = _odd_scales(p, s, 2 * m)
     records = []
@@ -316,12 +314,10 @@ def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
     cv = linearize_jacobi(plus_params(p), m, m + s)
     vals = []
     for j, r in enumerate(_odd_scales(p, s, 2 * m), start=1):
+        # lower != 0: at j = 1 it is the vector's positive lowest extreme, and
+        # later it is the previous upper, which made the previous phi 0.
         lower = cv[s + j - 1]
         upper = cv[s + j]
-        if lower == 0:
-            raise NotApplicableError(
-                "zero companion coefficient: parameters outside the validity region"
-            )
         phi = r * upper / lower
         if phi >= 0:
             raise NotApplicableError(

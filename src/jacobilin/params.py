@@ -21,23 +21,29 @@ from .exact import Rational, to_fraction
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """A validated parameter point, carrying both (alpha, beta) and (a, b).
-    Equality and hash read (alpha, beta) only; make_params derives a, b."""
+    """A parameter point (alpha, beta), alpha, beta > -1, coerced to exact
+    `Fraction`s; a = alpha + beta + 1 and b = alpha - beta are derived.
+    Equality and hash read (alpha, beta) only."""
 
     alpha: Fraction
     beta: Fraction
-    a: Fraction = field(compare=False)
-    b: Fraction = field(compare=False)
+    a: Fraction = field(init=False, compare=False)
+    b: Fraction = field(init=False, compare=False)
+
+    def __post_init__(self):
+        alpha, beta = to_fraction(self.alpha), to_fraction(self.beta)
+        if alpha <= -1 or beta <= -1:
+            raise ValueError(
+                "parameters out of positive-definite range: need alpha > -1 and beta > -1"
+            )
+        values = {"alpha": alpha, "beta": beta, "a": alpha + beta + 1, "b": alpha - beta}
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 def make_params(alpha: Rational, beta: Rational) -> JacobiParams:
-    alpha = to_fraction(alpha)
-    beta = to_fraction(beta)
-    if alpha <= -1 or beta <= -1:
-        raise ValueError(
-            "parameters out of positive-definite range: need alpha > -1 and beta > -1"
-        )
-    return JacobiParams(alpha, beta, alpha + beta + 1, alpha - beta)
+    """The point (alpha, beta): the same constructor as JacobiParams."""
+    return JacobiParams(alpha, beta)
 
 
 @lru_cache(maxsize=16)

@@ -253,7 +253,7 @@ class TestPQ:
     def test_index_range_enforced(self):
         with pytest.raises(ValueError, match="need m >= 2"):
             pq_values(BETWEEN, 1, 0)
-        with pytest.raises(ValueError, match="need m >= 1 and s >= 0"):
+        with pytest.raises(ValueError, match="need m >= 2 and s >= 0"):
             pq_values(BETWEEN, 2, -1)
 
     @pytest.mark.parametrize("point", GRID_WIDE)

@@ -511,6 +511,36 @@ class TestVerifySubcommand:
         assert "2 zero(s)" in out
 
     @pytest.mark.parametrize(
+        "point, argv, details",
+        [
+            pytest.param(
+                ("1/2", "1/4"), ["--m", "3", "--s", "1"],
+                ["m=3 s=1: 1 zero(s)", "above threshold: expected at most one zero each"],
+                id="above-threshold",
+            ),
+            pytest.param(
+                ("1", "1"), [],
+                ["b = 0: iota vanishes identically (degenerate); nothing to count"],
+                id="b-zero",
+            ),
+        ],
+    )
+    def test_iota_zeros_above_threshold_and_at_b_zero(self, capsys, point, argv, details):
+        cmd = ["verify", "--alpha", point[0], "--beta", point[1], "--property", "iota-zeros", *argv]
+        code, out, err = run(capsys, *cmd)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"property iota-zeros at alpha={point[0]} beta={point[1]}",
+            *(f"  {line}" for line in details),
+            "iota-zeros: PASS",
+        ]
+        code, out, err = run(capsys, *cmd, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["payload"] == {"property": "iota-zeros", "details": details, "verdict": "pass"}
+        assert doc["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
         "point, prop",
         [
             pytest.param(("1", "1"), "iota-zeros", id="point0"),

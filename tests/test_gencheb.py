@@ -9,7 +9,6 @@ import pytest
 import jacobilin.jacobi as jacobi_module
 from jacobilin import (
     FAMILY_GENCHEB,
-    JacobiParams,
     RationalPolynomial,
     RecurrenceCoeffs,
     gencheb_eval,
@@ -43,8 +42,11 @@ class TestRecurrenceCoeffs:
     @pytest.mark.parametrize("n", [3, 4])
     def test_row_cross_checked_when_built(self, n):
         # A point whose (a, b) do not match (alpha, beta) makes the two
-        # parametrizations disagree; the failed build is not cached.
-        bad = JacobiParams(F(1, 2), F(1, 4), F(2), F(0))
+        # parametrizations disagree; the failed build is not cached.  The
+        # constructor derives (a, b), so the mismatch is forced afterwards.
+        bad = make_params(F(1, 2), F(1, 4))
+        object.__setattr__(bad, "a", F(2))
+        object.__setattr__(bad, "b", F(0))
         gencheb_rec_coeffs.cache_clear()
         for _ in range(2):
             with pytest.raises(RuntimeError, match=rf"gencheb-recurrence.*n={n}"):

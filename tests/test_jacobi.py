@@ -258,6 +258,13 @@ class TestLinearize:
                 == linearize_bruteforce(p, m, n, FAMILY_JACOBI).values
             )
 
+    @pytest.mark.parametrize("family", [FAMILY_JACOBI, FAMILY_GENCHEB])
+    @pytest.mark.parametrize("m, n", [(3, 1), (4, 2), (2, 0)])
+    def test_bruteforce_argument_order_irrelevant(self, family, m, n):
+        # (m, n) with m > n gives the vector of (n, m), smaller degree first.
+        p = make_params(1, 0)
+        assert linearize_bruteforce(p, m, n, family) == linearize_bruteforce(p, n, m, family)
+
     def test_plus_family_is_shifted_parameters(self):
         pp = plus_params(make_params(F(1, 4), F(-1, 4)))
         assert (pp.alpha, pp.beta) == (F(1, 4), F(3, 4))

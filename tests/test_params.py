@@ -1,6 +1,7 @@
 """Parameter validation, the (a, b) change of variables, and exact region
 classification."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import floor, isqrt
@@ -8,8 +9,10 @@ from math import floor, isqrt
 import pytest
 
 from jacobilin import (
+    JacobiParams,
     RegionLabel,
     classify_region,
+    linearize_bruteforce,
     linearize_jacobi,
     make_params,
     plus_params,
@@ -76,6 +79,53 @@ class TestMakeParams:
         # The companion point is cached: one object per point.
         assert plus_params(p) is plus_params(q)
         assert plus_params(p) == make_params(p.alpha, p.beta + 1)
+
+
+class TestJacobiParams:
+    """The point's constructor takes (alpha, beta) only, coerces and
+    validates them, and derives (a, b); make_params is the same call."""
+
+    def test_a_and_b_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            JacobiParams(F(1), F(0), F(3), F(1))
+        with pytest.raises(TypeError):
+            JacobiParams(F(1), F(0), a=F(3), b=F(1))
+
+    def test_out_of_range_refused_like_make_params(self):
+        with pytest.raises(ValueError) as direct:
+            JacobiParams(F(-2), 0)
+        with pytest.raises(ValueError) as via_make:
+            make_params(F(-2), 0)
+        assert str(direct.value) == str(via_make.value)
+        assert "need alpha > -1 and beta > -1" in str(direct.value)
+
+    def test_float_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            JacobiParams(0.5, 0.25)
+
+    def test_coerced_and_derived(self):
+        p = JacobiParams("1/2", 1)
+        assert p == make_params(F(1, 2), 1)
+        assert all(type(v) is Fraction for v in (p.alpha, p.beta, p.a, p.b))
+        assert (p.a, p.b) == (F(5, 2), F(-1, 2))
+
+    def test_replace_derives_again(self):
+        p = make_params(F(1, 2), 1)
+        q = dataclasses.replace(p, beta=F(1, 3))
+        assert q == make_params(F(1, 2), F(1, 3))
+        assert (q.a, q.b) == (F(11, 6), F(1, 6))
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, beta=-1)
+
+    def test_no_inconsistent_point_reaches_the_cache(self):
+        # A point whose a and b disagree with (alpha, beta) would compare
+        # equal to (1, 0) and leave the vector of (3/2, 1/2) in the
+        # linearize_jacobi cache under that key.
+        linearize_jacobi.cache_clear()
+        with pytest.raises(TypeError):
+            linearize_jacobi(JacobiParams(F(1), F(0), F(3), F(1)), 2, 3)
+        p = make_params(1, 0)
+        assert linearize_jacobi(p, 2, 3) == linearize_bruteforce(p, 2, 3)
 
 
 class TestClassifyExamples:
