@@ -46,56 +46,57 @@ class SignReport:
     witness_value: Fraction | None
 
 
-def _scan_entries(p: JacobiParams, max_degree: int, mode: str):
-    """Yield (m, n, k, value) in deterministic order for the given mode.
-
-    Structural zeros are not part of any support: entries with m+n-k odd are
-    skipped always for the gencheb family, and on the symmetric line b = 0 for
-    the jacobi family, where they vanish identically.  The oscillation mode
-    scans (-1)^(m+n+k) g(m, n; k) of the reflected family, which by
-    P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x) is jacobi at the point (beta, alpha).
-    """
-    gencheb = mode.startswith("gencheb")
-    linearize = linearize_gencheb if gencheb else linearize_jacobi
-    oscillation = mode == "oscillation"
-    point = make_params(p.beta, p.alpha) if oscillation else p
-    skip_odd = gencheb or p.b == 0
-    for n in range(max_degree + 1):
-        for m in range(n + 1):
-            if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
-                continue
-            for k, v in linearize(point, m, n).items():
-                if skip_odd and (m + n - k) % 2:
-                    continue
-                yield m, n, k, -v if oscillation and (m + n + k) % 2 else v
-
-
 def scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport:
     """Exhaustive sign scan over all m <= n <= max_degree for one mode.
 
     The verdict is `violation` exactly when some entry is negative (the
-    witness is the first such entry in scan order); otherwise the scan
-    distinguishes a strictly positive support from one containing zeros.
-    Structural parity zeros of the gencheb family are not part of the support.
-    Entries are compared on integers: by the sign of the numerator, and with
-    the running minimum min_n/min_d by cross-multiplying.
+    witness is the first such entry in scan order: n, then m, then k
+    ascending); otherwise the scan distinguishes a strictly positive support
+    from one containing zeros.
+
+    Structural zeros are not part of any support: entries with m+n-k odd,
+    the odd positions of a vector, are skipped always for the gencheb family,
+    and on the symmetric line b = 0 for the jacobi family, where they vanish
+    identically.  The oscillation mode scans (-1)^(m+n+k) g(m, n; k) of the
+    reflected family, which by P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x) is
+    jacobi at the point (beta, alpha); m+n+k has the parity of the position.
+
+    Each vector is read on its integer numerators over its one positive
+    denominator: its minimum is the least numerator, compared with the
+    running minimum min_n/min_d by cross-multiplying once, and its first
+    negative entry is its first negative numerator.
     """
     if mode not in SCAN_MODES:
         raise ValueError(f"unknown scan mode {mode!r}")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    min_value: Fraction | None = None
+    gencheb = mode.startswith("gencheb")
+    linearize = linearize_gencheb if gencheb else linearize_jacobi
+    oscillation = mode == "oscillation"
+    point = make_params(p.beta, p.alpha) if oscillation else p
+    skip_odd = gencheb or p.b == 0
+    min_n, min_d = None, 1
     witness = None
     witness_value = None
-    for m, n, k, v in _scan_entries(p, max_degree, mode):
-        v_n, v_d = v.numerator, v.denominator
-        if min_value is None or v_n * min_d < min_n * v_d:
-            min_value, min_n, min_d = v, v_n, v_d
-        if v_n < 0 and witness is None:
-            witness = (m, n, k)
-            witness_value = v
-    if min_value is None:
-        min_value = Fraction(0)
+    for n in range(max_degree + 1):
+        for m in range(n + 1):
+            if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
+                continue
+            cv = linearize(point, m, n)
+            if skip_odd:
+                nums, step = cv.nums[::2], 2
+            elif oscillation:
+                nums, step = [-x if i % 2 else x for i, x in enumerate(cv.nums)], 1
+            else:
+                nums, step = cv.nums, 1
+            least, den = min(nums), cv.den
+            if min_n is None or least * min_d < min_n * den:
+                min_n, min_d = least, den
+            if least < 0 and witness is None:
+                i = next(i for i, x in enumerate(nums) if x < 0)
+                witness = (m, n, cv.k_min + step * i)
+                witness_value = Fraction(nums[i], den)
+    min_value = Fraction(0) if min_n is None else Fraction(min_n, min_d)
     if witness is not None:
         verdict = VERDICT_VIOLATION
     elif min_value > 0:
@@ -105,26 +106,28 @@ def scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport
     return SignReport(mode, max_degree, verdict, min_value, witness, witness_value)
 
 
-def _linear(c0, c1) -> RationalPolynomial:
-    return RationalPolynomial([c0, c1])
-
-
-def _iota_bracket(a, m: int, s: int) -> RationalPolynomial:
+def _iota_bracket(a: Fraction, m: int, s: int) -> RationalPolynomial:
     """iota(m, m+s; j) (2s+2j+a-1)(2s+2j+a+1) / b as a polynomial in j; it
     does not depend on b."""
+    q, big_a = a.denominator, a.numerator
+
+    def linear(c0: int, c_a: int, c_j: int) -> RationalPolynomial:
+        # c0 + c_a a + c_j j, on integers over a's denominator q.
+        return RationalPolynomial._of([c0 * q + c_a * big_a, c_j * q], q)
+
     first = (
-        _linear(2 * m, -1)
-        * _linear(2 * m + 2 * s + 2 * a, 1)
-        * _linear(2 * s + 1, 1)
-        * _linear(1, 1)
-        * _linear(2 * s + a - 1, 2)
+        linear(2 * m, 0, -1)
+        * linear(2 * m + 2 * s, 2, 1)
+        * linear(2 * s + 1, 0, 1)
+        * linear(1, 0, 1)
+        * linear(2 * s - 1, 1, 2)
     )
     second = (
-        _linear(2 * m + 1, -1)
-        * _linear(2 * m + 2 * s + 2 * a - 1, 1)
-        * _linear(2 * s, 1)
-        * _linear(0, 1)
-        * _linear(2 * s + a + 1, 2)
+        linear(2 * m + 1, 0, -1)
+        * linear(2 * m + 2 * s - 1, 2, 1)
+        * linear(2 * s, 0, 1)
+        * linear(0, 0, 1)
+        * linear(2 * s + 1, 1, 2)
     )
     return first - second
 
@@ -311,14 +314,14 @@ class PhiSequence:
 def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    cv = linearize_jacobi(plus_params(p), m, m + s)
+    # The entries g+(s + j) are nums[j] / den, so den cancels from each ratio.
+    nums = linearize_jacobi(plus_params(p), m, m + s).nums
     vals = []
     for j, r in enumerate(_odd_scales(p, s, 2 * m), start=1):
-        # lower != 0: at j = 1 it is the vector's positive lowest extreme, and
-        # later it is the previous upper, which made the previous phi 0.
-        lower = cv[s + j - 1]
-        upper = cv[s + j]
-        phi = r * upper / lower
+        # nums[j - 1] != 0: at j = 1 it is the vector's positive lowest
+        # extreme, and later it is the previous upper, which made the
+        # previous phi 0.
+        phi = Fraction(r.numerator * nums[j], r.denominator * nums[j - 1])
         if phi >= 0:
             raise NotApplicableError(
                 "nonnegative ratio: parameters outside the validity region"
@@ -348,9 +351,10 @@ def find_negativity_witness(
         else:
             candidates = [(big, 4)]
         for small, k in candidates:
-            entry = linearize_gencheb(p, small, big)[k]
+            cv = linearize_gencheb(p, small, big)
+            entry = cv.nums[k - cv.k_min]
             if entry < 0:
-                return (small, big, k, entry)
+                return (small, big, k, Fraction(entry, cv.den))
     return None
 
 

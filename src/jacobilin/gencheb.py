@@ -19,11 +19,10 @@ are stored as explicit zeros.  The recurrence rows (`gencheb_rec_coeffs`, a
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from math import gcd, lcm
 
 from .exact import Rational, to_fraction
 from .jacobi import (
-    _ZERO,
     FAMILY_GENCHEB,
     CoeffVector,
     gencheb_rec_coeffs,
@@ -57,15 +56,9 @@ def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     return via_transform
 
 
-def _dot(x: Fraction, u: Fraction, y: Fraction, v: Fraction) -> Fraction:
-    """x u + y v as one quotient of integers: one gcd."""
-    xu, yv = x.denominator * u.denominator, y.denominator * v.denominator
-    return Fraction(x.numerator * u.numerator * yv + y.numerator * v.numerator * xu, xu * yv)
-
-
-def _padded(cv: CoeffVector, lo: int, hi: int) -> list[Fraction]:
-    """The entries of cv at k = lo .. hi, zero outside its support."""
-    return [_ZERO] * (cv.k_min - lo) + list(cv.values) + [_ZERO] * (hi - cv.k_max)
+def _padded(cv: CoeffVector, lo: int, hi: int) -> list[int]:
+    """The numerators of cv at k = lo .. hi, zero outside its support."""
+    return [0] * (cv.k_min - lo) + list(cv.nums) + [0] * (hi - cv.k_max)
 
 
 def _companion(p: JacobiParams, i: int, j: int) -> CoeffVector:
@@ -81,30 +74,48 @@ def _companion(p: JacobiParams, i: int, j: int) -> CoeffVector:
 def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
     """Full coefficient vector of T_m T_n in the T basis, assembled by parity
     from at most two companion-family vectors (see the module docstring).
-    Each odd*odd or mixed entry, a g+ + c g+', is one quotient (`_dot`)."""
+
+    Even*even reuses the jacobi vector's numerators and denominator.  Each
+    odd*odd or mixed entry, a g+ + c g+', is one integer numerator over
+    R D, with R the lcm of the row denominators and D that of the companion
+    vectors; the entries are reduced together by one gcd."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
     if m == 0:
-        return CoeffVector(0, n, FAMILY_GENCHEB, (Fraction(1),))
+        return CoeffVector._of(0, n, FAMILY_GENCHEB, (1,), 1)
     if m % 2 == 0 and n % 2 == 0:
-        entries = linearize_jacobi(p, m // 2, n // 2).values
+        cv = linearize_jacobi(p, m // 2, n // 2)
+        entries, den = cv.nums, cv.den
     elif m % 2 == 1 and n % 2 == 1:
         # At k = 2l: a_{2l-1} g+(l-1) + c_{2l+1} g+(l).
         cv = _companion(p, (m - 1) // 2, (n - 1) // 2)
-        rows = [gencheb_rec_coeffs(p, 2 * ell + 1) for ell, _ in cv.items()]
-        a_s, c_s = [_ZERO] + [r.a_n for r in rows], [r.c_n for r in rows] + [_ZERO]
-        entries = map(_dot, a_s, (_ZERO, *cv.values), c_s, (*cv.values, _ZERO))
+        rows = [gencheb_rec_coeffs(p, 2 * ell + 1) for ell in range(cv.k_min, cv.k_max + 1)]
+        big_r = lcm(*(r.a_n.denominator for r in rows), *(r.c_n.denominator for r in rows))
+        a_s = [0] + [r.a_n.numerator * (big_r // r.a_n.denominator) for r in rows]
+        c_s = [r.c_n.numerator * (big_r // r.c_n.denominator) for r in rows] + [0]
+        g_plus = (0, *cv.nums, 0)
+        entries = [a * u + c * v for a, u, c, v in zip(a_s, g_plus, c_s, g_plus[1:])]
+        den = big_r * cv.den
     else:
         # At k = 2l+1: a_{2e} g+(i, e; l) + c_{2e} g+(i, e-1; l).
         odd_arg, even_arg = (m, n) if m % 2 == 1 else (n, m)
         i, e = (odd_arg - 1) // 2, even_arg // 2
         row = gencheb_rec_coeffs(p, even_arg)
         lo, hi = (n - m - 1) // 2, (m + n - 1) // 2
-        up, down = (_padded(_companion(p, i, j), lo, hi) for j in (e, e - 1))
-        entries = map(_dot, repeat(row.a_n), up, repeat(row.c_n), down)
-    # Only k = |m-n|, |m-n| + 2, .., m+n can be nonzero.
-    vals = [_ZERO] * (2 * m + 1)
-    vals[::2] = entries
-    return CoeffVector(m, n, FAMILY_GENCHEB, tuple(vals))
+        up, down = _companion(p, i, e), _companion(p, i, e - 1)
+        big_r = lcm(row.a_n.denominator, row.c_n.denominator)
+        big_d = lcm(up.den, down.den)
+        a = row.a_n.numerator * (big_r // row.a_n.denominator) * (big_d // up.den)
+        c = row.c_n.numerator * (big_r // row.c_n.denominator) * (big_d // down.den)
+        entries = [
+            a * u + c * v for u, v in zip(_padded(up, lo, hi), _padded(down, lo, hi))
+        ]
+        den = big_r * big_d
+    # Only k = |m-n|, |m-n| + 2, .., m+n can be nonzero.  The even*even
+    # entries are in lowest terms already.
+    g = gcd(den, *entries) if m % 2 or n % 2 else 1
+    nums = [0] * (2 * m + 1)
+    nums[::2] = [x // g for x in entries] if g != 1 else entries
+    return CoeffVector._of(m, n, FAMILY_GENCHEB, nums, den // g)

@@ -20,7 +20,7 @@ through monomial coefficients provides a fully independent oracle.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .exact import Rational, _over_lcm, _rising, to_fraction
 from .exact import RationalPolynomial
@@ -58,36 +58,51 @@ class RecurrenceCoeffs:
             raise ValueError(f"recurrence row does not sum to 1 at n={self.n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoeffVector:
     """Linearization coefficients g(m, n; k) for k = |m-n| .. m+n.
 
-    `values[i]` is the coefficient at k = |m-n| + i.  Indexing with [] uses
-    the absolute position k.  m <= n always (constructors normalize).
+    Stored as integer numerators `nums` over one positive denominator `den`
+    in lowest terms, gcd(den, *nums) == 1, so that g(m, n; |m-n| + i) =
+    nums[i] / den; the checks (the entries sum to 1, the jacobi extremes are
+    positive, the gencheb parity zeros) run on these integers.  `values`,
+    `cv[k]` (k the absolute position) and `items()` form the `Fraction`s when
+    asked for, with zero entries as one shared 0.  m <= n always
+    (constructors normalize).
     """
 
     m: int
     n: int
     family: str
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        expect = self.m + self.n - abs(self.m - self.n) + 1
-        if len(self.values) != expect:
+    def __init__(self, m: int, n: int, family: str, values):
+        den, *nums = _over_lcm(*values)
+        self._set(m, n, family, tuple(nums), den)
+
+    @classmethod
+    def _of(cls, m: int, n: int, family: str, nums, den: int) -> "CoeffVector":
+        """The vector nums[i] / den, for integers already in lowest terms with
+        den > 0."""
+        cv = cls.__new__(cls)
+        cv._set(m, n, family, tuple(nums), den)
+        return cv
+
+    def _set(self, m: int, n: int, family: str, nums: tuple[int, ...], den: int) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if len(nums) != m + n - abs(m - n) + 1:
             raise ValueError("coefficient vector has the wrong length")
-        # Summing to 1 over the common denominator L: sum(v L) == L in integers.
-        big_l, *scaled = _over_lcm(*self.values)
-        if sum(scaled) != big_l:
+        if sum(nums) != den:
             raise ValueError("coefficient vector does not sum to 1")
-        if self.family == FAMILY_JACOBI:
-            if self.values[0] <= 0 or self.values[-1] <= 0:
+        if family == FAMILY_JACOBI:
+            if nums[0] <= 0 or nums[-1] <= 0:
                 raise ValueError("extreme coefficients must be positive")
-        else:
-            for k, v in self.items():
-                if (self.m + self.n - k) % 2 == 1 and v != 0:
-                    raise ValueError("parity-violating entry must be zero")
+        elif any(nums[1::2]):  # m + n - k is odd at the odd positions
+            raise ValueError("parity-violating entry must be zero")
+        for name, value in zip(self.__slots__, (m, n, family, nums, den)):
+            object.__setattr__(self, name, value)
 
     @property
     def k_min(self) -> int:
@@ -97,10 +112,17 @@ class CoeffVector:
     def k_max(self) -> int:
         return self.m + self.n
 
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as `Fraction`s: values[i] is g(m, n; |m-n| + i)."""
+        den = self.den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
+
     def __getitem__(self, k: int) -> Fraction:
         if not self.k_min <= k <= self.k_max:
             raise IndexError(f"k={k} outside support [{self.k_min}, {self.k_max}]")
-        return self.values[k - self.k_min]
+        x = self.nums[k - self.k_min]
+        return Fraction(x, self.den) if x else _ZERO
 
     def items(self):
         return enumerate(self.values, self.k_min)
@@ -109,11 +131,12 @@ class CoeffVector:
 def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
     """Recurrence row n, computed in both parametrizations and cross-checked.
 
-    alpha, beta, a and b are put over one common denominator d, so each
-    entry is one integer quotient (as in theta_iota_kappa)."""
+    alpha, beta, a and b are read over one common denominator d
+    (`p.over_lcm_all`), so each entry is one integer quotient (as in
+    theta_iota_kappa)."""
     if n < 0:
         raise ValueError("recurrence index must be >= 0")
-    d, al, be, a, b = _over_lcm(p.alpha, p.beta, p.a, p.b)
+    d, al, be, a, b = p.over_lcm_all
     if n == 0:
         a0 = Fraction(2 * al + 2 * d, al + be + 2 * d)
         a0_ab = Fraction(a + b + d, a + d)
@@ -159,11 +182,11 @@ def gencheb_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
     both parametrizations and cross-checked when it is built; cached, so a
     scan to degree 31 builds each row of its point once.
 
-    alpha, beta, a and b are put over one common denominator d, so each
-    entry is one integer quotient."""
+    alpha, beta, a and b are read over one common denominator d
+    (`p.over_lcm_all`), so each entry is one integer quotient."""
     if n < 1:
         raise ValueError("recurrence index must be >= 1")
-    d, al, be, a, b = _over_lcm(p.alpha, p.beta, p.a, p.b)
+    d, al, be, a, b = p.over_lcm_all
     # r is the half-index scaled by d.
     if n % 2 == 1:
         r = (n + 1) // 2 * d
@@ -305,7 +328,7 @@ def gasper_boundary(
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    big_l, a, b = _over_lcm(p.a, p.b)
+    big_l, a, b = p.over_lcm_ab
     r, t = m + s, 2 * m + s
     mid = _rising(m * big_l + a, big_l, m)
     al_part = _rising(big_l + a + b, 2 * big_l, m)
@@ -341,13 +364,20 @@ def gasper_boundary(
     return g_lo, g_lo1, g_hi1, g_hi
 
 
+def _jacobi_vector(m: int, n: int, pairs: list[tuple[int, int]]) -> CoeffVector:
+    """The jacobi vector of reduced (numerator, denominator > 0) pairs: over
+    their lcm it is in lowest terms already."""
+    den = lcm(*(d for _, d in pairs))
+    return CoeffVector._of(m, n, FAMILY_JACOBI, [x * (den // d) for x, d in pairs], den)
+
+
 @lru_cache(maxsize=1024)
 def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
     """Full coefficient vector of R_m R_n in the R basis.
 
     Closed forms fill the two lowest and two highest positions; the interior
     comes from the forward recursion (theta > 0 there).  With a, b and j
-    over their common denominator L (computed once per call),
+    over their common denominator L (`p.over_lcm_ab`),
     up = (2s+2j+a+1) L, down = (2s+2j+a-1) L and e = down - L, theta, iota
     and kappa have the integer numerators theta_N, iota_N, kappa_N of
     `_recursion_numerators` over up (up+L) L^3, up down L^4 and e down L^3,
@@ -357,53 +387,56 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
         g(s+j+1) = (iota_N e c_N p_D + kappa_N up L p_N c_D) (up+L)
                    / (e down L theta_N c_D p_D),
 
-    one `Fraction` per step; at j = 1, s = 0, a = 0, where kappa = 0 and
-    e = 0, e is taken as 1.  The recursion value at the top of its range is
-    checked exactly against the closed form, and the three-point identity at
-    the top index as the same expression cross-multiplied: an integer
-    equality with no division by theta, which is 0 there when a = 0.
+    kept as a (numerator, denominator) pair reduced by one gcd; at j = 1,
+    s = 0, a = 0, where kappa = 0 and e = 0, e is taken as 1.  The recursion
+    value at the top of its range is checked exactly against the closed
+    form, and the three-point identity at the top index, both
+    cross-multiplied: integer equalities with no division by theta, which is
+    0 at the top index when a = 0.  The vector is the pairs over their lcm.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
     if m == 0:
-        return CoeffVector(0, n, FAMILY_JACOBI, (Fraction(1),))
+        return CoeffVector._of(0, n, FAMILY_JACOBI, (1,), 1)
     s = n - m
     g_lo, g_lo1, g_hi1, g_hi = gasper_boundary(p, m, s)
-    vals: list[Fraction | None] = [None] * (2 * m + 1)
-    vals[0], vals[1], vals[2 * m - 1], vals[2 * m] = g_lo, g_lo1, g_hi1, g_hi
+    vals: list[tuple[int, int] | None] = [None] * (2 * m + 1)
+    vals[0], vals[1], vals[2 * m - 1], vals[2 * m] = (
+        g.as_integer_ratio() for g in (g_lo, g_lo1, g_hi1, g_hi)
+    )
     if m == 1:
         if g_lo1 != g_hi1:
             raise internal_error(
                 p, "gasper", "extreme closed forms disagree", m=m, n=n, k=s + 1
             )
-        return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
-    big_l, a, b = _over_lcm(p.a, p.b)
+        return _jacobi_vector(m, n, vals)
+    big_l, a, b = p.over_lcm_ab
     top = 2 * m - 1
     for j in range(1, top + 1):
         up, down, theta_n, iota_n, kappa_n = _recursion_numerators(
             big_l, a, b, m, s, j * big_l
         )
         e = down - big_l or 1
-        cur, prev = vals[j], vals[j - 1]
-        c_n, c_d, p_n, p_d = cur.numerator, cur.denominator, prev.numerator, prev.denominator
+        (c_n, c_d), (p_n, p_d) = vals[j], vals[j - 1]
         num = (iota_n * e * c_n * p_d + kappa_n * up * big_l * p_n * c_d) * (up + big_l)
-        den = e * down * big_l * c_d * p_d
+        den = e * down * big_l * c_d * p_d * theta_n
         if j < top - 1:
-            vals[j + 1] = Fraction(num, den * theta_n)
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            vals[j + 1] = (num // g, den // g)
         elif j == top - 1:
-            if Fraction(num, den * theta_n) != g_hi1:
+            if num * g_hi1.denominator != den * g_hi1.numerator:
                 raise internal_error(
                     p, "gasper", "recursion disagrees with the closed form",
                     m=m, n=n, k=s + j + 1,
                 )
-        elif theta_n * g_hi.numerator * den != num * g_hi.denominator:
+        elif den * g_hi.numerator != num * g_hi.denominator:
             raise internal_error(
                 p, "gasper", "three-point identity fails at the top index",
                 m=m, n=n, k=s + 2 * m,
             )
-    return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
+    return _jacobi_vector(m, n, vals)
 
 
 @lru_cache(maxsize=64)

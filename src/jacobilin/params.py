@@ -14,16 +14,19 @@ with interiors given by the strict versions.  The threshold test
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .exact import Rational, to_fraction
+from .exact import Rational, _over_lcm, to_fraction
 
 
 @dataclass(frozen=True)
 class JacobiParams:
     """A parameter point (alpha, beta), alpha, beta > -1, coerced to exact
     `Fraction`s; a = alpha + beta + 1 and b = alpha - beta are derived.
-    Equality and hash read (alpha, beta) only."""
+    Equality and hash read (alpha, beta) only; the hash is computed once, as
+    every cache lookup keyed on the point takes it.  The integer forms that
+    the kernels read, `over_lcm_ab` and `over_lcm_all`, are derived on first
+    use and kept."""
 
     alpha: Fraction
     beta: Fraction
@@ -36,9 +39,24 @@ class JacobiParams:
             raise ValueError(
                 "parameters out of positive-definite range: need alpha > -1 and beta > -1"
             )
-        values = {"alpha": alpha, "beta": beta, "a": alpha + beta + 1, "b": alpha - beta}
+        values = {"alpha": alpha, "beta": beta, "a": alpha + beta + 1, "b": alpha - beta,
+                  "_hash": hash((alpha, beta))}
         for name, value in values.items():
             object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def over_lcm_ab(self) -> tuple[int, int, int]:
+        """(L, aL, bL), L the least common denominator of a and b."""
+        return _over_lcm(self.a, self.b)
+
+    @cached_property
+    def over_lcm_all(self) -> tuple[int, int, int, int, int]:
+        """(d, alpha d, beta d, a d, b d), d the least common denominator of
+        alpha, beta, a and b."""
+        return _over_lcm(self.alpha, self.beta, self.a, self.b)
 
 
 def make_params(alpha: Rational, beta: Rational) -> JacobiParams:

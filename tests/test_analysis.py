@@ -4,10 +4,14 @@ decomposition, the phi sequence, and the assembled identity audits."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from jacobilin import (
+    FAMILY_GENCHEB,
+    FAMILY_JACOBI,
+    CoeffVector,
     chi_m_poly,
     classify_region,
     find_negativity_witness,
@@ -16,6 +20,7 @@ from jacobilin import (
     iota_numerator_poly,
     iota_zero_count,
     linearize_gencheb,
+    linearize_jacobi,
     make_params,
     necessity_identity_values,
     omega_value,
@@ -32,6 +37,7 @@ from jacobilin.analysis import (
     VERDICT_ALL_POSITIVE,
     VERDICT_VIOLATION,
 )
+from jacobilin.jacobi import _ZERO
 
 from conftest import (
     GRID,
@@ -45,6 +51,7 @@ from conftest import (
 )
 from kernel_reference import (
     outcome,
+    ref_entry_scan_sign_pattern,
     ref_pq_limit_parts,
     ref_scan_sign_pattern,
     ref_theta_iota_kappa,
@@ -111,6 +118,42 @@ class TestScan:
                 assert scan_sign_pattern(p, max_degree, mode) == ref_scan_sign_pattern(
                     p, max_degree, mode
                 )
+
+
+def _tall_point() -> tuple[Fraction, Fraction]:
+    """A seeded point whose alpha and beta have 82-bit denominators."""
+    rng = random.Random(8282)
+    den = rng.getrandbits(82) | 1 << 81
+    return F(rng.randrange(-den + 1, 3 * den), den), F(rng.randrange(-den + 1, 3 * den), den)
+
+
+class TestIntegerScan:
+    """The scan reads each vector's integer numerators; the reference reads
+    the same vectors one `Fraction` entry at a time."""
+
+    @pytest.mark.parametrize(
+        "point, max_degree",
+        [(point, 10) for point in GRID]
+        + [((F(-346, 1057), F(-1333, 1661)), 10), (_tall_point(), 5)],
+    )
+    def test_matches_entry_scan(self, point, max_degree):
+        p = make_params(*point)
+        for mode in SCAN_MODES:
+            assert scan_sign_pattern(p, max_degree, mode) == ref_entry_scan_sign_pattern(
+                p, max_degree, mode
+            )
+
+    @pytest.mark.parametrize("point", GRID_WIDE + [_tall_point()])
+    def test_vectors_in_lowest_terms(self, point):
+        p = make_params(*point)
+        for family, linearize in ((FAMILY_JACOBI, linearize_jacobi),
+                                  (FAMILY_GENCHEB, linearize_gencheb)):
+            for n in range(11):
+                for m in range(n + 1):
+                    cv = linearize(p, m, n)
+                    assert cv.den > 0 and gcd(cv.den, *cv.nums) == 1
+                    assert CoeffVector(m, n, family, cv.values) == cv
+                    assert all(v is _ZERO for v in cv.values if v == 0)
 
 
 class TestIotaZeroCount:

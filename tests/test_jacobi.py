@@ -79,6 +79,17 @@ class TestRecurrenceCoeffs:
         for n in range(1, 8):
             assert jacobi_rec_coeffs(p, n).b_n == 0
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_row_cross_checked(self, n):
+        # A point whose (a, b) do not match (alpha, beta) makes the two
+        # parametrizations disagree.  The constructor derives (a, b), so the
+        # mismatch is forced before the integer form is first read.
+        bad = make_params(F(1, 2), F(1, 4))
+        object.__setattr__(bad, "a", F(2))
+        object.__setattr__(bad, "b", F(0))
+        with pytest.raises(RuntimeError, match=rf"jacobi-recurrence.*n={n}"):
+            jacobi_rec_coeffs(bad, n)
+
 
 class TestEvaluation:
     @pytest.mark.parametrize("point", GRID[::4])
