@@ -1,24 +1,36 @@
-"""Reference copies of the exact kernel as it was evaluated one `Fraction`
-operation at a time, before the integer-numerator rewrite, and of the
-recursion loop of `linearize_jacobi` as it was run on reduced theta, iota
-and kappa `Fraction`s, before each step became one integer quotient.  The
-gencheb assembly is kept as it accumulated each entry from two `Fraction`
-products, and the sign scan as it compared `Fraction`s.  The polynomial class
-is kept as it stored one `Fraction` per coefficient (`RefPolynomial`), with
-the brute-force elimination and the p/q limit parts that ran one `Fraction`
-operation per coefficient or factor.  The 9F8 prefactors and Dougall's
-product are kept as the chains of one `pochhammer` `Fraction` per factor that
-they were before each became one table of factors for one integer quotient,
-and the 9F8 series sum as the loop of one `Fraction` product per parameter
-that it was before each term became one such table.
+"""Reference copies of earlier versions of the exact kernel, for the live
+differential tests: the tests that draw or enumerate their inputs on every
+run and compare the library with these copies.  The module holds:
 
-The formulas below are kept verbatim so the kernel tests can demand exact
-equality, and the same exception types, from the library's kernel.  They
-are not used by the library.
+- `ref_pochhammer`, `ref_theta_iota_kappa` and `ref_gasper_boundary`, the
+  kernel as it was evaluated one `Fraction` operation at a time, before the
+  integer-numerator rewrite;
+- `ref_linearize_jacobi`, the recursion loop of `linearize_jacobi` as it was
+  run on reduced theta, iota and kappa `Fraction`s, before each step became
+  one integer quotient (the Hypothesis test `TestRecursionStep` draws its
+  points at run time);
+- `ref_linearize_gencheb` and the two sign scans, the gencheb assembly as it
+  accumulated each entry from two `Fraction` products and the scans as they
+  compared `Fraction`s;
+- `ref_pq_limit_parts`, the p/q limit parts one `Fraction` operation per
+  factor, and `ref_hyp_term_sum`, the 9F8 series sum as the loop of one
+  `Fraction` product per parameter that it was before each term became one
+  table of factors;
+- `outcome` and `outcome_with_message`, a call's value or exception in a
+  form that compares.
+
+The 9F8 closed forms, Dougall's product, the brute-force elimination, the
+polynomial class and the kernel on the grid are no longer compared with
+copies: their outcomes were recorded once, while they equalled the copies,
+in tests/data/outcome_digests.json (`make_outcome_digests.py`).
+
+The formulas below are kept verbatim so the tests can demand exact
+equality, and the same exception types, from the library.  They are not
+used by the library.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from jacobilin.analysis import (
     SCAN_MODES,
@@ -27,22 +39,15 @@ from jacobilin.analysis import (
     VERDICT_VIOLATION,
     SignReport,
 )
-from jacobilin.exact import Rational, pochhammer, to_fraction
-from jacobilin.hypergeom import (
-    SingularSeriesError,
-    _check_indices,
-    _require_open_region,
-    _very_well_poised,
-)
+from jacobilin.exact import to_fraction
+from jacobilin.hypergeom import SingularSeriesError
 from jacobilin.jacobi import (
-    FAMILIES,
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
     CoeffVector,
     gencheb_rec_coeffs,
     internal_error,
     linearize_jacobi,
-    walk_recurrence,
 )
 from jacobilin.gencheb import linearize_gencheb
 from jacobilin.params import JacobiParams, make_params, plus_params
@@ -333,155 +338,6 @@ def outcome(fn, *args):
         return "raises", type(exc)
 
 
-class RefPolynomial:
-    """Dense univariate polynomial with Fraction coefficients.
-
-    Immutable; `coeffs[i]` is the coefficient of x**i with trailing zeros
-    stripped, so the zero polynomial has an empty coefficient tuple and
-    degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def variable(cls) -> "RefPolynomial":
-        return cls([0, 1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __call__(self, x: Rational) -> Fraction:
-        x = to_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RefPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "RefPolynomial(0)"
-        parts = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "RefPolynomial(" + " + ".join(parts) + ")"
-
-    def __neg__(self):
-        return RefPolynomial([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RefPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return RefPolynomial([c * other for c in self.coeffs])
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return RefPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RefPolynomial(out)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other) -> "RefPolynomial":
-        if isinstance(other, RefPolynomial):
-            return other
-        if isinstance(other, (Fraction, int)):
-            return RefPolynomial([other])
-        raise TypeError(f"cannot combine RefPolynomial with {type(other)!r}")
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        if len(rem) < len(other.coeffs):
-            return RefPolynomial(), self
-        q = [Fraction(0)] * (len(rem) - len(other.coeffs) + 1)
-        d = other.coeffs
-        for i in range(len(q) - 1, -1, -1):
-            c = rem[i + len(d) - 1] / d[-1]
-            q[i] = c
-            if c != 0:
-                for j, dj in enumerate(d):
-                    rem[i + j] -= c * dj
-        return RefPolynomial(q), RefPolynomial(rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other) -> "RefPolynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("exact_div with nonzero remainder")
-        return q
-
-    def derivative(self) -> "RefPolynomial":
-        return RefPolynomial(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
-
-def ref_linearize_bruteforce(p, m, n, family=FAMILY_JACOBI, basis=None):
-    """The elimination of `linearize_bruteforce` on `RefPolynomial`s; the
-    basis list [P_0, ...] may be passed in, and is extended in place."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be >= 0")
-    if m > n:
-        m, n = n, m
-    if basis is None:
-        basis = [RefPolynomial([1])]
-    basis = walk_recurrence(p, family, RefPolynomial.variable(), basis, m + n)
-    rem = list((basis[m] * basis[n]).coeffs)
-    coeffs = [Fraction(0)] * (m + n + 1)
-    for k in range(m + n, -1, -1):
-        b_k = basis[k].coeffs
-        c = rem[k] / b_k[k]
-        coeffs[k] = c
-        if c != 0:
-            for i, b_i in enumerate(b_k):
-                rem[i] -= c * b_i
-    for k in range(0, n - m):
-        if coeffs[k] != 0:
-            raise internal_error(
-                p, f"brute/{family}", "coefficient below the support is nonzero",
-                m=m, n=n, k=k,
-            )
-    return CoeffVector(m, n, family, tuple(coeffs[n - m :]))
-
-
 def ref_pq_limit_parts(p, s, j):
     a, b = p.a, p.b
     den = (2 * s + j + 1) * (2 * s + 2 * j + a) * (2 * s + 2 * j + a + b + 1) * (j + 1)
@@ -509,9 +365,6 @@ def ref_pq_limit_parts(p, s, j):
     return p_inf, p_star, q_inf, q_star
 
 
-_HALF = Fraction(1, 2)
-
-
 def outcome_with_message(fn, *args):
     """Like `outcome`, with the exception message as well; a
     ZeroDivisionError is compared by type only, since its message names the
@@ -522,115 +375,6 @@ def outcome_with_message(fn, *args):
         return "raises", type(exc)
     except (ValueError, TypeError) as exc:
         return "raises", type(exc), str(exc)
-
-
-def ref_shared_prefactor(al, be, m, s, j):
-    """The factors that both 9F8 prefactors of g(m, m+s; s+j) share."""
-    return (
-        (al + be + 1 + 2 * s + 2 * j)
-        / (al + be + 1)
-        * Fraction(factorial(m + s), factorial(s) * factorial(j))
-        * pochhammer(be + 1, m + s)
-        * pochhammer(al + be + 1, 2 * s + j)
-        / (pochhammer(al + 1, m) * pochhammer(al + be + 2, 2 * m + 2 * s + j))
-    )
-
-
-def ref_rahman_coefficient(p, m, s, j):
-    _check_indices(m, s, j)
-    _require_open_region(p)
-    al, be = p.alpha, p.beta
-    e = j % 2
-    up, down = (j + e) // 2, (j - e) // 2
-    pref = (
-        ref_shared_prefactor(al, be, m, s, j)
-        * pochhammer(m + al + be + 1, m)
-        * pochhammer(al + be + 1, j)
-        / pochhammer(be + 1, s + j)
-        * pochhammer(-m, up)
-        * pochhammer(al + be + m + s + 1, up)
-        / pochhammer(-m - (al + be) / 2, up)
-        * pochhammer(al + s + 1 + up, down)
-        * pochhammer(-m - al, down)
-        * pochhammer(be + m + s + 1, down)
-        * pochhammer(_HALF + e, down)
-        / (
-            pochhammer(_HALF - m - (al + be) / 2, down)
-            * pochhammer(s + 1, down)
-            * pochhammer(al + 1 + e, down)
-        )
-    )
-    if e:
-        pref = pref * (al - be) / (al + be + 1)
-    series = _very_well_poised(
-        al + e, al + _HALF, (al - be) / 2 + e, (al - be + 1) / 2,
-        al + be + m + s + 1 + up, Fraction(up - m), Fraction(-s - down), Fraction(-down),
-        term_count=down,
-    )
-    return pref * series.evaluate()
-
-
-def ref_rahman_special(p, m, s, j):
-    _check_indices(m, s, j)
-    al, be = p.alpha, p.beta
-    if not (al >= be >= -_HALF):
-        raise ValueError(
-            "companion formula needs alpha >= beta >= -1/2"
-        )
-    if p.a == 0:
-        raise SingularSeriesError(
-            "companion formula at alpha = beta = -1/2 divides by a = 0; "
-            "boundary limit required"
-        )
-    jh = Fraction(j, 2)
-    series = _very_well_poised(
-        be + s + _HALF, be + _HALF, be + m + s + 1, -m - al,
-        (al + be + 1) / 2 + s + jh, (al + be + 2) / 2 + s + jh, Fraction(1 - j, 2), -jh,
-        term_count=j // 2,
-    )
-    value = series.evaluate()
-    pref = (
-        ref_shared_prefactor(al, be, m, s, j)
-        * pochhammer(al + be + m + 1, m)
-        / pochhammer(be + 1, s)
-        * pochhammer(-2 * m, j)
-        * pochhammer(2 * al + 2 * be + 2 * m + 2 * s + 2, j)
-        / pochhammer(-2 * m - al - be, j)
-        * pochhammer(al - be, j)
-        / pochhammer(2 * be + 2 * s + 2, j)
-    )
-    return pref * value
-
-
-def ref_dougall_coefficient(alpha, m, n):
-    alpha = to_fraction(alpha)
-    if alpha <= -_HALF:
-        raise ValueError("ultraspherical closed form needs alpha > -1/2")
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be >= 0")
-    if m > n:
-        m, n = n, m
-    vals = [Fraction(0)] * (2 * m + 1)
-    for t in range(m + 1):
-        k = m + n - 2 * t
-        c = (
-            factorial(t)
-            * pochhammer(alpha + _HALF, t)
-            * comb(m, t)
-            * comb(n, t)
-            * (m + n + alpha + _HALF - 2 * t)
-            * pochhammer(alpha + _HALF, m - t)
-            * pochhammer(alpha + _HALF, n - t)
-            * pochhammer(2 * alpha + 1, m + n - t)
-            / (
-                (m + n + alpha + _HALF - t)
-                * pochhammer(alpha + _HALF, m + n - t)
-                * pochhammer(2 * alpha + 1, m)
-                * pochhammer(2 * alpha + 1, n)
-            )
-        )
-        vals[k - (n - m)] = c
-    return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
 
 
 def ref_hyp_term_sum(numerator_params, denominator_params, term_count):

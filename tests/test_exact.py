@@ -16,7 +16,16 @@ from jacobilin.exact import (
     to_fraction,
 )
 
-from kernel_reference import RefPolynomial, outcome, ref_pochhammer
+from kernel_reference import outcome, ref_pochhammer
+from make_outcome_digests import (
+    BINARY,
+    PAIRS,
+    UNARY,
+    binary_lines,
+    check_recorded,
+    count_real_roots_lines,
+    unary_lines,
+)
 
 F = Fraction
 
@@ -172,46 +181,6 @@ class TestPolynomialAlgebra:
         assert p.derivative() == 3 * x * x - 4
 
 
-def _random_coeffs(rng: random.Random) -> list:
-    """Coefficients of a random polynomial: zero, constant or of degree up to
-    8, with numerators and denominators of up to 200 bits, some zero entries,
-    a negative leading coefficient half the time, and sometimes trailing
-    zeros or plain ints."""
-    kind = rng.randrange(8)
-    if kind == 0:
-        return [0] * rng.randint(0, 2)
-    bits = rng.choice((3, 30, 200))
-    degree = 0 if kind == 1 else rng.randint(1, 8)
-    cs = [
-        F(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
-        if rng.random() < 0.8 else F(0)
-        for _ in range(degree + 1)
-    ]
-    cs[-1] = (-1) ** rng.randint(0, 1) * (abs(cs[-1]) or F(rng.randint(1, 9), 7))
-    if kind == 2:
-        cs = [c.numerator for c in cs]
-    if kind == 3:
-        cs += [0, F(0)]
-    return cs
-
-
-def _random_pool(rng: random.Random, size: int) -> list:
-    """`size` random coefficient lists, then repeats of some of them, bare or
-    with a trailing zero, so that some neighbours are equal polynomials."""
-    pool = [_random_coeffs(rng) for _ in range(size)]
-    return pool + [cs + [0] for cs in pool[::40]] + pool[::50]
-
-
-def _plain(x):
-    """A polynomial as its Fraction coefficients, so that results of the two
-    classes compare by value."""
-    if isinstance(x, (RationalPolynomial, RefPolynomial)):
-        return ("poly", x.coeffs)
-    if isinstance(x, tuple):
-        return tuple(_plain(v) for v in x)
-    return x
-
-
 def _canonical(poly: RationalPolynomial) -> bool:
     if poly.is_zero:
         return (poly.nums, poly.den) == ((), 1)
@@ -219,62 +188,24 @@ def _canonical(poly: RationalPolynomial) -> bool:
 
 
 class TestPolynomialExactness:
-    """The integer-numerator polynomial class equals `RefPolynomial`, which
-    held one Fraction per coefficient, exactly on every operation, and raises
-    the same exception types; every result is in canonical form."""
-
-    POOL = _random_pool(random.Random(20261018), 520)
-    PAIRS = list(zip(POOL, POOL[1:] + POOL[:1]))
-    POINTS = [F(0), F(1), F(-1), F(3, 7), F(-22, 5), F(2**70 + 1, 3**40), 5]
-
-    BINARY = {
-        "add": lambda x, y: x + y,
-        "sub": lambda x, y: x - y,
-        "mul": lambda x, y: x * y,
-        "divmod": divmod,
-        "mod": lambda x, y: x % y,
-        "exact_div": lambda x, y: x.exact_div(y),
-        "exact_div_of_product": lambda x, y: (x * y).exact_div(y),
-        "eq": lambda x, y: x == y,
-    }
-    UNARY = {
-        "neg": lambda x: -x,
-        "derivative": lambda x: x.derivative(),
-        "degree": lambda x: (x.degree, x.is_zero),
-        "coefficient": lambda x: tuple(x.coefficient(i) for i in range(-1, 11)),
-        "scalar_mul": lambda x: (x * F(-7, 12), F(5, 3) * x, x * 0, 3 * x, x * -2),
-        "scalar_add": lambda x: (x + F(1, 3), x - 4),
-        "mul_float": lambda x: x * 0.5,
-        "add_text": lambda x: x + "1",
-        "eval": lambda x: tuple(x(t) for t in TestPolynomialExactness.POINTS),
-        "eval_float": lambda x: x(0.5),
-    }
+    """The integer-numerator polynomial class gives, on every operation, the
+    outcomes (values, or exception types) recorded while it equalled the
+    class it replaced, which held one Fraction per coefficient
+    (`make_outcome_digests`); every result is in canonical form."""
 
     @pytest.mark.parametrize("name", sorted(BINARY))
-    def test_binary(self, name):
-        op = self.BINARY[name]
-        for a, b in self.PAIRS:
-            got = outcome(op, RationalPolynomial(a), RationalPolynomial(b))
-            want = outcome(op, RefPolynomial(a), RefPolynomial(b))
-            assert _plain(got) == _plain(want), (name, a, b)
+    def test_binary(self, name, request):
+        check_recorded(request.node, binary_lines(name))
 
     @pytest.mark.parametrize("name", sorted(UNARY))
-    def test_unary(self, name):
-        op = self.UNARY[name]
-        for a in self.POOL:
-            got = outcome(op, RationalPolynomial(a))
-            assert _plain(got) == _plain(outcome(op, RefPolynomial(a))), (name, a)
+    def test_unary(self, name, request):
+        check_recorded(request.node, unary_lines(name))
 
-    def test_count_real_roots(self):
-        rng = random.Random(7)
-        for a in self.POOL[::2]:
-            lo = F(rng.randint(-40, 20), rng.randint(1, 5))
-            hi = lo + F(rng.randint(-1, 40), rng.randint(1, 5))
-            got = outcome(count_real_roots, RationalPolynomial(a), lo, hi)
-            assert got == outcome(count_real_roots, RefPolynomial(a), lo, hi), (a, lo, hi)
+    def test_count_real_roots(self, request):
+        check_recorded(request.node, count_real_roots_lines())
 
     def test_canonical_form(self):
-        for a, b in self.PAIRS:
+        for a, b in PAIRS:
             x, y = RationalPolynomial(a), RationalPolynomial(b)
             results = [x, -x, x + y, x - y, x * y, x * F(-3, 8), x.derivative()]
             if not y.is_zero:
@@ -284,7 +215,7 @@ class TestPolynomialExactness:
         assert (RationalPolynomial([0, F(0)]).nums, RationalPolynomial().den) == ((), 1)
 
     def test_equal_by_different_routes(self):
-        for a, b in self.PAIRS:
+        for a, b in PAIRS:
             x, y = RationalPolynomial(a), RationalPolynomial(b)
             routes = [
                 (x + y) - y,
@@ -342,24 +273,38 @@ class TestCountRealRoots:
             count_real_roots(x, 1, 1)
 
     def test_random_products_of_known_roots(self):
-        rng = random.Random(917)
         x = RationalPolynomial.variable()
+
+        def check(roots, lo, hi):
+            p = RationalPolynomial([1])
+            for r in roots:
+                p = p * (x - r)
+            expected = sum(1 for r in roots if lo < r <= hi)
+            for q in (p, p * p, p * p * p):
+                assert count_real_roots(q, lo, hi) == expected, (sorted(roots), lo, hi)
+
+        rng = random.Random(917)
         for _ in range(30):
             roots = set()
             while len(roots) < rng.randint(1, 4):
                 roots.add(F(rng.randint(-12, 12), rng.randint(1, 6)))
-            p = RationalPolynomial([1])
-            for r in roots:
-                p = p * (x - r)
             lo = F(rng.randint(-30, 10), rng.randint(1, 4))
             hi = lo + F(rng.randint(1, 40), rng.randint(1, 4))
             if rng.random() < 0.5:
                 # Endpoints drawn from the roots too, so that they are
                 # multiple roots of p * p and p * p * p.
                 lo, hi = sorted(rng.sample(sorted(roots | {lo, hi}), 2))
-            expected = sum(1 for r in roots if lo < r <= hi)
-            for q in (p, p * p, p * p * p):
-                assert count_real_roots(q, lo, hi) == expected
+            check(roots, lo, hi)
+        # 6 to 8 distinct roots, so Sturm chains of 7 to 9 elements, with
+        # both endpoints drawn from the roots: the sign count must drop the
+        # zeros of long chains too.
+        rng = random.Random(918)
+        for _ in range(10):
+            roots = set()
+            size = rng.randint(6, 8)
+            while len(roots) < size:
+                roots.add(F(rng.randint(-12, 12), rng.randint(1, 6)))
+            check(roots, *sorted(rng.sample(sorted(roots), 2)))
 
 
 def test_recursion_middle_coefficient_roots_below_threshold():

@@ -16,13 +16,12 @@ from jacobilin import (
 )
 from jacobilin.hypergeom import HypTermSum, rahman_coefficient, rahman_special
 
-from conftest import GRID_DELTA_INTERIOR, GRID_WIDE, rand_alpha_beta
-from kernel_reference import (
-    outcome_with_message,
-    ref_dougall_coefficient,
-    ref_hyp_term_sum,
-    ref_rahman_coefficient,
-    ref_rahman_special,
+from conftest import GRID_DELTA_INTERIOR, rand_alpha_beta
+from kernel_reference import outcome_with_message, ref_hyp_term_sum
+from make_outcome_digests import (
+    CLOSED_FORM_POINTS,
+    check_recorded,
+    closed_form_lines,
 )
 
 F = Fraction
@@ -250,37 +249,13 @@ class TestSymmetricProductFormula:
             dougall_coefficient(F(-1, 2), 1, 1)
 
 
-def _closed_form_points():
-    """GRID_WIDE, 40 seeded points, 5 points on alpha = beta and 4 on
-    beta = -1/2."""
-    rng = random.Random(18)
-    return [
-        *GRID_WIDE,
-        *(rand_alpha_beta(rng) for _ in range(40)),
-        *((F(x), F(x)) for x in ("-1/2", "-1/3", "0", "2/5", "3")),
-        *((F(x), F(-1, 2)) for x in ("-1/2", "-1/4", "1/3", "5/2")),
-    ]
-
-
 class TestClosedFormExactness:
-    """Each closed form, evaluated as one table of Pochhammer factors, equals
-    its reference chain of one `Fraction` per factor, with the same exception
-    types and messages, for m 0..6, s -1..4 and j -1..2m+1, in and out of
-    every domain."""
+    """Each closed form gives its recorded outcome, the value or the
+    exception type and message, for m 0..6, s -1..4 and j -1..2m+1, in and
+    out of every domain (`make_outcome_digests.closed_form_lines`).  The
+    record was written while the factor tables equalled the chains of one
+    `Fraction` per factor that they replaced."""
 
-    @pytest.mark.parametrize("point", _closed_form_points())
-    def test_matches_reference(self, point):
-        p = make_params(*point)
-        for m in range(7):
-            for s in range(-1, 5):
-                assert outcome_with_message(dougall_coefficient, p.alpha, m, m + s) == (
-                    outcome_with_message(ref_dougall_coefficient, p.alpha, m, m + s)
-                )
-                for j in range(-1, 2 * m + 2):
-                    for fn, ref in [
-                        (rahman_coefficient, ref_rahman_coefficient),
-                        (rahman_special, ref_rahman_special),
-                    ]:
-                        assert outcome_with_message(fn, p, m, s, j) == (
-                            outcome_with_message(ref, p, m, s, j)
-                        ), (fn.__name__, m, s, j)
+    @pytest.mark.parametrize("point", CLOSED_FORM_POINTS)
+    def test_matches_reference(self, point, request):
+        check_recorded(request.node, closed_form_lines(point))

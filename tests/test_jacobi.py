@@ -26,26 +26,22 @@ from jacobilin import (
     theta_iota_kappa,
 )
 
-from conftest import GRID, GRID_DELTA_INTERIOR, GRID_WIDE, rand_alpha_beta
+from conftest import GRID, GRID_WIDE, rand_alpha_beta
 from kernel_reference import (
-    RefPolynomial,
     outcome,
     ref_gasper_boundary,
-    ref_linearize_bruteforce,
     ref_linearize_jacobi,
     ref_theta_iota_kappa,
 )
+from make_outcome_digests import (
+    BOUNDARY_POINTS,
+    KERNEL_POINTS,
+    bruteforce_lines,
+    check_recorded,
+    kernel_lines,
+)
 
 F = Fraction
-
-# One point on each boundary line: a = 0, b = 0 (alpha = beta), b = 1 and
-# beta = -1/2.  GRID adds more on b = 0, and (-1/2, -1/2) on a = 0 and b = 0.
-BOUNDARY_POINTS = [
-    (F(-1, 4), F(-3, 4)),
-    (F(2, 7), F(2, 7)),
-    (F(1, 3), F(-2, 3)),
-    (F(5, 7), F(-1, 2)),
-]
 
 
 class TestRecurrenceCoeffs:
@@ -330,43 +326,15 @@ class TestReflection:
             assert sign * v >= 0
 
 
-def _kernel_cases(full: bool):
-    """(m, s, js) for m <= 8 and s <= 8, js every integer index of [1, 2m-1]
-    plus the rational 3/2 and 7/3 (out of range, so rejected, for small m).
-
-    `full` gives every (m, s) pair.  Otherwise each m is paired with two
-    values of s, and every j with one, cycling through 0..8 so that every
-    value of m, s and j still occurs.  The reference formulas cost about
-    0.2 ms per call; the full product at all 26 points took about 5 s on a
-    2-core x86 VM (Python 3.11), more than the kernel change saves on the
-    rest of tier-1."""
-    for m in range(1, 9):
-        js = [*range(1, 2 * m), F(3, 2), F(7, 3)]
-        if full:
-            for s in range(9):
-                yield m, s, js
-        else:
-            yield m, (m - 1) % 9, js[::2]
-            yield m, (m + 4) % 9, js[1::2]
-
-
 class TestKernelExactness:
     """The integer-numerator kernel equals the one-Fraction-at-a-time
-    reference exactly, and raises the same exception types."""
+    reference exactly, and raises the same exception types: on the grid and
+    the boundary points through the outcomes recorded while the two agreed
+    (`make_outcome_digests.kernel_lines`), and live below."""
 
-    # The full product of m, s and j runs at the two a = 0 points, where the
-    # special case j = 1, s = 0 applies, and at one tall-denominator point.
-    FULL = [(F(-1, 4), F(-3, 4)), (F(-1, 2), F(-1, 2)), (F(-33, 100), F(-87, 100))]
-
-    @pytest.mark.parametrize("point", GRID + BOUNDARY_POINTS)
-    def test_matches_reference(self, point):
-        p = make_params(*point)
-        for m, s, js in _kernel_cases(full=point in self.FULL):
-            assert gasper_boundary(p, m, s) == ref_gasper_boundary(p, m, s)
-            for j in js:
-                assert outcome(theta_iota_kappa, p, m, s, j) == outcome(
-                    ref_theta_iota_kappa, p, m, s, j
-                ), (m, s, j)
+    @pytest.mark.parametrize("point", KERNEL_POINTS)
+    def test_matches_reference(self, point, request):
+        check_recorded(request.node, kernel_lines(point))
 
     def test_degenerate_kappa_at_one(self):
         p = make_params(F(-1, 4), F(-3, 4))
@@ -469,20 +437,14 @@ class TestRecursionStep:
 
 
 class TestBruteforceExactness:
-    """The fraction-free elimination of `linearize_bruteforce` equals the
-    one-Fraction-at-a-time elimination on `RefPolynomial`, in every family
-    and at the companion point, for m <= n <= 10."""
+    """The fraction-free elimination of `linearize_bruteforce` gives the
+    vectors recorded while it equalled the one-Fraction-at-a-time
+    elimination it replaced, in every family and at the companion point, for
+    m <= n <= 10 (`make_outcome_digests.bruteforce_lines`)."""
 
     @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_matches_reference(self, point):
-        p = make_params(*point)
-        routes = ((p, FAMILY_JACOBI), (p, FAMILY_GENCHEB), (plus_params(p), FAMILY_JACOBI))
-        for q, family in routes:
-            basis = [RefPolynomial([1])]
-            for n in range(11):
-                for m in range(n + 1):
-                    want = ref_linearize_bruteforce(q, m, n, family, basis)
-                    assert linearize_bruteforce(q, m, n, family) == want, (family, m, n)
+    def test_matches_reference(self, point, request):
+        check_recorded(request.node, bruteforce_lines(point))
 
 
 class TestCacheBounds:
