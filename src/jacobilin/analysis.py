@@ -14,9 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalPolynomial, _over_lcm, count_real_roots
-from .gencheb import gencheb_rec_coeffs, linearize_gencheb
+from .gencheb import _companion, gencheb_rec_coeffs, linearize_gencheb
 from .jacobi import gasper_boundary, internal_error, linearize_jacobi, theta_iota_kappa
-from .params import JacobiParams, classify_region, make_params, plus_params
+from .params import (
+    JacobiParams,
+    classify_region,
+    gasper_q,
+    gasper_v,
+    make_params,
+    plus_params,
+)
 
 VERDICT_ALL_NONNEG = "all_nonneg"
 VERDICT_ALL_POSITIVE = "all_positive_on_support"
@@ -315,7 +322,7 @@ def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     # The entries g+(s + j) are nums[j] / den, so den cancels from each ratio.
-    nums = linearize_jacobi(plus_params(p), m, m + s).nums
+    nums = _companion(p, m, m + s).nums
     vals = []
     for j, r in enumerate(_odd_scales(p, s, 2 * m), start=1):
         # nums[j - 1] != 0: at j = 1 it is the vector's positive lowest
@@ -378,16 +385,9 @@ def gasper_simplification_values(
         / (4 * m * (m + s + a) * (2 * s + a + 1))
     )
     lhs1 = pref1 * (iota1 * ratio_lo + kappa1)
-    rhs1 = (
-        (b * b + a) * (2 * m - 4) * (2 * m + 2 * s + 2 * a + 4) * 2 * s
-        + (a * a + 2 * b * b + 3 * a)
-        * (
-            (2 * m - 4) * (2 * m + 2 * s + 2 * a + 4)
-            + 2 * s * (2 * s + 2 * a + 8)
-            + (a + 3) * (a + 5)
-        )
-        - 3 * (a + 1) * (a + 2) * b * b
-    )
+    q = gasper_q(p)
+    v_s = gasper_v(p, q, s)
+    rhs1 = (2 * m - 4) * (2 * m + 2 * s + 2 * a + 4) * ((b * b + a) * 2 * s + q) + v_s
     theta2, iota2, kappa2 = theta_iota_kappa(p, m, s, 2 * m - 1)
     pref2 = (
         (2 * m + a - 1)
@@ -397,16 +397,10 @@ def gasper_simplification_values(
         / (4 * m * (m + s) * (4 * m + 2 * s + a - 1))
     )
     lhs2 = pref2 * (theta2 - iota2 * ratio_hi)
-    rhs2 = (
-        (b * b + a) * (2 * m - 4) * (2 * m + 2 * s - 4) * (4 * m + 2 * s + 2 * a)
-        + (a * a + 2 * b * b + 3 * a)
-        * (
-            (2 * m - 4) * (6 * m + 6 * s + 4 * a + 4)
-            + 2 * s * (2 * s + 2 * a + 8)
-            + (a + 3) * (a + 5)
-        )
-        - 3 * (a + 1) * (a + 2) * b * b
-    )
+    rhs2 = (2 * m - 4) * (
+        (b * b + a) * (2 * m + 2 * s - 4) * (4 * m + 2 * s + 2 * a)
+        + q * (6 * m + 6 * s + 4 * a + 4)
+    ) + v_s
     return (lhs1, rhs1), (lhs2, rhs2)
 
 
@@ -447,9 +441,8 @@ def necessity_identity_values(
         / (2 * s + a + 4)
         * (r2 * ratio2 + 1)
     )
-    rhs2 = (4 * m - 4) * (m + s + a + 2) * (
-        (a * a + 2 * b * b + 3 * a) * (s + 1) - a * (a + 1) * s
-    ) + (a + 1) * (2 * s + a + b + 3) * (
-        (a + 2 * b) * (2 * s + 2 - b) + a * a + 2 * b * b + 3 * a
+    q = gasper_q(p)
+    rhs2 = (4 * m - 4) * (m + s + a + 2) * (q * (s + 1) - a * (a + 1) * s) + (
+        (a + 1) * (2 * s + a + b + 3) * ((a + 2 * b) * (2 * s + 2 - b) + q)
     )
     return (lhs1, rhs1), (lhs2, rhs2)

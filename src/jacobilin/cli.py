@@ -38,7 +38,7 @@ from .analysis import (
     pq_values,
     scan_sign_pattern,
 )
-from .gencheb import linearize_gencheb
+from .gencheb import _companion, linearize_gencheb
 from .hypergeom import SingularSeriesError, dougall_coefficient, rahman_coefficient
 from .jacobi import (
     FAMILY_GENCHEB,
@@ -156,7 +156,7 @@ METHODS = {
         ),
     },
     "jacobi-plus": {
-        "gasper": (_always, lambda p, m, n: linearize_jacobi(plus_params(p), m, n).values),
+        "gasper": (_always, lambda p, m, n: _companion(p, m, n).values),
         "brute": (_always, lambda p, m, n: linearize_bruteforce(plus_params(p), m, n).values),
     },
     "gencheb": {

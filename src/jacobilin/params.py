@@ -92,15 +92,30 @@ class RegionReport:
     label: RegionLabel
 
 
+def gasper_q(p: JacobiParams) -> Fraction:
+    """Q = a^2 + 2b^2 + 3a, whose sign with b >= 0 defines V'."""
+    a, b = p.a, p.b
+    return a * a + 2 * b * b + 3 * a
+
+
+def gasper_v(p: JacobiParams, q: Fraction, s: int = 0) -> Fraction:
+    """V_s = Q (2s + a + 3)(2s + a + 5) - 3(a+1)(a+2) b^2, given
+    q = `gasper_q(p)`.  V_0 >= 0 with b >= 0 defines V, and V_s is the value
+    at m = 2 of both of Gasper's simplified second coefficients
+    (`gasper_simplification_values`)."""
+    a, b = p.a, p.b
+    return q * (a + (2 * s + 3)) * (a + (2 * s + 5)) - 3 * (a + 1) * (a + 2) * b * b
+
+
 def classify_region(p: JacobiParams) -> RegionReport:
     a, b = p.a, p.b
     in_delta = a >= 0 and b >= 0
     in_delta_interior = a > 0 and b > 0
-    lhs = (a * a + 2 * b * b + 3 * a) * (a + 3) * (a + 5)
-    rhs = 3 * (a + 1) * (a + 2) * b * b
-    in_v = b >= 0 and lhs >= rhs
-    in_v_interior = b > 0 and lhs > rhs
-    in_vprime = b >= 0 and a * a + 2 * b * b + 3 * a >= 0
+    q = gasper_q(p)
+    v = gasper_v(p, q)
+    in_v = b >= 0 and v >= 0
+    in_v_interior = b > 0 and v > 0
+    in_vprime = b >= 0 and q >= 0
     disc = 4 * a * a + 11 * a + 3
     above = disc > 0
     on_threshold = disc == 0

@@ -1,27 +1,36 @@
-"""Recorded outcomes of the exact kernels on fixed inputs.
+"""Recorded outputs of the library on fixed inputs, one digest per test id.
 
-Four test classes compare the library with outcomes recorded once, not with
-a second kernel run alongside it: `TestClosedFormExactness` (9F8 series and
-Dougall's product), `TestKernelExactness` (`gasper_boundary` and
-`theta_iota_kappa`), `TestBruteforceExactness` (the brute-force oracle) and
-`TestPolynomialExactness` (`RationalPolynomial` and `count_real_roots`).
-Each of their test ids writes the library's outcome on every one of its
+Tier-1 compares the library with outputs recorded once, not with a second
+kernel run alongside it:
+- `TestClosedFormExactness` (9F8 series and Dougall's product),
+  `TestKernelExactness` (`gasper_boundary` and `theta_iota_kappa`),
+  `TestBruteforceExactness` (the brute-force oracle) and
+  `TestPolynomialExactness` (`RationalPolynomial` and `count_real_roots`);
+- `test_vector_digests.py`: every `linearize_jacobi` and `linearize_gencheb`
+  vector with m <= n <= 12 at each grid point, one line "m n: v_0 v_1 ..."
+  per product, each value as `str(Fraction)`;
+- `TestTallPointScans` in `test_cli.py`: `jacobilin scan --max-degree 20
+  --json` in every `--check` mode at two tall points, as one JSON line of
+  the exit code, verdict, min_value, witness and witness_value.
+Each of these test ids writes the library's output on every one of its
 inputs as one canonical line: the value, or the exception type, plus the
 message where the test keeps messages.  The sha256 of those lines is
 compared with the digest committed for that id in
-tests/data/outcome_digests.json, so a failure names its class and its point
+tests/data/outcome_digests.json, so a failure names its test and its point
 or operation.  The inputs, seeds and enumeration order live here, so this
 script needs no pytest.
 
-The digests were first written from the library at a commit where tier-1
-required the library to equal the reference copies of the earlier kernels
-on all of these inputs, and the reference copies wrote the same file.
-Regenerate only when outcomes are meant to change:
+The digests of the four kernel classes were first written from the library
+at a commit where tier-1 required the library to equal the reference copies
+of the earlier kernels on all of their inputs, and the reference copies
+wrote the same file.  Regenerate only when outputs are meant to change:
 
     PYTHONPATH=src python tests/make_outcome_digests.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -39,10 +48,13 @@ from jacobilin import (
     dougall_coefficient,
     gasper_boundary,
     linearize_bruteforce,
+    linearize_gencheb,
+    linearize_jacobi,
     make_params,
     plus_params,
     theta_iota_kappa,
 )
+from jacobilin.cli import run_command
 from jacobilin.hypergeom import rahman_coefficient, rahman_special
 
 from kernel_reference import outcome, outcome_with_message
@@ -230,6 +242,38 @@ def count_real_roots_lines(_=None):
         yield f"{lo} {hi}: {text(outcome(count_real_roots, RationalPolynomial(a), lo, hi))}"
 
 
+# --- linearization vectors: both families on the grid, m <= n <= 12
+
+VECTOR_FAMILIES = {"gencheb": linearize_gencheb, "jacobi": linearize_jacobi}
+
+
+def vector_lines(case):
+    family, point = case
+    p, linearize = make_params(*point), VECTOR_FAMILIES[family]
+    for n in range(13):
+        for m in range(n + 1):
+            yield f"{m} {n}: {' '.join(map(str, linearize(p, m, n).values))}"
+
+
+# --- sign scans through the CLI at two tall points, degree 20
+
+# The rational point on the boundary of V and a point far outside V'; their
+# entries to degree 20 reach 500 and 435 bits.
+TALL_POINTS = [("-346/1057", "-1333/1661"), ("29/12", "39/16")]
+SCAN_CHECKS = ["nonneg", "strict", "all", "odd", "oscillation"]
+
+
+def scan_lines(case):
+    (alpha, beta), check = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["scan", "--alpha", alpha, "--beta", beta, "--check", check,
+                            "--max-degree", "20", "--json"])
+    payload = json.loads(out.getvalue())["payload"]
+    fields = ("verdict", "min_value", "witness", "witness_value")
+    yield json.dumps({"exit": code, **{k: payload[k] for k in fields}}, sort_keys=True)
+
+
 # --- the recorded test ids
 
 # test function -> (its parameter ids and arguments, the lines of one id)
@@ -251,6 +295,16 @@ CASES = {
     ),
     "test_exact.py::TestPolynomialExactness::test_count_real_roots": (
         {None: None}, count_real_roots_lines,
+    ),
+    "test_vector_digests.py::test_vectors_match_committed_digest": (
+        {f"{family}-point{i}": (family, pt)
+         for family in VECTOR_FAMILIES for i, pt in enumerate(GRID)},
+        vector_lines,
+    ),
+    "test_cli.py::TestTallPointScans::test_matches_recorded_output": (
+        {f"{check}-point{i}": (pt, check)
+         for check in SCAN_CHECKS for i, pt in enumerate(TALL_POINTS)},
+        scan_lines,
     ),
 }
 

@@ -28,6 +28,7 @@ from jacobilin.analysis import VERDICT_VIOLATION
 from jacobilin.cli import fmt_approx, run_command
 
 from conftest import GRID_WIDE
+from make_outcome_digests import SCAN_CHECKS, TALL_POINTS, check_recorded, scan_lines
 
 F = Fraction
 
@@ -238,6 +239,17 @@ class TestDigitCap:
             sys.set_int_max_str_digits(caller_cap)
 
 
+class TestTallPointScans:
+    """`scan --max-degree 20 --json` in every mode at two tall points gives
+    the recorded exit code, verdict, minimum and witness
+    (`make_outcome_digests.scan_lines`)."""
+
+    @pytest.mark.parametrize("point", TALL_POINTS)
+    @pytest.mark.parametrize("check", SCAN_CHECKS)
+    def test_matches_recorded_output(self, point, check, request):
+        check_recorded(request.node, scan_lines((point, check)))
+
+
 class TestExitCodes:
     def test_malformed_rational(self, capsys):
         code, _, err = run(capsys, "classify", "--alpha", "0.5", "--beta", "0")
@@ -430,6 +442,19 @@ class TestExitCodes:
         for part in ("alpha=1/2", "beta=1/4", "m=3", "n=5", "k=7", "route gasper"):
             assert part in err
 
+    def test_internal_failure_in_the_companion_family_names_the_point(
+        self, capsys, broken_gasper
+    ):
+        code, out, err = run(
+            capsys, "linearize", "--alpha", "1/2", "--beta", "1/4", "--family", "jacobi-plus",
+            "--m", "3", "--n", "5",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: ")
+        for part in ("alpha=1/2, beta=5/4", "companion of alpha=1/2, beta=1/4", "route gasper"):
+            assert part in err
+
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize(
         "argv, points",
@@ -437,19 +462,23 @@ class TestExitCodes:
             (["compare", "--max-degree", "3"], ["alpha=-1/2, beta=0"]),
             (["scan", "--check", "nonneg", "--max-degree", "4"], ["alpha=-1/2, beta=0"]),
             (["verify", "--property", "recursion-consistency"], ["alpha=-1/2, beta=0"]),
-            # The odd products of the gencheb family run at the companion
-            # point, and the message names the point asked about as well.
+            (
+                ["verify", "--property", "phi-alternation"],
+                ["alpha=-1/2, beta=1", "companion of alpha=-1/2, beta=0"],
+            ),
             (
                 ["witness", "--max-degree", "8"],
                 ["alpha=-1/2, beta=1", "companion of alpha=-1/2, beta=0"],
             ),
         ],
-        ids=["compare", "scan", "verify", "witness"],
+        ids=["compare", "scan", "verify", "verify-phi", "witness"],
     )
     def test_internal_failure_exits_four_in_every_subcommand(
         self, capsys, broken_gasper, argv, points, json_flag
     ):
-        # (-1/2, 0) lies outside V' (b < 0).
+        # (-1/2, 0) lies outside V' (b < 0).  phi and the odd products of the
+        # gencheb family run at the companion point (-1/2, 1), and the message
+        # names the point asked about as well.
         code, out, err = run(capsys, argv[0], "--alpha", "-1/2", "--beta", "0",
                              *argv[1:], *json_flag)
         assert code == 4

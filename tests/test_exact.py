@@ -262,6 +262,11 @@ class TestCountRealRoots:
         x = RationalPolynomial.variable()
         p = (x - 1) * (x - 1) * (x + 3)
         assert count_real_roots(p, 0, 2) == 1
+        # Endpoints at the double root -3 and the simple root -2, where
+        # gcd(p, p') = x + 3 is linear.
+        p = (x + 3) * (x + 3) * (x + 2)
+        counts = [count_real_roots(p, lo, hi) for lo, hi in [(-4, -3), (-3, -2), (-4, -2)]]
+        assert counts == [1, 1, 2]
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):

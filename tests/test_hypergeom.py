@@ -128,9 +128,11 @@ class TestRahmanBranches:
             rahman_coefficient(p, 2, 0, 1)
 
     def test_boundary_rejected_with_guidance(self):
-        p = make_params(F(1, 2), F(1, 2))
-        with pytest.raises(ValueError, match="linearize_jacobi"):
-            rahman_coefficient(p, 2, 0, 1)
+        # b = 0 with a = 2 > 0, and a = 0 with b = 1/2 > 0.
+        for point in [(F(1, 2), F(1, 2)), (F(-1, 4), F(-3, 4))]:
+            p = make_params(*point)
+            with pytest.raises(ValueError, match="linearize_jacobi"):
+                rahman_coefficient(p, 2, 0, 1)
 
     def test_removable_singularity_raises_instead_of_truncating(self):
         # alpha = 0 zeroes a denominator parameter of the even branch before

@@ -1,28 +1,23 @@
 """Regression gate: every linearization vector on the committed grid, up to
-degree 12 in both families, hashes to the digest committed in
-tests/data/vector_digests.json (written by tests/make_vector_digests.py)."""
-
-import json
+degree 12 in both families, hashes to the digest recorded for its grid point
+and family in tests/data/outcome_digests.json
+(`make_outcome_digests.vector_lines`)."""
 
 import pytest
 
-from make_vector_digests import DIGEST_FILE, FAMILIES, MAX_DEGREE, point_key, vector_digest
+from make_outcome_digests import VECTOR_FAMILIES, check_recorded, committed, vector_lines
 
 from conftest import GRID
-from jacobilin import make_params
 
-COMMITTED = json.loads(DIGEST_FILE.read_text())
+TEST = "test_vector_digests.py::test_vectors_match_committed_digest"
 
 
 def test_committed_file_covers_the_grid():
-    assert COMMITTED["max_degree"] == MAX_DEGREE
-    want = {point_key(al, be, fam) for al, be in GRID for fam in FAMILIES}
-    assert set(COMMITTED["digests"]) == want
+    want = {f"{TEST}[{family}-point{i}]" for family in VECTOR_FAMILIES for i in range(len(GRID))}
+    assert {key for key in committed() if key.startswith(TEST)} == want
 
 
 @pytest.mark.parametrize("point", GRID)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_vectors_match_committed_digest(point, family):
-    p = make_params(*point)
-    got = vector_digest(p, FAMILIES[family])
-    assert got == COMMITTED["digests"][point_key(*point, family)]
+@pytest.mark.parametrize("family", sorted(VECTOR_FAMILIES))
+def test_vectors_match_committed_digest(point, family, request):
+    check_recorded(request.node, vector_lines((family, point)))
