@@ -1,14 +1,14 @@
 """Reference copies of earlier versions of the exact kernel, for the live
-differential tests: the tests that draw or enumerate their inputs on every
-run and compare the library with these copies.  The module holds:
+differential tests: the tests that enumerate their inputs on every run and
+compare the library with these copies.  The module holds:
 
 - `ref_pochhammer`, `ref_theta_iota_kappa` and `ref_gasper_boundary`, the
   kernel as it was evaluated one `Fraction` operation at a time, before the
   integer-numerator rewrite;
 - `ref_linearize_jacobi`, the recursion loop of `linearize_jacobi` as it was
   run on reduced theta, iota and kappa `Fraction`s, before each step became
-  one integer quotient (the Hypothesis test `TestRecursionStep` draws its
-  points at run time);
+  one integer quotient (`TestRecursionStep` runs it at the 22 grid points
+  and 75 seeded ones);
 - `ref_linearize_gencheb` and the two sign scans, the gencheb assembly as it
   accumulated each entry from two `Fraction` products and the scans as they
   compared `Fraction`s;

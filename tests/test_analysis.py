@@ -3,6 +3,7 @@ recursion coefficient, the p/q ratio functions with their large-m
 decomposition, the phi sequence, and the assembled identity audits."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,7 @@ from jacobilin import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
     CoeffVector,
+    RationalPolynomial,
     chi_m_poly,
     classify_region,
     find_negativity_witness,
@@ -307,6 +309,44 @@ class TestPQ:
             for j in range(1, 8):
                 got = outcome(analysis._pq_limit_parts, p, s, j)
                 assert got == outcome(ref_pq_limit_parts, p, s, j), (s, j)
+
+
+class TestInternalErrors:
+    """Each cross-check of the ratio machinery, failed by a change of
+    1/10**6, names its route, the point and the indices."""
+
+    @pytest.mark.parametrize(
+        "target, perturb, call, message",
+        [
+            pytest.param(
+                "_pq_limit_parts", lambda parts: (parts[0] + F(1, 10**6), *parts[1:]),
+                lambda: pq_values(BETWEEN, 2, 0),
+                "p/q decomposition fails (route pq-split, alpha=-33/100, beta=-87/100, "
+                "m=2, n=2, j=1)",
+                id="pq-split",
+            ),
+            pytest.param(
+                "omega_value", lambda omega: omega + F(1, 10**6),
+                lambda: pq_inequality_check(BETWEEN, 3, 1),
+                "omega closed form disagrees with limit parts (route omega, "
+                "alpha=-33/100, beta=-87/100, m=3, n=4, j=1)",
+                id="omega",
+            ),
+            pytest.param(
+                "_iota_bracket", lambda poly: poly + RationalPolynomial([0] * 5 + [F(1, 10**6)]),
+                lambda: chi_m_poly(BETWEEN, 3),
+                "chi_m has degree above 4 (route chi-m, alpha=-33/100, beta=-87/100, m=3)",
+                id="chi-m",
+            ),
+        ],
+    )
+    def test_failed_check_names_route_point_and_indices(
+        self, monkeypatch, target, perturb, call, message
+    ):
+        original = getattr(analysis, target)
+        monkeypatch.setattr(analysis, target, lambda *args: perturb(original(*args)))
+        with pytest.raises(RuntimeError, match=re.escape(f"internal: {message}") + "$"):
+            call()
 
 
 class TestPhi:

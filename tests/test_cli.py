@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from jacobilin import (
+    analysis,
     cli,
     gencheb_rec_coeffs,
     jacobi,
@@ -619,6 +621,64 @@ class TestVerifySubcommand:
         code, out, _ = run(capsys, *argv)
         assert code == 3
         assert "NOT APPLICABLE" in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "target, perturb, message",
+        [
+            pytest.param(
+                "_pq_limit_parts", lambda parts: (parts[0] + F(1, 10**6), *parts[1:]),
+                "p/q decomposition fails (route pq-split", id="pq-split",
+            ),
+            pytest.param(
+                "omega_value", lambda omega: omega + F(1, 10**6),
+                "omega closed form disagrees with limit parts (route omega", id="omega",
+            ),
+        ],
+    )
+    def test_internal_failure_in_pq_inequality_exits_four(
+        self, capsys, monkeypatch, target, perturb, message, json_flag
+    ):
+        original = getattr(analysis, target)
+        monkeypatch.setattr(analysis, target, lambda *args: perturb(original(*args)))
+        code, out, err = run(capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",
+                             "--property", "pq-inequality", *json_flag)
+        assert (code, out) == (4, "")
+        assert err == (f"internal error: {message}, alpha=-33/100, beta=-87/100, "
+                       "m=2, n=2, j=1)\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "prop, target, perturb, detail",
+        [
+            pytest.param(
+                "phi-alternation", "pq_values",
+                lambda run: tuple(replace(rec, p=rec.p + F(1, 10**6)) for rec in run),
+                "alternation FAILS", id="phi",
+            ),
+            pytest.param(
+                "recursion-consistency", "theta_iota_kappa",
+                lambda tik: (tik[0] + F(1, 10**6), *tik[1:]),
+                "recursion identity FAILS", id="recursion",
+            ),
+        ],
+    )
+    def test_failed_cross_check_is_a_fail_verdict(
+        self, capsys, monkeypatch, prop, target, perturb, detail, json_flag
+    ):
+        original = getattr(cli, target)
+        monkeypatch.setattr(cli, target, lambda *args: perturb(original(*args)))
+        code, out, err = run(capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",
+                             "--property", prop, "--m", "2", "--s", "0", *json_flag)
+        assert (code, err) == (1, "")
+        if json_flag:
+            doc = json.loads(out)
+            assert doc["payload"] == {"property": prop, "details": [f"m=2 s=0: {detail}"],
+                                      "verdict": "fail"}
+            assert doc["verdict"] == "fail"
+        else:
+            assert out.splitlines() == [f"property {prop} at alpha=-33/100 beta=-87/100",
+                                        f"  m=2 s=0: {detail}", f"{prop}: FAIL"]
 
     def test_malformed_point_is_still_a_usage_error(self, capsys):
         code, out, err = run(

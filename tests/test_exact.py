@@ -180,6 +180,11 @@ class TestPolynomialAlgebra:
         p = x * x * x - 4 * x + 7
         assert p.derivative() == 3 * x * x - 4
 
+    def test_repr(self):
+        assert repr(RationalPolynomial([0, 0])) == "RationalPolynomial(0)"
+        shown = repr(RationalPolynomial([F(1, 2), 0, F(-3, 4), 2]))
+        assert shown == "RationalPolynomial(1/2*x^0 + -3/4*x^2 + 2*x^3)"
+
 
 def _canonical(poly: RationalPolynomial) -> bool:
     if poly.is_zero:

@@ -2,10 +2,12 @@
 norms, and the parity-assembled product expansions."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import jacobilin.gencheb as gencheb_module
 import jacobilin.jacobi as jacobi_module
 from jacobilin import (
     FAMILY_GENCHEB,
@@ -109,6 +111,15 @@ class TestEvaluation:
                 assert gencheb_eval(p, 2 * r + 1, x) == x * jacobi_eval(
                     q, r, 2 * x * x - 1
                 )
+
+    def test_transform_cross_checked_against_recurrence(self, monkeypatch):
+        original = gencheb_module.jacobi_eval
+        monkeypatch.setattr(gencheb_module, "jacobi_eval",
+                            lambda *args: original(*args) + F(1, 10**6))
+        message = ("internal: transform and recurrence evaluations disagree "
+                   "(route gencheb-eval, alpha=1/2, beta=1/4, n=4, x=1/3)")
+        with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
+            gencheb_eval(make_params(F(1, 2), F(1, 4)), 4, F(1, 3))
 
 
 def norm_h(p, n):

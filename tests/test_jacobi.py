@@ -5,8 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import jacobilin.jacobi as jacobi_module
 from jacobilin import (
@@ -26,7 +24,7 @@ from jacobilin import (
     theta_iota_kappa,
 )
 
-from conftest import GRID, GRID_WIDE, rand_alpha_beta
+from conftest import GRID, GRID_WIDE, rand_alpha_beta, rand_fraction
 from kernel_reference import (
     outcome,
     ref_gasper_boundary,
@@ -369,20 +367,25 @@ class TestKernelExactness:
         assert outcome(ref_gasper_boundary, p, m, s) == ("raises", ValueError)
 
 
-def _tall(lo, hi):
-    return st.fractions(min_value=lo, max_value=hi, max_denominator=1000).filter(
-        lambda t: lo < t < hi
-    )
+def _step_examples(seed, first, draw=None, same_degree=False):
+    """(alpha, beta, m, n), 1 <= m <= n <= 10, at `first` and then at distinct
+    points from `draw` (denominators up to 1000), 25 in all, from Random(seed)."""
+    rng = random.Random(seed)
+    points = dict.fromkeys(first)
+    while draw and len(points) < 25:
+        points[draw(lambda lo, hi: rand_fraction(rng, lo, hi, max_den=1000))] = None
+    return [(alpha, beta, (m := rng.randint(1, 10)), m if same_degree else rng.randint(m, 10))
+            for alpha, beta in points]
 
 
 # Points for the differential test of the recursion step: the scan grid,
-# tall denominators, the line a = 0 (drawn with n = m, so that the loop runs
-# the kappa = 0 step j = 1, s = 0) and the line b = 0.
-STEP_SOURCES = {
-    "grid": st.sampled_from(GRID),
-    "tall": st.tuples(_tall(-1, 3), _tall(-1, 3)),
-    "a = 0": _tall(-1, 0).map(lambda t: (t, -1 - t)),
-    "b = 0": _tall(-1, 3).map(lambda t: (t, t)),
+# tall denominators, the line a = 0 (with n = m, so that the loop runs the
+# kappa = 0 step j = 1, s = 0) and the line b = 0.
+STEP_EXAMPLES = {
+    "grid": _step_examples(3901, GRID),
+    "tall": _step_examples(3902, [(F(0), F(0))], lambda t: (t(-1, 3), t(-1, 3))),
+    "a = 0": _step_examples(3903, [], lambda t: (x := t(-1, 0), -1 - x), same_degree=True),
+    "b = 0": _step_examples(3904, [(F(0), F(0))], lambda t: (x := t(-1, 3), x)),
 }
 
 
@@ -390,15 +393,12 @@ class TestRecursionStep:
     """Each step of linearize_jacobi, one integer quotient, equals the loop
     over reduced theta, iota and kappa `Fraction`s it replaced."""
 
-    @pytest.mark.parametrize("source", STEP_SOURCES)
-    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
-    @given(data=st.data())
-    def test_matches_reference_loop(self, source, data):
-        alpha, beta = data.draw(STEP_SOURCES[source], label="point")
-        m = data.draw(st.integers(1, 10), label="m")
-        n = m if source == "a = 0" else data.draw(st.integers(m, 10), label="n")
-        p = make_params(alpha, beta)
-        assert linearize_jacobi.__wrapped__(p, m, n) == ref_linearize_jacobi(p, m, n)
+    @pytest.mark.parametrize("source", STEP_EXAMPLES)
+    def test_matches_reference_loop(self, source):
+        for alpha, beta, m, n in STEP_EXAMPLES[source]:
+            p = make_params(alpha, beta)
+            got = linearize_jacobi.__wrapped__(p, m, n)
+            assert got == ref_linearize_jacobi(p, m, n), (alpha, beta, m, n)
 
     def test_perturbed_theta_is_caught(self, monkeypatch):
         original = jacobi_module._recursion_numerators
