@@ -12,16 +12,15 @@ compare the library with these copies.  The module holds:
 - `ref_linearize_gencheb` and the two sign scans, the gencheb assembly as it
   accumulated each entry from two `Fraction` products and the scans as they
   compared `Fraction`s;
-- `ref_pq_limit_parts`, the p/q limit parts one `Fraction` operation per
-  factor, and `ref_hyp_term_sum`, the 9F8 series sum as the loop of one
-  `Fraction` product per parameter that it was before each term became one
-  table of factors;
+- `ref_hyp_term_sum`, the 9F8 series sum as the loop of one `Fraction`
+  product per parameter that it was before each term became one table of
+  factors;
 - `outcome` and `outcome_with_message`, a call's value or exception in a
   form that compares.
 
 The 9F8 closed forms, Dougall's product, the brute-force elimination, the
-polynomial class and the kernel on the grid are no longer compared with
-copies: their outcomes were recorded once, while they equalled the copies,
+polynomial class, the kernel on the grid and the p/q limit parts are no
+longer compared with copies: their outcomes were recorded once, while they equalled the copies,
 in tests/data/outcome_digests.json (`make_outcome_digests.py`).
 
 The formulas below are kept verbatim so the tests can demand exact
@@ -336,33 +335,6 @@ def outcome(fn, *args):
         return "value", fn(*args)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         return "raises", type(exc)
-
-
-def ref_pq_limit_parts(p, s, j):
-    a, b = p.a, p.b
-    den = (2 * s + j + 1) * (2 * s + 2 * j + a) * (2 * s + 2 * j + a + b + 1) * (j + 1)
-    p_inf = -1 + (2 * s + 2 * j + a + 2) / den * (
-        b * (2 * s + j + 1) * (2 * s + 2 * j + a) * (j + 1)
-        + (1 - b) * (2 * s + j) * (2 * s + 2 * j + a + 1) * j
-    )
-    p_star = (
-        (1 - b)
-        * (2 * s + j + a)
-        * (2 * s + 2 * j + a + 1)
-        * (2 * s + 2 * j + a + 2)
-        * (j + a)
-        * (2 * s + 2 * j + 1)
-        / den
-    )
-    q_inf = (
-        (2 * s + 2 * j + a + 2)
-        * (2 * s + j + a)
-        * (2 * s + 2 * j + a - b + 1)
-        * (j + a)
-        / den
-    )
-    q_star = (1 - a) * (2 * s + 2 * j + a + 1) * q_inf
-    return p_inf, p_star, q_inf, q_star
 
 
 def outcome_with_message(fn, *args):

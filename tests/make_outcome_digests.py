@@ -11,7 +11,11 @@ kernel run alongside it:
   per product, each value as `str(Fraction)`;
 - `TestTallPointScans` in `test_cli.py`: `jacobilin scan --max-degree 20
   --json` in every `--check` mode at two tall points, as one JSON line of
-  the exit code, verdict, min_value, witness and witness_value.
+  the exit code, verdict, min_value, witness and witness_value;
+- `TestIdentityOutcomes` and `TestPQ::test_limit_parts_match_reference` in
+  `test_analysis.py` (the p/q machinery, phi and the assembled identities)
+  and `TestVerifyRecords` in `test_cli.py` (`jacobilin verify`, as one JSON
+  line of the exit code, stdout and stderr per invocation).
 Each of these test ids writes the library's output on every one of its
 inputs as one canonical line: the value, or the exception type, plus the
 message where the test keeps messages.  The sha256 of those lines is
@@ -47,11 +51,17 @@ from jacobilin import (
     count_real_roots,
     dougall_coefficient,
     gasper_boundary,
+    gasper_simplification_values,
     linearize_bruteforce,
     linearize_gencheb,
     linearize_jacobi,
     make_params,
+    necessity_identity_values,
+    omega_value,
+    phi_sequence,
     plus_params,
+    pq_inequality_check,
+    pq_values,
     theta_iota_kappa,
 )
 from jacobilin.cli import run_command
@@ -274,6 +284,61 @@ def scan_lines(case):
     yield json.dumps({"exit": code, **{k: payload[k] for k in fields}}, sort_keys=True)
 
 
+# --- the identities of the ratio machinery and `verify`
+
+# GRID_WIDE and one point on each of a = 0, b = 0, b = 1 and beta = -1/2.
+IDENTITY_POINTS = GRID_WIDE + BOUNDARY_POINTS
+IDENTITIES = {
+    "pq_values": pq_values,
+    "pq_inequality_check": pq_inequality_check,
+    "phi_sequence": phi_sequence,
+    "necessity_identity_values": necessity_identity_values,
+    "gasper_simplification_values": gasper_simplification_values,
+}
+
+
+def identity_lines(point):
+    """Each identity function for m 0..6 and s -1..4, in and out of its
+    index range, then omega_value for s 0..4 and j 1..11."""
+    p = make_params(*point)
+    for name, fn in IDENTITIES.items():
+        for m in range(7):
+            for s in range(-1, 5):
+                yield f"{name} {m} {s}: {text(outcome_with_message(fn, p, m, s))}"
+    for s in range(5):
+        for j in range(1, 12):
+            yield f"omega {s} {j}: {text(outcome_with_message(omega_value, p, s, j))}"
+
+
+def limit_parts_lines(point):
+    """The limit parts (p_inf, p_star, q_inf, q_star) of the `pq_values`
+    records for s 0..3 and j 1..7, in the form `outcome` gives a value.  They
+    do not depend on m, and m = 4 reaches j = 7."""
+    p = make_params(*point)
+    for s in range(4):
+        for rec in pq_values(p, 4, s):
+            yield text(("value", (rec.p_inf, rec.p_star, rec.q_inf, rec.q_star)))
+
+
+# Each verify property at its default (m, s) lists and at three single pairs.
+VERIFY_PROPERTIES = ["pq-inequality", "phi-alternation", "iota-zeros",
+                     "recursion-consistency", "nec-identities"]
+VERIFY_INDICES = [[], ["--m", "1"], ["--m", "2", "--s", "0"], ["--m", "5", "--s", "3"]]
+
+
+def verify_lines(point):
+    """One line per invocation: the exit code, stdout and stderr of
+    `jacobilin verify` in text mode."""
+    alpha, beta = map(str, point)
+    for prop in VERIFY_PROPERTIES:
+        for indices in VERIFY_INDICES:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_command(["verify", "--alpha", alpha, "--beta", beta,
+                                    "--property", prop, *indices])
+            yield json.dumps([code, out.getvalue(), err.getvalue()])
+
+
 # --- the recorded test ids
 
 # test function -> (its parameter ids and arguments, the lines of one id)
@@ -305,6 +370,15 @@ CASES = {
         {f"{check}-point{i}": (pt, check)
          for check in SCAN_CHECKS for i, pt in enumerate(TALL_POINTS)},
         scan_lines,
+    ),
+    "test_analysis.py::TestPQ::test_limit_parts_match_reference": (
+        {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, limit_parts_lines,
+    ),
+    "test_analysis.py::TestIdentityOutcomes::test_matches_recorded_output": (
+        {f"point{i}": pt for i, pt in enumerate(IDENTITY_POINTS)}, identity_lines,
+    ),
+    "test_cli.py::TestVerifyRecords::test_matches_recorded_output": (
+        {f"point{i}": pt for i, pt in enumerate(IDENTITY_POINTS)}, verify_lines,
     ),
 }
 

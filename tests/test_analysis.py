@@ -52,11 +52,15 @@ from conftest import (
     rand_alpha_beta,
 )
 from kernel_reference import (
-    outcome,
     ref_entry_scan_sign_pattern,
-    ref_pq_limit_parts,
     ref_scan_sign_pattern,
     ref_theta_iota_kappa,
+)
+from make_outcome_digests import (
+    IDENTITY_POINTS,
+    check_recorded,
+    identity_lines,
+    limit_parts_lines,
 )
 
 F = Fraction
@@ -302,13 +306,10 @@ class TestPQ:
             pq_values(BETWEEN, 2, -1)
 
     @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_limit_parts_match_reference(self, point):
-        # Four integer quotients over lcm(a, b) against one Fraction per factor.
-        p = make_params(*point)
-        for s in range(4):
-            for j in range(1, 8):
-                got = outcome(analysis._pq_limit_parts, p, s, j)
-                assert got == outcome(ref_pq_limit_parts, p, s, j), (s, j)
+    def test_limit_parts_match_reference(self, point, request):
+        # The limit parts as recorded while they equalled the one-Fraction-
+        # per-factor reference (make_outcome_digests.limit_parts_lines).
+        check_recorded(request.node, limit_parts_lines(point))
 
 
 class TestInternalErrors:
@@ -474,6 +475,16 @@ class TestWitnessSearch:
         p = make_params(F(29, 12), F(39, 16))
         assert p.b == F(-1, 48)
         assert find_negativity_witness(p, 9) is None
+
+
+class TestIdentityOutcomes:
+    """The ratio machinery and the assembled identities give their recorded
+    outcomes, values and refusals, at GRID_WIDE and on the lines a = 0,
+    b = 0, b = 1 and beta = -1/2 (`make_outcome_digests.identity_lines`)."""
+
+    @pytest.mark.parametrize("point", IDENTITY_POINTS)
+    def test_matches_recorded_output(self, point, request):
+        check_recorded(request.node, identity_lines(point))
 
 
 class TestIdentityAudits:

@@ -30,7 +30,14 @@ from jacobilin.analysis import VERDICT_VIOLATION
 from jacobilin.cli import fmt_approx, run_command
 
 from conftest import GRID_WIDE
-from make_outcome_digests import SCAN_CHECKS, TALL_POINTS, check_recorded, scan_lines
+from make_outcome_digests import (
+    IDENTITY_POINTS,
+    SCAN_CHECKS,
+    TALL_POINTS,
+    check_recorded,
+    scan_lines,
+    verify_lines,
+)
 
 F = Fraction
 
@@ -250,6 +257,16 @@ class TestTallPointScans:
     @pytest.mark.parametrize("check", SCAN_CHECKS)
     def test_matches_recorded_output(self, point, check, request):
         check_recorded(request.node, scan_lines((point, check)))
+
+
+class TestVerifyRecords:
+    """`verify` in every property, at its default indices and at three
+    single (m, s), gives the recorded exit code, stdout and stderr
+    (`make_outcome_digests.verify_lines`)."""
+
+    @pytest.mark.parametrize("point", IDENTITY_POINTS)
+    def test_matches_recorded_output(self, point, request):
+        check_recorded(request.node, verify_lines(point))
 
 
 class TestExitCodes:
