@@ -8,14 +8,23 @@ coefficients stay nonnegative: the zero count of the middle recursion
 coefficient iota over its index range, the ratio functions p and q with their
 large-m decomposition, and the ratio sequence phi whose alternation around -1
 forces strictly positive even-position entries in the odd-index families.
+
+The identities (the p/q split, omega, the chained inequality, and the
+necessity and Gasper simplification identities) are typed on integers over
+L, the least common denominator of a and b (`p.over_lcm_ab`; the companion
+point (a+1, b-1) has the same L), from the kernel numerators of
+`_recursion_numerators` and `gasper_boundary`: each value is one integer
+quotient, and each check one cross-multiplication by factors that are
+nonzero for alpha, beta > -1.  A `Fraction` is formed only for a returned
+value.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import RationalPolynomial, _over_lcm, count_real_roots
+from .exact import RationalPolynomial, count_real_roots
 from .gencheb import _companion, gencheb_rec_coeffs, linearize_gencheb
-from .jacobi import gasper_boundary, internal_error, linearize_jacobi, theta_iota_kappa
+from .jacobi import _recursion_numerators, gasper_boundary, internal_error, linearize_jacobi
 from .params import (
     JacobiParams,
     classify_region,
@@ -201,13 +210,13 @@ class PQRecord:
     q_star: Fraction
 
 
-def _pq_limit_parts(p: JacobiParams, s: int, j) -> tuple[Fraction, ...]:
-    """(p_inf, p_star, q_inf, q_star) at (s, j), each one integer quotient.
-    As in `theta_iota_kappa`, a, b and j are integers over L = lcm of their
-    denominators, and a factor (2s + j + 1) reads s2 + j + one, with
-    s2 = 2sL and one = L."""
-    one, a, b, j = _over_lcm(p.a, p.b, j)
-    s2 = 2 * s * one
+def _pq_limit_parts(p: JacobiParams, s: int, j: int) -> tuple[int, int, int, int, int]:
+    """(p_inf, p_star, q_inf, q_star) at (s, j) as four integer numerators
+    over one positive denominator E.  As in `theta_iota_kappa`, a, b and j
+    are integers over L (`p.over_lcm_ab`), and a factor (2s + j + 1) reads
+    s2 + j + one, with s2 = 2sL and one = L."""
+    one, a, b = p.over_lcm_ab
+    s2, j = 2 * s * one, j * one
     den = (s2 + j + one) * (s2 + 2 * j + a) * (s2 + 2 * j + a + b + one) * (j + one)
     up = s2 + 2 * j + a + 2 * one
     bracket = (
@@ -220,17 +229,55 @@ def _pq_limit_parts(p: JacobiParams, s: int, j) -> tuple[Fraction, ...]:
     )
     q_inf = up * (s2 + j + a) * (s2 + 2 * j + a - b + one) * (j + a)
     q_star = (one - a) * (s2 + 2 * j + a + one) * q_inf
-    return (Fraction(up * bracket - one * den, one * den), Fraction(p_star, one**2 * den),
-            Fraction(q_inf, den), Fraction(q_star, one**2 * den))
+    return (up * bracket - one * den) * one, p_star, q_inf * one**2, q_star, one**2 * den
 
 
-def _odd_scales(p: JacobiParams, s: int, count: int) -> list[Fraction]:
-    """r(1..count), r(j) = c_{2s+2j+1} / a_{2s+2j-1} of the gencheb rows: the
-    factor that turns a ratio of consecutive companion entries g+ into one of
-    gencheb odd-index entries.  r depends on s + j only; the count + 1 odd
-    rows 2s+1 .. 2s+2count+1 are each built once."""
+def _odd_scales(p: JacobiParams, s: int, count: int) -> list[tuple[int, int]]:
+    """r(1..count), r(j) = c_{2s+2j+1} / a_{2s+2j-1} of the gencheb rows, as
+    (numerator, positive denominator) pairs: the factor that turns a ratio of
+    consecutive companion entries g+ into one of gencheb odd-index entries.
+    r depends on s + j only; the count + 1 odd rows 2s+1 .. 2s+2count+1 are
+    each built once."""
     rows = [gencheb_rec_coeffs(p, 2 * s + 2 * i + 1) for i in range(count + 1)]
-    return [rows[i].c_n / rows[i - 1].a_n for i in range(1, count + 1)]
+    return [
+        (c.numerator * a.denominator, c.denominator * a.numerator)
+        for c, a in ((rows[i].c_n, rows[i - 1].a_n) for i in range(1, count + 1))
+    ]
+
+
+def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:
+    """p(j) and q(j) for j = 1 .. 2m-1 as (p_N, p_D, q_N, q_D, limit parts),
+    each split asserted, with p = p_N / p_D and q = q_N / q_D.
+
+    With theta, iota and kappa of the companion point (a+1, b-1) over its L
+    (`_recursion_numerators`), iota / theta = iota_N (up+L) / (theta_N down L)
+    and kappa / theta = kappa_N up (up+L) / (theta_N e down), e = down - L,
+    so p = r(j+1) iota / theta and q = r(j) r(j+1) kappa / theta are integer
+    quotients.  Each denominator is positive: theta_N's factors 2m-j+a,
+    2m+2s+j+a+2, 2s+j+1, 2s+2j+2beta+4 and j+1 are positive for alpha,
+    beta > -1 and 1 <= j <= 2m-1, and so are up, down and e, which are
+    (2s+2j+a+2) L, (2s+2j+a) L and (2s+2j+a-1) L at the companion point."""
+    one, a, b = plus_params(p).over_lcm_ab
+    m2, s2 = 2 * m * one, 2 * s * one
+    r = _odd_scales(p, s, 2 * m)
+    run = []
+    for j in range(1, 2 * m):
+        up, down, theta_n, iota_n, kappa_n = _recursion_numerators(one, a, b, m, s, j * one)
+        (r0_n, r0_d), (r1_n, r1_d) = r[j - 1], r[j]
+        p_n, p_d = r1_n * iota_n * (up + one), r1_d * theta_n * down * one
+        q_n = r0_n * r1_n * kappa_n * up * (up + one)
+        q_d = r0_d * r1_d * theta_n * (down - one) * down
+        # p = p_inf + p_star / D and q = q_inf + q_star / D over E D L^2, with
+        # D L^2 = (2m-j+a)(2m+2s+j+a+2) L^2 > 0, read at the companion point.
+        parts = pi, ps, qi, qs, big_e = _pq_limit_parts(p, s, j)
+        big_d = (m2 - j * one + a - one) * (m2 + s2 + j * one + a + one)
+        if (p_n * big_e * big_d != p_d * (pi * big_d + ps * one**2)
+                or q_n * big_e * big_d != q_d * (qi * big_d + qs * one**2)):
+            raise internal_error(
+                p, "pq-split", "p/q decomposition fails", m=m, n=m + s, j=j
+            )
+        run.append((p_n, p_d, q_n, q_d, parts))
+    return run
 
 
 def pq_values(p: JacobiParams, m: int, s: int) -> tuple[PQRecord, ...]:
@@ -239,37 +286,34 @@ def pq_values(p: JacobiParams, m: int, s: int) -> tuple[PQRecord, ...]:
     j - 1, and the 2m+1 odd gencheb rows behind r(1..2m) are each built once."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
-    pp = plus_params(p)
-    r = _odd_scales(p, s, 2 * m)
-    records = []
-    for j in range(1, 2 * m):
-        # theta at (a+1, b-1) is never 0: its factors 2m-j+a, 2m+2s+j+a+2, 2s+j+1,
-        # 2s+2j+2beta+4 and j+1 are positive for alpha, beta > -1 and 1 <= j <= 2m-1.
-        theta_p, iota_p, kappa_p = theta_iota_kappa(pp, m, s, j)
-        p_val = r[j] * iota_p / theta_p
-        q_val = r[j - 1] * r[j] * kappa_p / theta_p
-        p_inf, p_star, q_inf, q_star = _pq_limit_parts(p, s, j)
-        big_d = (2 * m - j + p.a) * (2 * m + 2 * s + j + p.a + 2)
-        if p_val != p_inf + p_star / big_d or q_val != q_inf + q_star / big_d:
-            raise internal_error(
-                p, "pq-split", "p/q decomposition fails", m=m, n=m + s, j=j
-            )
-        records.append(PQRecord(m, s, j, p_val, q_val, p_inf, p_star, q_inf, q_star))
-    return tuple(records)
+    return tuple(
+        PQRecord(m, s, j, Fraction(p_n, p_d), Fraction(q_n, q_d),
+                 *(Fraction(x, parts[4]) for x in parts[:4]))
+        for j, (p_n, p_d, q_n, q_d, parts) in enumerate(_pq_run(p, m, s), start=1)
+    )
 
 
 def omega_value(p: JacobiParams, s: int, j: int) -> Fraction:
-    """The large-m margin omega_j of the chained inequality, closed form."""
-    a, b = p.a, p.b
-    return (
-        (b - a)
-        * b
-        * (2 * s * (2 * s + 2 * j + a + 2) + (j + a) * (2 * j + 4) + 1 - a)
-        / ((2 * s + j + 1) * (2 * s + j + 2) * (j + 1) * (j + 2))
-        * (2 * s + 2 * j + a + 2)
-        * (2 * s + 2 * j + a + 4)
-        / ((2 * s + 2 * j + a + b + 1) * (2 * s + 2 * j + a + b + 3))
+    """The large-m margin omega_j of the chained inequality, closed form:
+
+        (b-a) b (2s(2s+2j+a+2) + (j+a)(2j+4) + 1-a) (2s+2j+a+2)(2s+2j+a+4)
+        / ((2s+j+1)(2s+j+2)(j+1)(j+2) (2s+2j+a+b+1)(2s+2j+a+b+3)),
+
+    one integer quotient with a, b over L."""
+    if s < 0 or j < 1:
+        raise ValueError("need s >= 0 and j >= 1")
+    one, a, b = p.over_lcm_ab
+    s2, j2 = 2 * s * one, 2 * j * one
+    num = (
+        (b - a) * b
+        * (s2 * (s2 + j2 + a + 2 * one) + (j * one + a) * (j2 + 4 * one) + (one - a) * one)
+        * (s2 + j2 + a + 2 * one) * (s2 + j2 + a + 4 * one)
     )
+    den = (
+        one**4 * (2 * s + j + 1) * (2 * s + j + 2) * (j + 1) * (j + 2)
+        * (s2 + j2 + a + b + one) * (s2 + j2 + a + b + 3 * one)
+    )
+    return Fraction(num, den)
 
 
 def pq_inequality_check(p: JacobiParams, m: int, s: int) -> list[bool]:
@@ -277,22 +321,30 @@ def pq_inequality_check(p: JacobiParams, m: int, s: int) -> list[bool]:
 
     Also recomputes omega_j both from its closed form and from the limit
     parts, asserts they agree and are positive (these margins are what makes
-    the inequality uniform in m inside the validity region)."""
+    the inequality uniform in m inside the validity region).  Each check is
+    one cross-multiplication by positive denominators."""
+    if m < 2 or s < 0:
+        raise ValueError("need m >= 2 and s >= 0")
     results = []
-    run = pq_values(p, m, s)
-    for cur, nxt in zip(run, run[1:]):
-        omega = omega_value(p, s, cur.j)
-        omega_from_parts = nxt.q_inf - (1 + nxt.p_inf) * (cur.q_inf - cur.p_inf)
-        if omega != omega_from_parts:
+    run = _pq_run(p, m, s)
+    for j, (cur, nxt) in enumerate(zip(run, run[1:]), start=1):
+        p0_n, p0_d, q0_n, q0_d, (pi0, _, qi0, _, e0) = cur
+        p1_n, p1_d, q1_n, q1_d, (pi1, _, qi1, _, e1) = nxt
+        # q_inf(j+1) - (1 + p_inf(j+1)) (q_inf(j) - p_inf(j)), over e1 e0.
+        omega = omega_value(p, s, j)
+        from_parts = qi1 * e0 - (e1 + pi1) * (qi0 - pi0)
+        if omega.numerator * e1 * e0 != omega.denominator * from_parts:
             raise internal_error(
                 p, "omega", "omega closed form disagrees with limit parts",
-                m=m, n=m + s, j=cur.j,
+                m=m, n=m + s, j=j,
             )
         if omega <= 0:
             raise NotApplicableError(
                 "omega margin not positive: parameters outside the validity region"
             )
-        results.append((1 + nxt.p) * (cur.q - cur.p) < nxt.q)
+        results.append(
+            (p1_d + p1_n) * (q0_n * p0_d - p0_n * q0_d) * q1_d < q1_n * p1_d * q0_d * p0_d
+        )
     return results
 
 
@@ -324,11 +376,11 @@ def phi_sequence(p: JacobiParams, m: int, s: int) -> PhiSequence:
     # The entries g+(s + j) are nums[j] / den, so den cancels from each ratio.
     nums = _companion(p, m, m + s).nums
     vals = []
-    for j, r in enumerate(_odd_scales(p, s, 2 * m), start=1):
+    for j, (r_n, r_d) in enumerate(_odd_scales(p, s, 2 * m), start=1):
         # nums[j - 1] != 0: at j = 1 it is the vector's positive lowest
         # extreme, and later it is the previous upper, which made the
         # previous phi 0.
-        phi = Fraction(r.numerator * nums[j], r.denominator * nums[j - 1])
+        phi = Fraction(r_n * nums[j], r_d * nums[j - 1])
         if phi >= 0:
             raise NotApplicableError(
                 "nonnegative ratio: parameters outside the validity region"
@@ -365,42 +417,71 @@ def find_negativity_witness(
     return None
 
 
+def _boundary_ratios(p: JacobiParams, m: int, s: int) -> tuple[tuple[int, int], ...]:
+    """g(s+1) / g(s) and g(s+2m-1) / g(s+2m) of `gasper_boundary` as
+    (numerator, positive denominator) pairs: the extremes are positive."""
+    g_lo, g_lo1, g_hi1, g_hi = gasper_boundary(p, m, s)
+    return ((g_lo1.numerator * g_lo.denominator, g_lo1.denominator * g_lo.numerator),
+            (g_hi1.numerator * g_hi.denominator, g_hi1.denominator * g_hi.numerator))
+
+
+def _times(x: Fraction, scale: int) -> int:
+    """x scale, for a Fraction x whose denominator divides scale."""
+    return x.numerator * (scale // x.denominator)
+
+
 def gasper_simplification_values(
     p: JacobiParams, m: int, s: int
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Both product-form identities that reduce the second and second-to-last
     coefficients to the region-defining polynomial; returns ((lhs, rhs), ...)
-    pairs that must be exactly equal."""
+    pairs that must be exactly equal:
+
+        lhs1 = (2m+a-1)(2s+a-b+1)(2m+2s+a+1)(2s+a+3) / (4m(m+s+a)(2s+a+1))
+               * (iota(1) g(s+1)/g(s) + kappa(1)),
+        rhs1 = (2m-4)(2m+2s+2a+4)((b^2+a) 2s + Q) + V_s,
+        lhs2 = (2m+a-1)(2m+2s+a-1)(4m+2s+a-3)(4m+2s+a+b-1) / (4m(m+s)(4m+2s+a-1))
+               * (theta(2m-1) - iota(2m-1) g(s+2m-1)/g(s+2m)),
+        rhs2 = (2m-4)((b^2+a)(2m+2s-4)(4m+2s+2a) + Q(6m+6s+4a+4)) + V_s.
+
+    Each is one integer quotient, with a, b over L and theta, iota, kappa
+    from `_recursion_numerators`; every factor cleared is nonzero for
+    alpha, beta > -1 and m >= 2."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
-    a, b = p.a, p.b
-    g_lo, g_lo1, g_hi1, g_hi = gasper_boundary(p, m, s)
-    ratio_lo, ratio_hi = g_lo1 / g_lo, g_hi1 / g_hi
-    theta1, iota1, kappa1 = theta_iota_kappa(p, m, s, 1)
-    pref1 = (
-        (2 * m + a - 1)
-        * (2 * s + a - b + 1)
-        * (2 * m + 2 * s + a + 1)
-        * (2 * s + a + 3)
-        / (4 * m * (m + s + a) * (2 * s + a + 1))
+    one, a, b = p.over_lcm_ab
+    m2, m4, s2 = 2 * m * one, 4 * m * one, 2 * s * one
+    (lo_n, lo_d), (hi_n, hi_d) = _boundary_ratios(p, m, s)
+    up, down, _, iota_n, kappa_n = _recursion_numerators(one, a, b, m, s, one)
+    # kappa = kappa_N / (e down L^3); at s = 0, a = 0, e = 0 and kappa = 0
+    # (kappa_N = 0 too), and e is taken as 1.
+    e = down - one or 1
+    lhs1 = Fraction(
+        (m2 + a - one) * (s2 + a - b + one) * (m2 + s2 + a + one) * (s2 + a + 3 * one)
+        * (iota_n * lo_n * e + kappa_n * up * one * lo_d),
+        4 * m * (m * one + s * one + a) * (s2 + a + one) * one**6 * up * down * lo_d * e,
     )
-    lhs1 = pref1 * (iota1 * ratio_lo + kappa1)
     q = gasper_q(p)
-    v_s = gasper_v(p, q, s)
-    rhs1 = (2 * m - 4) * (2 * m + 2 * s + 2 * a + 4) * ((b * b + a) * 2 * s + q) + v_s
-    theta2, iota2, kappa2 = theta_iota_kappa(p, m, s, 2 * m - 1)
-    pref2 = (
-        (2 * m + a - 1)
-        * (2 * m + 2 * s + a - 1)
-        * (4 * m + 2 * s + a - 3)
-        * (4 * m + 2 * s + a + b - 1)
-        / (4 * m * (m + s) * (4 * m + 2 * s + a - 1))
+    q_n, v_n = _times(q, one**2), _times(gasper_v(p, q, s), one**4)
+    sq_a = b * b + a * one  # (b^2 + a) L^2
+    rhs1 = Fraction(
+        (2 * m - 4) * (m2 + s2 + 2 * a + 4 * one) * (sq_a * 2 * s + q_n) * one + v_n,
+        one**4,
     )
-    lhs2 = pref2 * (theta2 - iota2 * ratio_hi)
-    rhs2 = (2 * m - 4) * (
-        (b * b + a) * (2 * m + 2 * s - 4) * (4 * m + 2 * s + 2 * a)
-        + q * (6 * m + 6 * s + 4 * a + 4)
-    ) + v_s
+    up, down, theta_n, iota_n, _ = _recursion_numerators(one, a, b, m, s, (2 * m - 1) * one)
+    lhs2 = Fraction(
+        (m2 + a - one) * (m2 + s2 + a - one) * (m4 + s2 + a - 3 * one)
+        * (m4 + s2 + a + b - one)
+        * (theta_n * down * one * hi_d - iota_n * (up + one) * hi_n),
+        4 * m * (m + s) * (m4 + s2 + a - one) * one**7 * up * (up + one) * down * hi_d,
+    )
+    rhs2 = Fraction(
+        (2 * m - 4) * one * (
+            sq_a * (2 * m + 2 * s - 4) * (m4 + s2 + 2 * a)
+            + q_n * (6 * m * one + 6 * s * one + 4 * a + 4 * one)
+        ) + v_n,
+        one**4,
+    )
     return (lhs1, rhs1), (lhs2, rhs2)
 
 
@@ -411,38 +492,51 @@ def necessity_identity_values(
 
     The first holds for all admissible parameters; the second needs b != 1
     (it divides by the companion second coefficient) and is None at b = 1.
-    """
+    With r1, r2 the odd scales, g+ the companion entries and Q = `gasper_q`:
+
+        lhs1 = (2m+a)(2m+2s+a+2)(2s+a+b+1) / (2s+a+2) * (r1 g+(s+1)/g+(s) + 1),
+        rhs1 = 4b m^2 + 4b(s+a+1) m + a(2s+a+b+1),
+        lhs2 = 4(b-1)(2m+a-1)(2m+2s+a+3)(s+1)(2s+a+b+3) / (2s+a+4) * (r2 rho + 1),
+        rho  = iota+(1) / theta+(1) + kappa+(1) / theta+(1) * g+(s)/g+(s+1),
+        rhs2 = (4m-4)(m+s+a+2)(Q(s+1) - a(a+1)s)
+               + (a+1)(2s+a+b+3)((a+2b)(2s+2-b) + Q).
+
+    Each is one integer quotient, with a, b over L and theta+, iota+ and
+    kappa+ from `_recursion_numerators` at the companion point (a+1, b-1),
+    where theta_N, up, down and e = (2s+a+1) L are positive at j = 1."""
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    a, b = p.a, p.b
-    pp = plus_params(p)
-    g_lo, g_lo1, _, _ = gasper_boundary(pp, m, s)
-    ratio1 = g_lo1 / g_lo
-    r1, r2 = _odd_scales(p, s, 2)
-    lhs1 = (
-        (2 * m + a)
-        * (2 * m + 2 * s + a + 2)
-        * (2 * s + a + b + 1)
-        / (2 * s + a + 2)
-        * (r1 * ratio1 + 1)
+    one, a, b = p.over_lcm_ab
+    m2, s2 = 2 * m * one, 2 * s * one
+    (lo_n, lo_d), _ = _boundary_ratios(plus_params(p), m, s)
+    (r1_n, r1_d), (r2_n, r2_d) = _odd_scales(p, s, 2)
+    lhs1 = Fraction(
+        (m2 + a) * (m2 + s2 + a + 2 * one) * (s2 + a + b + one) * (r1_n * lo_n + r1_d * lo_d),
+        (s2 + a + 2 * one) * one**2 * r1_d * lo_d,
     )
-    rhs1 = 4 * b * m * m + 4 * b * (s + a + 1) * m + a * (2 * s + a + b + 1)
-    if b == 1:
+    rhs1 = Fraction(
+        4 * b * m * m * one + 4 * b * (s * one + a + one) * m + a * (s2 + a + b + one),
+        one**2,
+    )
+    if b == one:
         return (lhs1, rhs1), None
-    theta_p, iota_p, kappa_p = theta_iota_kappa(pp, m, s, 1)
-    ratio2 = iota_p / theta_p + kappa_p / theta_p / ratio1
-    lhs2 = (
-        4
-        * (b - 1)
-        * (2 * m + a - 1)
-        * (2 * m + 2 * s + a + 3)
-        * (s + 1)
-        * (2 * s + a + b + 3)
-        / (2 * s + a + 4)
-        * (r2 * ratio2 + 1)
+    # At b != 1, g+(s+1) != 0: lo_n is a nonzero factor.
+    up, down, theta_n, iota_n, kappa_n = _recursion_numerators(
+        one, a + one, b - one, m, s, one
     )
-    q = gasper_q(p)
-    rhs2 = (4 * m - 4) * (m + s + a + 2) * (q * (s + 1) - a * (a + 1) * s) + (
-        (a + 1) * (2 * s + a + b + 3) * ((a + 2 * b) * (2 * s + 2 - b) + q)
+    e = down - one
+    rho_n = (up + one) * (iota_n * e * lo_n + kappa_n * up * one * lo_d)
+    rho_d = theta_n * down * one * e * lo_n
+    q_n = _times(gasper_q(p), one**2)
+    lhs2 = Fraction(
+        4 * (s + 1) * (b - one) * (m2 + a - one) * (m2 + s2 + a + 3 * one)
+        * (s2 + a + b + 3 * one) * (r2_n * rho_n + r2_d * rho_d),
+        (s2 + a + 4 * one) * one**3 * r2_d * rho_d,
+    )
+    rhs2 = Fraction(
+        (4 * m - 4) * (m * one + s * one + a + 2 * one)
+        * (q_n * (s + 1) - a * (a + one) * s) * one
+        + (a + one) * (s2 + a + b + 3 * one) * ((a + 2 * b) * (s2 + 2 * one - b) + q_n),
+        one**4,
     )
     return (lhs1, rhs1), (lhs2, rhs2)

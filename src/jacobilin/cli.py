@@ -43,10 +43,10 @@ from .hypergeom import SingularSeriesError, dougall_coefficient, rahman_coeffici
 from .jacobi import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
+    _recursion_numerators,
     internal_error,
     linearize_bruteforce,
     linearize_jacobi,
-    theta_iota_kappa,
 )
 from .params import classify_region, make_params, plus_params
 
@@ -303,19 +303,32 @@ def _phi_check(p, m, s):
     good = seq.alternation_holds()
     if m >= 2:
         for rec in pq_values(p, m, s):
-            if seq.value(rec.j + 1) != rec.p + rec.q / seq.value(rec.j):
+            # phi(j+1) = p + q / phi(j), times phi(j) (negative, so nonzero)
+            # and all four denominators.
+            (u, v), (u1, v1) = (seq.value(j).as_integer_ratio() for j in (rec.j, rec.j + 1))
+            (p_n, p_d), (q_n, q_d) = rec.p.as_integer_ratio(), rec.q.as_integer_ratio()
+            if u1 * u * p_d * q_d != (p_n * u * q_d + q_n * v * p_d) * v1:
                 good = False
     return good, f"alternation {'holds' if good else 'FAILS'}"
 
 
 def _recursion_check(p, m, s):
+    """theta g(s+j+1) = iota g(s+j) + kappa g(s+j-1) for j = 1 .. 2m-1, on
+    the integers of `_recursion_numerators` and the vector's numerators
+    (over its positive denominator, which cancels), times up (up+L) down
+    e L^4 > 0 as in `linearize_jacobi`; at j = 1, s = 0, a = 0, where
+    e = 0 and kappa = 0, e is taken as 1."""
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
-    cv = linearize_jacobi(p, m, m + s)
+    g = linearize_jacobi(p, m, m + s).nums
+    one, a, b = p.over_lcm_ab
     good = True
     for j in range(1, 2 * m):
-        theta, iota, kappa = theta_iota_kappa(p, m, s, j)
-        if theta * cv[s + j + 1] != iota * cv[s + j] + kappa * cv[s + j - 1]:
+        up, down, theta_n, iota_n, kappa_n = _recursion_numerators(one, a, b, m, s, j * one)
+        e = down - one or 1
+        if theta_n * down * e * one * g[j + 1] != (
+            iota_n * e * g[j] + kappa_n * up * one * g[j - 1]
+        ) * (up + one):
             good = False
     return good, f"recursion identity {'holds' if good else 'FAILS'}"
 

@@ -674,8 +674,8 @@ class TestVerifySubcommand:
                 "alternation FAILS", id="phi",
             ),
             pytest.param(
-                "recursion-consistency", "theta_iota_kappa",
-                lambda tik: (tik[0] + F(1, 10**6), *tik[1:]),
+                "recursion-consistency", "_recursion_numerators",
+                lambda parts: (*parts[:2], parts[2] + 1, *parts[3:]),
                 "recursion identity FAILS", id="recursion",
             ),
         ],

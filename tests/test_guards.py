@@ -22,6 +22,7 @@ from jacobilin import (
     linearize_jacobi,
     make_params,
     necessity_identity_values,
+    omega_value,
     phi_sequence,
     pq_values,
     scan_sign_pattern,
@@ -53,6 +54,8 @@ GUARDS = {
     "necessity_identity_values/s": (
         lambda: necessity_identity_values(P, 1, -1), "need m >= 1 and s >= 0"
     ),
+    "omega_value/s": (lambda: omega_value(P, -1, 1), "need s >= 0 and j >= 1"),
+    "omega_value/j": (lambda: omega_value(P, 0, 0), "need s >= 0 and j >= 1"),
     "gencheb_eval": (lambda: gencheb_eval(P, -1, 0), "degree must be >= 0"),
     "linearize_gencheb/m": (lambda: linearize_gencheb(P, -1, 2), "degrees must be >= 0"),
     "linearize_gencheb/n": (lambda: linearize_gencheb(P, 2, -1), "degrees must be >= 0"),
