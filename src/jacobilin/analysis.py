@@ -257,6 +257,8 @@ def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:
     2m+2s+j+a+2, 2s+j+1, 2s+2j+2beta+4 and j+1 are positive for alpha,
     beta > -1 and 1 <= j <= 2m-1, and so are up, down and e, which are
     (2s+2j+a+2) L, (2s+2j+a) L and (2s+2j+a-1) L at the companion point."""
+    if m < 2 or s < 0:
+        raise ValueError("need m >= 2 and s >= 0")
     one, a, b = plus_params(p).over_lcm_ab
     m2, s2 = 2 * m * one, 2 * s * one
     r = _odd_scales(p, s, 2 * m)
@@ -284,8 +286,6 @@ def pq_values(p: JacobiParams, m: int, s: int) -> tuple[PQRecord, ...]:
     """p(j) and q(j) for the odd-index even-position analysis at (m, s), as
     one run j = 1 .. 2m-1 like phi_sequence: the record for j is at index
     j - 1, and the 2m+1 odd gencheb rows behind r(1..2m) are each built once."""
-    if m < 2 or s < 0:
-        raise ValueError("need m >= 2 and s >= 0")
     return tuple(
         PQRecord(m, s, j, Fraction(p_n, p_d), Fraction(q_n, q_d),
                  *(Fraction(x, parts[4]) for x in parts[:4]))
@@ -323,8 +323,6 @@ def pq_inequality_check(p: JacobiParams, m: int, s: int) -> list[bool]:
     parts, asserts they agree and are positive (these margins are what makes
     the inequality uniform in m inside the validity region).  Each check is
     one cross-multiplication by positive denominators."""
-    if m < 2 or s < 0:
-        raise ValueError("need m >= 2 and s >= 0")
     results = []
     run = _pq_run(p, m, s)
     for j, (cur, nxt) in enumerate(zip(run, run[1:]), start=1):

@@ -315,9 +315,9 @@ def _phi_check(p, m, s):
 def _recursion_check(p, m, s):
     """theta g(s+j+1) = iota g(s+j) + kappa g(s+j-1) for j = 1 .. 2m-1, on
     the integers of `_recursion_numerators` and the vector's numerators
-    (over its positive denominator, which cancels), times up (up+L) down
-    e L^4 > 0 as in `linearize_jacobi`; at j = 1, s = 0, a = 0, where
-    e = 0 and kappa = 0, e is taken as 1."""
+    (over its positive denominator, which cancels), times the nonzero
+    up (up+L) down e L^4 as in `linearize_jacobi`; at j = 1, s = 0, a = 0,
+    where e = 0 and kappa = 0, e is taken as 1."""
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     g = linearize_jacobi(p, m, m + s).nums

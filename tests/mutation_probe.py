@@ -1,11 +1,13 @@
-"""One-token mutation probe of the exact kernels, run from a checkout:
+"""One-token mutation probe of the exact kernels and the identities, run from
+a checkout:
 
     python tests/mutation_probe.py SCRATCH_DIR [--repo TREE]
 
 Each mutant adds one to an integer literal, swaps `+` and `-` or flips a
 comparison (< <=, > >=, == !=) in a TARGETS function of a copy of TREE under
-SCRATCH_DIR, never in `src/`; the kernel tests, its module's own first, kill
-it by failing under -x or by running past TIMEOUT seconds."""
+SCRATCH_DIR, never in `src/`; the test files of the TARGETS modules, its
+module's own first, kill it by failing under -x or by running past TIMEOUT
+seconds."""
 
 import argparse
 import ast
@@ -20,6 +22,9 @@ TARGETS = {
                  "rahman_coefficient rahman_special dougall_coefficient HypTermSum.evaluate",
     "exact": "pochhammer_ratio RationalPolynomial _sturm_chain _sign_variations count_real_roots",
     "jacobi": "linearize_bruteforce gasper_boundary _recursion_numerators theta_iota_kappa",
+    "analysis": "_pq_limit_parts _odd_scales _pq_run pq_values omega_value pq_inequality_check "
+                "phi_sequence gasper_simplification_values necessity_identity_values",
+    "cli": "_phi_check _recursion_check",
 }
 TIMEOUT = 120
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Lt: "<", ast.LtE: "<=",
@@ -59,7 +64,7 @@ def mutate(node, where) -> str:
 
 
 def passes(work: Path, first: str) -> bool:
-    files = sorted(["exact", "jacobi", "hypergeom"], key=lambda m: m != first)
+    files = sorted(TARGETS, key=lambda m: m != first)
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     try:
@@ -81,7 +86,7 @@ def main() -> None:
     paths = {mod: work / "src" / "jacobilin" / f"{mod}.py" for mod in TARGETS}
     sources = {mod: path.read_text() for mod, path in paths.items()}
     if not passes(work, ""):
-        sys.exit("the kernel tests fail on the unmutated tree")
+        sys.exit("the tests fail on the unmutated tree")
     results = []
     for mod, names in TARGETS.items():
         for i in range(len(sites(ast.parse(sources[mod]), names.split()))):

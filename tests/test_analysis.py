@@ -288,6 +288,16 @@ class TestPQ:
             for m, s in [(2, 1), (3, 0), (3, 3)]:
                 assert all(pq_inequality_check(p, m, s))
 
+    def test_chained_inequality_is_strict(self):
+        # At m = 2, s = 0 the j = 1 instance holds with equality on
+        # 4a^2 + 12ab + 27a + 15b + 35 = 0, here at (a, b) = (2, -35/13),
+        # where omega is positive: the check must report it as failed.
+        p = make_params(F(-11, 13), F(24, 13))
+        first, second = pq_values(p, 2, 0)[:2]
+        assert (1 + second.p) * (first.q - first.p) == second.q
+        assert omega_value(p, 0, 1) > 0
+        assert pq_inequality_check(p, 2, 0) == [False, False]
+
     def test_omega_vanishes_when_b_equals_a(self):
         p = make_params(F(1, 4), F(-1, 2))
         assert p.a == p.b
@@ -321,9 +331,9 @@ class TestInternalErrors:
         [
             pytest.param(
                 "_pq_limit_parts", lambda parts: (parts[0] + F(1, 10**6), *parts[1:]),
-                lambda: pq_values(BETWEEN, 2, 0),
+                lambda: pq_values(BETWEEN, 3, 1),
                 "p/q decomposition fails (route pq-split, alpha=-33/100, beta=-87/100, "
-                "m=2, n=2, j=1)",
+                "m=3, n=4, j=1)",
                 id="pq-split",
             ),
             pytest.param(

@@ -697,6 +697,20 @@ class TestVerifySubcommand:
             assert out.splitlines() == [f"property {prop} at alpha=-33/100 beta=-87/100",
                                         f"  m=2 s=0: {detail}", f"{prop}: FAIL"]
 
+    def test_recursion_check_reads_its_first_index(self, capsys, monkeypatch):
+        # At m = 1 the three-point identity has the one index j = 1.
+        original = cli._recursion_numerators
+
+        def perturbed(*args):
+            up, down, theta_n, *rest = original(*args)
+            return up, down, theta_n + 1, *rest
+
+        monkeypatch.setattr(cli, "_recursion_numerators", perturbed)
+        code, out, err = run(capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",
+                             "--property", "recursion-consistency", "--m", "1", "--s", "0")
+        assert (code, err) == (1, "")
+        assert "  m=1 s=0: recursion identity FAILS" in out.splitlines()
+
     def test_malformed_point_is_still_a_usage_error(self, capsys):
         code, out, err = run(
             capsys, "verify", "--alpha", "x", "--beta", "0",
