@@ -666,50 +666,42 @@ class TestVerifySubcommand:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize(
-        "prop, target, perturb, detail",
+        "prop, target, perturb, detail, m",
         [
             pytest.param(
                 "phi-alternation", "pq_values",
                 lambda run: tuple(replace(rec, p=rec.p + F(1, 10**6)) for rec in run),
-                "alternation FAILS", id="phi",
+                "alternation FAILS", 2, id="phi",
             ),
             pytest.param(
                 "recursion-consistency", "_recursion_numerators",
                 lambda parts: (*parts[:2], parts[2] + 1, *parts[3:]),
-                "recursion identity FAILS", id="recursion",
+                "recursion identity FAILS", 2, id="recursion",
+            ),
+            # At m = 1 the three-point identity has the one index j = 1.
+            pytest.param(
+                "recursion-consistency", "_recursion_numerators",
+                lambda parts: (*parts[:2], parts[2] + 1, *parts[3:]),
+                "recursion identity FAILS", 1, id="recursion-m1",
             ),
         ],
     )
     def test_failed_cross_check_is_a_fail_verdict(
-        self, capsys, monkeypatch, prop, target, perturb, detail, json_flag
+        self, capsys, monkeypatch, prop, target, perturb, detail, m, json_flag
     ):
         original = getattr(cli, target)
         monkeypatch.setattr(cli, target, lambda *args: perturb(original(*args)))
         code, out, err = run(capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",
-                             "--property", prop, "--m", "2", "--s", "0", *json_flag)
+                             "--property", prop, "--m", str(m), "--s", "0", *json_flag)
         assert (code, err) == (1, "")
         if json_flag:
             doc = json.loads(out)
-            assert doc["payload"] == {"property": prop, "details": [f"m=2 s=0: {detail}"],
+            assert doc["payload"] == {"property": prop, "details": [f"m={m} s=0: {detail}"],
                                       "verdict": "fail"}
             assert doc["verdict"] == "fail"
         else:
             assert out.splitlines() == [f"property {prop} at alpha=-33/100 beta=-87/100",
-                                        f"  m=2 s=0: {detail}", f"{prop}: FAIL"]
-
-    def test_recursion_check_reads_its_first_index(self, capsys, monkeypatch):
-        # At m = 1 the three-point identity has the one index j = 1.
-        original = cli._recursion_numerators
-
-        def perturbed(*args):
-            up, down, theta_n, *rest = original(*args)
-            return up, down, theta_n + 1, *rest
-
-        monkeypatch.setattr(cli, "_recursion_numerators", perturbed)
-        code, out, err = run(capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",
-                             "--property", "recursion-consistency", "--m", "1", "--s", "0")
-        assert (code, err) == (1, "")
-        assert "  m=1 s=0: recursion identity FAILS" in out.splitlines()
+                                        f"  m={m} s=0: {detail}", f"{prop}: FAIL"]
 
     def test_malformed_point_is_still_a_usage_error(self, capsys):
         code, out, err = run(
