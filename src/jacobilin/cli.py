@@ -30,12 +30,12 @@ from .analysis import (
     VERDICT_ALL_POSITIVE,
     VERDICT_VIOLATION,
     NotApplicableError,
+    _pq_run,
     find_negativity_witness,
     iota_zero_count,
     necessity_identity_values,
     phi_sequence,
     pq_inequality_check,
-    pq_values,
     scan_sign_pattern,
 )
 from .gencheb import _companion, linearize_gencheb
@@ -302,11 +302,10 @@ def _phi_check(p, m, s):
     seq = phi_sequence(p, m, s)
     good = seq.alternation_holds()
     if m >= 2:
-        for rec in pq_values(p, m, s):
+        for j, (p_n, p_d, q_n, q_d, _) in enumerate(_pq_run(p, m, s), start=1):
             # phi(j+1) = p + q / phi(j), times phi(j) (negative, so nonzero)
-            # and all four denominators.
-            (u, v), (u1, v1) = (seq.value(j).as_integer_ratio() for j in (rec.j, rec.j + 1))
-            (p_n, p_d), (q_n, q_d) = rec.p.as_integer_ratio(), rec.q.as_integer_ratio()
+            # and the positive denominators of p, q and both phi.
+            (u, v), (u1, v1) = (seq.value(i).as_integer_ratio() for i in (j, j + 1))
             if u1 * u * p_d * q_d != (p_n * u * q_d + q_n * v * p_d) * v1:
                 good = False
     return good, f"alternation {'holds' if good else 'FAILS'}"

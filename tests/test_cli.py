@@ -8,7 +8,6 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -669,8 +668,8 @@ class TestVerifySubcommand:
         "prop, target, perturb, detail, m",
         [
             pytest.param(
-                "phi-alternation", "pq_values",
-                lambda run: tuple(replace(rec, p=rec.p + F(1, 10**6)) for rec in run),
+                "phi-alternation", "_pq_run",
+                lambda run: [(p_n + 1, *rest) for p_n, *rest in run],
                 "alternation FAILS", 2, id="phi",
             ),
             pytest.param(
