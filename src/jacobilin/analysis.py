@@ -12,8 +12,9 @@ forces strictly positive even-position entries in the odd-index families.
 The identities (the p/q split, omega, the chained inequality, and the
 necessity and Gasper simplification identities) are typed on integers over
 L, the least common denominator of a and b (`p.over_lcm_ab`; the companion
-point (a+1, b-1) has the same L), from the kernel numerators of
-`_recursion_numerators` and `gasper_boundary`: each value is one integer
+point (a+1, b-1) has the same L), from the recursion weights of
+`_recursion_weights` (theta, iota, kappa as T, I, K over one denominator D)
+and the closed forms of `gasper_boundary`: each value is one integer
 quotient, and each check one cross-multiplication by factors that are
 nonzero for alpha, beta > -1.  A `Fraction` is formed only for a returned
 value.
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import _companion, gencheb_rec_coeffs, linearize_gencheb
-from .jacobi import _recursion_numerators, gasper_boundary, internal_error, linearize_jacobi
+from .jacobi import _recursion_weights, gasper_boundary, internal_error, linearize_jacobi
 from .params import (
     JacobiParams,
     classify_region,
@@ -218,18 +219,18 @@ def _pq_limit_parts(p: JacobiParams, s: int, j: int) -> tuple[int, int, int, int
     one, a, b = p.over_lcm_ab
     s2, j = 2 * s * one, j * one
     den = (s2 + j + one) * (s2 + 2 * j + a) * (s2 + 2 * j + a + b + one) * (j + one)
-    up = s2 + 2 * j + a + 2 * one
+    w2 = s2 + 2 * j + a + 2 * one
     bracket = (
         b * (s2 + j + one) * (s2 + 2 * j + a) * (j + one)
         + (one - b) * (s2 + j) * (s2 + 2 * j + a + one) * j
     )
     p_star = (
-        (one - b) * (s2 + j + a) * (s2 + 2 * j + a + one) * up * (j + a)
+        (one - b) * (s2 + j + a) * (s2 + 2 * j + a + one) * w2 * (j + a)
         * (s2 + 2 * j + one)
     )
-    q_inf = up * (s2 + j + a) * (s2 + 2 * j + a - b + one) * (j + a)
+    q_inf = w2 * (s2 + j + a) * (s2 + 2 * j + a - b + one) * (j + a)
     q_star = (one - a) * (s2 + 2 * j + a + one) * q_inf
-    return (up * bracket - one * den) * one, p_star, q_inf * one**2, q_star, one**2 * den
+    return (w2 * bracket - one * den) * one, p_star, q_inf * one**2, q_star, one**2 * den
 
 
 def _odd_scales(p: JacobiParams, s: int, count: int) -> list[tuple[int, int]]:
@@ -249,14 +250,12 @@ def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:
     """p(j) and q(j) for j = 1 .. 2m-1 as (p_N, p_D, q_N, q_D, limit parts),
     each split asserted, with p = p_N / p_D and q = q_N / q_D.
 
-    With theta, iota and kappa of the companion point (a+1, b-1) over its L
-    (`_recursion_numerators`), iota / theta = iota_N (up+L) / (theta_N down L)
-    and kappa / theta = kappa_N up (up+L) / (theta_N e down), e = down - L,
-    so p = r(j+1) iota / theta and q = r(j) r(j+1) kappa / theta are integer
-    quotients.  Each denominator is positive: theta_N's factors 2m-j+a,
-    2m+2s+j+a+2, 2s+j+1, 2s+2j+2beta+4 and j+1 are positive for alpha,
-    beta > -1 and 1 <= j <= 2m-1, and so are up, down and e, which are
-    (2s+2j+a+2) L, (2s+2j+a) L and (2s+2j+a-1) L at the companion point."""
+    With the weights T, I, K of the companion point (a+1, b-1) over its L
+    (`_recursion_weights`), p = r(j+1) I / T and q = r(j) r(j+1) K / T are
+    integer quotients.  T is positive: its factors 2m-j+a, 2m+2s+j+a+2,
+    2s+j+1, 2s+2j+2beta+4, j+1, 2s+2j+a and 2s+2j+a-1 (the last two down
+    and e at the companion point) are positive for alpha, beta > -1 and
+    1 <= j <= 2m-1."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
     one, a, b = plus_params(p).over_lcm_ab
@@ -264,11 +263,10 @@ def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:
     r = _odd_scales(p, s, 2 * m)
     run = []
     for j in range(1, 2 * m):
-        up, down, theta_n, iota_n, kappa_n = _recursion_numerators(one, a, b, m, s, j * one)
+        theta, iota, kappa, _ = _recursion_weights(one, a, b, m, s, j * one)
         (r0_n, r0_d), (r1_n, r1_d) = r[j - 1], r[j]
-        p_n, p_d = r1_n * iota_n * (up + one), r1_d * theta_n * down * one
-        q_n = r0_n * r1_n * kappa_n * up * (up + one)
-        q_d = r0_d * r1_d * theta_n * (down - one) * down
+        p_n, p_d = r1_n * iota, r1_d * theta
+        q_n, q_d = r0_n * r1_n * kappa, r0_d * r1_d * theta
         # p = p_inf + p_star / D and q = q_inf + q_star / D over E D L^2, with
         # D L^2 = (2m-j+a)(2m+2s+j+a+2) L^2 > 0, read at the companion point.
         parts = pi, ps, qi, qs, big_e = _pq_limit_parts(p, s, j)
@@ -443,21 +441,18 @@ def gasper_simplification_values(
         rhs2 = (2m-4)((b^2+a)(2m+2s-4)(4m+2s+2a) + Q(6m+6s+4a+4)) + V_s.
 
     Each is one integer quotient, with a, b over L and theta, iota, kappa
-    from `_recursion_numerators`; every factor cleared is nonzero for
-    alpha, beta > -1 and m >= 2."""
+    the weights of `_recursion_weights` over their denominator D; every
+    factor cleared is nonzero for alpha, beta > -1 and m >= 2."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
     one, a, b = p.over_lcm_ab
     m2, m4, s2 = 2 * m * one, 4 * m * one, 2 * s * one
     (lo_n, lo_d), (hi_n, hi_d) = _boundary_ratios(p, m, s)
-    up, down, _, iota_n, kappa_n = _recursion_numerators(one, a, b, m, s, one)
-    # kappa = kappa_N / (e down L^3); at s = 0, a = 0, e = 0 and kappa = 0
-    # (kappa_N = 0 too), and e is taken as 1.
-    e = down - one or 1
+    _, iota, kappa, den = _recursion_weights(one, a, b, m, s, one)
     lhs1 = Fraction(
         (m2 + a - one) * (s2 + a - b + one) * (m2 + s2 + a + one) * (s2 + a + 3 * one)
-        * (iota_n * lo_n * e + kappa_n * up * one * lo_d),
-        4 * m * (m * one + s * one + a) * (s2 + a + one) * one**6 * up * down * lo_d * e,
+        * (iota * lo_n + kappa * lo_d),
+        4 * m * (m * one + s * one + a) * (s2 + a + one) * one**2 * den * lo_d,
     )
     q = gasper_q(p)
     q_n, v_n = _times(q, one**2), _times(gasper_v(p, q, s), one**4)
@@ -466,12 +461,11 @@ def gasper_simplification_values(
         (2 * m - 4) * (m2 + s2 + 2 * a + 4 * one) * (sq_a * 2 * s + q_n) * one + v_n,
         one**4,
     )
-    up, down, theta_n, iota_n, _ = _recursion_numerators(one, a, b, m, s, (2 * m - 1) * one)
+    theta, iota, _, den = _recursion_weights(one, a, b, m, s, (2 * m - 1) * one)
     lhs2 = Fraction(
         (m2 + a - one) * (m2 + s2 + a - one) * (m4 + s2 + a - 3 * one)
-        * (m4 + s2 + a + b - one)
-        * (theta_n * down * one * hi_d - iota_n * (up + one) * hi_n),
-        4 * m * (m + s) * (m4 + s2 + a - one) * one**7 * up * (up + one) * down * hi_d,
+        * (m4 + s2 + a + b - one) * (theta * hi_d - iota * hi_n),
+        4 * m * (m + s) * (m4 + s2 + a - one) * one**3 * den * hi_d,
     )
     rhs2 = Fraction(
         (2 * m - 4) * one * (
@@ -500,8 +494,8 @@ def necessity_identity_values(
                + (a+1)(2s+a+b+3)((a+2b)(2s+2-b) + Q).
 
     Each is one integer quotient, with a, b over L and theta+, iota+ and
-    kappa+ from `_recursion_numerators` at the companion point (a+1, b-1),
-    where theta_N, up, down and e = (2s+a+1) L are positive at j = 1."""
+    kappa+ the weights of `_recursion_weights` at the companion point
+    (a+1, b-1), where T is positive at j = 1."""
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     one, a, b = p.over_lcm_ab
@@ -519,12 +513,8 @@ def necessity_identity_values(
     if b == one:
         return (lhs1, rhs1), None
     # At b != 1, g+(s+1) != 0: lo_n is a nonzero factor.
-    up, down, theta_n, iota_n, kappa_n = _recursion_numerators(
-        one, a + one, b - one, m, s, one
-    )
-    e = down - one
-    rho_n = (up + one) * (iota_n * e * lo_n + kappa_n * up * one * lo_d)
-    rho_d = theta_n * down * one * e * lo_n
+    theta, iota, kappa, _ = _recursion_weights(one, a + one, b - one, m, s, one)
+    rho_n, rho_d = iota * lo_n + kappa * lo_d, theta * lo_n
     q_n = _times(gasper_q(p), one**2)
     lhs2 = Fraction(
         4 * (s + 1) * (b - one) * (m2 + a - one) * (m2 + s2 + a + 3 * one)

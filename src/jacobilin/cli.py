@@ -43,7 +43,7 @@ from .hypergeom import SingularSeriesError, dougall_coefficient, rahman_coeffici
 from .jacobi import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
-    _recursion_numerators,
+    _recursion_weights,
     internal_error,
     linearize_bruteforce,
     linearize_jacobi,
@@ -313,21 +313,17 @@ def _phi_check(p, m, s):
 
 def _recursion_check(p, m, s):
     """theta g(s+j+1) = iota g(s+j) + kappa g(s+j-1) for j = 1 .. 2m-1, on
-    the integers of `_recursion_numerators` and the vector's numerators
-    (over its positive denominator, which cancels), times the nonzero
-    up (up+L) down e L^4 as in `linearize_jacobi`; at j = 1, s = 0, a = 0,
-    where e = 0 and kappa = 0, e is taken as 1."""
+    the weights T, I, K of `_recursion_weights` (over their nonzero
+    denominator, which cancels) and the vector's numerators (over its
+    positive denominator, which cancels too)."""
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     g = linearize_jacobi(p, m, m + s).nums
     one, a, b = p.over_lcm_ab
     good = True
     for j in range(1, 2 * m):
-        up, down, theta_n, iota_n, kappa_n = _recursion_numerators(one, a, b, m, s, j * one)
-        e = down - one or 1
-        if theta_n * down * e * one * g[j + 1] != (
-            iota_n * e * g[j] + kappa_n * up * one * g[j - 1]
-        ) * (up + one):
+        theta, iota, kappa, _ = _recursion_weights(one, a, b, m, s, j * one)
+        if theta * g[j + 1] != iota * g[j] + kappa * g[j - 1]:
             good = False
     return good, f"recursion identity {'holds' if good else 'FAILS'}"
 

@@ -13,7 +13,10 @@ polynomials.  The product expansion R_m R_{m+s} = sum_k g(m, m+s; k) R_k is
 computed from closed forms at the four extreme indices k in {s, s+1, s+2m-1,
 s+2m} together with a three-point recursion in the interior; every run
 cross-checks the recursion against the closed forms exactly, so an internal
-inconsistency cannot produce a silently wrong vector.  A brute-force route
+inconsistency cannot produce a silently wrong vector.  The recursion has one
+integer form, read by every caller here and in `analysis` and `cli`: its
+coefficients theta, iota and kappa are the weights T, I and K over one
+denominator D of `_recursion_weights`.  A brute-force route
 through monomial coefficients provides a fully independent oracle.
 """
 
@@ -234,40 +237,40 @@ def jacobi_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     return walk_recurrence(p, FAMILY_JACOBI, to_fraction(x), [Fraction(1)], n)[n]
 
 
-def _recursion_numerators(
+def _recursion_weights(
     big_l: int, a: int, b: int, m: int, s: int, j: int
-) -> tuple[int, int, int, int, int]:
-    """(up, down, theta_N, iota_N, kappa_N) for a, b and j given as integers
-    over L (a = A/L, ...), with up = (2s+2j+a+1) L and down = (2s+2j+a-1) L:
+) -> tuple[int, int, int, int]:
+    """(T, I, K, D) with theta = T / D, iota = I / D and kappa = K / D, for
+    a, b and j given as integers over L (a = A/L, ...).  With up =
+    (2s+2j+a+1) L, down = (2s+2j+a-1) L and e = down - L, theta, iota and
+    kappa are theta_N / (up (up+L) L^3), iota_N / (up down L^4) and kappa_N /
+    (e down L^3), so
 
-        theta = theta_N / (up (up+L) L^3),
-        iota  = iota_N  / (up down L^4),
-        kappa = kappa_N / ((down-L) down L^3).
+        D = up (up+L) down e L^4,  T = theta_N down e L,
+        I = iota_N (up+L) e,       K = kappa_N up (up+L) L.
 
-    Each factor (2m - j + a - 1) of the rational formulas reads m2 - j + a - one
-    here, with m2 = 2mL, s2 = 2sL and one = L."""
-    m2, s2, one = 2 * m * big_l, 2 * s * big_l, big_l
-    up = s2 + 2 * j + a + one
-    down = s2 + 2 * j + a - one
-    theta_n = (
-        (m2 - j + a - one)
-        * (m2 + s2 + j + a + one)
-        * (s2 + j + one)
-        * (s2 + 2 * j + a - b + one)
-        * (j + one)
-    )
-    iota_n = b * (
-        (m2 - j) * (m2 + s2 + j + 2 * a) * (s2 + j + one) * (j + one) * down
-        - (m2 - j + one) * (m2 + s2 + j + 2 * a - one) * (s2 + j) * j * up
-    )
-    kappa_n = (
-        (m2 - j + one)
-        * (m2 + s2 + j + 2 * a - one)
-        * (s2 + j + a - one)
-        * (s2 + 2 * j + a + b - one)
-        * (j + a - one)
-    )
-    return up, down, theta_n, iota_n, kappa_n
+    kappa's removable zero is decided here alone: at j = 1, s = 0, a = 0,
+    e = 0 and kappa_N = 0, and e is taken as 1.  At a rational j where e = 0
+    and kappa_N != 0, a pole of kappa, D is 0.
+
+    Each factor (2m - j + a - 1) of the rational formulas reads mj + a - one
+    here, with mj = 2mL - j and one = L; the factors that recur are formed
+    once."""
+    one = big_l
+    m2, sj = 2 * m * one, 2 * s * one + j  # 2mL, (2s + j) L
+    mj, mt = m2 - j, m2 + sj + a  # (2m - j) L, (2m + 2s + j + a) L
+    w = sj + j + a  # (2s + 2j + a) L
+    up, down = w + one, w - one
+    shared_ik = (mj + one) * (mt + a - one)
+    shared_ti = (sj + one) * (j + one)
+    theta_n = (mj + a - one) * (mt + one) * (w - b + one) * shared_ti
+    iota_n = b * (mj * (mt + a) * shared_ti * down - shared_ik * sj * j * up)
+    kappa_n = shared_ik * (sj + a - one) * (w + b - one) * (j + a - one)
+    e = down - one
+    if not (e or kappa_n):
+        e = 1
+    de, uu = down * e, up * (up + one)
+    return theta_n * de * one, iota_n * (up + one) * e, kappa_n * uu * one, uu * de * one**4
 
 
 def theta_iota_kappa(
@@ -281,25 +284,23 @@ def theta_iota_kappa(
     real j, and the zero count reads that extension of iota as the polynomial
     `analysis.iota_numerator_poly`.  The admissible range is 1 <= j <= 2m - 1.
 
-    a, b and j are put over one common denominator L, so each function is
-    one integer quotient (`_recursion_numerators`): three `Fraction`s per
-    call.  kappa is 0 at j = 1, s = 0, a = 0, where its denominator vanishes
-    together with its numerator.
+    a, b and j are put over one common denominator L, so the three functions
+    are integers over one denominator D (`_recursion_weights`): three
+    `Fraction`s per call.  At a rational j where kappa has a pole, D = 0 and
+    the call raises ZeroDivisionError.
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     j = to_fraction(j)
     if not 1 <= j <= 2 * m - 1:
         raise ValueError("recursion index j must lie in [1, 2m-1]")
-    big_l, a, b, j = _over_lcm(p.a, p.b, j)
-    up, down, theta_n, iota_n, kappa_n = _recursion_numerators(big_l, a, b, m, s, j)
-    theta = Fraction(theta_n, up * (up + big_l) * big_l**3)
-    iota = Fraction(iota_n, up * down * big_l**4)
-    if j == big_l and s == 0 and a == 0:
-        kappa = Fraction(0)
-    else:
-        kappa = Fraction(kappa_n, (down - big_l) * down * big_l**3)
-    return theta, iota, kappa
+    big_l, a, b, j_l = _over_lcm(p.a, p.b, j)
+    theta, iota, kappa, den = _recursion_weights(big_l, a, b, m, s, j_l)
+    if not den:
+        raise ZeroDivisionError(
+            f"kappa has a pole at j={j}, s={s} (alpha={p.alpha}, beta={p.beta})"
+        )
+    return Fraction(theta, den), Fraction(iota, den), Fraction(kappa, den)
 
 
 def gasper_boundary(
@@ -377,20 +378,16 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
 
     Closed forms fill the two lowest and two highest positions; the interior
     comes from the forward recursion (theta > 0 there).  With a, b and j
-    over their common denominator L (`p.over_lcm_ab`),
-    up = (2s+2j+a+1) L, down = (2s+2j+a-1) L and e = down - L, theta, iota
-    and kappa have the integer numerators theta_N, iota_N, kappa_N of
-    `_recursion_numerators` over up (up+L) L^3, up down L^4 and e down L^3,
+    over their common denominator L (`p.over_lcm_ab`), theta, iota and kappa
+    are the integers T, I, K of `_recursion_weights` over one denominator,
     so with the current entry c_N/c_D and the previous one p_N/p_D each step
     is one quotient
 
-        g(s+j+1) = (iota_N e c_N p_D + kappa_N up L p_N c_D) (up+L)
-                   / (e down L theta_N c_D p_D),
+        g(s+j+1) = (I c_N p_D + K p_N c_D) / (T c_D p_D),
 
-    kept as a (numerator, denominator) pair reduced by one gcd; at j = 1,
-    s = 0, a = 0, where kappa = 0 and e = 0, e is taken as 1.  The recursion
-    value at the top of its range is checked exactly against the closed
-    form, and the three-point identity at the top index, both
+    kept as a (numerator, denominator) pair reduced by one gcd.  The
+    recursion value at the top of its range is checked exactly against the
+    closed form, and the three-point identity at the top index, both
     cross-multiplied: integer equalities with no division by theta, which is
     0 at the top index when a = 0.  The vector is the pairs over their lcm.
     """
@@ -415,13 +412,10 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
     big_l, a, b = p.over_lcm_ab
     top = 2 * m - 1
     for j in range(1, top + 1):
-        up, down, theta_n, iota_n, kappa_n = _recursion_numerators(
-            big_l, a, b, m, s, j * big_l
-        )
-        e = down - big_l or 1
+        theta, iota, kappa, _ = _recursion_weights(big_l, a, b, m, s, j * big_l)
         (c_n, c_d), (p_n, p_d) = vals[j], vals[j - 1]
-        num = (iota_n * e * c_n * p_d + kappa_n * up * big_l * p_n * c_d) * (up + big_l)
-        den = e * down * big_l * c_d * p_d * theta_n
+        num = iota * c_n * p_d + kappa * p_n * c_d
+        den = theta * c_d * p_d
         if j < top - 1:
             g = gcd(num, den) if den > 0 else -gcd(num, den)
             vals[j + 1] = (num // g, den // g)

@@ -7,7 +7,8 @@ Each mutant adds one to an integer literal, swaps `+` and `-` or flips a
 comparison (< <=, > >=, == !=) in a TARGETS function of a copy of TREE under
 SCRATCH_DIR, never in `src/`; the test files of the TARGETS modules, its
 module's own first, kill it by failing under -x or by running past TIMEOUT
-seconds."""
+seconds.  A TARGETS name that matches no function or class of its module
+stops the probe before any mutant runs."""
 
 import argparse
 import ast
@@ -21,7 +22,8 @@ TARGETS = {
     "hypergeom": "_require_open_region _check_indices _very_well_poised _prefactor "
                  "rahman_coefficient rahman_special dougall_coefficient HypTermSum.evaluate",
     "exact": "pochhammer_ratio RationalPolynomial _sturm_chain _sign_variations count_real_roots",
-    "jacobi": "linearize_bruteforce gasper_boundary _recursion_numerators theta_iota_kappa",
+    "jacobi": "linearize_bruteforce gasper_boundary _recursion_weights theta_iota_kappa "
+              "linearize_jacobi",
     "analysis": "_pq_limit_parts _odd_scales _pq_run pq_values omega_value pq_inequality_check "
                 "phi_sequence gasper_simplification_values necessity_identity_values",
     "cli": "_phi_check _recursion_check",
@@ -38,6 +40,24 @@ def _nodes(node, names: list, prefix=""):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             name = prefix + child.name
             yield from ast.walk(child) if name in names else _nodes(child, names, name + ".")
+
+
+def _defined(node, prefix=""):
+    """The dotted names of the functions and classes in `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + child.name
+            yield from _defined(child, prefix + child.name + ".")
+
+
+def stale_targets(src: Path) -> list[str]:
+    """The TARGETS names, as module.name, that no function or class of the
+    modules under `src` defines."""
+    stale = []
+    for mod, names in TARGETS.items():
+        defined = set(_defined(ast.parse((src / f"{mod}.py").read_text())))
+        stale += [f"{mod}.{name}" for name in names.split() if name not in defined]
+    return stale
 
 
 def sites(tree, names: list) -> list:
@@ -83,6 +103,9 @@ def main() -> None:
     work = args.scratch.resolve() / "tree"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(args.repo, work, ignore=shutil.ignore_patterns("__pycache__", ".*"))
+    stale = stale_targets(work / "src" / "jacobilin")
+    if stale:
+        sys.exit(f"TARGETS names no function: {' '.join(stale)}")
     paths = {mod: work / "src" / "jacobilin" / f"{mod}.py" for mod in TARGETS}
     sources = {mod: path.read_text() for mod, path in paths.items()}
     if not passes(work, ""):

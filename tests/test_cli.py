@@ -673,14 +673,14 @@ class TestVerifySubcommand:
                 "alternation FAILS", 2, id="phi",
             ),
             pytest.param(
-                "recursion-consistency", "_recursion_numerators",
-                lambda parts: (*parts[:2], parts[2] + 1, *parts[3:]),
+                "recursion-consistency", "_recursion_weights",
+                lambda weights: (weights[0] + 1, *weights[1:]),
                 "recursion identity FAILS", 2, id="recursion",
             ),
             # At m = 1 the three-point identity has the one index j = 1.
             pytest.param(
-                "recursion-consistency", "_recursion_numerators",
-                lambda parts: (*parts[:2], parts[2] + 1, *parts[3:]),
+                "recursion-consistency", "_recursion_weights",
+                lambda weights: (weights[0] + 1, *weights[1:]),
                 "recursion identity FAILS", 1, id="recursion-m1",
             ),
         ],
@@ -701,6 +701,30 @@ class TestVerifySubcommand:
         else:
             assert out.splitlines() == [f"property {prop} at alpha=-33/100 beta=-87/100",
                                         f"  m={m} s=0: {detail}", f"{prop}: FAIL"]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("prop", ["pq-inequality", "phi-alternation", "nec-identities"])
+    def test_perturbed_weights_reach_the_identities(self, capsys, monkeypatch, prop, json_flag):
+        # iota + 1 in the weights that the p/q run and both identity sets read.
+        original = analysis._recursion_weights
+
+        def perturbed(*args):
+            theta, iota, kappa, den = original(*args)
+            return theta, iota + 1, kappa, den
+
+        monkeypatch.setattr(analysis, "_recursion_weights", perturbed)
+        code, out, err = run(capsys, "verify", "--alpha", "-33/100", "--beta", "-87/100",
+                             "--property", prop, "--m", "2", "--s", "0", *json_flag)
+        if prop != "nec-identities":
+            assert (code, out) == (4, "")
+            assert err == ("internal error: p/q decomposition fails (route pq-split, "
+                           "alpha=-33/100, beta=-87/100, m=2, n=2, j=1)\n")
+        elif json_flag:
+            assert (code, err) == (1, "")
+            assert json.loads(out)["payload"]["details"] == ["m=2 s=0: identities FAIL"]
+        else:
+            assert (code, err) == (1, "")
+            assert out.splitlines()[1:] == ["  m=2 s=0: identities FAIL", f"{prop}: FAIL"]
 
     def test_malformed_point_is_still_a_usage_error(self, capsys):
         code, out, err = run(

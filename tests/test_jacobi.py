@@ -363,6 +363,10 @@ class TestKernelExactness:
         p = make_params(F(-1, 4), F(-19, 20))
         assert outcome(theta_iota_kappa, p, *args) == ("raises", exc)
         assert outcome(ref_theta_iota_kappa, p, *args) == ("raises", exc)
+        if exc is ZeroDivisionError:
+            message = r"^kappa has a pole at j=11/10, s=0 \(alpha=-1/4, beta=-19/20\)$"
+            with pytest.raises(ZeroDivisionError, match=message):
+                theta_iota_kappa(p, *args)
 
     @pytest.mark.parametrize("m, s", [(0, 0), (1, -1)])
     def test_boundary_rejects_bad_degrees(self, m, s):
@@ -405,13 +409,13 @@ class TestRecursionStep:
             assert got == ref_linearize_jacobi(p, m, n), (alpha, beta, m, n)
 
     def test_perturbed_theta_is_caught(self, monkeypatch):
-        original = jacobi_module._recursion_numerators
+        original = jacobi_module._recursion_weights
 
         def perturbed(*args):
-            up, down, theta_n, iota_n, kappa_n = original(*args)
-            return up, down, theta_n + 1, iota_n, kappa_n
+            theta, iota, kappa, den = original(*args)
+            return theta + 1, iota, kappa, den
 
-        monkeypatch.setattr(jacobi_module, "_recursion_numerators", perturbed)
+        monkeypatch.setattr(jacobi_module, "_recursion_weights", perturbed)
         p = make_params(F(1, 2), F(1, 4))
         with pytest.raises(RuntimeError, match="recursion disagrees with the closed form"):
             linearize_jacobi.__wrapped__(p, 3, 5)
