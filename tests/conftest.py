@@ -6,6 +6,7 @@ below the zero-count threshold.  Random helpers take an explicit Random
 instance so each test module controls its own seed.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -89,11 +90,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def rand_fraction(rng: random.Random, lo, hi, max_den: int = 40) -> Fraction:
-    """Uniform-ish rational in (lo, hi): random denominator, random numerator."""
+    """Uniform-ish rational in (lo, hi): random denominator, random numerator,
+    the numerator any integer strictly between lo*den and hi*den."""
     lo, hi = Fraction(lo), Fraction(hi)
     den = rng.randint(2, max_den)
-    lo_num = int(lo * den) + 1
-    hi_num = int(hi * den) - 1
+    lo_num = math.floor(lo * den) + 1
+    hi_num = math.ceil(hi * den) - 1
     if hi_num < lo_num:
         return (lo + hi) / 2
     return Fraction(rng.randint(lo_num, hi_num), den)
