@@ -1,7 +1,6 @@
 """The mutation probe's TARGETS name functions that exist: a stale name
 would otherwise be skipped without a word."""
 
-import ast
 from pathlib import Path
 
 import mutation_probe
@@ -17,7 +16,3 @@ def test_a_stale_target_is_reported(monkeypatch):
     monkeypatch.setitem(mutation_probe.TARGETS, "jacobi", "linearize_jacobi _gone Gone.method")
     assert mutation_probe.stale_targets(SRC) == ["jacobi._gone", "jacobi.Gone.method"]
 
-
-def test_methods_are_named_with_their_class():
-    tree = ast.parse("class C:\n    def f(self):\n        def g():\n            pass\n")
-    assert list(mutation_probe._defined(tree)) == ["C", "C.f", "C.f.g"]
