@@ -12,12 +12,12 @@ forces strictly positive even-position entries in the odd-index families.
 The identities (the p/q split, omega, the chained inequality, and the
 necessity and Gasper simplification identities) are typed on integers over
 L, the least common denominator of a and b (`p.over_lcm_ab`; the companion
-point (a+1, b-1) has the same L), from the recursion weights of
-`_recursion_weights` (theta, iota, kappa as T, I, K over one denominator D)
-and the closed forms of `gasper_boundary`: each value is one integer
-quotient, and each check one cross-multiplication by factors that are
-nonzero for alpha, beta > -1.  A `Fraction` is formed only for a returned
-value.
+point (a+1, b-1) is read as the integers (L, A+L, B-L)), from the recursion
+weights of `_recursion_weights` (theta, iota, kappa as T, I, K over one
+denominator D) and the boundary ratios g(s+1)/g(s) and g(s+2m-1)/g(s+2m) of
+`_boundary_ratios`: each value is one integer quotient, and each check one
+cross-multiplication by factors that are nonzero for alpha, beta > -1.  A
+`Fraction` is formed only for a returned value.
 """
 
 from dataclasses import dataclass
@@ -25,15 +25,8 @@ from fractions import Fraction
 
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import _companion, gencheb_rec_coeffs, linearize_gencheb
-from .jacobi import _recursion_weights, gasper_boundary, internal_error, linearize_jacobi
-from .params import (
-    JacobiParams,
-    classify_region,
-    gasper_q,
-    gasper_v,
-    make_params,
-    plus_params,
-)
+from .jacobi import _boundary_ratios, _recursion_weights, internal_error, linearize_jacobi
+from .params import JacobiParams, classify_region, gasper_q, gasper_v, make_params
 
 VERDICT_ALL_NONNEG = "all_nonneg"
 VERDICT_ALL_POSITIVE = "all_positive_on_support"
@@ -250,7 +243,7 @@ def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:
     """p(j) and q(j) for j = 1 .. 2m-1 as (p_N, p_D, q_N, q_D, limit parts),
     each split asserted, with p = p_N / p_D and q = q_N / q_D.
 
-    With the weights T, I, K of the companion point (a+1, b-1) over its L
+    With the weights T, I, K of the companion point (a+1, b-1) over the same L
     (`_recursion_weights`), p = r(j+1) I / T and q = r(j) r(j+1) K / T are
     integer quotients.  T is positive: its factors 2m-j+a, 2m+2s+j+a+2,
     2s+j+1, 2s+2j+2beta+4, j+1, 2s+2j+a and 2s+2j+a-1 (the last two down
@@ -258,7 +251,8 @@ def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:
     1 <= j <= 2m-1."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
-    one, a, b = plus_params(p).over_lcm_ab
+    one, a, b = p.over_lcm_ab
+    a, b = a + one, b - one  # the companion point, over the same L
     m2, s2 = 2 * m * one, 2 * s * one
     r = _odd_scales(p, s, 2 * m)
     run = []
@@ -413,14 +407,6 @@ def find_negativity_witness(
     return None
 
 
-def _boundary_ratios(p: JacobiParams, m: int, s: int) -> tuple[tuple[int, int], ...]:
-    """g(s+1) / g(s) and g(s+2m-1) / g(s+2m) of `gasper_boundary` as
-    (numerator, positive denominator) pairs: the extremes are positive."""
-    g_lo, g_lo1, g_hi1, g_hi = gasper_boundary(p, m, s)
-    return ((g_lo1.numerator * g_lo.denominator, g_lo1.denominator * g_lo.numerator),
-            (g_hi1.numerator * g_hi.denominator, g_hi1.denominator * g_hi.numerator))
-
-
 def _times(x: Fraction, scale: int) -> int:
     """x scale, for a Fraction x whose denominator divides scale."""
     return x.numerator * (scale // x.denominator)
@@ -440,14 +426,15 @@ def gasper_simplification_values(
                * (theta(2m-1) - iota(2m-1) g(s+2m-1)/g(s+2m)),
         rhs2 = (2m-4)((b^2+a)(2m+2s-4)(4m+2s+2a) + Q(6m+6s+4a+4)) + V_s.
 
-    Each is one integer quotient, with a, b over L and theta, iota, kappa
-    the weights of `_recursion_weights` over their denominator D; every
-    factor cleared is nonzero for alpha, beta > -1 and m >= 2."""
+    Each is one integer quotient, with a, b over L, theta, iota, kappa the
+    weights of `_recursion_weights` over their denominator D and the two
+    boundary ratios the pairs of `_boundary_ratios`; every factor cleared is
+    nonzero for alpha, beta > -1 and m >= 2."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
     one, a, b = p.over_lcm_ab
     m2, m4, s2 = 2 * m * one, 4 * m * one, 2 * s * one
-    (lo_n, lo_d), (hi_n, hi_d) = _boundary_ratios(p, m, s)
+    (lo_n, lo_d), (hi_n, hi_d) = _boundary_ratios(one, a, b, m, s)
     _, iota, kappa, den = _recursion_weights(one, a, b, m, s, one)
     lhs1 = Fraction(
         (m2 + a - one) * (s2 + a - b + one) * (m2 + s2 + a + one) * (s2 + a + 3 * one)
@@ -493,14 +480,15 @@ def necessity_identity_values(
         rhs2 = (4m-4)(m+s+a+2)(Q(s+1) - a(a+1)s)
                + (a+1)(2s+a+b+3)((a+2b)(2s+2-b) + Q).
 
-    Each is one integer quotient, with a, b over L and theta+, iota+ and
-    kappa+ the weights of `_recursion_weights` at the companion point
-    (a+1, b-1), where T is positive at j = 1."""
+    Each is one integer quotient, with a, b over L, and theta+, iota+,
+    kappa+ and g+(s+1)/g+(s) read from `_recursion_weights` and
+    `_boundary_ratios` at the companion point (a+1, b-1), whose integers over
+    L are (L, A+L, B-L); T is positive there at j = 1."""
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     one, a, b = p.over_lcm_ab
     m2, s2 = 2 * m * one, 2 * s * one
-    (lo_n, lo_d), _ = _boundary_ratios(plus_params(p), m, s)
+    (lo_n, lo_d), _ = _boundary_ratios(one, a + one, b - one, m, s)
     (r1_n, r1_d), (r2_n, r2_d) = _odd_scales(p, s, 2)
     lhs1 = Fraction(
         (m2 + a) * (m2 + s2 + a + 2 * one) * (s2 + a + b + one) * (r1_n * lo_n + r1_d * lo_d),

@@ -207,8 +207,6 @@ def gencheb_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
         raise internal_error(
             p, "gencheb-recurrence", "recurrence parametrizations disagree", n=n
         )
-    if not 0 < an.numerator < an.denominator:  # 0 < a_n < 1, on integers
-        raise ValueError(f"recurrence pair outside (0,1) at n={n}")
     return RecurrenceCoeffs(n, an, _ZERO, cn)
 
 
@@ -303,6 +301,25 @@ def theta_iota_kappa(
     return Fraction(theta, den), Fraction(iota, den), Fraction(kappa, den)
 
 
+def _boundary_ratios(big_l: int, a: int, b: int, m: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The ratios next to the extremes of R_m R_{m+s},
+
+        g(s+1) / g(s)       = 4bm(m+s+a)(2s+a+2) / ((2m+2s+a+1)(2m+a-1)(2s+a-b+1)),
+        g(s+2m-1) / g(s+2m) = 4bm(m+s)(4m+2s+a-2) / ((4m+2s+a+b-1)(2m+2s+a-1)(2m+a-1)),
+
+    as (numerator, denominator) pairs scaled by L^3, for a = A/L and b = B/L
+    given as A and B.  The denominators are positive for alpha, beta > -1 and
+    m >= 1, so both ratios have the sign of b."""
+    one, m_l, s_l = big_l, m * big_l, s * big_l
+    m2a = 2 * m_l + a - one  # (2m + a - 1) L
+    return (
+        (4 * b * m * (m_l + s_l + a) * (2 * s_l + a + 2 * one),
+         (2 * m_l + 2 * s_l + a + one) * m2a * (2 * s_l + a - b + one)),
+        (4 * b * m * (m_l + s_l) * (4 * m_l + 2 * s_l + a - 2 * one),
+         (4 * m_l + 2 * s_l + a + b - one) * (2 * m_l + 2 * s_l + a - one) * m2a),
+    )
+
+
 def gasper_boundary(
     p: JacobiParams, m: int, s: int
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -313,7 +330,7 @@ def gasper_boundary(
         g(s)    = (s+1)_m (m+a)_m (s+be+1)_m / ((2s+a+1)_2m (al+1)_m),
         g(s+2m) = (r+a)_r (m+a)_m (r+al+1)_m / ((t+a)_t (al+1)_m),
 
-    and the two next to them are these times a rational factor.  With
+    and the two next to them are these times `_boundary_ratios`.  With
     a = A/L, b = B/L and al, be over 2L, each rising factorial is an integer
     rising product over a power of L (or 2L); clearing those powers leaves
 
@@ -346,22 +363,9 @@ def gasper_boundary(
         * _rising((2 * r + 1) * big_l + a + b, 2 * big_l, m),
         _rising(t * big_l + a, big_l, t) * al_part,
     )
-    # Scaled by L as in theta_iota_kappa: m_l = mL, s_l = sL, one = L.
-    m_l, s_l, one = m * big_l, s * big_l, big_l
-    g_lo1 = Fraction(
-        4 * b * m * (m_l + s_l + a) * (2 * s_l + a + 2 * one) * g_lo.numerator,
-        (2 * m_l + 2 * s_l + a + one)
-        * (2 * m_l + a - one)
-        * (2 * s_l + a - b + one)
-        * g_lo.denominator,
-    )
-    g_hi1 = Fraction(
-        4 * b * m * (m_l + s_l) * (4 * m_l + 2 * s_l + a - 2 * one) * g_hi.numerator,
-        (4 * m_l + 2 * s_l + a + b - one)
-        * (2 * m_l + 2 * s_l + a - one)
-        * (2 * m_l + a - one)
-        * g_hi.denominator,
-    )
+    (lo_n, lo_d), (hi_n, hi_d) = _boundary_ratios(big_l, a, b, m, s)
+    g_lo1 = Fraction(lo_n * g_lo.numerator, lo_d * g_lo.denominator)
+    g_hi1 = Fraction(hi_n * g_hi.numerator, hi_d * g_hi.denominator)
     return g_lo, g_lo1, g_hi1, g_hi
 
 
