@@ -9,9 +9,9 @@ compare the library with these copies.  The module holds:
   run on reduced theta, iota and kappa `Fraction`s, before each step became
   one integer quotient (`TestRecursionStep` runs it at the 22 grid points
   and 75 seeded ones);
-- `ref_linearize_gencheb` and the two sign scans, the gencheb assembly as it
-  accumulated each entry from two `Fraction` products and the scans as they
-  compared `Fraction`s;
+- `ref_linearize_gencheb` and `ref_scan_sign_pattern`, the gencheb assembly
+  as it accumulated each entry from two `Fraction` products and the sign scan
+  as it compared `Fraction`s over that assembly;
 - `ref_hyp_term_sum`, the 9F8 series sum as the loop of one `Fraction`
   product per parameter that it was before each term became one table of
   factors;
@@ -48,8 +48,7 @@ from jacobilin.jacobi import (
     internal_error,
     linearize_jacobi,
 )
-from jacobilin.gencheb import linearize_gencheb
-from jacobilin.params import JacobiParams, make_params, plus_params
+from jacobilin.params import make_params, plus_params
 
 
 def ref_pochhammer(x, n):
@@ -256,65 +255,6 @@ def ref_scan_sign_pattern(p, max_degree, mode):
         if min_value is None or v < min_value:
             min_value = v
         if v < 0 and witness is None:
-            witness = (m, n, k)
-            witness_value = v
-    if min_value is None:
-        min_value = Fraction(0)
-    if witness is not None:
-        verdict = VERDICT_VIOLATION
-    elif min_value > 0:
-        verdict = VERDICT_ALL_POSITIVE
-    else:
-        verdict = VERDICT_ALL_NONNEG
-    return SignReport(mode, max_degree, verdict, min_value, witness, witness_value)
-
-
-def _ref_entry_scan_entries(p: JacobiParams, max_degree: int, mode: str):
-    """Yield (m, n, k, value) in deterministic order for the given mode.
-
-    Structural zeros are not part of any support: entries with m+n-k odd are
-    skipped always for the gencheb family, and on the symmetric line b = 0 for
-    the jacobi family, where they vanish identically.  The oscillation mode
-    scans (-1)^(m+n+k) g(m, n; k) of the reflected family, which by
-    P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x) is jacobi at the point (beta, alpha).
-    """
-    gencheb = mode.startswith("gencheb")
-    linearize = linearize_gencheb if gencheb else linearize_jacobi
-    oscillation = mode == "oscillation"
-    point = make_params(p.beta, p.alpha) if oscillation else p
-    skip_odd = gencheb or p.b == 0
-    for n in range(max_degree + 1):
-        for m in range(n + 1):
-            if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
-                continue
-            for k, v in linearize(point, m, n).items():
-                if skip_odd and (m + n - k) % 2:
-                    continue
-                yield m, n, k, -v if oscillation and (m + n + k) % 2 else v
-
-
-def ref_entry_scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport:
-    """Exhaustive sign scan over all m <= n <= max_degree for one mode.
-
-    The verdict is `violation` exactly when some entry is negative (the
-    witness is the first such entry in scan order); otherwise the scan
-    distinguishes a strictly positive support from one containing zeros.
-    Structural parity zeros of the gencheb family are not part of the support.
-    Entries are compared on integers: by the sign of the numerator, and with
-    the running minimum min_n/min_d by cross-multiplying.
-    """
-    if mode not in SCAN_MODES:
-        raise ValueError(f"unknown scan mode {mode!r}")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    min_value: Fraction | None = None
-    witness = None
-    witness_value = None
-    for m, n, k, v in _ref_entry_scan_entries(p, max_degree, mode):
-        v_n, v_d = v.numerator, v.denominator
-        if min_value is None or v_n * min_d < min_n * v_d:
-            min_value, min_n, min_d = v, v_n, v_d
-        if v_n < 0 and witness is None:
             witness = (m, n, k)
             witness_value = v
     if min_value is None:

@@ -51,11 +51,7 @@ from conftest import (
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
 )
-from kernel_reference import (
-    ref_entry_scan_sign_pattern,
-    ref_scan_sign_pattern,
-    ref_theta_iota_kappa,
-)
+from kernel_reference import ref_scan_sign_pattern, ref_theta_iota_kappa
 from make_outcome_digests import (
     IDENTITY_POINTS,
     check_recorded,
@@ -134,8 +130,8 @@ def _tall_point() -> tuple[Fraction, Fraction]:
 
 
 class TestIntegerScan:
-    """The scan reads each vector's integer numerators; the reference reads
-    the same vectors one `Fraction` entry at a time."""
+    """The scan reads each vector's integer numerators; the reference scan
+    compares `Fraction` entries of the reference gencheb assembly."""
 
     @pytest.mark.parametrize(
         "point, max_degree",
@@ -145,7 +141,7 @@ class TestIntegerScan:
     def test_matches_entry_scan(self, point, max_degree):
         p = make_params(*point)
         for mode in SCAN_MODES:
-            assert scan_sign_pattern(p, max_degree, mode) == ref_entry_scan_sign_pattern(
+            assert scan_sign_pattern(p, max_degree, mode) == ref_scan_sign_pattern(
                 p, max_degree, mode
             )
 

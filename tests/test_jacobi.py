@@ -33,6 +33,7 @@ from kernel_reference import (
 )
 from make_outcome_digests import (
     BOUNDARY_POINTS,
+    IDENTITY_POINTS,
     KERNEL_POINTS,
     bruteforce_lines,
     check_recorded,
@@ -206,6 +207,24 @@ class TestGasperBoundary:
         assert lo1 == cv[2]
         assert hi1 == cv[4]
         assert hi == cv[5]
+
+    @pytest.mark.parametrize("point", IDENTITY_POINTS)
+    def test_ratios_match_reference_closed_forms(self, point):
+        # `_boundary_ratios` at a point's integers (L, A, B) and at its
+        # companion's (L, A+L, B-L), against the reference closed forms at p
+        # and plus_params(p).  The identities cross-multiply by both
+        # denominators, so these must be positive.
+        p = make_params(*point)
+        big_l, a, b = p.over_lcm_ab
+        for q, ints in ((p, (a, b)), (plus_params(p), (a + big_l, b - big_l))):
+            for m in range(1, 7):
+                for s in range(5):
+                    (lo_n, lo_d), (hi_n, hi_d) = jacobi_module._boundary_ratios(
+                        big_l, *ints, m, s
+                    )
+                    assert lo_d > 0 and hi_d > 0
+                    g_lo, g_lo1, g_hi1, g_hi = ref_gasper_boundary(q, m, s)
+                    assert (F(lo_n, lo_d), F(hi_n, hi_d)) == (g_lo1 / g_lo, g_hi1 / g_hi)
 
 
 class TestLinearize:
