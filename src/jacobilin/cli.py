@@ -72,12 +72,15 @@ def _natural(text: str) -> int:
 
 def fmt_approx(v: Fraction) -> str:
     try:
-        return f"{float(v):.15g}"
-    except OverflowError:
-        # |v| above the float range: round the exact quotient to 15 digits.
-        with localcontext() as ctx:
-            ctx.prec = 15
-            return f"{(Decimal(v.numerator) / v.denominator).normalize():.15g}"
+        x = float(v)
+    except OverflowError:  # |v| above the float range
+        x = 0.0
+    if abs(x) >= sys.float_info.min or not v:
+        return f"{x:.15g}"
+    # |v| outside the normal float range: round the exact quotient to 15 digits.
+    with localcontext() as ctx:
+        ctx.prec = 15
+        return f"{(Decimal(v.numerator) / v.denominator).normalize():.15g}"
 
 
 def _merge_value_options(argv: list[str]) -> list[str]:

@@ -147,7 +147,7 @@ NEAR_MINUS_ONE = f"-{10**400 - 1}/{10**400}"
 
 class TestApproximations:
     """`approx` fields are 15 significant digits, inside and outside the
-    float range."""
+    normal float range."""
 
     @pytest.mark.parametrize("point", GRID_WIDE)
     def test_in_range_values_format_as_floats(self, point):
@@ -161,7 +161,9 @@ class TestApproximations:
     def test_overflowing_values_keep_fifteen_digits(self):
         assert fmt_approx(-F(10**401, 3)) == "-3.33333333333333e+400"
         assert fmt_approx(F(10**400, 2)) == "5e+399"
-        assert fmt_approx(F(1, 10**400)) == "0"
+        assert fmt_approx(F(1, 10**400)) == "1e-400"
+        assert fmt_approx(F(-3, 10**330)) == "-3e-330"
+        assert fmt_approx(F(1, 10**310)) == "1e-310"  # a subnormal float
 
     @staticmethod
     def _close(approx, v):
@@ -208,6 +210,21 @@ class TestApproximations:
         code, out, err = run(capsys, *argv, "--json")
         assert code == 1, err
         assert self._close(json.loads(out)["payload"]["min_value_approx"], rep.min_value)
+
+    def test_scan_below_float_range(self, capsys):
+        # At beta near -1 the least entry is about 1.67e-401: positive, and
+        # its approximation must not read 0.
+        argv = ["scan", "--alpha", "0", "--beta", NEAR_MINUS_ONE,
+                "--check", "nonneg", "--max-degree", "3", "--json"]
+        rep = scan_sign_pattern(make_params(0, F(NEAR_MINUS_ONE)), 3, "jacobi_nonneg")
+        assert 0 < rep.min_value < F(1, 10**400)
+
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["verdict"] == "all_positive_on_support"
+        assert doc["payload"]["min_value_approx"] == "1.66666666666667e-401"
+        assert self._close(doc["payload"]["min_value_approx"], rep.min_value)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
