@@ -37,8 +37,10 @@ from .params import JacobiParams, plus_params
 def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
     """Evaluate T_n at a rational point.
 
-    The quadratic-transform value is cross-checked against the three-term
-    recurrence; both routes must agree exactly.
+    The quadratic-transform value, T_2r(x) = R_r(2x^2 - 1) or T_2r+1(x) =
+    x R+_r(2x^2 - 1), is cross-checked against the three-term recurrence;
+    both routes must agree exactly.  The transform reads no gencheb row, so
+    this is the one check of the gencheb rows that does not read them.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")

@@ -16,8 +16,10 @@ cross-checks the recursion against the closed forms exactly, so an internal
 inconsistency cannot produce a silently wrong vector.  The recursion has one
 integer form, read by every caller here and in `analysis` and `cli`: its
 coefficients theta, iota and kappa are the weights T, I and K over one
-denominator D of `_recursion_weights`.  A brute-force route
-through monomial coefficients provides a fully independent oracle.
+denominator D of `_recursion_weights`.  The two inner closed forms are the
+extremes times `_boundary_ratios`, the one integer form of g(s+1)/g(s) and
+g(s+2m-1)/g(s+2m).  A brute-force route through monomial coefficients
+provides a fully independent oracle.
 """
 
 from dataclasses import dataclass
