@@ -386,9 +386,14 @@ def find_negativity_witness(
 
     Outside V' the search follows the two families that the necessity
     analysis singles out: entries g_T(2m+1, 2m+2s+1; 2s+2) when b < 0, and
-    g_T(2m+1, 2m+1; 4) when a^2 + 2b^2 + 3a < 0.  Inside V' there is nothing
-    to find and None is returned immediately.  Exhausting the degree budget
-    returns None as well (inconclusive, not a nonexistence claim)."""
+    g_T(2m+1, 2m+1; 4) when a^2 + 2b^2 + 3a < 0.  Inside V' the search is
+    not run and None is returned immediately, which is no claim that every
+    entry is nonnegative: in V' outside V even-index entries can be
+    negative, for example g_T(4, 4; 4) = -24685/2271367 at (-33/100, -87/100).
+    Exhausting the degree budget returns None as well.  A None therefore
+    speaks only for the guided odd-odd families up to max_degree; outside V'
+    another entry can still be negative, such as g_T(2, 2; 2) = -24/17425 at
+    (29/12, 39/16), where the search to degree 20 returns None."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     report = classify_region(p)

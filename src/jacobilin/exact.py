@@ -7,8 +7,11 @@ half-open (lo, hi] convention, from one remainder sequence per count.
 
 Pochhammer symbols are evaluated on integer numerators: for x = X/Q the
 rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q) over Q**n.
-`pochhammer_ratio` takes a whole ratio of such products, so a closed form
-costs one `Fraction` (one gcd) however many factors it has, instead of one
+`_rising_ratio` is the one evaluator of products of rising factorials: it
+takes (X, n) pairs above and below the line over one Q and returns an
+integer pair, which the 9F8 closed forms read directly.  `pochhammer_ratio`
+puts its x's over their lcm and hands them to it, so a closed form costs one
+`Fraction` (one gcd) however many factors it has, instead of one
 normalization per factor.
 """
 
@@ -41,21 +44,37 @@ def _rising(x_num: int, step: int, n: int) -> int:
     return prod(range(x_num, x_num + n * step, step))
 
 
+def _rising_ratio(q: int, ups, downs) -> tuple[int, int]:
+    """(num, den) with num / den the product of (X/q)_n over the (X, n)
+    pairs in `ups`, divided by the product over `downs`, for q > 0 and every
+    n >= 0: the products of _rising(X, q, n), with the powers of q netted on
+    one side.  den is 0 when a product below the line is."""
+    num, den, shift = 1, 1, 0
+    for x, n in ups:
+        num *= _rising(x, q, n)
+        shift -= n
+    for x, n in downs:
+        den *= _rising(x, q, n)
+        shift += n
+    if shift > 0:
+        return num * q**shift, den
+    return num, den * q**-shift
+
+
 def pochhammer_ratio(ups, downs=()) -> Fraction:
     """The product of (x)_n over the (x, n) pairs in `ups`, divided by the
-    product over `downs`, as one quotient of integers: with x = X/Q,
-    (x)_n = _rising(X, Q, n) / Q**n.  A zero product below the line raises
-    ZeroDivisionError."""
-    acc = [1, 1]
-    for side, pairs in enumerate((ups, downs)):
-        for x, n in pairs:
-            if n < 0:
-                raise ValueError("pochhammer needs n >= 0")
-            x = to_fraction(x)
-            q = x.denominator
-            acc[side] *= _rising(x.numerator, q, n)
-            acc[1 - side] *= q**n
-    return Fraction(*acc)
+    product over `downs`, as one quotient of integers: with the x's over
+    their lcm Q, x = X/Q, by `_rising_ratio`.  A zero product below the line
+    raises ZeroDivisionError."""
+    ups, downs = list(ups), list(downs)
+    xs = []
+    for x, n in ups + downs:
+        if n < 0:
+            raise ValueError("pochhammer needs n >= 0")
+        xs.append(to_fraction(x))
+    q, *xs = _over_lcm(*xs)
+    pairs = [(x, n) for x, (_, n) in zip(xs, ups + downs)]
+    return Fraction(*_rising_ratio(q, pairs[:len(ups)], pairs[len(ups):]))
 
 
 def pochhammer(x: Rational, n: int) -> Fraction:

@@ -15,16 +15,21 @@ forms are very-well-poised series from one builder.  Each series is summed to
 the term count its formula derives from a terminating numerator parameter, or
 stops earlier at a zero numerator factor (see HypTermSum).
 
-Every prefactor, every series term, and Dougall's product is a table of
-(x, n) factors above and below the line, evaluated by `exact.pochhammer_ratio`
-as one quotient of integers: the package has one evaluator for products of
-rising factorials.
+Every parameter of a closed form is an integer over one denominator q: for
+the point's (d, alpha d, beta d, a d, b d) = `p.over_lcm_all`, q = 2d puts
+alpha, beta, 1/2 and (alpha - beta)/2 all on the integers (the companion
+form, whose series also halves beta + s + 1/2, takes q = 4d).  Every
+prefactor and Dougall's product is a table of (X, n) factors above and below
+the line, evaluated by `exact._rising_ratio` as one pair of integers, the
+package's one evaluator of products of rising factorials; each series steps
+from term to term by its term ratio on the integers (see HypTermSum).  No
+`Fraction` is formed from the parameters: a closed form builds only the
+`Fraction`s it returns.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Rational, pochhammer_ratio, to_fraction
+from .exact import Rational, _over_lcm, _rising_ratio, to_fraction
 from .jacobi import FAMILY_JACOBI, CoeffVector
 from .params import JacobiParams
 
@@ -36,12 +41,19 @@ class SingularSeriesError(ValueError):
     terminates; the value exists only as a limit (boundary limit required)."""
 
 
-@dataclass(frozen=True)
 class HypTermSum:
     """A terminating hypergeometric sum at unit argument.
 
     value = sum_{r=0}^{term_count} prod (num_i)_r / (prod (den_j)_r * r!),
-    each term one `pochhammer_ratio` table.  term_count comes from the
+    held as integers over one q > 0: num_i = nums[i] / q and den_j =
+    dens[j] / q.  `HypTermSum(numerator_params, denominator_params,
+    term_count)` takes the parameters as rationals and puts them over their
+    lcm; `HypTermSum._of(q, nums, dens, term_count)` takes the integers.
+
+    `evaluate` steps from term r-1 to term r by the term ratio
+    prod (A_i + (r-1) q) / (r q**(#nums - #dens) prod (D_j + (r-1) q)) and
+    sums over one growing denominator, the product of the ratios'
+    denominators, so the value is one `Fraction`.  term_count comes from the
     terminating numerator parameter of the formula that builds the sum.
     Summation also stops at the first zero term, after that term's
     denominator is checked.  term_count stays explicit on purpose: a count
@@ -49,27 +61,45 @@ class HypTermSum:
     change which entries are singular.
     """
 
-    numerator_params: tuple[Fraction, ...]
-    denominator_params: tuple[Fraction, ...]
-    term_count: int
+    __slots__ = ("q", "nums", "dens", "term_count")
+
+    def __init__(self, numerator_params, denominator_params, term_count):
+        ups = [to_fraction(x) for x in numerator_params]
+        q, *xs = _over_lcm(*ups, *(to_fraction(x) for x in denominator_params))
+        self.q, self.nums, self.dens = q, tuple(xs[:len(ups)]), tuple(xs[len(ups):])
+        self.term_count = term_count
+
+    @classmethod
+    def _of(cls, q: int, nums: tuple, dens: tuple, term_count: int) -> "HypTermSum":
+        """The sum with parameters nums[i] / q over dens[j] / q, for q > 0."""
+        series = cls.__new__(cls)
+        series.q, series.nums, series.dens, series.term_count = q, nums, dens, term_count
+        return series
 
     def evaluate(self) -> Fraction:
-        total = Fraction(1)
+        q, nums, dens = self.q, self.nums, self.dens
+        shift = len(nums) - len(dens)
+        up, down = (1, q**shift) if shift >= 0 else (q**-shift, 1)
+        term = total = den = 1
         for r in range(1, self.term_count + 1):
-            try:
-                term = pochhammer_ratio(
-                    [(a, r) for a in self.numerator_params],
-                    [(1, r), *((d, r) for d in self.denominator_params)],
-                )
-            except ZeroDivisionError:
+            off = (r - 1) * q
+            step = r * down
+            for x in dens:
+                step *= x + off
+            if not step:
                 raise SingularSeriesError(
                     "denominator parameter vanishes before termination; "
                     "boundary limit required"
-                ) from None
-            if not term:
+                )
+            ratio = up
+            for x in nums:
+                ratio *= x + off
+            if not ratio:
                 break
-            total += term
-        return total
+            term *= ratio
+            total = total * step + term
+            den *= step
+        return Fraction(total, den)
 
 
 def _require_open_region(p: JacobiParams) -> None:
@@ -91,23 +121,25 @@ def _check_indices(m: int, s: int, j: int) -> None:
         raise ValueError("offset j must lie in [0, 2m]")
 
 
-def _very_well_poised(a: Fraction, *bs: Fraction, term_count: int) -> HypTermSum:
+def _very_well_poised(q: int, a: int, *bs: int, term_count: int) -> HypTermSum:
     """The very-well-poised series with numerators (a, 1 + a/2, *bs) and
-    denominators (a/2, 1 + a - b for each b in bs)."""
-    return HypTermSum(
-        numerator_params=(a, 1 + a / 2, *bs),
-        denominator_params=(a / 2, *(1 + a - b for b in bs)),
-        term_count=term_count,
+    denominators (a/2, 1 + a - b for each b in bs), every parameter an
+    integer over q and a even."""
+    half = a // 2
+    return HypTermSum._of(
+        q, (a, q + half, *bs), (half, *(q + a - b for b in bs)), term_count
     )
 
 
-def _prefactor(al: Fraction, be: Fraction, m: int, s: int, j: int, ups, downs) -> Fraction:
-    """A 9F8 prefactor of g(m, m+s; s+j): the factors both forms share, times
-    the (x, n) factors `ups` over `downs` of one form."""
-    return pochhammer_ratio(
-        [(al + be + 1 + 2 * s + 2 * j, 1), (s + 1, m), (be + 1, m + s),
-         (al + be + 1, 2 * s + j), *ups],
-        [(al + be + 1, 1), (1, j), (al + 1, m), (al + be + 2, 2 * m + 2 * s + j), *downs],
+def _prefactor(q: int, al: int, be: int, m: int, s: int, j: int, ups, downs) -> tuple[int, int]:
+    """A 9F8 prefactor of g(m, m+s; s+j) as an integer pair, alpha = al/q and
+    beta = be/q: the factors both forms share, times the (X, n) factors
+    `ups` over `downs` of one form, every X over q."""
+    a = al + be + q
+    return _rising_ratio(
+        q,
+        [(a + (2 * s + 2 * j) * q, 1), ((s + 1) * q, m), (be + q, m + s), (a, 2 * s + j), *ups],
+        [(a, 1), (q, j), (al + q, m), (a + q, 2 * m + 2 * s + j), *downs],
     )
 
 
@@ -120,26 +152,31 @@ def rahman_coefficient(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     and down, and the factor (alpha-beta)/(alpha+beta+1) enters as its e-th
     power.  The series is summed to r = down, but when j > m its parameter
     up - m reaches 0 first, and it stops after r = m - up.
+
+    Over q = 2d, alpha = al/q, beta = be/q, a = al + be + q over q,
+    1/2 = d/q, (alpha - beta)/2 = bd/q and (alpha + beta)/2 = (ad - d)/q.
     """
     _check_indices(m, s, j)
     _require_open_region(p)
-    al, be = p.alpha, p.beta
+    d, al, be, ad, bd = p.over_lcm_all
+    q, al, be, a, h = 2 * d, 2 * al, 2 * be, 2 * ad, ad - d
     e = j % 2
     up, down = (j + e) // 2, (j - e) // 2
-    pref = _prefactor(
-        al, be, m, s, j,
-        [(m + al + be + 1, m), (al + be + 1, j), (-m, up), (al + be + m + s + 1, up),
-         (al + s + 1 + up, down), (-m - al, down), (be + m + s + 1, down),
-         (_HALF + e, down), (al - be, e)],
-        [(be + 1, s + j), (-m - (al + be) / 2, up), (_HALF - m - (al + be) / 2, down),
-         (s + 1, down), (al + 1 + e, down), (al + be + 1, e)],
+    pref_num, pref_den = _prefactor(
+        q, al, be, m, s, j,
+        [(a + m * q, m), (a, j), (-m * q, up), (a + (m + s) * q, up),
+         (al + (s + 1 + up) * q, down), (-m * q - al, down), (be + (m + s + 1) * q, down),
+         (d + e * q, down), (al - be, e)],
+        [(be + q, s + j), (-m * q - h, up), (d - m * q - h, down), ((s + 1) * q, down),
+         (al + (1 + e) * q, down), (a, e)],
     )
     series = _very_well_poised(
-        al + e, al + _HALF, (al - be) / 2 + e, (al - be + 1) / 2,
-        al + be + m + s + 1 + up, Fraction(up - m), Fraction(-s - down), Fraction(-down),
+        q, al + e * q, al + d, bd + e * q, bd + d,
+        a + (m + s + up) * q, (up - m) * q, (-s - down) * q, -down * q,
         term_count=down,
     )
-    return pref * series.evaluate()
+    value = series.evaluate()
+    return Fraction(pref_num * value.numerator, pref_den * value.denominator)
 
 
 def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
@@ -156,10 +193,12 @@ def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
     the two overlap, so it is deliberately not in `cli.METHODS` and `compare`
     records keep their method list.  Acceptance C3 and the hypergeometric
     tests check it against the Gasper vector.
+
+    Over q = 4d, which keeps (beta + s + 1/2)/2 on the integers, alpha =
+    al/q, beta = be/q, a = al + be + q over q and 1/2 = h/q.
     """
     _check_indices(m, s, j)
-    al, be = p.alpha, p.beta
-    if not (al >= be >= -_HALF):
+    if not (p.alpha >= p.beta >= -_HALF):
         raise ValueError(
             "companion formula needs alpha >= beta >= -1/2"
         )
@@ -168,27 +207,29 @@ def rahman_special(p: JacobiParams, m: int, s: int, j: int) -> Fraction:
             "companion formula at alpha = beta = -1/2 divides by a = 0; "
             "boundary limit required"
         )
-    jh = Fraction(j, 2)
+    d, al, be, ad, _ = p.over_lcm_all
+    q, al, be, a, h = 4 * d, 4 * al, 4 * be, 4 * ad, 2 * d
+    jh = j * h
     series = _very_well_poised(
-        be + s + _HALF, be + _HALF, be + m + s + 1, -m - al,
-        (al + be + 1) / 2 + s + jh, (al + be + 2) / 2 + s + jh, Fraction(1 - j, 2), -jh,
+        q, be + s * q + h, be + h, be + (m + s + 1) * q, -m * q - al,
+        a // 2 + s * q + jh, (a + q) // 2 + s * q + jh, h - jh, -jh,
         term_count=j // 2,
     )
     value = series.evaluate()
-    pref = _prefactor(
-        al, be, m, s, j,
-        [(al + be + m + 1, m), (-2 * m, j), (2 * al + 2 * be + 2 * m + 2 * s + 2, j),
-         (al - be, j)],
-        [(be + 1, s), (-2 * m - al - be, j), (2 * be + 2 * s + 2, j)],
+    pref_num, pref_den = _prefactor(
+        q, al, be, m, s, j,
+        [(a + m * q, m), (-2 * m * q, j), (2 * a + (2 * m + 2 * s) * q, j), (al - be, j)],
+        [(be + q, s), (-2 * m * q - al - be, j), (2 * be + (2 * s + 2) * q, j)],
     )
-    return pref * value
+    return Fraction(pref_num * value.numerator, pref_den * value.denominator)
 
 
 def dougall_coefficient(alpha: Rational, m: int, n: int) -> CoeffVector:
     """Ultraspherical product expansion (alpha = beta > -1/2) as a full vector.
 
     The entry at k = m + n - 2t is an explicit product; odd-offset positions
-    are structural zeros of the ultraspherical family.
+    are structural zeros of the ultraspherical family.  Over q = 2d, d the
+    denominator of alpha, alpha + 1/2 = h/q and 2 alpha + 1 = 2h/q.
     """
     alpha = to_fraction(alpha)
     if alpha <= -_HALF:
@@ -197,14 +238,16 @@ def dougall_coefficient(alpha: Rational, m: int, n: int) -> CoeffVector:
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
-    h, two_h = alpha + _HALF, 2 * alpha + 1
+    d, al = _over_lcm(alpha)
+    q, h = 2 * d, 2 * al + d
     vals = [Fraction(0)] * (2 * m + 1)
     for t in range(m + 1):
         # t! C(m, t) C(n, t) = m! n! / (t! (m-t)! (n-t)!).
-        vals[2 * (m - t)] = pochhammer_ratio(
-            [(1, m), (1, n), (h, t), (m + n + h - 2 * t, 1), (h, m - t), (h, n - t),
-             (two_h, m + n - t)],
-            [(1, t), (1, m - t), (1, n - t), (m + n + h - t, 1), (h, m + n - t),
-             (two_h, m), (two_h, n)],
-        )
+        vals[2 * (m - t)] = Fraction(*_rising_ratio(
+            q,
+            [(q, m), (q, n), (h, t), (h + (m + n - 2 * t) * q, 1), (h, m - t), (h, n - t),
+             (2 * h, m + n - t)],
+            [(q, t), (q, m - t), (q, n - t), (h + (m + n - t) * q, 1), (h, m + n - t),
+             (2 * h, m), (2 * h, n)],
+        ))
     return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))

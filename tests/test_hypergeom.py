@@ -14,6 +14,7 @@ from jacobilin import (
     linearize_jacobi,
     make_params,
 )
+from jacobilin.exact import _over_lcm
 from jacobilin.hypergeom import HypTermSum, rahman_coefficient, rahman_special
 
 from conftest import GRID_DELTA_INTERIOR, rand_alpha_beta
@@ -88,13 +89,62 @@ class TestTermSum:
             )
 
         singular = 0
-        for _ in range(5000):
+        for i in range(5000):
             nums, dens, count = params(9), params(8), rng.randint(0, 9)
             want = outcome_with_message(ref_hyp_term_sum, nums, dens, count)
             series = HypTermSum(nums, dens, count)
             assert outcome_with_message(series.evaluate) == want, (nums, dens, count)
             singular += want[0] == "raises"
+            # The integer constructor over the lcm times 1, 2 or 3: the 9F8
+            # forms put their parameters over a multiple of their lcm.
+            q, *xs = _over_lcm(*nums, *dens)
+            xs = [x * (1 + i % 3) for x in xs]
+            integer = HypTermSum._of(q * (1 + i % 3), tuple(xs[:len(nums)]),
+                                     tuple(xs[len(nums):]), count)
+            assert outcome_with_message(integer.evaluate) == want, (nums, dens, count)
         assert 1000 < singular < 4000
+
+
+def _tall_points(count: int) -> list[tuple[Fraction, Fraction]]:
+    """Seeded points with alpha > beta > -1/2, in both 9F8 domains, whose
+    alpha and beta have their own 80-bit denominators."""
+    rng = random.Random(8080)
+    points = []
+    while len(points) < count:
+        alpha, beta = (F(rng.randrange(-den // 2 + 1, 3 * den), den)
+                       for den in (rng.getrandbits(80) | 1 << 79 for _ in range(2)))
+        if alpha > beta:
+            points.append((alpha, beta))
+    return points
+
+
+class TestTallPoints:
+    """The closed forms on integers over the point's lcm equal the Gasper
+    vector where that lcm is tall."""
+
+    @pytest.mark.parametrize("form", [rahman_coefficient, rahman_special])
+    def test_9f8_forms_match_expansion(self, form):
+        checked = singular = 0
+        for point in _tall_points(3):
+            p = make_params(*point)
+            for m in range(1, 5):
+                for s in range(4):
+                    cv = linearize_jacobi(p, m, m + s)
+                    for j in range(2 * m + 1):
+                        try:
+                            got = form(p, m, s, j)
+                        except SingularSeriesError:
+                            singular += 1
+                            continue
+                        assert got == cv[s + j], (point, m, s, j)
+                        checked += 1
+        assert (checked, singular) == (3 * 4 * (3 + 5 + 7 + 9), 0)
+
+    def test_dougall_matches_expansion(self):
+        alpha = _tall_points(1)[0][0]
+        p = make_params(alpha, alpha)
+        for m, n in [(0, 3), (1, 1), (2, 5), (4, 4), (3, 7)]:
+            assert dougall_coefficient(alpha, m, n).values == linearize_jacobi(p, m, n).values
 
 
 class TestRahmanBranches:
