@@ -22,7 +22,7 @@ import io
 import json
 import re
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 
 from .analysis import (
@@ -77,10 +77,17 @@ def fmt_approx(v: Fraction) -> str:
         x = 0.0
     if abs(x) >= sys.float_info.min or not v:
         return f"{x:.15g}"
-    # |v| outside the normal float range: round the exact quotient to 15 digits.
+    # |v| outside the normal float range: round the exact quotient to 15
+    # digits.  It is cut to the integer part of |v| / 10**e, about 20 digits,
+    # and one digit that is nonzero when the cut drops anything, which round
+    # alike, so no Decimal is made from a million-digit integer.
+    num, den = abs(v.numerator), v.denominator
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000 - 20
+    lead, rest = divmod(num * 10**max(-e, 0), den * 10**max(e, 0))
     with localcontext() as ctx:
-        ctx.prec = 15
-        return f"{(Decimal(v.numerator) / v.denominator).normalize():.15g}"
+        ctx.prec, ctx.Emax, ctx.Emin = 15, MAX_EMAX, MIN_EMIN
+        cut = Decimal(f"{'-' * (v < 0)}{lead}{int(rest != 0)}e{e - 1}")
+        return f"{cut.normalize():.15g}"
 
 
 def _merge_value_options(argv: list[str]) -> list[str]:

@@ -9,9 +9,9 @@ Pochhammer symbols are evaluated on integer numerators: for x = X/Q the
 rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q) over Q**n.
 `_rising_ratio` is the one evaluator of products of rising factorials: it
 takes (X, n) pairs above and below the line over one Q and returns an
-integer pair, which the 9F8 closed forms read directly.  `pochhammer_ratio`
-puts its x's over their lcm and hands them to it, so a closed form costs one
-`Fraction` (one gcd) however many factors it has, instead of one
+integer pair.  `pochhammer` is one such pair over x's own denominator, and
+the 9F8 closed forms pass their tables over the point's Q, so a closed form
+costs one `Fraction` (one gcd) however many factors it has, instead of one
 normalization per factor.
 """
 
@@ -61,25 +61,12 @@ def _rising_ratio(q: int, ups, downs) -> tuple[int, int]:
     return num, den * q**-shift
 
 
-def pochhammer_ratio(ups, downs=()) -> Fraction:
-    """The product of (x)_n over the (x, n) pairs in `ups`, divided by the
-    product over `downs`, as one quotient of integers: with the x's over
-    their lcm Q, x = X/Q, by `_rising_ratio`.  A zero product below the line
-    raises ZeroDivisionError."""
-    ups, downs = list(ups), list(downs)
-    xs = []
-    for x, n in ups + downs:
-        if n < 0:
-            raise ValueError("pochhammer needs n >= 0")
-        xs.append(to_fraction(x))
-    q, *xs = _over_lcm(*xs)
-    pairs = [(x, n) for x, (_, n) in zip(xs, ups + downs)]
-    return Fraction(*_rising_ratio(q, pairs[:len(ups)], pairs[len(ups):]))
-
-
 def pochhammer(x: Rational, n: int) -> Fraction:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    return pochhammer_ratio([(x, n)])
+    if n < 0:
+        raise ValueError("pochhammer needs n >= 0")
+    x = to_fraction(x)
+    return Fraction(*_rising_ratio(x.denominator, [(x.numerator, n)], ()))
 
 
 class RationalPolynomial:

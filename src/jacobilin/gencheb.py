@@ -79,8 +79,8 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
 
     Even*even reuses the jacobi vector's numerators and denominator.  Each
     odd*odd or mixed entry, a g+ + c g+', is one integer numerator over
-    R D, with R the lcm of the row denominators and D that of the companion
-    vectors; the entries are reduced together by one gcd."""
+    R D, with R the lcm of the a_n denominators (c_n = 1 - a_n shares a_n's)
+    and D that of the companion vectors; one gcd reduces the entries together."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     if m > n:
@@ -94,7 +94,7 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         # At k = 2l: a_{2l-1} g+(l-1) + c_{2l+1} g+(l).
         cv = _companion(p, (m - 1) // 2, (n - 1) // 2)
         rows = [gencheb_rec_coeffs(p, 2 * ell + 1) for ell in range(cv.k_min, cv.k_max + 1)]
-        big_r = lcm(*(r.a_n.denominator for r in rows), *(r.c_n.denominator for r in rows))
+        big_r = lcm(*(r.a_n.denominator for r in rows))
         a_s = [0] + [r.a_n.numerator * (big_r // r.a_n.denominator) for r in rows]
         c_s = [r.c_n.numerator * (big_r // r.c_n.denominator) for r in rows] + [0]
         g_plus = (0, *cv.nums, 0)
@@ -107,10 +107,10 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         row = gencheb_rec_coeffs(p, even_arg)
         lo, hi = (n - m - 1) // 2, (m + n - 1) // 2
         up, down = _companion(p, i, e), _companion(p, i, e - 1)
-        big_r = lcm(row.a_n.denominator, row.c_n.denominator)
+        big_r = row.a_n.denominator
         big_d = lcm(up.den, down.den)
-        a = row.a_n.numerator * (big_r // row.a_n.denominator) * (big_d // up.den)
-        c = row.c_n.numerator * (big_r // row.c_n.denominator) * (big_d // down.den)
+        a = row.a_n.numerator * (big_d // up.den)
+        c = row.c_n.numerator * (big_d // down.den)
         entries = [
             a * u + c * v for u, v in zip(_padded(up, lo, hi), _padded(down, lo, hi))
         ]

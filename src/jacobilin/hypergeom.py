@@ -21,10 +21,10 @@ alpha, beta, 1/2 and (alpha - beta)/2 all on the integers (the companion
 form, whose series also halves beta + s + 1/2, takes q = 4d).  Every
 prefactor and Dougall's product is a table of (X, n) factors above and below
 the line, evaluated by `exact._rising_ratio` as one pair of integers, the
-package's one evaluator of products of rising factorials; each series steps
-from term to term by its term ratio on the integers (see HypTermSum).  No
-`Fraction` is formed from the parameters: a closed form builds only the
-`Fraction`s it returns.
+package's one evaluator of products of rising factorials; each series is
+built from its integers over the same q and steps from term to term by its
+term ratio on them (see HypTermSum).  No `Fraction` is formed from the
+parameters: a closed form builds only the `Fraction`s it returns.
 """
 
 from fractions import Fraction
@@ -45,10 +45,8 @@ class HypTermSum:
     """A terminating hypergeometric sum at unit argument.
 
     value = sum_{r=0}^{term_count} prod (num_i)_r / (prod (den_j)_r * r!),
-    held as integers over one q > 0: num_i = nums[i] / q and den_j =
-    dens[j] / q.  `HypTermSum(numerator_params, denominator_params,
-    term_count)` takes the parameters as rationals and puts them over their
-    lcm; `HypTermSum._of(q, nums, dens, term_count)` takes the integers.
+    held as integers over one q > 0: `HypTermSum(q, nums, dens, term_count)`
+    has num_i = nums[i] / q and den_j = dens[j] / q.
 
     `evaluate` steps from term r-1 to term r by the term ratio
     prod (A_i + (r-1) q) / (r q**(#nums - #dens) prod (D_j + (r-1) q)) and
@@ -63,18 +61,8 @@ class HypTermSum:
 
     __slots__ = ("q", "nums", "dens", "term_count")
 
-    def __init__(self, numerator_params, denominator_params, term_count):
-        ups = [to_fraction(x) for x in numerator_params]
-        q, *xs = _over_lcm(*ups, *(to_fraction(x) for x in denominator_params))
-        self.q, self.nums, self.dens = q, tuple(xs[:len(ups)]), tuple(xs[len(ups):])
-        self.term_count = term_count
-
-    @classmethod
-    def _of(cls, q: int, nums: tuple, dens: tuple, term_count: int) -> "HypTermSum":
-        """The sum with parameters nums[i] / q over dens[j] / q, for q > 0."""
-        series = cls.__new__(cls)
-        series.q, series.nums, series.dens, series.term_count = q, nums, dens, term_count
-        return series
+    def __init__(self, q: int, nums: tuple, dens: tuple, term_count: int):
+        self.q, self.nums, self.dens, self.term_count = q, nums, dens, term_count
 
     def evaluate(self) -> Fraction:
         q, nums, dens = self.q, self.nums, self.dens
@@ -126,7 +114,7 @@ def _very_well_poised(q: int, a: int, *bs: int, term_count: int) -> HypTermSum:
     denominators (a/2, 1 + a - b for each b in bs), every parameter an
     integer over q and a even."""
     half = a // 2
-    return HypTermSum._of(
+    return HypTermSum(
         q, (a, q + half, *bs), (half, *(q + a - b for b in bs)), term_count
     )
 

@@ -290,8 +290,9 @@ def outcome_with_message(fn, *args):
 
 
 def ref_hyp_term_sum(numerator_params, denominator_params, term_count):
-    """`HypTermSum(numerator_params, denominator_params, term_count).evaluate()`
-    as the loop it was."""
+    """The terminating sum that `HypTermSum.evaluate` gives, with the
+    parameters as rationals, as the loop of one `Fraction` product per
+    parameter that it was."""
     total = Fraction(0)
     term = Fraction(1)
     for r in range(term_count + 1):

@@ -20,15 +20,16 @@ from pathlib import Path
 
 TARGETS = {
     "hypergeom": "_require_open_region _check_indices _very_well_poised _prefactor "
-                 "rahman_coefficient rahman_special dougall_coefficient HypTermSum._of "
+                 "rahman_coefficient rahman_special dougall_coefficient HypTermSum.__init__ "
                  "HypTermSum.evaluate",
-    "exact": "_rising_ratio pochhammer_ratio RationalPolynomial _sturm_chain _sign_variations "
+    "exact": "_rising_ratio pochhammer RationalPolynomial _sturm_chain _sign_variations "
              "count_real_roots",
     "jacobi": "linearize_bruteforce _boundary_ratios gasper_boundary _recursion_weights "
               "theta_iota_kappa linearize_jacobi jacobi_rec_coeffs gencheb_rec_coeffs",
     "analysis": "_pq_limit_parts _odd_scales _pq_run pq_values omega_value pq_inequality_check "
                 "phi_sequence gasper_simplification_values necessity_identity_values",
     "cli": "_phi_check _recursion_check",
+    "gencheb": "linearize_gencheb",
 }
 TIMEOUT = 120
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Lt: "<", ast.LtE: "<=",

@@ -164,6 +164,21 @@ class TestApproximations:
         assert fmt_approx(F(1, 10**400)) == "1e-400"
         assert fmt_approx(F(-3, 10**330)) == "-3e-330"
         assert fmt_approx(F(1, 10**310)) == "1e-310"  # a subnormal float
+        # Halfway quotients round to even, and a remainder past the 20th
+        # digit still rounds up.
+        tie = 1000000000000005 * 10**400
+        assert fmt_approx(F(tie)) == "1e+415"
+        assert fmt_approx(F(tie + 1)) == "1.00000000000001e+415"
+        assert fmt_approx(F(tie + 10**401)) == "1.00000000000002e+415"
+        assert fmt_approx(-F(1, tie)) == "-9.99999999999995e-416"
+
+    def test_beyond_the_default_decimal_exponent_range(self):
+        # Decimal's default context stops at 10**999999; the magnitudes
+        # here need no integer of more than a few dozen digits as a string.
+        big = 10**1000010
+        assert fmt_approx(F(big)) == "1e+1000010"
+        assert fmt_approx(F(-big)) == "-1e+1000010"
+        assert fmt_approx(F(1, big)) == "1e-1000010"
 
     @staticmethod
     def _close(approx, v):

@@ -10,9 +10,10 @@ import pytest
 import jacobilin
 from jacobilin.exact import (
     RationalPolynomial,
+    _over_lcm,
+    _rising_ratio,
     count_real_roots,
     pochhammer,
-    pochhammer_ratio,
     to_fraction,
 )
 
@@ -57,6 +58,9 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer(F(1, 2), -1)
 
+    def test_negative_count_checked_before_float(self):
+        assert outcome(pochhammer, 0.5, -1) == ("raises", ValueError)
+
 
 class TestKernelExactness:
     """Integer-numerator Pochhammer equals the reference product of Fractions
@@ -79,47 +83,54 @@ class TestKernelExactness:
 
 class TestPochhammerRatio:
     """Products of rising factorials over products of rising factorials, as
-    one quotient."""
+    one integer pair by `_rising_ratio`, every x an integer X over one q."""
 
     def test_empty_lists_give_one(self):
-        assert pochhammer_ratio([]) == 1
-        assert pochhammer_ratio([], []) == 1
+        assert _rising_ratio(1, [], []) == (1, 1)
+        assert _rising_ratio(7, (), ()) == (1, 1)
 
     def test_zero_factor_above_the_line(self):
-        assert pochhammer_ratio([(F(1, 3), 2), (-2, 3)], [(F(5, 7), 4)]) == 0
+        # (1/3)_2 (-2)_3 / (5/7)_4 over q = 21.
+        assert _rising_ratio(21, [(7, 2), (-42, 3)], [(15, 4)])[0] == 0
 
     def test_negative_x(self):
-        assert pochhammer_ratio([(F(-7, 3), 3)], [(-4, 2)]) == (
+        assert F(*_rising_ratio(3, [(-7, 3)], [(-12, 2)])) == (
             F(-7, 3) * F(-4, 3) * F(-1, 3) / ((-4) * (-3))
         )
 
     def test_zero_count_is_one(self):
-        assert pochhammer_ratio([(F(-33, 100), 0)], [(0, 0)]) == 1
+        assert _rising_ratio(100, [(-33, 0)], [(0, 0)]) == (1, 1)
 
     def test_linear_factors_and_factorials(self):
-        # (x, 1) is x and (1, n) is n!.
-        assert pochhammer_ratio([(F(3, 4), 1), (1, 5)], [(1, 3)]) == F(3, 4) * 20
+        # (x, 1) is x and (1, n) is n!, here over q = 4.
+        assert F(*_rising_ratio(4, [(3, 1), (4, 5)], [(4, 3)])) == F(3, 4) * 20
 
     def test_exceptions(self):
-        with pytest.raises(ValueError):
-            pochhammer_ratio([(F(1, 2), -1)])
-        with pytest.raises(ValueError):
-            pochhammer_ratio([], [(F(1, 2), -1)])
-        with pytest.raises(TypeError):
-            pochhammer_ratio([(0.5, 2)])
+        # A zero product below the line gives denominator 0, with or without
+        # a zero above it, and the ratio cannot be formed.
+        assert _rising_ratio(2, [(1, 3)], [(-2, 2)]) == (1 * 3 * 5, 0)
+        assert _rising_ratio(1, [(-1, 2)], [(-1, 2)]) == (0, 0)
         with pytest.raises(ZeroDivisionError):
-            pochhammer_ratio([(F(1, 2), 3)], [(-1, 2)])
-        with pytest.raises(ZeroDivisionError):
-            pochhammer_ratio([(-1, 2)], [(-1, 2)])
+            F(*_rising_ratio(2, [(1, 3)], [(-2, 2)]))
 
-    def test_negative_count_checked_before_float(self):
-        assert outcome(pochhammer, 0.5, -1) == ("raises", ValueError)
-        assert outcome(pochhammer_ratio, [(0.5, -1)]) == ("raises", ValueError)
+    def test_powers_of_q_are_netted(self):
+        # (1/3)_1 / (2/3)_2 = 3/10: one more factor below, one q above.
+        assert _rising_ratio(3, [(1, 1)], [(2, 2)]) == (3, 10)
+        # (1/3)_3 / (2/3)_1 = 28/18: two more factors above, q**2 below.
+        assert _rising_ratio(3, [(1, 3)], [(2, 1)]) == (28, 18)
+        assert _rising_ratio(3, [(1, 2)], [(2, 2)]) == (4, 10)
 
     @pytest.mark.parametrize("x", TestKernelExactness.ARGS)
     def test_one_pair_is_pochhammer(self, x):
-        for n in range(-1, 14):
-            assert outcome(pochhammer, x, n) == outcome(pochhammer_ratio, [(x, n)])
+        # One pair over x's denominator, or over a multiple of it, as the
+        # closed forms pass their factors.
+        for n in range(14):
+            want = outcome(pochhammer, x, n)
+            if want[0] == "value":
+                frac = to_fraction(x)
+                for k in (1, 2, 3):
+                    pair = _rising_ratio(k * frac.denominator, [(k * frac.numerator, n)], ())
+                    assert F(*pair) == want[1]
 
     def test_matches_product_of_references(self):
         rng = random.Random(18)
@@ -134,7 +145,10 @@ class TestPochhammerRatio:
             for x, n in downs:
                 den *= ref_pochhammer(x, n)
             expected = outcome(lambda: num / den)
-            assert outcome(pochhammer_ratio, ups, downs) == expected
+            q, *big_xs = _over_lcm(*(x for x, _ in ups + downs))
+            pairs = [(big_x, n) for big_x, (_, n) in zip(big_xs, ups + downs)]
+            got = outcome(lambda: F(*_rising_ratio(q, pairs[:len(ups)], pairs[len(ups):])))
+            assert got == expected
 
 
 class TestPolynomialAlgebra:

@@ -31,56 +31,46 @@ F = Fraction
 class TestTermSum:
     def test_terminating_binomial_sum(self):
         # 2F1(-3, 1; 1; 1) summed termwise is (1-1)^3 expanded: 1-3+3-1 = 0.
-        series = HypTermSum(
-            numerator_params=(F(-3), F(1)),
-            denominator_params=(F(1),),
-            term_count=3,
-        )
+        series = HypTermSum(q=1, nums=(-3, 1), dens=(1,), term_count=3)
         assert series.evaluate() == 0
 
     def test_single_term(self):
-        series = HypTermSum(numerator_params=(F(5),), denominator_params=(), term_count=0)
+        series = HypTermSum(q=1, nums=(5,), dens=(), term_count=0)
         assert series.evaluate() == 1
 
     def test_denominator_vanishing_raises(self):
-        series = HypTermSum(
-            numerator_params=(F(-4), F(2)),
-            denominator_params=(F(-2),),
-            term_count=4,
-        )
+        series = HypTermSum(q=1, nums=(-4, 2), dens=(-2,), term_count=4)
         with pytest.raises(SingularSeriesError):
             series.evaluate()
 
     def test_numerator_zero_stops_cleanly(self):
         # Termination parameter kills the series before the bad denominator
-        # index is ever reached.
-        series = HypTermSum(
-            numerator_params=(F(-1), F(3)),
-            denominator_params=(F(-3, 2),),
-            term_count=1,
-        )
+        # index is ever reached: parameters -1 and 3 over -3/2, at q = 2.
+        series = HypTermSum(q=2, nums=(-2, 6), dens=(-3,), term_count=1)
         assert series.evaluate() == 1 + F(-1) * 3 / (1 * F(-3, 2))
 
     def test_zero_term_stops_before_a_later_singular_denominator(self):
         # 1 + (-1)/(-2); the next term is zero, and (-2)_3 = 0 is never reached.
-        series = HypTermSum(numerator_params=(F(-1),), denominator_params=(F(-2),), term_count=3)
+        series = HypTermSum(q=1, nums=(-1,), dens=(-2,), term_count=3)
         assert series.evaluate() == F(3, 2)
 
     def test_denominator_checked_before_numerator_at_the_same_term(self):
         # At r = 2 both the numerator and the denominator (-1)_2 vanish:
         # singular, not a clean stop.
-        series = HypTermSum(numerator_params=(F(-1),), denominator_params=(F(-1),), term_count=3)
+        series = HypTermSum(q=1, nums=(-1,), dens=(-1,), term_count=3)
         with pytest.raises(SingularSeriesError, match="boundary limit required"):
             series.evaluate()
 
     def test_no_term_past_the_first_is_looked_at(self):
         # (0)_1 = 0 would be singular at r = 1, which term_count 0 never reaches.
-        series = HypTermSum(numerator_params=(F(5),), denominator_params=(F(0),), term_count=0)
+        series = HypTermSum(q=1, nums=(5,), dens=(0,), term_count=0)
         assert series.evaluate() == 1
 
     def test_matches_reference_on_seeded_series(self):
         # Parameters k/d with k in -8..8 and d in {1, 2, 3}: many of them are
         # nonpositive integers, so stops and singular sums are both common.
+        # Each series is built over the lcm of its parameters and over 2 and
+        # 3 times it: the 9F8 forms put theirs over a multiple of their lcm.
         rng = random.Random(19)
 
         def params(most):
@@ -89,19 +79,16 @@ class TestTermSum:
             )
 
         singular = 0
-        for i in range(5000):
+        for _ in range(5000):
             nums, dens, count = params(9), params(8), rng.randint(0, 9)
             want = outcome_with_message(ref_hyp_term_sum, nums, dens, count)
-            series = HypTermSum(nums, dens, count)
-            assert outcome_with_message(series.evaluate) == want, (nums, dens, count)
-            singular += want[0] == "raises"
-            # The integer constructor over the lcm times 1, 2 or 3: the 9F8
-            # forms put their parameters over a multiple of their lcm.
             q, *xs = _over_lcm(*nums, *dens)
-            xs = [x * (1 + i % 3) for x in xs]
-            integer = HypTermSum._of(q * (1 + i % 3), tuple(xs[:len(nums)]),
-                                     tuple(xs[len(nums):]), count)
-            assert outcome_with_message(integer.evaluate) == want, (nums, dens, count)
+            for scale in (1, 2, 3):
+                ups, downs = xs[:len(nums)], xs[len(nums):]
+                series = HypTermSum(q * scale, tuple(x * scale for x in ups),
+                                    tuple(x * scale for x in downs), count)
+                assert outcome_with_message(series.evaluate) == want, (nums, dens, count, scale)
+            singular += want[0] == "raises"
         assert 1000 < singular < 4000
 
 
