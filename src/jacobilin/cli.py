@@ -137,7 +137,7 @@ def _always(p, m, n) -> bool:
 
 
 def _brute(family: str):
-    return lambda p, m, n: linearize_bruteforce(p, m, n, family).values
+    return lambda p, m, n: linearize_bruteforce(p, m, n, family)
 
 
 def _rahman(p, m, n) -> tuple:
@@ -151,40 +151,46 @@ def _rahman(p, m, n) -> tuple:
     return tuple(out)
 
 
-# family -> method -> (applies(p, m, n), values(p, m, n)), where values are
-# g(m, n; k) for k = |m-n| .. m+n, None where a series entry is singular.  The
-# first method of each family is its reference.  Each route is called through
-# its name in this module, so a rebound name (a patch or a tracer) is honoured.
+def _entries(result) -> tuple:
+    """A route's entries: a vector's `values`, or rahman's tuple as it is."""
+    return result if isinstance(result, tuple) else result.values
+
+
+# family -> method -> (applies(p, m, n), route(p, m, n)), where a route returns
+# the `CoeffVector` of g(m, n; k) for k = |m-n| .. m+n, or, for rahman, the
+# tuple of entries with None where a series entry is singular.  The first
+# method of each family is its reference.  Each route is called through its
+# name in this module, so a rebound name (a patch or a tracer) is honoured.
 METHODS = {
     "jacobi": {
-        "gasper": (_always, lambda p, m, n: linearize_jacobi(p, m, n).values),
+        "gasper": (_always, lambda p, m, n: linearize_jacobi(p, m, n)),
         "brute": (_always, _brute(FAMILY_JACOBI)),
         "rahman": (lambda p, m, n: p.a > 0 and p.b > 0 and min(m, n) >= 1, _rahman),
         "dougall": (
             lambda p, m, n: p.alpha == p.beta > Fraction(-1, 2),
-            lambda p, m, n: dougall_coefficient(p.alpha, m, n).values,
+            lambda p, m, n: dougall_coefficient(p.alpha, m, n),
         ),
     },
     "jacobi-plus": {
-        "gasper": (_always, lambda p, m, n: _companion(p, m, n).values),
-        "brute": (_always, lambda p, m, n: linearize_bruteforce(plus_params(p), m, n).values),
+        "gasper": (_always, lambda p, m, n: _companion(p, m, n)),
+        "brute": (_always, lambda p, m, n: linearize_bruteforce(plus_params(p), m, n)),
     },
     "gencheb": {
-        "gasper": (_always, lambda p, m, n: linearize_gencheb(p, m, n).values),
+        "gasper": (_always, lambda p, m, n: linearize_gencheb(p, m, n)),
         "brute": (_always, _brute(FAMILY_GENCHEB)),
     },
 }
 
 
 def _cmd_linearize(p, ns):
-    applies, values = METHODS[ns.family].get(ns.method, (None, None))
+    applies, route = METHODS[ns.family].get(ns.method, (None, None))
     if applies is None or not applies(p, ns.m, ns.n):
         raise ValueError(
             f"method {ns.method} does not apply to the {ns.family} family at "
             f"alpha={p.alpha}, beta={p.beta}, m={ns.m}, n={ns.n}"
         )
     m, n = min(ns.m, ns.n), max(ns.m, ns.n)
-    vals = values(p, m, n)
+    vals = _entries(route(p, m, n))
     if None in vals:
         raise SingularSeriesError(
             f"the {ns.method} series is singular at k={n - m + vals.index(None)}; "
@@ -235,16 +241,19 @@ def _cmd_compare(p, ns):
             for family, routes in METHODS.items():
                 (_, (_, reference)), *others = routes.items()
                 ref = reference(p, m, n)
-                for method, (applies, values) in others:
+                for method, (applies, route) in others:
                     if not applies(p, m, n):
                         continue
-                    vals = values(p, m, n)
+                    got = route(p, m, n)
                     checked.add(method)
-                    entries += len(vals)
-                    for k, (want, got) in enumerate(zip(ref, vals, strict=True), start=n - m):
-                        if got is None:
+                    entries += 2 * m + 1
+                    if got == ref:  # both in lowest terms: every entry agrees
+                        continue
+                    pairs = zip(_entries(ref), _entries(got), strict=True)
+                    for k, (want, value) in enumerate(pairs, start=n - m):
+                        if value is None:
                             skipped += 1
-                        elif got != want:
+                        elif value != want:
                             mismatches.append([family, m, n, f"{method} k={k}"])
     # Each family's reference, then every method that checked an entry.
     methods = list(dict.fromkeys(

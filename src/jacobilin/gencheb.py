@@ -91,14 +91,15 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         cv = linearize_jacobi(p, m // 2, n // 2)
         entries, den = cv.nums, cv.den
     elif m % 2 == 1 and n % 2 == 1:
-        # At k = 2l: a_{2l-1} g+(l-1) + c_{2l+1} g+(l).
+        # At k = 2l: a_{2l-1} g+(l-1) + c_{2l+1} g+(l), one zero at each end.
         cv = _companion(p, (m - 1) // 2, (n - 1) // 2)
         rows = [gencheb_rec_coeffs(p, 2 * ell + 1) for ell in range(cv.k_min, cv.k_max + 1)]
         big_r = lcm(*(r.a_n.denominator for r in rows))
-        a_s = [0] + [r.a_n.numerator * (big_r // r.a_n.denominator) for r in rows]
-        c_s = [r.c_n.numerator * (big_r // r.c_n.denominator) for r in rows] + [0]
-        g_plus = (0, *cv.nums, 0)
-        entries = [a * u + c * v for a, u, c, v in zip(a_s, g_plus, c_s, g_plus[1:])]
+        a_g = [r.a_n.numerator * (big_r // r.a_n.denominator) * u
+               for r, u in zip(rows, cv.nums)]
+        c_g = [r.c_n.numerator * (big_r // r.c_n.denominator) * u
+               for r, u in zip(rows, cv.nums)]
+        entries = [u + v for u, v in zip([0, *a_g], [*c_g, 0])]
         den = big_r * cv.den
     else:
         # At k = 2l+1: a_{2e} g+(i, e; l) + c_{2e} g+(i, e-1; l).

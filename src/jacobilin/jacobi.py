@@ -35,6 +35,7 @@ FAMILY_JACOBI = "jacobi"
 FAMILY_GENCHEB = "gencheb"
 FAMILIES = (FAMILY_JACOBI, FAMILY_GENCHEB)
 _ZERO = Fraction(0)
+_X = RationalPolynomial._of([0, 1], 1)  # the monomial x, where the oracle walks its basis
 
 
 def internal_error(p: JacobiParams, route: str, what: str, **where) -> RuntimeError:
@@ -217,16 +218,39 @@ def walk_recurrence(p: JacobiParams, family: str, x, ps: list, n: int) -> list:
     `RationalPolynomial` variable) up to P_n, in place, by P_1 = (x - b_0) / a_0
     (gencheb: P_1 = x) and P_{k+1} = ((P_1 - b_k) P_k - c_k P_{k-1}) / a_k, with
     the family's rows at p.  The companion family R+ is jacobi at
-    plus_params(p)."""
+    plus_params(p).
+
+    Every step is one formula on integer coefficient lists (a value is a list
+    of length 1): with y = x at k = 0 (gencheb row 0: a = 1, b = 0) and y = P_1
+    after it, y - b_k = Y / Y_D, P_k = N / D and P_{k-1} = M / E (0 at k = 0),
+    P_{k+1} = a_D (c_D E Y N - c_N Y_D D M) / (a_N Y_D D c_D E), with Y N the
+    convolution.  Each P is built in the type of x, whose constructor takes
+    the one gcd."""
     if len(ps) > n:
         return ps
     rows = gencheb_rec_coeffs if family == FAMILY_GENCHEB else jacobi_rec_coeffs
-    if len(ps) == 1:
-        row = None if family == FAMILY_GENCHEB else rows(p, 0)
-        ps.append(x if row is None else (x - row.b_n) * (1 / row.a_n))
+    poly = isinstance(x, RationalPolynomial)
+    split = (lambda v: (v.nums, v.den)) if poly else (lambda v: ((v.numerator,), v.denominator))
+    join = RationalPolynomial._of if poly else (lambda nums, den: Fraction(nums[0], den))
     for k in range(len(ps) - 1, n):
-        row = rows(p, k)
-        ps.append(((ps[1] - row.b_n) * ps[k] - row.c_n * ps[k - 1]) * (1 / row.a_n))
+        row = rows(p, k) if k or family == FAMILY_JACOBI else None
+        a_n, a_d = row.a_n.as_integer_ratio() if row else (1, 1)
+        b_n, b_d = row.b_n.as_integer_ratio() if row else (0, 1)
+        c_n, c_d = row.c_n.as_integer_ratio() if k else (0, 1)
+        (y, y_d), (big_n, d) = split(ps[1] if k else x), split(ps[k])
+        big_m, e = split(ps[k - 1]) if k else ((), 1)
+        # y - b_k: only the constant term moves.
+        y = (y[0] * b_d - b_n * y_d, *(t * b_d for t in y[1:]))
+        y_d *= b_d
+        out = [0] * (len(y) + len(big_n) - 1)
+        for i, u in enumerate(y):
+            for j, v in enumerate(big_n, i):
+                out[j] += u * v
+        up, down = a_d * c_d * e, a_d * c_n * y_d * d
+        out = [up * t for t in out]
+        for i, t in enumerate(big_m):
+            out[i] -= down * t
+        ps.append(join(out, a_n * y_d * d * c_d * e))
     return ps
 
 
@@ -373,11 +397,11 @@ def gasper_boundary(
     return g_lo, g_lo1, g_hi1, g_hi
 
 
-def _jacobi_vector(m: int, n: int, pairs: list[tuple[int, int]]) -> CoeffVector:
-    """The jacobi vector of reduced (numerator, denominator > 0) pairs: over
-    their lcm it is in lowest terms already."""
+def _coeff_vector(m: int, n: int, family: str, pairs: list[tuple[int, int]]) -> CoeffVector:
+    """The vector of reduced (numerator, denominator > 0) pairs: over their
+    lcm it is in lowest terms already."""
     den = lcm(*(d for _, d in pairs))
-    return CoeffVector._of(m, n, FAMILY_JACOBI, [x * (den // d) for x, d in pairs], den)
+    return CoeffVector._of(m, n, family, [x * (den // d) for x, d in pairs], den)
 
 
 @lru_cache(maxsize=1024)
@@ -416,7 +440,7 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
             raise internal_error(
                 p, "gasper", "extreme closed forms disagree", m=m, n=n, k=s + 1
             )
-        return _jacobi_vector(m, n, vals)
+        return _coeff_vector(m, n, FAMILY_JACOBI, vals)
     big_l, a, b = p.over_lcm_ab
     top = 2 * m - 1
     for j in range(1, top + 1):
@@ -438,7 +462,7 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
                 p, "gasper", "three-point identity fails at the top index",
                 m=m, n=n, k=s + 2 * m,
             )
-    return _jacobi_vector(m, n, vals)
+    return _coeff_vector(m, n, FAMILY_JACOBI, vals)
 
 
 @lru_cache(maxsize=64)
@@ -456,36 +480,36 @@ def linearize_bruteforce(
     below |m-n| vanish.
 
     The elimination is fraction-free: the remainder is integers R over one Q.
-    With P_k = N_k / D_k and lead = N_k[k], step k forms g(k) = R[k] D_k /
-    (Q lead) as one `Fraction`, sets R <- R lead - R[k] N_k (zeroing R[k])
-    and Q <- Q lead, and divides R and Q by their gcd."""
+    With P_k = N_k / D_k and lead = N_k[k], step k writes g(k) = R[k] D_k /
+    (Q lead) as a reduced (numerator, denominator) pair, sets R <- R lead -
+    R[k] N_k (zeroing R[k]) and Q <- Q lead, and divides R and Q by their
+    gcd.  The vector is the pairs from |m-n| up, over their lcm."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
-    basis = walk_recurrence(
-        p, family, RationalPolynomial.variable(), _monomial_basis(p, family), m + n
-    )
+    basis = walk_recurrence(p, family, _X, _monomial_basis(p, family), m + n)
     product = basis[m] * basis[n]
     rem, big_q = list(product.nums), product.den
-    coeffs = [_ZERO] * (m + n + 1)
+    pairs = [(0, 1)] * (m + n + 1)
     for k in range(m + n, -1, -1):
         top, n_k = rem.pop(), basis[k].nums
         if top:
             lead = n_k[k]
-            coeffs[k] = Fraction(top * basis[k].den, big_q * lead)
+            num, den = top * basis[k].den, big_q * lead
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            pairs[k] = (num // g, den // g)
             rem = [r * lead - top * c for r, c in zip(rem, n_k)]
             big_q *= lead
             g = gcd(big_q, *rem)
             if g != 1:
                 rem, big_q = [r // g for r in rem], big_q // g
     for k in range(0, n - m):
-        if coeffs[k] != 0:
+        if pairs[k][0]:
             raise internal_error(
                 p, f"brute/{family}", "coefficient below the support is nonzero",
                 m=m, n=n, k=k,
             )
-    return CoeffVector(m, n, family, tuple(coeffs[n - m :]))
-
+    return _coeff_vector(m, n, family, pairs[n - m :])

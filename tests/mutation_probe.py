@@ -24,11 +24,12 @@ TARGETS = {
                  "HypTermSum.evaluate",
     "exact": "_rising_ratio pochhammer RationalPolynomial _sturm_chain _sign_variations "
              "count_real_roots",
-    "jacobi": "linearize_bruteforce _boundary_ratios gasper_boundary _recursion_weights "
-              "theta_iota_kappa linearize_jacobi jacobi_rec_coeffs gencheb_rec_coeffs",
+    "jacobi": "walk_recurrence linearize_bruteforce _boundary_ratios gasper_boundary "
+              "_recursion_weights theta_iota_kappa linearize_jacobi jacobi_rec_coeffs "
+              "gencheb_rec_coeffs",
     "analysis": "_pq_limit_parts _odd_scales _pq_run pq_values omega_value pq_inequality_check "
                 "phi_sequence gasper_simplification_values necessity_identity_values",
-    "cli": "_phi_check _recursion_check",
+    "cli": "_phi_check _recursion_check _cmd_compare",
     "gencheb": "linearize_gencheb",
 }
 TIMEOUT = 120

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from jacobilin import (
+    CoeffVector,
     analysis,
     cli,
     gencheb_rec_coeffs,
@@ -393,6 +394,48 @@ class TestExitCodes:
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert "MISMATCH jacobi-plus m=1 n=2: brute k=2" in out
+
+    def test_compare_walks_a_different_vector_entry_by_entry(self, capsys, monkeypatch):
+        argv = ["compare", "--alpha", "1/2", "--beta", "1/4", "--max-degree", "2", "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        agreed = json.loads(out)["payload"]
+        original = cli.linearize_bruteforce
+
+        # A real vector (lowest terms, sum 1, positive extremes) that differs
+        # from the reference at k = 1 and k = 3 only, at the plain point.
+        def shifted(p, m, n, family=jacobi.FAMILY_JACOBI):
+            cv = original(p, m, n, family)
+            if (family, p.beta, m, n) != (jacobi.FAMILY_JACOBI, F(1, 4), 1, 2):
+                return cv
+            lo, mid, hi = cv.values
+            return CoeffVector(m, n, family, (lo + F(1, 100), mid, hi - F(1, 100)))
+
+        monkeypatch.setattr(cli, "linearize_bruteforce", shifted)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)["payload"]
+        assert payload["mismatches"] == [
+            ["jacobi", 1, 2, "brute k=1"], ["jacobi", 1, 2, "brute k=3"],
+        ]
+        for key in ("entries_checked", "entries_skipped_singular", "methods"):
+            assert payload[key] == agreed[key], key
+
+    def test_compare_names_a_perturbed_rahman_entry_at_its_k(self, capsys, monkeypatch):
+        original = cli.rahman_coefficient
+
+        def perturbed(p, m, s, j):
+            value = original(p, m, s, j)
+            return value + 1 if (m, s, j) == (2, 1, 3) else value
+
+        monkeypatch.setattr(cli, "rahman_coefficient", perturbed)
+        code, out, _ = run(
+            capsys, "compare", "--alpha", "1/2", "--beta", "1/4", "--max-degree", "3",
+            "--json",
+        )
+        assert code == 1
+        # (m, s, j) = (2, 1, 3) is g(2, 3; s + j).
+        assert json.loads(out)["payload"]["mismatches"] == [["jacobi", 2, 3, "rahman k=4"]]
 
     @pytest.mark.parametrize(
         "alpha, beta, check, verdict, code",

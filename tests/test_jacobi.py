@@ -21,6 +21,7 @@ from jacobilin import (
     linearize_jacobi,
     make_params,
     plus_params,
+    pochhammer,
     theta_iota_kappa,
 )
 
@@ -113,11 +114,42 @@ class TestEvaluation:
             assert lhs == rhs
 
 
+def szego_r(p, n, x):
+    """R_n(x) = 2F1(-n, n + alpha + beta + 1; alpha + 1; (1 - x) / 2), summed
+    term by term with `pochhammer`: Szego's explicit form, which reads no
+    recurrence row."""
+    z = (1 - x) / 2
+    return sum(
+        pochhammer(-n, j) * pochhammer(n + p.alpha + p.beta + 1, j)
+        / (pochhammer(p.alpha + 1, j) * pochhammer(1, j)) * z**j
+        for j in range(n + 1)
+    )
+
+
 class TestWalker:
     """The one recurrence walker gives the same P_n on values and on
     polynomials: the oracle's monomial basis, evaluated at x, equals the
     rational-point evaluation of each family.  The jacobi_plus case is the
-    companion family: jacobi walked at plus_params(p)."""
+    companion family: jacobi walked at plus_params(p).  Both run the one
+    integer step, so the walker is also checked against Szego's explicit
+    form, which shares no code with it."""
+
+    @pytest.mark.parametrize("point", GRID[::6] + BOUNDARY_POINTS)
+    def test_evaluation_matches_explicit_form(self, point):
+        # The grid sample and one point on each of the lines a = 0, b = 0,
+        # b = 1 and beta = -1/2.
+        p = make_params(*point)
+        for n in range(13):
+            for x in (F(-1), F(-3, 5), F(0), F(1, 3), F(1), F(7, 4)):
+                assert jacobi_eval(p, n, x) == szego_r(p, n, x), (n, x)
+
+    @pytest.mark.parametrize("point", GRID[::6] + BOUNDARY_POINTS)
+    def test_gencheb_at_origin_matches_explicit_form(self, point):
+        # T_2r(0) = R_r(-1), and the odd T_n vanish at 0.
+        p = make_params(*point)
+        for n in range(13):
+            want = szego_r(p, n // 2, F(-1)) if n % 2 == 0 else 0
+            assert gencheb_eval(p, n, 0) == want, n
 
     @pytest.mark.parametrize("point", GRID[::3] + BOUNDARY_POINTS)
     @pytest.mark.parametrize("family", ["jacobi", "jacobi_plus", "gencheb"])
