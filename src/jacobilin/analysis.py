@@ -233,10 +233,7 @@ def _odd_scales(p: JacobiParams, s: int, count: int) -> list[tuple[int, int]]:
     r depends on s + j only; the count + 1 odd rows 2s+1 .. 2s+2count+1 are
     each built once."""
     rows = [gencheb_rec_coeffs(p, 2 * s + 2 * i + 1) for i in range(count + 1)]
-    return [
-        (c.numerator * a.denominator, c.denominator * a.numerator)
-        for c, a in ((rows[i].c_n, rows[i - 1].a_n) for i in range(1, count + 1))
-    ]
+    return [(c.c * a.den, c.den * a.a) for a, c in zip(rows, rows[1:])]
 
 
 def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:

@@ -13,8 +13,9 @@ T_m T_n decompose by parity:
 
 Entries outside a vector's support count as 0; positions of the wrong parity
 are stored as explicit zeros.  The recurrence rows (`gencheb_rec_coeffs`, a
-`RecurrenceCoeffs` with b_n = 0) and the walker that evaluates T_n by them
-(`walk_recurrence`) live in the jacobi module, next to the R-family rows.
+`RecurrenceCoeffs` with b = 0, whose a_n and c_n share one denominator) and
+the walker that builds T_n by them (`walk_recurrence`) live in the jacobi
+module, next to the R-family rows.
 """
 
 from fractions import Fraction
@@ -49,7 +50,7 @@ def gencheb_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
         via_transform = jacobi_eval(p, n // 2, 2 * x * x - 1)
     else:
         via_transform = x * jacobi_eval(plus_params(p), (n - 1) // 2, 2 * x * x - 1)
-    via_rec = walk_recurrence(p, FAMILY_GENCHEB, x, [Fraction(1)], n)[n]
+    via_rec = walk_recurrence(p, FAMILY_GENCHEB, n)[n](x)
     if via_transform != via_rec:
         raise internal_error(
             p, "gencheb-eval", "transform and recurrence evaluations disagree",
@@ -79,14 +80,14 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
 
     Even*even reuses the jacobi vector's numerators and denominator.  Each
     odd*odd or mixed entry, a g+ + c g+', is one integer numerator over
-    R D, with R the lcm of the a_n denominators (c_n = 1 - a_n shares a_n's)
-    and D that of the companion vectors; one gcd reduces the entries together."""
+    R D, with R the lcm of the rows' denominators and D that of the
+    companion vectors; one gcd reduces the entries together."""
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
     if m == 0:
-        return CoeffVector._of(0, n, FAMILY_GENCHEB, (1,), 1)
+        return CoeffVector(0, n, FAMILY_GENCHEB, (1,), 1)
     if m % 2 == 0 and n % 2 == 0:
         cv = linearize_jacobi(p, m // 2, n // 2)
         entries, den = cv.nums, cv.den
@@ -94,11 +95,9 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         # At k = 2l: a_{2l-1} g+(l-1) + c_{2l+1} g+(l), one zero at each end.
         cv = _companion(p, (m - 1) // 2, (n - 1) // 2)
         rows = [gencheb_rec_coeffs(p, 2 * ell + 1) for ell in range(cv.k_min, cv.k_max + 1)]
-        big_r = lcm(*(r.a_n.denominator for r in rows))
-        a_g = [r.a_n.numerator * (big_r // r.a_n.denominator) * u
-               for r, u in zip(rows, cv.nums)]
-        c_g = [r.c_n.numerator * (big_r // r.c_n.denominator) * u
-               for r, u in zip(rows, cv.nums)]
+        big_r = lcm(*(r.den for r in rows))
+        a_g = [r.a * (big_r // r.den) * u for r, u in zip(rows, cv.nums)]
+        c_g = [r.c * (big_r // r.den) * u for r, u in zip(rows, cv.nums)]
         entries = [u + v for u, v in zip([0, *a_g], [*c_g, 0])]
         den = big_r * cv.den
     else:
@@ -108,10 +107,10 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
         row = gencheb_rec_coeffs(p, even_arg)
         lo, hi = (n - m - 1) // 2, (m + n - 1) // 2
         up, down = _companion(p, i, e), _companion(p, i, e - 1)
-        big_r = row.a_n.denominator
+        big_r = row.den
         big_d = lcm(up.den, down.den)
-        a = row.a_n.numerator * (big_d // up.den)
-        c = row.c_n.numerator * (big_d // down.den)
+        a = row.a * (big_d // up.den)
+        c = row.c * (big_d // down.den)
         entries = [
             a * u + c * v for u, v in zip(_padded(up, lo, hi), _padded(down, lo, hi))
         ]
@@ -121,4 +120,4 @@ def linearize_gencheb(p: JacobiParams, m: int, n: int) -> CoeffVector:
     g = gcd(den, *entries) if m % 2 or n % 2 else 1
     nums = [0] * (2 * m + 1)
     nums[::2] = [x // g for x in entries] if g != 1 else entries
-    return CoeffVector._of(m, n, FAMILY_GENCHEB, nums, den // g)
+    return CoeffVector(m, n, FAMILY_GENCHEB, tuple(nums), den // g)

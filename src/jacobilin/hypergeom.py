@@ -238,4 +238,5 @@ def dougall_coefficient(alpha: Rational, m: int, n: int) -> CoeffVector:
             [(q, t), (q, m - t), (q, n - t), (h + (m + n - t) * q, 1), (h, m + n - t),
              (2 * h, m), (2 * h, n)],
         ))
-    return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
+    den, *nums = _over_lcm(*vals)
+    return CoeffVector(m, n, FAMILY_JACOBI, tuple(nums), den)

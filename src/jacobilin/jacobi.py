@@ -7,9 +7,10 @@ The polynomials R_n are normalized so R_n(1) = 1 and satisfy
 with all coefficient sequences exact rationals in the parameters.  There are
 two families, jacobi and gencheb; the companion family R+ of the paper is
 jacobi at the point `plus_params(p)`.  Their rows are one type,
-`RecurrenceCoeffs` (gencheb rows from `gencheb_rec_coeffs`, with b_n = 0), and
-one walker, `walk_recurrence`, runs the recurrence for both, on values and on
-polynomials.  The product expansion R_m R_{m+s} = sum_k g(m, m+s; k) R_k is
+`RecurrenceCoeffs`, the integers (a, b, c) over one denominator (gencheb rows
+from `gencheb_rec_coeffs`, with b = 0), and one walker, `walk_recurrence`,
+runs the recurrence for both on polynomials; evaluation reads the walked
+polynomial.  The product expansion R_m R_{m+s} = sum_k g(m, m+s; k) R_k is
 computed from closed forms at the four extreme indices k in {s, s+1, s+2m-1,
 s+2m} together with a three-point recursion in the interior; every run
 cross-checks the recursion against the closed forms exactly, so an internal
@@ -35,7 +36,6 @@ FAMILY_JACOBI = "jacobi"
 FAMILY_GENCHEB = "gencheb"
 FAMILIES = (FAMILY_JACOBI, FAMILY_GENCHEB)
 _ZERO = Fraction(0)
-_X = RationalPolynomial._of([0, 1], 1)  # the monomial x, where the oracle walks its basis
 
 
 def internal_error(p: JacobiParams, route: str, what: str, **where) -> RuntimeError:
@@ -47,34 +47,38 @@ def internal_error(p: JacobiParams, route: str, what: str, **where) -> RuntimeEr
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecurrenceCoeffs:
     """One row of the three-term recurrence P_1 P_n = a_n P_{n+1} + b_n P_n
-    + c_n P_{n-1}; c_n is None for n = 0, and gencheb rows have b_n = 0."""
+    + c_n P_{n-1}, as integers over one positive denominator in lowest terms:
+    a_n = a / den, b_n = b / den and c_n = c / den.  c = 0 for n = 0, and
+    gencheb rows have b = 0."""
 
     n: int
-    a_n: Fraction
-    b_n: Fraction
-    c_n: Fraction | None
+    a: int
+    b: int
+    c: int
+    den: int
 
     def __post_init__(self):
-        # A zero b_n (every gencheb row, a hot path) is not added.
-        total = self.a_n + self.b_n if self.b_n else self.a_n
-        if total + (self.c_n if self.c_n is not None else 0) != 1:
+        if self.a + self.b + self.c != self.den:
             raise ValueError(f"recurrence row does not sum to 1 at n={self.n}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+_GENCHEB_ROW0 = RecurrenceCoeffs(0, 1, 0, 0, 1)  # T_1 = x
+
+
+@dataclass(frozen=True, slots=True)
 class CoeffVector:
     """Linearization coefficients g(m, n; k) for k = |m-n| .. m+n.
 
-    Stored as integer numerators `nums` over one positive denominator `den`
-    in lowest terms, gcd(den, *nums) == 1, so that g(m, n; |m-n| + i) =
-    nums[i] / den; the checks (the entries sum to 1, the jacobi extremes are
-    positive, the gencheb parity zeros) run on these integers.  `values`,
-    `cv[k]` (k the absolute position) and `items()` form the `Fraction`s when
-    asked for, with zero entries as one shared 0.  m <= n always
-    (constructors normalize).
+    Stored as integer numerators `nums` (a tuple) over one positive
+    denominator `den` in lowest terms, gcd(den, *nums) == 1, so that
+    g(m, n; |m-n| + i) = nums[i] / den; the checks (the entries sum to 1, the
+    jacobi extremes are positive, the gencheb parity zeros) run on these
+    integers.  `values`, `cv[k]` (k the absolute position) and `items()` form
+    the `Fraction`s when asked for, with zero entries as one shared 0.
+    m <= n always (the builders pass m <= n).
     """
 
     m: int
@@ -83,32 +87,19 @@ class CoeffVector:
     nums: tuple[int, ...]
     den: int
 
-    def __init__(self, m: int, n: int, family: str, values):
-        den, *nums = _over_lcm(*values)
-        self._set(m, n, family, tuple(nums), den)
-
-    @classmethod
-    def _of(cls, m: int, n: int, family: str, nums, den: int) -> "CoeffVector":
-        """The vector nums[i] / den, for integers already in lowest terms with
-        den > 0."""
-        cv = cls.__new__(cls)
-        cv._set(m, n, family, tuple(nums), den)
-        return cv
-
-    def _set(self, m: int, n: int, family: str, nums: tuple[int, ...], den: int) -> None:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        if len(nums) != m + n - abs(m - n) + 1:
+    def __post_init__(self):
+        nums = self.nums
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        if len(nums) != self.m + self.n - abs(self.m - self.n) + 1:
             raise ValueError("coefficient vector has the wrong length")
-        if sum(nums) != den:
+        if sum(nums) != self.den:
             raise ValueError("coefficient vector does not sum to 1")
-        if family == FAMILY_JACOBI:
+        if self.family == FAMILY_JACOBI:
             if nums[0] <= 0 or nums[-1] <= 0:
                 raise ValueError("extreme coefficients must be positive")
         elif any(nums[1::2]):  # m + n - k is odd at the odd positions
             raise ValueError("parity-violating entry must be zero")
-        for name, value in zip(self.__slots__, (m, n, family, nums, den)):
-            object.__setattr__(self, name, value)
 
     @property
     def k_min(self) -> int:
@@ -134,131 +125,121 @@ class CoeffVector:
         return enumerate(self.values, self.k_min)
 
 
+def _checked_row(
+    p: JacobiParams, route: str, n: int, row: tuple[int, int, int, int], alt
+) -> RecurrenceCoeffs:
+    """Row n as the integers row = (a, b, c, den), den > 0, reduced by one
+    gcd, after a / den and c / den are checked against the other
+    parametrization's pairs alt = ((a', a_den'), (c', c_den')),
+    cross-multiplied."""
+    a, b, c, den = row
+    (a_alt, a_den), (c_alt, c_den) = alt
+    if a * a_den != a_alt * den or c * c_den != c_alt * den:
+        raise internal_error(p, route, "recurrence parametrizations disagree", n=n)
+    g = gcd(*row)
+    return RecurrenceCoeffs(n, a // g, b // g, c // g, den // g)
+
+
 def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
     """Recurrence row n, computed in both parametrizations and cross-checked.
 
     alpha, beta, a and b are read over one common denominator d
-    (`p.over_lcm_all`), so each entry is one integer quotient (as in
-    theta_iota_kappa)."""
+    (`p.over_lcm_all`).  The row is the (a, b) form over the common
+    denominator (a+b+1)(2n+a-1)(2n+a)(2n+a+1), scaled by d (row 0 is over
+    a+1); the (alpha, beta) form of a_n and c_n checks it."""
     if n < 0:
         raise ValueError("recurrence index must be >= 0")
     d, al, be, a, b = p.over_lcm_all
     if n == 0:
-        a0 = Fraction(2 * al + 2 * d, al + be + 2 * d)
-        a0_ab = Fraction(a + b + d, a + d)
-        b0 = Fraction(be - al, al + be + 2 * d)
-        b0_ab = Fraction(-b, a + d)
-        if a0 != a0_ab or b0 != b0_ab:
-            raise internal_error(
-                p, "jacobi-recurrence", "recurrence parametrizations disagree", n=0
-            )
-        return RecurrenceCoeffs(0, a0, b0, None)
+        return _checked_row(
+            p, "jacobi-recurrence", 0, (a + b + d, -b, 0, a + d),
+            ((2 * al + 2 * d, al + be + 2 * d), (0, 1)),
+        )
     # Scaled by d: n_d = nd, one = d; the integer n alone is not scaled.
     n_d, one = n * d, d
-    an = Fraction(
-        (al + be + 2 * one) * (n_d + al + be + one) * (n_d + al + one),
-        (al + one) * (2 * n_d + al + be + one) * (2 * n_d + al + be + 2 * one),
+    lo, mid, hi = 2 * n_d + a - one, 2 * n_d + a, 2 * n_d + a + one
+    row = (
+        (a + one) * (n_d + a) * (2 * n_d + a + b + one) * lo,
+        4 * b * n * (n_d + a) * mid * one,
+        (a + one) * n * (2 * n_d + a - b - one) * hi * one,
+        (a + b + one) * lo * mid * hi,
     )
-    an_ab = Fraction(
-        (a + one) * (n_d + a) * (2 * n_d + a + b + one),
-        (a + b + one) * (2 * n_d + a) * (2 * n_d + a + one),
-    )
-    bn_ab = Fraction(
-        4 * b * n * (n_d + a) * one,
-        (a + b + one) * (2 * n_d + a - one) * (2 * n_d + a + one),
-    )
-    cn_ab = Fraction(
-        (a + one) * n * (2 * n_d + a - b - one) * one,
-        (a + b + one) * (2 * n_d + a - one) * (2 * n_d + a),
-    )
-    cn = Fraction(
-        (al + be + 2 * one) * n * (n_d + be) * one,
-        (al + one) * (2 * n_d + al + be) * (2 * n_d + al + be + one),
-    )
-    if an != an_ab or cn != cn_ab:
-        raise internal_error(
-            p, "jacobi-recurrence", "recurrence parametrizations disagree", n=n
-        )
-    return RecurrenceCoeffs(n, an_ab, bn_ab, cn_ab)
+    ab = al + be
+    return _checked_row(p, "jacobi-recurrence", n, row, (
+        ((ab + 2 * one) * (n_d + ab + one) * (n_d + al + one),
+         (al + one) * (2 * n_d + ab + one) * (2 * n_d + ab + 2 * one)),
+        ((ab + 2 * one) * n * (n_d + be) * one,
+         (al + one) * (2 * n_d + ab) * (2 * n_d + ab + one)),
+    ))
 
 
 @lru_cache(maxsize=64)
 def gencheb_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
-    """Row n >= 1 of x T_n = a_n T_{n+1} + c_n T_{n-1} (b_n = 0), computed in
+    """Row n >= 1 of x T_n = a_n T_{n+1} + c_n T_{n-1} (b = 0), computed in
     both parametrizations and cross-checked when it is built; cached, so a
     scan to degree 31 builds each row of its point once.
 
     alpha, beta, a and b are read over one common denominator d
-    (`p.over_lcm_all`), so each entry is one integer quotient."""
+    (`p.over_lcm_all`); a_n + c_n = 1, so the reduced a_n and c_n share the
+    row's denominator."""
     if n < 1:
         raise ValueError("recurrence index must be >= 1")
     d, al, be, a, b = p.over_lcm_all
     # r is the half-index scaled by d.
     if n % 2 == 1:
         r = (n + 1) // 2 * d
-        an = Fraction(r + al, 2 * r + al + be)
-        an_ab = Fraction(2 * r + a + b - d, 4 * r + 2 * a - 2 * d)
-        cn = Fraction(r + be, 2 * r + al + be)
-        cn_ab = Fraction(2 * r + a - b - d, 4 * r + 2 * a - 2 * d)
+        row = (r + al, 0, r + be, 2 * r + al + be)
+        alt_den = 4 * r + 2 * a - 2 * d
+        alt = ((2 * r + a + b - d, alt_den), (2 * r + a - b - d, alt_den))
     else:
         r = n // 2 * d
-        an = Fraction(r + al + be + d, 2 * r + al + be + d)
-        an_ab = Fraction(r + a, 2 * r + a)
-        cn = Fraction(r, 2 * r + al + be + d)
-        cn_ab = Fraction(r, 2 * r + a)
-    if an != an_ab or cn != cn_ab:
-        raise internal_error(
-            p, "gencheb-recurrence", "recurrence parametrizations disagree", n=n
-        )
-    return RecurrenceCoeffs(n, an, _ZERO, cn)
+        row = (r + al + be + d, 0, r, 2 * r + al + be + d)
+        alt = ((r + a, 2 * r + a), (r, 2 * r + a))
+    return _checked_row(p, "gencheb-recurrence", n, row, alt)
 
 
-def walk_recurrence(p: JacobiParams, family: str, x, ps: list, n: int) -> list:
-    """Extend ps = [P_0, ...] of the family at x (a `Fraction`, or the
-    `RationalPolynomial` variable) up to P_n, in place, by P_1 = (x - b_0) / a_0
-    (gencheb: P_1 = x) and P_{k+1} = ((P_1 - b_k) P_k - c_k P_{k-1}) / a_k, with
-    the family's rows at p.  The companion family R+ is jacobi at
-    plus_params(p).
+def walk_recurrence(p: JacobiParams, family: str, n: int) -> list:
+    """The family's polynomials [P_0, .., P_n] at p: the point's cached list
+    `_monomial_basis(p, family)`, extended in place and returned.  P_1 =
+    (x - b_0) / a_0 (gencheb: P_1 = x) and P_{k+1} = ((P_1 - b_k) P_k - c_k
+    P_{k-1}) / a_k, with the family's rows at p.  The companion family R+ is
+    jacobi at plus_params(p).
 
-    Every step is one formula on integer coefficient lists (a value is a list
-    of length 1): with y = x at k = 0 (gencheb row 0: a = 1, b = 0) and y = P_1
-    after it, y - b_k = Y / Y_D, P_k = N / D and P_{k-1} = M / E (0 at k = 0),
-    P_{k+1} = a_D (c_D E Y N - c_N Y_D D M) / (a_N Y_D D c_D E), with Y N the
-    convolution.  Each P is built in the type of x, whose constructor takes
-    the one gcd."""
-    if len(ps) > n:
-        return ps
+    Every step is one formula on integer coefficient lists: with the row
+    (a, b, c) over R, y = x at k = 0 (gencheb row 0: a = R = 1, b = c = 0)
+    and y = P_1 after it, y = Y / Y_D, P_k = N / D and P_{k-1} = M / E (0 at
+    k = 0),
+
+        P_{k+1} = ((R Y - b Y_D) N E - c Y_D D M) / (a Y_D D E),
+
+    with (R Y - b Y_D) E N the convolution, and one gcd by
+    `RationalPolynomial._of`."""
+    ps = _monomial_basis(p, family)
     rows = gencheb_rec_coeffs if family == FAMILY_GENCHEB else jacobi_rec_coeffs
-    poly = isinstance(x, RationalPolynomial)
-    split = (lambda v: (v.nums, v.den)) if poly else (lambda v: ((v.numerator,), v.denominator))
-    join = RationalPolynomial._of if poly else (lambda nums, den: Fraction(nums[0], den))
     for k in range(len(ps) - 1, n):
-        row = rows(p, k) if k or family == FAMILY_JACOBI else None
-        a_n, a_d = row.a_n.as_integer_ratio() if row else (1, 1)
-        b_n, b_d = row.b_n.as_integer_ratio() if row else (0, 1)
-        c_n, c_d = row.c_n.as_integer_ratio() if k else (0, 1)
-        (y, y_d), (big_n, d) = split(ps[1] if k else x), split(ps[k])
-        big_m, e = split(ps[k - 1]) if k else ((), 1)
-        # y - b_k: only the constant term moves.
-        y = (y[0] * b_d - b_n * y_d, *(t * b_d for t in y[1:]))
-        y_d *= b_d
+        row = rows(p, k) if k or family == FAMILY_JACOBI else _GENCHEB_ROW0
+        y, y_d = (ps[1].nums, ps[1].den) if k else ((0, 1), 1)
+        big_n, d = ps[k].nums, ps[k].den
+        big_m, e = (ps[k - 1].nums, ps[k - 1].den) if k else ((), 1)
+        # (R Y - b Y_D) E, with b on the constant term only.
+        y = [t * row.den * e for t in y]
+        y[0] -= row.b * y_d * e
         out = [0] * (len(y) + len(big_n) - 1)
         for i, u in enumerate(y):
             for j, v in enumerate(big_n, i):
                 out[j] += u * v
-        up, down = a_d * c_d * e, a_d * c_n * y_d * d
-        out = [up * t for t in out]
+        down = row.c * y_d * d
         for i, t in enumerate(big_m):
             out[i] -= down * t
-        ps.append(join(out, a_n * y_d * d * c_d * e))
+        ps.append(RationalPolynomial._of(out, row.a * y_d * d * e))
     return ps
 
 
 def jacobi_eval(p: JacobiParams, n: int, x: Rational) -> Fraction:
-    """Evaluate R_n at a rational point by the three-term recurrence."""
+    """Evaluate R_n at a rational point: the walked polynomial R_n at x."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    return walk_recurrence(p, FAMILY_JACOBI, to_fraction(x), [Fraction(1)], n)[n]
+    return walk_recurrence(p, FAMILY_JACOBI, n)[n](x)
 
 
 def _recursion_weights(
@@ -401,7 +382,7 @@ def _coeff_vector(m: int, n: int, family: str, pairs: list[tuple[int, int]]) -> 
     """The vector of reduced (numerator, denominator > 0) pairs: over their
     lcm it is in lowest terms already."""
     den = lcm(*(d for _, d in pairs))
-    return CoeffVector._of(m, n, family, [x * (den // d) for x, d in pairs], den)
+    return CoeffVector(m, n, family, tuple([x * (den // d) for x, d in pairs]), den)
 
 
 @lru_cache(maxsize=1024)
@@ -428,7 +409,7 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
     if m > n:
         m, n = n, m
     if m == 0:
-        return CoeffVector._of(0, n, FAMILY_JACOBI, (1,), 1)
+        return CoeffVector(0, n, FAMILY_JACOBI, (1,), 1)
     s = n - m
     g_lo, g_lo1, g_hi1, g_hi = gasper_boundary(p, m, s)
     vals: list[tuple[int, int] | None] = [None] * (2 * m + 1)
@@ -468,7 +449,7 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
 @lru_cache(maxsize=64)
 def _monomial_basis(p: JacobiParams, family: str) -> list:
     """Polynomials P_0, P_1, ... of the family as monomial-coefficient vectors:
-    one list per point and family, which linearize_bruteforce extends."""
+    one list per point and family, which `walk_recurrence` extends."""
     return [RationalPolynomial([1])]
 
 
@@ -490,7 +471,7 @@ def linearize_bruteforce(
         raise ValueError("degrees must be >= 0")
     if m > n:
         m, n = n, m
-    basis = walk_recurrence(p, family, _X, _monomial_basis(p, family), m + n)
+    basis = walk_recurrence(p, family, m + n)
     product = basis[m] * basis[n]
     rem, big_q = list(product.nums), product.den
     pairs = [(0, 1)] * (m + n + 1)

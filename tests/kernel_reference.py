@@ -16,7 +16,8 @@ compare the library with these copies.  The module holds:
   product per parameter that it was before each term became one table of
   factors;
 - `outcome` and `outcome_with_message`, a call's value or exception in a
-  form that compares.
+  form that compares, and `rational_vector`, the `CoeffVector` of rational
+  values.
 
 The 9F8 closed forms, Dougall's product, the brute-force elimination, the
 polynomial class, the kernel on the grid and the p/q limit parts are no
@@ -38,7 +39,7 @@ from jacobilin.analysis import (
     VERDICT_VIOLATION,
     SignReport,
 )
-from jacobilin.exact import to_fraction
+from jacobilin.exact import _over_lcm, to_fraction
 from jacobilin.hypergeom import SingularSeriesError
 from jacobilin.jacobi import (
     FAMILY_GENCHEB,
@@ -49,6 +50,13 @@ from jacobilin.jacobi import (
     linearize_jacobi,
 )
 from jacobilin.params import make_params, plus_params
+
+
+def rational_vector(m, n, family, values):
+    """The `CoeffVector` of the rational values: their numerators over
+    their lcm, which is in lowest terms."""
+    den, *nums = _over_lcm(*values)
+    return CoeffVector(m, n, family, tuple(nums), den)
 
 
 def ref_pochhammer(x, n):
@@ -154,7 +162,7 @@ def ref_linearize_jacobi(p, m, n):
     if m > n:
         m, n = n, m
     if m == 0:
-        return CoeffVector(0, n, FAMILY_JACOBI, (Fraction(1),))
+        return rational_vector(0, n, FAMILY_JACOBI, (Fraction(1),))
     s = n - m
     g_lo, g_lo1, g_hi1, g_hi = ref_gasper_boundary(p, m, s)
     vals = [None] * (2 * m + 1)
@@ -192,7 +200,7 @@ def ref_linearize_jacobi(p, m, n):
                 p, "gasper", "three-point identity fails at the top index",
                 m=m, n=n, k=s + 2 * m,
             )
-    return CoeffVector(m, n, FAMILY_JACOBI, tuple(vals))
+    return rational_vector(m, n, FAMILY_JACOBI, vals)
 
 
 def ref_linearize_gencheb(p, m, n):
@@ -201,7 +209,7 @@ def ref_linearize_gencheb(p, m, n):
     if m > n:
         m, n = n, m
     if m == 0:
-        return CoeffVector(0, n, FAMILY_GENCHEB, (Fraction(1),))
+        return rational_vector(0, n, FAMILY_GENCHEB, (Fraction(1),))
     k_lo = n - m
     vals = [Fraction(0)] * (2 * m + 1)
     if m % 2 == 0 and n % 2 == 0:
@@ -212,8 +220,8 @@ def ref_linearize_gencheb(p, m, n):
         cv = linearize_jacobi(plus_params(p), (m - 1) // 2, (n - 1) // 2)
         for ell, v in cv.items():
             row = gencheb_rec_coeffs(p, 2 * ell + 1)
-            vals[2 * ell + 2 - k_lo] += row.a_n * v
-            vals[2 * ell - k_lo] += row.c_n * v
+            vals[2 * ell + 2 - k_lo] += Fraction(row.a, row.den) * v
+            vals[2 * ell - k_lo] += Fraction(row.c, row.den) * v
     else:
         odd_arg, even_arg = (m, n) if m % 2 == 1 else (n, m)
         i, e = (odd_arg - 1) // 2, even_arg // 2
@@ -221,10 +229,10 @@ def ref_linearize_gencheb(p, m, n):
         pp = plus_params(p)
         # Companion vectors are read with their smaller degree first, so
         # each has one key in the linearize_jacobi cache.
-        for scale, j in ((row.a_n, e), (row.c_n, e - 1)):
+        for scale, j in ((Fraction(row.a, row.den), e), (Fraction(row.c, row.den), e - 1)):
             for ell, v in linearize_jacobi(pp, min(i, j), max(i, j)).items():
                 vals[2 * ell + 1 - k_lo] += scale * v
-    return CoeffVector(m, n, FAMILY_GENCHEB, tuple(vals))
+    return rational_vector(m, n, FAMILY_GENCHEB, vals)
 
 
 def _ref_scan_entries(p, max_degree, mode):

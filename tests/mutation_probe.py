@@ -6,7 +6,8 @@ a checkout:
 Each mutant adds one to an integer literal, swaps `+` and `-` or flips a
 comparison (< <=, > >=, == !=) in a TARGETS function of a copy of TREE under
 SCRATCH_DIR, never in `src/`; the test files of the TARGETS modules, its
-module's own first, kill it by failing under -x or by running past TIMEOUT
+module's own first, and `tests/test_guards.py`, which holds the input guards
+of those modules, kill it by failing under -x or by running past TIMEOUT
 seconds.  A TARGETS name that matches no function or class of its module
 stops the probe before any mutant runs."""
 
@@ -24,15 +25,16 @@ TARGETS = {
                  "HypTermSum.evaluate",
     "exact": "_rising_ratio pochhammer RationalPolynomial _sturm_chain _sign_variations "
              "count_real_roots",
-    "jacobi": "walk_recurrence linearize_bruteforce _boundary_ratios gasper_boundary "
-              "_recursion_weights theta_iota_kappa linearize_jacobi jacobi_rec_coeffs "
-              "gencheb_rec_coeffs",
+    "jacobi": "CoeffVector _checked_row walk_recurrence linearize_bruteforce _boundary_ratios "
+              "gasper_boundary _recursion_weights theta_iota_kappa linearize_jacobi "
+              "jacobi_rec_coeffs gencheb_rec_coeffs",
     "analysis": "_pq_limit_parts _odd_scales _pq_run pq_values omega_value pq_inequality_check "
                 "phi_sequence gasper_simplification_values necessity_identity_values",
     "cli": "_phi_check _recursion_check _cmd_compare",
     "gencheb": "linearize_gencheb",
 }
 TIMEOUT = 120
+GUARDS = "tests/test_guards.py"
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Lt: "<", ast.LtE: "<=",
           ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
 SWAP = dict(zip(SYMBOL, [ast.Sub, ast.Add, ast.LtE, ast.Lt, ast.GtE, ast.Gt, ast.NotEq, ast.Eq]))
@@ -92,8 +94,8 @@ def passes(work: Path, first: str) -> bool:
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     try:
-        done = subprocess.run(cmd + [f"tests/test_{m}.py" for m in files], cwd=work, env=env,
-                              capture_output=True, timeout=TIMEOUT)
+        done = subprocess.run(cmd + [f"tests/test_{m}.py" for m in files] + [GUARDS],
+                              cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0

@@ -12,7 +12,6 @@ import pytest
 from jacobilin import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
-    CoeffVector,
     RationalPolynomial,
     chi_m_poly,
     classify_region,
@@ -51,7 +50,7 @@ from conftest import (
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
 )
-from kernel_reference import ref_scan_sign_pattern, ref_theta_iota_kappa
+from kernel_reference import rational_vector, ref_scan_sign_pattern, ref_theta_iota_kappa
 from make_outcome_digests import (
     IDENTITY_POINTS,
     check_recorded,
@@ -154,7 +153,7 @@ class TestIntegerScan:
                 for m in range(n + 1):
                     cv = linearize(p, m, n)
                     assert cv.den > 0 and gcd(cv.den, *cv.nums) == 1
-                    assert CoeffVector(m, n, family, cv.values) == cv
+                    assert rational_vector(m, n, family, cv.values) == cv
                     assert all(v is _ZERO for v in cv.values if v == 0)
 
 

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import pytest
 
 from jacobilin import (
-    CoeffVector,
     analysis,
     cli,
     gencheb_rec_coeffs,
@@ -30,6 +29,7 @@ from jacobilin.analysis import VERDICT_VIOLATION
 from jacobilin.cli import fmt_approx, run_command
 
 from conftest import GRID_WIDE
+from kernel_reference import rational_vector
 from make_outcome_digests import (
     IDENTITY_POINTS,
     SCAN_CHECKS,
@@ -409,7 +409,7 @@ class TestExitCodes:
             if (family, p.beta, m, n) != (jacobi.FAMILY_JACOBI, F(1, 4), 1, 2):
                 return cv
             lo, mid, hi = cv.values
-            return CoeffVector(m, n, family, (lo + F(1, 100), mid, hi - F(1, 100)))
+            return rational_vector(m, n, family, (lo + F(1, 100), mid, hi - F(1, 100)))
 
         monkeypatch.setattr(cli, "linearize_bruteforce", shifted)
         code, out, _ = run(capsys, *argv)

@@ -31,15 +31,15 @@ F = Fraction
 class TestRecurrenceCoeffs:
     def test_frozen_pair(self):
         rc = gencheb_rec_coeffs(make_params(1, 0), 1)
-        assert (rc.a_n, rc.c_n) == (F(2, 3), F(1, 3))
+        assert (F(rc.a, rc.den), F(rc.c, rc.den)) == (F(2, 3), F(1, 3))
 
     def test_partition_of_one_random(self):
         rng = random.Random(7110)
         for _ in range(40):
             p = make_params(*rand_alpha_beta(rng))
             rc = gencheb_rec_coeffs(p, rng.randint(1, 14))
-            assert rc.a_n + rc.c_n == 1
-            assert 0 < rc.a_n < 1
+            assert F(rc.a, rc.den) + F(rc.c, rc.den) == 1
+            assert 0 < F(rc.a, rc.den) < 1
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_row_cross_checked_when_built(self, n):
@@ -64,8 +64,9 @@ class TestRecurrenceCoeffs:
         assert basis[1] == RationalPolynomial.variable()
         for n in range(1, 9):
             rc = gencheb_rec_coeffs(p, n)
-            assert isinstance(rc, RecurrenceCoeffs) and rc.b_n == 0
-            rhs = rc.a_n * basis[n + 1] + rc.b_n * basis[n] + rc.c_n * basis[n - 1]
+            assert isinstance(rc, RecurrenceCoeffs) and rc.b == 0
+            a_n, b_n, c_n = (F(x, rc.den) for x in (rc.a, rc.b, rc.c))
+            rhs = a_n * basis[n + 1] + b_n * basis[n] + c_n * basis[n - 1]
             assert basis[1] * basis[n] == rhs
 
     def test_half_line_reduces_to_symmetric_family(self):
@@ -128,7 +129,7 @@ def norm_h(p, n):
     h, a_prev = Fraction(1), 1
     for k in range(1, n + 1):
         row = gencheb_rec_coeffs(p, k)
-        h, a_prev = h * a_prev / row.c_n, row.a_n
+        h, a_prev = h * a_prev / F(row.c, row.den), F(row.a, row.den)
     return h
 
 

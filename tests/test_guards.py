@@ -70,31 +70,31 @@ GUARDS = {
     "linearize_bruteforce/m": (lambda: linearize_bruteforce(P, -1, 2), "degrees must be >= 0"),
     "linearize_bruteforce/n": (lambda: linearize_bruteforce(P, 2, -1), "degrees must be >= 0"),
     "RecurrenceCoeffs/sum": (
-        lambda: RecurrenceCoeffs(2, F(1, 2), F(0), F(1, 4)),
+        lambda: RecurrenceCoeffs(2, 2, 0, 1, 4),
         "recurrence row does not sum to 1 at n=2",
     ),
     "CoeffVector/family": (
-        lambda: CoeffVector(0, 1, "legendre", (F(1),)), "unknown family 'legendre'"
+        lambda: CoeffVector(0, 1, "legendre", (1,), 1), "unknown family 'legendre'"
     ),
     "CoeffVector/length": (
-        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (F(1),)),
+        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (1,), 1),
         "coefficient vector has the wrong length",
     ),
     "CoeffVector/sum": (
-        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (F(1, 2), F(1, 4), F(1, 8))),
+        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (4, 2, 1), 8),
         "coefficient vector does not sum to 1",
     ),
     "CoeffVector/lowest": (
-        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (F(0), F(1, 2), F(1, 2))),
+        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (0, 1, 1), 2),
         "extreme coefficients must be positive",
     ),
     "CoeffVector/highest": (
-        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (F(1, 2), F(1, 2), F(0))),
+        lambda: CoeffVector(1, 2, FAMILY_JACOBI, (1, 1, 0), 2),
         "extreme coefficients must be positive",
     ),
     "CoeffVector/parity": (
         # m + n - k is odd at k = 2, so that entry must be 0.
-        lambda: CoeffVector(1, 2, FAMILY_GENCHEB, (F(1, 2), F(1, 4), F(1, 4))),
+        lambda: CoeffVector(1, 2, FAMILY_GENCHEB, (2, 1, 1), 4),
         "parity-violating entry must be zero",
     ),
 }

@@ -3,6 +3,7 @@ coefficients, closed-form boundary entries, and the full product expansions."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,6 @@ import jacobilin.jacobi as jacobi_module
 from jacobilin import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
-    RationalPolynomial,
     gasper_boundary,
     gencheb_eval,
     gencheb_rec_coeffs,
@@ -44,19 +44,24 @@ from make_outcome_digests import (
 F = Fraction
 
 
+def rational_row(rc):
+    """(a_n, b_n, c_n) of the row as `Fraction`s."""
+    return tuple(Fraction(x, rc.den) for x in (rc.a, rc.b, rc.c))
+
+
 class TestRecurrenceCoeffs:
     def test_frozen_triples(self):
         rc = jacobi_rec_coeffs(make_params(1, 0), 1)
-        assert (rc.a_n, rc.b_n, rc.c_n) == (F(27, 40), F(1, 5), F(1, 8))
+        assert rational_row(rc) == (F(27, 40), F(1, 5), F(1, 8))
         rc = jacobi_rec_coeffs(make_params(0, 0), 1)
-        assert (rc.a_n, rc.b_n, rc.c_n) == (F(2, 3), 0, F(1, 3))
+        assert rational_row(rc) == (F(2, 3), 0, F(1, 3))
         rc = jacobi_rec_coeffs(make_params(F(-1, 2), F(-1, 2)), 2)
-        assert (rc.a_n, rc.b_n, rc.c_n) == (F(1, 2), 0, F(1, 2))
+        assert rational_row(rc) == (F(1, 2), 0, F(1, 2))
 
     def test_degree_zero(self):
         rc = jacobi_rec_coeffs(make_params(1, 0), 0)
-        assert rc.c_n is None
-        assert rc.a_n == F(4, 3) and rc.b_n == F(-1, 3)
+        assert rc.c == 0
+        assert rational_row(rc)[:2] == (F(4, 3), F(-1, 3))
 
     def test_rows_carry_their_index(self):
         p = make_params(F(-1, 3), F(2, 5))
@@ -67,13 +72,26 @@ class TestRecurrenceCoeffs:
         for _ in range(40):
             p = make_params(*rand_alpha_beta(rng))
             n = rng.randint(1, 12)
-            rc = jacobi_rec_coeffs(p, n)
-            assert rc.a_n + rc.b_n + rc.c_n == 1
+            assert sum(rational_row(jacobi_rec_coeffs(p, n))) == 1
 
     def test_symmetric_line_kills_middle(self):
         p = make_params(F(3, 4), F(3, 4))
         for n in range(1, 8):
-            assert jacobi_rec_coeffs(p, n).b_n == 0
+            assert jacobi_rec_coeffs(p, n).b == 0
+
+    @pytest.mark.parametrize("point", GRID_WIDE + BOUNDARY_POINTS)
+    def test_rows_are_integers_in_lowest_terms(self, point):
+        # Every row is (a, b, c) over den > 0 with one gcd taken; a gencheb
+        # row has b = 0, and a_n and c_n = 1 - a_n share the row's
+        # denominator in lowest terms.
+        p = make_params(*point)
+        rows = [jacobi_rec_coeffs(p, n) for n in range(33)]
+        gencheb_rows = [gencheb_rec_coeffs(p, n) for n in range(1, 33)]
+        for rc in rows + gencheb_rows:
+            assert rc.den > 0 and gcd(rc.a, rc.b, rc.c, rc.den) == 1
+            assert rc.a + rc.b + rc.c == rc.den
+        for rc in gencheb_rows:
+            assert rc.b == 0 and gcd(rc.a, rc.den) == 1
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_row_cross_checked(self, n):
@@ -104,12 +122,12 @@ class TestEvaluation:
             p = make_params(*rand_alpha_beta(rng))
             n = rng.randint(1, 7)
             x = F(rng.randint(-8, 8), rng.randint(1, 9))
-            rc = jacobi_rec_coeffs(p, n)
+            a_n, b_n, c_n = rational_row(jacobi_rec_coeffs(p, n))
             lhs = jacobi_eval(p, 1, x) * jacobi_eval(p, n, x)
             rhs = (
-                rc.a_n * jacobi_eval(p, n + 1, x)
-                + rc.b_n * jacobi_eval(p, n, x)
-                + rc.c_n * jacobi_eval(p, n - 1, x)
+                a_n * jacobi_eval(p, n + 1, x)
+                + b_n * jacobi_eval(p, n, x)
+                + c_n * jacobi_eval(p, n - 1, x)
             )
             assert lhs == rhs
 
@@ -127,12 +145,11 @@ def szego_r(p, n, x):
 
 
 class TestWalker:
-    """The one recurrence walker gives the same P_n on values and on
-    polynomials: the oracle's monomial basis, evaluated at x, equals the
-    rational-point evaluation of each family.  The jacobi_plus case is the
-    companion family: jacobi walked at plus_params(p).  Both run the one
-    integer step, so the walker is also checked against Szego's explicit
-    form, which shares no code with it."""
+    """The one recurrence walker builds the polynomials that both the
+    oracle and evaluation read, so it is checked against what shares no
+    code with it: Szego's explicit form for jacobi, and for gencheb the
+    quadratic transform of `gencheb_eval`.  The jacobi_plus case is the
+    companion family: jacobi walked at plus_params(p)."""
 
     @pytest.mark.parametrize("point", GRID[::6] + BOUNDARY_POINTS)
     def test_evaluation_matches_explicit_form(self, point):
@@ -156,8 +173,8 @@ class TestWalker:
     def test_basis_polynomials_match_evaluation(self, point, family):
         p = make_params(*point)
         q, walked, evaluate = {
-            "jacobi": (p, FAMILY_JACOBI, jacobi_eval),
-            "jacobi_plus": (plus_params(p), FAMILY_JACOBI, jacobi_eval),
+            "jacobi": (p, FAMILY_JACOBI, szego_r),
+            "jacobi_plus": (plus_params(p), FAMILY_JACOBI, szego_r),
             "gencheb": (p, FAMILY_GENCHEB, gencheb_eval),
         }[family]
         linearize_bruteforce(q, 0, 8, walked)
@@ -167,11 +184,30 @@ class TestWalker:
                 assert basis[n](x) == evaluate(q, n, x)
 
     def test_extends_in_place_from_any_length(self):
+        # The walk extends the point's cached list from whatever length it
+        # has, and returns that list.
         p = make_params(F(1, 2), F(1, 4))
-        grown = jacobi_module.walk_recurrence(p, FAMILY_JACOBI, F(2, 9), [F(1)], 3)
-        again = jacobi_module.walk_recurrence(p, FAMILY_JACOBI, F(2, 9), grown[:2], 6)
-        assert again[:4] == grown and len(again) == 7
-        assert again[6] == jacobi_eval(p, 6, F(2, 9))
+        basis = jacobi_module._monomial_basis(p, FAMILY_JACOBI)
+        assert jacobi_module.walk_recurrence(p, FAMILY_JACOBI, 3) is basis
+        grown = basis[:4]
+        del basis[2:]
+        again = jacobi_module.walk_recurrence(p, FAMILY_JACOBI, 6)
+        assert again is basis and again[:4] == grown and len(again) == 7
+        assert again[6](F(2, 9)) == szego_r(p, 6, F(2, 9))
+
+    def test_evaluation_builds_each_row_once(self, monkeypatch):
+        # R_0 .. R_12 at six x read one walked basis of the point, so rows
+        # 0 .. 11 are each built once, not once per call (468 builds).
+        built = []
+        original = jacobi_module.jacobi_rec_coeffs
+        monkeypatch.setattr(jacobi_module, "jacobi_rec_coeffs",
+                            lambda p, n: built.append(n) or original(p, n))
+        p = make_params(F(5, 11), F(-2, 13))
+        jacobi_module._monomial_basis.cache_clear()
+        for x in (F(-1), F(-3, 5), F(0), F(1, 3), F(1), F(7, 4)):
+            for n in range(13):
+                assert jacobi_eval(p, n, x) == szego_r(p, n, x)
+        assert built == list(range(12))
 
 
 class TestRecursionCoefficients:
@@ -337,9 +373,7 @@ class TestLinearize:
         basis = jacobi_module._monomial_basis(p, family)
         k = 0 if family == FAMILY_JACOBI else 1
         try:
-            jacobi_module.walk_recurrence(
-                p, family, RationalPolynomial.variable(), basis, 4
-            )
+            jacobi_module.walk_recurrence(p, family, 4)
             basis[3] = basis[3] + F(1, 5)
             with pytest.raises(
                 RuntimeError, match=rf"brute/{family}, .*m=1, n=3, k={k}\)$"
