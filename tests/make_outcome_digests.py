@@ -4,8 +4,10 @@ Tier-1 compares the library with outputs recorded once, not with a second
 kernel run alongside it:
 - `TestClosedFormExactness` (9F8 series and Dougall's product),
   `TestKernelExactness` (`gasper_boundary` and `theta_iota_kappa`),
-  `TestBruteforceExactness` (the brute-force oracle) and
-  `TestPolynomialExactness` (`RationalPolynomial` and `count_real_roots`);
+  `TestBruteforceExactness` (the brute-force oracle),
+  `TestPolynomialExactness` (`RationalPolynomial` and `count_real_roots`)
+  and `TestRecurrenceCoeffs::test_rows_match_recorded` (every recurrence
+  row of both families to n = 32 on the grid);
 - `test_vector_digests.py`: every `linearize_jacobi` and `linearize_gencheb`
   vector with m <= n <= 12 at each grid point, one line "m n: v_0 v_1 ..."
   per product, each value as `str(Fraction)`;
@@ -52,6 +54,8 @@ from jacobilin import (
     dougall_coefficient,
     gasper_boundary,
     gasper_simplification_values,
+    gencheb_rec_coeffs,
+    jacobi_rec_coeffs,
     linearize_bruteforce,
     linearize_gencheb,
     linearize_jacobi,
@@ -158,6 +162,18 @@ def kernel_lines(point):
         yield f"boundary {m} {s}: {text(gasper_boundary(p, m, s))}"
         for j in js:
             yield f"tik {m} {s} {j}: {text(outcome(theta_iota_kappa, p, m, s, j))}"
+
+
+# --- recurrence rows: jacobi n 0..32 and gencheb n 1..32 on the grid
+
+
+def row_lines(point):
+    p = make_params(*point)
+    for family, rows, first in (("jacobi", jacobi_rec_coeffs, 0),
+                                ("gencheb", gencheb_rec_coeffs, 1)):
+        for n in range(first, 33):
+            rc = rows(p, n)
+            yield f"{family} {n}: {rc.a} {rc.b} {rc.c} {rc.den}"
 
 
 # --- brute-force oracle: both families and the companion point, m <= n <= 10
@@ -348,6 +364,9 @@ CASES = {
     ),
     "test_jacobi.py::TestKernelExactness::test_matches_reference": (
         {f"point{i}": pt for i, pt in enumerate(KERNEL_POINTS)}, kernel_lines,
+    ),
+    "test_jacobi.py::TestRecurrenceCoeffs::test_rows_match_recorded": (
+        {f"point{i}": pt for i, pt in enumerate(GRID)}, row_lines,
     ),
     "test_jacobi.py::TestBruteforceExactness::test_matches_reference": (
         {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, bruteforce_lines,

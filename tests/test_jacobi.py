@@ -39,6 +39,7 @@ from make_outcome_digests import (
     bruteforce_lines,
     check_recorded,
     kernel_lines,
+    row_lines,
 )
 
 F = Fraction
@@ -92,6 +93,12 @@ class TestRecurrenceCoeffs:
             assert rc.a + rc.b + rc.c == rc.den
         for rc in gencheb_rows:
             assert rc.b == 0 and gcd(rc.a, rc.den) == 1
+
+    @pytest.mark.parametrize("point", GRID)
+    def test_rows_match_recorded(self, point, request):
+        # Every jacobi row n 0..32 and gencheb row n 1..32, as recorded
+        # (`make_outcome_digests.row_lines`).
+        check_recorded(request.node, row_lines(point))
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_row_cross_checked(self, n):
