@@ -158,8 +158,13 @@ class RationalPolynomial:
             out[i] += c * scale
         return RationalPolynomial._of(out, big_l)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):

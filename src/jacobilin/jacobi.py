@@ -125,77 +125,63 @@ class CoeffVector:
         return enumerate(self.values, self.k_min)
 
 
-def _checked_row(
-    p: JacobiParams, route: str, n: int, row: tuple[int, int, int, int], alt
-) -> RecurrenceCoeffs:
-    """Row n as the integers row = (a, b, c, den), den > 0, reduced by one
-    gcd, after a / den and c / den are checked against the other
-    parametrization's pairs alt = ((a', a_den'), (c', c_den')),
-    cross-multiplied."""
+def _reduced_row(n: int, row: tuple[int, int, int, int]) -> RecurrenceCoeffs:
+    """Row n from the integers row = (a, b, c, den), den > 0, reduced by
+    one gcd."""
     a, b, c, den = row
-    (a_alt, a_den), (c_alt, c_den) = alt
-    if a * a_den != a_alt * den or c * c_den != c_alt * den:
-        raise internal_error(p, route, "recurrence parametrizations disagree", n=n)
-    g = gcd(*row)
+    g = gcd(a, b, c, den)
     return RecurrenceCoeffs(n, a // g, b // g, c // g, den // g)
 
 
-def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
-    """Recurrence row n, computed in both parametrizations and cross-checked.
-
-    alpha, beta, a and b are read over one common denominator d
-    (`p.over_lcm_all`).  The row is the (a, b) form over the common
-    denominator (a+b+1)(2n+a-1)(2n+a)(2n+a+1), scaled by d (row 0 is over
-    a+1); the (alpha, beta) form of a_n and c_n checks it."""
-    if n < 0:
-        raise ValueError("recurrence index must be >= 0")
-    d, al, be, a, b = p.over_lcm_all
+def _jacobi_row(d, a, b, n):
+    """(a, b, c, den) of jacobi row n: the (a, b) form over
+    (a+b+1)(2n+a-1)(2n+a)(2n+a+1), scaled by d (row 0 over a+1), for a and
+    b given as integers over d.  Only +, - and * touch the arguments, so
+    tests/test_jacobi.py runs it on polynomials in (d, alpha d, beta d, n)
+    and proves it equal to Szego's (alpha, beta) form for all parameters."""
     if n == 0:
-        return _checked_row(
-            p, "jacobi-recurrence", 0, (a + b + d, -b, 0, a + d),
-            ((2 * al + 2 * d, al + be + 2 * d), (0, 1)),
-        )
+        return a + b + d, -b, 0, a + d
     # Scaled by d: n_d = nd, one = d; the integer n alone is not scaled.
     n_d, one = n * d, d
     lo, mid, hi = 2 * n_d + a - one, 2 * n_d + a, 2 * n_d + a + one
-    row = (
+    return (
         (a + one) * (n_d + a) * (2 * n_d + a + b + one) * lo,
         4 * b * n * (n_d + a) * mid * one,
         (a + one) * n * (2 * n_d + a - b - one) * hi * one,
         (a + b + one) * lo * mid * hi,
     )
-    ab = al + be
-    return _checked_row(p, "jacobi-recurrence", n, row, (
-        ((ab + 2 * one) * (n_d + ab + one) * (n_d + al + one),
-         (al + one) * (2 * n_d + ab + one) * (2 * n_d + ab + 2 * one)),
-        ((ab + 2 * one) * n * (n_d + be) * one,
-         (al + one) * (2 * n_d + ab) * (2 * n_d + ab + one)),
-    ))
+
+
+def jacobi_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
+    """Recurrence row n: `_jacobi_row` at the point's (L, aL, bL)
+    (`p.over_lcm_ab`), reduced by one gcd."""
+    if n < 0:
+        raise ValueError("recurrence index must be >= 0")
+    return _reduced_row(n, _jacobi_row(*p.over_lcm_ab, n))
+
+
+def _gencheb_row(d, al, be, r, odd):
+    """(a, 0, c, den) of gencheb row n: the (alpha, beta) form, for alpha
+    and beta given as integers over d and r = ceil(n/2) d, the half-index
+    scaled by d: (r+al, 0, r+be) over 2r+al+be for odd n, (r+al+be+d, 0, r)
+    over 2r+al+be+d for even n.  Like `_jacobi_row` it runs on polynomials,
+    and tests/test_jacobi.py proves it equal to the (a, b) form."""
+    if odd:
+        return r + al, 0, r + be, 2 * r + al + be
+    return r + al + be + d, 0, r, 2 * r + al + be + d
 
 
 @lru_cache(maxsize=64)
 def gencheb_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
-    """Row n >= 1 of x T_n = a_n T_{n+1} + c_n T_{n-1} (b = 0), computed in
-    both parametrizations and cross-checked when it is built; cached, so a
-    scan to degree 31 builds each row of its point once.
-
-    alpha, beta, a and b are read over one common denominator d
-    (`p.over_lcm_all`); a_n + c_n = 1, so the reduced a_n and c_n share the
-    row's denominator."""
+    """Row n >= 1 of x T_n = a_n T_{n+1} + c_n T_{n-1} (b = 0):
+    `_gencheb_row` at the point's integers over d (`p.over_lcm_all`),
+    reduced by one gcd; a_n + c_n = 1, so the reduced a_n and c_n share the
+    row's denominator.  Cached, so a scan to degree 31 builds each row of
+    its point once."""
     if n < 1:
         raise ValueError("recurrence index must be >= 1")
-    d, al, be, a, b = p.over_lcm_all
-    # r is the half-index scaled by d.
-    if n % 2 == 1:
-        r = (n + 1) // 2 * d
-        row = (r + al, 0, r + be, 2 * r + al + be)
-        alt_den = 4 * r + 2 * a - 2 * d
-        alt = ((2 * r + a + b - d, alt_den), (2 * r + a - b - d, alt_den))
-    else:
-        r = n // 2 * d
-        row = (r + al + be + d, 0, r, 2 * r + al + be + d)
-        alt = ((r + a, 2 * r + a), (r, 2 * r + a))
-    return _checked_row(p, "gencheb-recurrence", n, row, alt)
+    d, al, be, _, _ = p.over_lcm_all
+    return _reduced_row(n, _gencheb_row(d, al, be, (n + 1) // 2 * d, n % 2))
 
 
 def walk_recurrence(p: JacobiParams, family: str, n: int) -> list:

@@ -182,6 +182,19 @@ class TestPolynomialAlgebra:
                 assert quo * q + rem == p * q + x
                 assert rem.degree < q.degree
 
+    def test_scalar_on_either_side(self):
+        x = RationalPolynomial.variable()
+        assert 1 + x == x + 1 == RationalPolynomial([1, 1])
+        assert F(1, 2) + x == x + F(1, 2) == RationalPolynomial([F(1, 2), 1])
+        assert 1 - x == -(x - 1) == RationalPolynomial([1, -1])
+        assert F(1, 3) - x == RationalPolynomial([F(1, 3), -1])
+        assert 2 * x == x * 2 == x + x
+        for bad in (0.5, "1"):
+            with pytest.raises(TypeError):
+                bad + x
+            with pytest.raises(TypeError):
+                bad - x
+
     def test_exact_division(self):
         x = RationalPolynomial.variable()
         p = (x - 3) * (x + F(1, 2))

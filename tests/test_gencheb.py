@@ -41,19 +41,6 @@ class TestRecurrenceCoeffs:
             assert F(rc.a, rc.den) + F(rc.c, rc.den) == 1
             assert 0 < F(rc.a, rc.den) < 1
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_row_cross_checked_when_built(self, n):
-        # A point whose (a, b) do not match (alpha, beta) makes the two
-        # parametrizations disagree; the failed build is not cached.  The
-        # constructor derives (a, b), so the mismatch is forced afterwards.
-        bad = make_params(F(1, 2), F(1, 4))
-        object.__setattr__(bad, "a", F(2))
-        object.__setattr__(bad, "b", F(0))
-        gencheb_rec_coeffs.cache_clear()
-        for _ in range(2):
-            with pytest.raises(RuntimeError, match=rf"gencheb-recurrence.*n={n}"):
-                gencheb_rec_coeffs(bad, n)
-
     @pytest.mark.parametrize("point", GRID[::3])
     def test_row_identity_on_basis_polynomials(self, point):
         # x T_n = a_n T_{n+1} + b_n T_n + c_n T_{n-1} with b_n = 0, checked

@@ -1,6 +1,7 @@
 """The plain polynomial family: recurrence, evaluation, three-point recursion
 coefficients, closed-form boundary entries, and the full product expansions."""
 
+import inspect
 import random
 from fractions import Fraction
 from math import gcd
@@ -41,6 +42,7 @@ from make_outcome_digests import (
     kernel_lines,
     row_lines,
 )
+from symbolic import Poly
 
 F = Fraction
 
@@ -100,16 +102,107 @@ class TestRecurrenceCoeffs:
         # (`make_outcome_digests.row_lines`).
         check_recorded(request.node, row_lines(point))
 
-    @pytest.mark.parametrize("n", [0, 3])
-    def test_row_cross_checked(self, n):
-        # A point whose (a, b) do not match (alpha, beta) makes the two
-        # parametrizations disagree.  The constructor derives (a, b), so the
-        # mismatch is forced before the integer form is first read.
-        bad = make_params(F(1, 2), F(1, 4))
-        object.__setattr__(bad, "a", F(2))
-        object.__setattr__(bad, "b", F(0))
-        with pytest.raises(RuntimeError, match=rf"jacobi-recurrence.*n={n}"):
-            jacobi_rec_coeffs(bad, n)
+
+def szego_jacobi_pairs(d, al, be, n):
+    """a_n and c_n of jacobi row n in the (alpha, beta) parametrization,
+    Szego's coefficients, as (numerator, denominator) pairs for alpha = al/d
+    and beta = be/d: the reference the library's (a, b) rows are proved
+    against."""
+    if n == 0:
+        return (2 * al + 2 * d, al + be + 2 * d), (0, 1)
+    n_d, one, ab = n * d, d, al + be
+    return (
+        ((ab + 2 * one) * (n_d + ab + one) * (n_d + al + one),
+         (al + one) * (2 * n_d + ab + one) * (2 * n_d + ab + 2 * one)),
+        ((ab + 2 * one) * n * (n_d + be) * one,
+         (al + one) * (2 * n_d + ab) * (2 * n_d + ab + one)),
+    )
+
+
+def ab_gencheb_pairs(d, a, b, r, odd):
+    """a_n and c_n of gencheb row n in the (a, b) parametrization, as
+    (numerator, denominator) pairs for a = A/d, b = B/d and r = ceil(n/2) d:
+    the reference the library's (alpha, beta) rows are proved against."""
+    if odd:
+        den = 4 * r + 2 * a - 2 * d
+        return (2 * r + a + b - d, den), (2 * r + a - b - d, den)
+    return (r + a, 2 * r + a), (r, 2 * r + a)
+
+
+# The proof's variables: the common denominator d, alpha d, beta d, n and the
+# scaled half-index r; a d and b d are formed from them.
+D, AL, BE, N, R = Poly.variables(5)
+A, B = AL + BE + D, AL - BE
+REFERENCE = {
+    "jacobi_row_0": szego_jacobi_pairs(D, AL, BE, 0),
+    "jacobi_rows": szego_jacobi_pairs(D, AL, BE, N),
+    "gencheb_odd": ab_gencheb_pairs(D, A, B, R, True),
+    "gencheb_even": ab_gencheb_pairs(D, A, B, R, False),
+}
+SUM = "row_sum"
+# One planted typo per identity, in the library formula named: (helper,
+# text, replacement).  The row_sum identity, a + b + c = den for every row,
+# gets its slip in b_n, which no ratio identity reads.
+SLIPS = {
+    "jacobi_row_0": ("_jacobi_row", "0, a + d", "0, a + 2 * d"),
+    "jacobi_rows": ("_jacobi_row", "(2 * n_d + a + b + one) * lo", "(2 * n_d + a + b - one) * lo"),
+    "gencheb_odd": ("_gencheb_row", "0, r + be,", "0, r + al,"),
+    "gencheb_even": ("_gencheb_row", "return r + al + be + d", "return r + al + be - d"),
+    SUM: ("_jacobi_row", "4 * b * n * (n_d + a)", "4 * b * n * (n_d + b)"),
+}
+
+
+def identity_holds(identity, jacobi_row, gencheb_row):
+    """The identity as a polynomial equality, for the given row formulas:
+    each row's a_n and c_n equal the reference's, cross-multiplied, or
+    every row sums to its denominator."""
+    rows = {
+        "jacobi_row_0": jacobi_row(D, A, B, 0),
+        "jacobi_rows": jacobi_row(D, A, B, N),
+        "gencheb_odd": gencheb_row(D, AL, BE, R, True),
+        "gencheb_even": gencheb_row(D, AL, BE, R, False),
+    }
+    if identity == SUM:
+        return all(a + b + c == den for a, b, c, den in rows.values())
+    a, _, c, den = rows[identity]
+    (a_ref, a_den), (c_ref, c_den) = REFERENCE[identity]
+    return a * a_den == a_ref * den and c * c_den == c_ref * den
+
+
+def slipped(fn, old, new):
+    """`fn` recompiled from its source with the one `old` replaced by `new`."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    scope = dict(fn.__globals__)
+    exec(source.replace(old, new), scope)
+    return scope[fn.__name__]
+
+
+class TestRowProofs:
+    """Each builder types its row once; its one formula is proved equal to
+    the other parametrization for all parameters, as polynomials in (d,
+    alpha d, beta d, n) for jacobi and in (d, alpha d, beta d, r) for
+    gencheb, so the rows need no cross-check when they are built."""
+
+    @pytest.mark.parametrize("identity", SLIPS)
+    def test_identity_holds(self, identity):
+        assert identity_holds(identity, jacobi_module._jacobi_row, jacobi_module._gencheb_row)
+
+    @pytest.mark.parametrize("identity", SLIPS)
+    def test_planted_slip_fails(self, identity):
+        helpers = {"_jacobi_row": jacobi_module._jacobi_row,
+                   "_gencheb_row": jacobi_module._gencheb_row}
+        name, old, new = SLIPS[identity]
+        helpers[name] = slipped(helpers[name], old, new)
+        assert not identity_holds(identity, *helpers.values())
+
+    def test_polynomial_arithmetic(self):
+        x, y = Poly.variables(2)
+        assert (x + y) ** 2 == x * x + 2 * x * y + y * y
+        assert 1 - x + x == 1 and 3 * x - x * 3 == 0
+        assert x * y - y * x == Poly() and x != y and x + 1 != 1 + y
+        with pytest.raises(TypeError):
+            x + F(1, 2)
 
 
 class TestEvaluation:
