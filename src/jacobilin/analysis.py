@@ -17,7 +17,9 @@ weights of `_recursion_weights` (theta, iota, kappa as T, I, K over one
 denominator D) and the boundary ratios g(s+1)/g(s) and g(s+2m-1)/g(s+2m) of
 `_boundary_ratios`: each value is one integer quotient, and each check one
 cross-multiplication by factors that are nonzero for alpha, beta > -1.  A
-`Fraction` is formed only for a returned value.
+`Fraction` is formed only for a returned value.  The p/q split and omega's
+closed form are not checked per call: their helpers also run on polynomials,
+and tests/test_analysis.py proves both for all parameters.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import _companion, gencheb_rec_coeffs, linearize_gencheb
-from .jacobi import _boundary_ratios, _recursion_weights, internal_error, linearize_jacobi
+from .jacobi import _boundary_ratios, _recursion_weights, linearize_jacobi
 from .params import JacobiParams, classify_region, gasper_q, gasper_v, make_params
 
 VERDICT_ALL_NONNEG = "all_nonneg"
@@ -173,14 +175,12 @@ def chi_m_poly(p: JacobiParams, m: int) -> RationalPolynomial:
 
         iota(m, m; j) (2j+a-1)(2j+a+1) = -b * chi_m(j),
 
-    that is, minus iota's b-free bracket at s = 0.
+    that is, minus iota's b-free bracket at s = 0.  Its degree is at most 4
+    for every (a, m): both products of the bracket lead with -2 j^5.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    chi = -_iota_bracket(p.a, m, 0)
-    if chi.degree > 4:
-        raise internal_error(p, "chi-m", "chi_m has degree above 4", m=m)
-    return chi
+    return -_iota_bracket(p.a, m, 0)
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,9 @@ class PQRecord:
         p = p_inf + p_star / D,   q = q_inf + q_star / D,
         D = (2m - j + a)(2m + 2s + j + a + 2),
 
-    where p_inf, p_star, q_inf, q_star do not depend on m.  The split is
-    asserted exactly by `pq_values`."""
+    where p_inf, p_star, q_inf, q_star do not depend on m.  The split holds
+    for all parameters: tests/test_analysis.py::TestIdentityProofs proves
+    it as a polynomial identity in (d, alpha d, beta d, m, s, j)."""
 
     m: int
     s: int
@@ -204,13 +205,13 @@ class PQRecord:
     q_star: Fraction
 
 
-def _pq_limit_parts(p: JacobiParams, s: int, j: int) -> tuple[int, int, int, int, int]:
+def _pq_limit_parts(one, a, b, s, j):
     """(p_inf, p_star, q_inf, q_star) at (s, j) as four integer numerators
-    over one positive denominator E.  As in `theta_iota_kappa`, a, b and j
-    are integers over L (`p.over_lcm_ab`), and a factor (2s + j + 1) reads
-    s2 + j + one, with s2 = 2sL and one = L."""
-    one, a, b = p.over_lcm_ab
-    s2, j = 2 * s * one, j * one
+    over one denominator E, positive for alpha, beta > -1, for a, b and j
+    given as integers over L (one = L), like `_recursion_weights`: a factor
+    (2s + j + 1) reads s2 + j + one, with s2 = 2sL.  Only +, - and * touch
+    the arguments, so tests/test_analysis.py runs it on polynomials."""
+    s2 = 2 * s * one
     den = (s2 + j + one) * (s2 + 2 * j + a) * (s2 + 2 * j + a + b + one) * (j + one)
     w2 = s2 + 2 * j + a + 2 * one
     bracket = (
@@ -236,50 +237,59 @@ def _odd_scales(p: JacobiParams, s: int, count: int) -> list[tuple[int, int]]:
     return [(c.c * a.den, c.den * a.a) for a, c in zip(rows, rows[1:])]
 
 
-def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple]:
-    """p(j) and q(j) for j = 1 .. 2m-1 as (p_N, p_D, q_N, q_D, limit parts),
-    each split asserted, with p = p_N / p_D and q = q_N / q_D.
+def _pq_quotients(one, a, b, m, s, j, r0, r1):
+    """(p_N, p_D, q_N, q_D) with p(j) = p_N / p_D = r(j+1) I / T and q(j) =
+    q_N / q_D = r(j) r(j+1) K / T, for r0 = r(j) and r1 = r(j+1) as pairs and
+    T, I, K the weights of the companion point (a+1, b-1) over the same L
+    (`_recursion_weights`; a, b and j integers over L).  Like
+    `_pq_limit_parts` it runs on polynomials."""
+    theta, iota, kappa, _ = _recursion_weights(one, a + one, b - one, m, s, j)
+    (r0_n, r0_d), (r1_n, r1_d) = r0, r1
+    return r1_n * iota, r1_d * theta, r0_n * r1_n * kappa, r0_d * r1_d * theta
 
-    With the weights T, I, K of the companion point (a+1, b-1) over the same L
-    (`_recursion_weights`), p = r(j+1) I / T and q = r(j) r(j+1) K / T are
-    integer quotients.  T is positive: its factors 2m-j+a, 2m+2s+j+a+2,
-    2s+j+1, 2s+2j+2beta+4, j+1, 2s+2j+a and 2s+2j+a-1 (the last two down
-    and e at the companion point) are positive for alpha, beta > -1 and
-    1 <= j <= 2m-1."""
+
+def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple[int, int, int, int]]:
+    """p(j) and q(j) for j = 1 .. 2m-1 as (p_N, p_D, q_N, q_D)
+    (`_pq_quotients`), with r(1..2m) from one run of odd rows.
+
+    T is positive: its factors 2m-j+a, 2m+2s+j+a+2, 2s+j+1, 2s+2j+2beta+4,
+    j+1, 2s+2j+a and 2s+2j+a-1 (the last two down and e at the companion
+    point) are positive for alpha, beta > -1 and 1 <= j <= 2m-1."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
     one, a, b = p.over_lcm_ab
-    a, b = a + one, b - one  # the companion point, over the same L
-    m2, s2 = 2 * m * one, 2 * s * one
     r = _odd_scales(p, s, 2 * m)
-    run = []
-    for j in range(1, 2 * m):
-        theta, iota, kappa, _ = _recursion_weights(one, a, b, m, s, j * one)
-        (r0_n, r0_d), (r1_n, r1_d) = r[j - 1], r[j]
-        p_n, p_d = r1_n * iota, r1_d * theta
-        q_n, q_d = r0_n * r1_n * kappa, r0_d * r1_d * theta
-        # p = p_inf + p_star / D and q = q_inf + q_star / D over E D L^2, with
-        # D L^2 = (2m-j+a)(2m+2s+j+a+2) L^2 > 0, read at the companion point.
-        parts = pi, ps, qi, qs, big_e = _pq_limit_parts(p, s, j)
-        big_d = (m2 - j * one + a - one) * (m2 + s2 + j * one + a + one)
-        if (p_n * big_e * big_d != p_d * (pi * big_d + ps * one**2)
-                or q_n * big_e * big_d != q_d * (qi * big_d + qs * one**2)):
-            raise internal_error(
-                p, "pq-split", "p/q decomposition fails", m=m, n=m + s, j=j
-            )
-        run.append((p_n, p_d, q_n, q_d, parts))
-    return run
+    return [_pq_quotients(one, a, b, m, s, j * one, r[j - 1], r[j]) for j in range(1, 2 * m)]
 
 
 def pq_values(p: JacobiParams, m: int, s: int) -> tuple[PQRecord, ...]:
     """p(j) and q(j) for the odd-index even-position analysis at (m, s), as
     one run j = 1 .. 2m-1 like phi_sequence: the record for j is at index
     j - 1, and the 2m+1 odd gencheb rows behind r(1..2m) are each built once."""
-    return tuple(
-        PQRecord(m, s, j, Fraction(p_n, p_d), Fraction(q_n, q_d),
-                 *(Fraction(x, parts[4]) for x in parts[:4]))
-        for j, (p_n, p_d, q_n, q_d, parts) in enumerate(_pq_run(p, m, s), start=1)
+    one, a, b = p.over_lcm_ab
+    records = []
+    for j, (p_n, p_d, q_n, q_d) in enumerate(_pq_run(p, m, s), start=1):
+        *parts, big_e = _pq_limit_parts(one, a, b, s, j * one)
+        records.append(PQRecord(m, s, j, Fraction(p_n, p_d), Fraction(q_n, q_d),
+                                *(Fraction(x, big_e) for x in parts)))
+    return tuple(records)
+
+
+def _omega_ratio(one, a, b, s, j):
+    """omega_j as (numerator, positive denominator), for a, b and j given as
+    integers over L (one = L).  It runs on polynomials, and is proved equal
+    to q_inf(j+1) - (1 + p_inf(j+1)) (q_inf(j) - p_inf(j)) of the limit parts."""
+    s2, j2 = 2 * s * one, 2 * j
+    num = (
+        (b - a) * b
+        * (s2 * (s2 + j2 + a + 2 * one) + (j + a) * (j2 + 4 * one) + (one - a) * one)
+        * (s2 + j2 + a + 2 * one) * (s2 + j2 + a + 4 * one)
     )
+    den = (
+        (s2 + j + one) * (s2 + j + 2 * one) * (j + one) * (j + 2 * one)
+        * (s2 + j2 + a + b + one) * (s2 + j2 + a + b + 3 * one)
+    )
+    return num, den
 
 
 def omega_value(p: JacobiParams, s: int, j: int) -> Fraction:
@@ -288,51 +298,29 @@ def omega_value(p: JacobiParams, s: int, j: int) -> Fraction:
         (b-a) b (2s(2s+2j+a+2) + (j+a)(2j+4) + 1-a) (2s+2j+a+2)(2s+2j+a+4)
         / ((2s+j+1)(2s+j+2)(j+1)(j+2) (2s+2j+a+b+1)(2s+2j+a+b+3)),
 
-    one integer quotient with a, b over L."""
+    one integer quotient with a, b over L (`_omega_ratio`)."""
     if s < 0 or j < 1:
         raise ValueError("need s >= 0 and j >= 1")
     one, a, b = p.over_lcm_ab
-    s2, j2 = 2 * s * one, 2 * j * one
-    num = (
-        (b - a) * b
-        * (s2 * (s2 + j2 + a + 2 * one) + (j * one + a) * (j2 + 4 * one) + (one - a) * one)
-        * (s2 + j2 + a + 2 * one) * (s2 + j2 + a + 4 * one)
-    )
-    den = (
-        one**4 * (2 * s + j + 1) * (2 * s + j + 2) * (j + 1) * (j + 2)
-        * (s2 + j2 + a + b + one) * (s2 + j2 + a + b + 3 * one)
-    )
-    return Fraction(num, den)
+    return Fraction(*_omega_ratio(one, a, b, s, j * one))
 
 
 def pq_inequality_check(p: JacobiParams, m: int, s: int) -> list[bool]:
-    """Checks [1 + p(j+1)] [q(j) - p(j)] < q(j+1) for j = 1 .. 2m-2.
+    """Checks [1 + p(j+1)] [q(j) - p(j)] < q(j+1) for j = 1 .. 2m-2, each by
+    one cross-multiplication by positive denominators.
 
-    Also recomputes omega_j both from its closed form and from the limit
-    parts, asserts they agree and are positive (these margins are what makes
-    the inequality uniform in m inside the validity region).  Each check is
-    one cross-multiplication by positive denominators."""
-    results = []
+    Refuses a point where some margin omega_j is not positive
+    (NotApplicableError): these margins are what makes the inequality
+    uniform in m inside the validity region."""
     run = _pq_run(p, m, s)
-    for j, (cur, nxt) in enumerate(zip(run, run[1:]), start=1):
-        p0_n, p0_d, q0_n, q0_d, (pi0, _, qi0, _, e0) = cur
-        p1_n, p1_d, q1_n, q1_d, (pi1, _, qi1, _, e1) = nxt
-        # q_inf(j+1) - (1 + p_inf(j+1)) (q_inf(j) - p_inf(j)), over e1 e0.
-        omega = omega_value(p, s, j)
-        from_parts = qi1 * e0 - (e1 + pi1) * (qi0 - pi0)
-        if omega.numerator * e1 * e0 != omega.denominator * from_parts:
-            raise internal_error(
-                p, "omega", "omega closed form disagrees with limit parts",
-                m=m, n=m + s, j=j,
-            )
-        if omega <= 0:
-            raise NotApplicableError(
-                "omega margin not positive: parameters outside the validity region"
-            )
-        results.append(
-            (p1_d + p1_n) * (q0_n * p0_d - p0_n * q0_d) * q1_d < q1_n * p1_d * q0_d * p0_d
+    if any(omega_value(p, s, j) <= 0 for j in range(1, 2 * m - 1)):
+        raise NotApplicableError(
+            "omega margin not positive: parameters outside the validity region"
         )
-    return results
+    return [
+        (p1_d + p1_n) * (q0_n * p0_d - p0_n * q0_d) * q1_d < q1_n * p1_d * q0_d * p0_d
+        for (p0_n, p0_d, q0_n, q0_d), (p1_n, p1_d, q1_n, q1_d) in zip(run, run[1:])
+    ]
 
 
 @dataclass(frozen=True)

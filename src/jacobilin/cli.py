@@ -321,7 +321,7 @@ def _phi_check(p, m, s):
     seq = phi_sequence(p, m, s)
     good = seq.alternation_holds()
     if m >= 2:
-        for j, (p_n, p_d, q_n, q_d, _) in enumerate(_pq_run(p, m, s), start=1):
+        for j, (p_n, p_d, q_n, q_d) in enumerate(_pq_run(p, m, s), start=1):
             # phi(j+1) = p + q / phi(j), times phi(j) (negative, so nonzero)
             # and the positive denominators of p, q and both phi.
             (u, v), (u1, v1) = (seq.value(i).as_integer_ratio() for i in (j, j + 1))

@@ -61,6 +61,8 @@ class RecurrenceCoeffs:
     den: int
 
     def __post_init__(self):
+        if self.den <= 0 or gcd(self.a, self.b, self.c, self.den) != 1:
+            raise ValueError(f"recurrence row not in lowest terms over den > 0 at n={self.n}")
         if self.a + self.b + self.c != self.den:
             raise ValueError(f"recurrence row does not sum to 1 at n={self.n}")
 
@@ -74,9 +76,9 @@ class CoeffVector:
 
     Stored as integer numerators `nums` (a tuple) over one positive
     denominator `den` in lowest terms, gcd(den, *nums) == 1, so that
-    g(m, n; |m-n| + i) = nums[i] / den; the checks (the entries sum to 1, the
-    jacobi extremes are positive, the gencheb parity zeros) run on these
-    integers.  `values`, `cv[k]` (k the absolute position) and `items()` form
+    g(m, n; |m-n| + i) = nums[i] / den; the checks (den > 0, the entries sum
+    to 1, the jacobi extremes are positive, the gencheb parity zeros) run on
+    these integers.  `values`, `cv[k]` (k the absolute position) and `items()` form
     the `Fraction`s when asked for, with zero entries as one shared 0.
     m <= n always (the builders pass m <= n).
     """
@@ -93,6 +95,8 @@ class CoeffVector:
             raise ValueError(f"unknown family {self.family!r}")
         if len(nums) != self.m + self.n - abs(self.m - self.n) + 1:
             raise ValueError("coefficient vector has the wrong length")
+        if self.den <= 0:
+            raise ValueError("coefficient vector denominator must be positive")
         if sum(nums) != self.den:
             raise ValueError("coefficient vector does not sum to 1")
         if self.family == FAMILY_JACOBI:

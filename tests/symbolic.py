@@ -2,15 +2,21 @@
 
 A formula of the library typed with +, - and * on ints runs unchanged on
 `Poly`s, so two such formulas that are equal as polynomials are equal at
-every parameter value, not only at the points a test visits."""
+every parameter value, not only at the points a test visits.  `slipped`
+plants a typo in a library formula, which such a proof must reject."""
 
-from itertools import zip_longest
+import inspect
+
+# The exponent of x_i sits in bits WIDTH i .. WIDTH (i+1) - 1 of one int, so
+# multiplying two monomials is one integer addition.  A field overflows only
+# at degree 2**WIDTH, far beyond any polynomial a test can build.
+WIDTH = 32
 
 
 class Poly:
-    """A dict from exponent tuples to nonzero ints.  An exponent tuple has
-    no trailing zeros, so the constant term is () and x_i is (0,) * i + (1,),
-    and two equal polynomials have equal dicts."""
+    """A dict from packed exponents to nonzero ints.  The constant term is
+    0 and x_i is 1 << (WIDTH i), and two equal polynomials have equal
+    dicts."""
 
     __slots__ = ("terms",)
 
@@ -20,14 +26,14 @@ class Poly:
     @classmethod
     def variables(cls, count: int) -> list:
         """The variables x_0 .. x_{count-1}."""
-        return [cls({(0,) * i + (1,): 1}) for i in range(count)]
+        return [cls({1 << (WIDTH * i): 1}) for i in range(count)]
 
     @staticmethod
     def _of(x) -> "Poly":
         if isinstance(x, Poly):
             return x
         if isinstance(x, int):
-            return Poly({(): x})
+            return Poly({0: x})
         raise TypeError(f"cannot combine Poly with {type(x)!r}")
 
     def __add__(self, other):
@@ -46,23 +52,36 @@ class Poly:
         return -self + other
 
     def __mul__(self, other):
+        theirs = Poly._of(other).terms.items()
         out = {}
+        get = out.get
         for e, c in self.terms.items():
-            for f, d in Poly._of(other).terms.items():
-                k = tuple(i + j for i, j in zip_longest(e, f, fillvalue=0))
-                out[k] = out.get(k, 0) + c * d
+            for f, d in theirs:
+                out[e + f] = get(e + f, 0) + c * d
         return Poly(out)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def __pow__(self, k: int):
-        out = Poly({(): 1})
+        out = Poly({0: 1})
         for _ in range(k):
             out = out * self
         return out
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, (Poly, int)) and self.terms == Poly._of(other).terms
 
     def __repr__(self):
         return f"Poly({self.terms!r})"
+
+
+def slipped(fn, old, new):
+    """`fn` recompiled from its source with the one `old` replaced by `new`."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    scope = dict(fn.__globals__)
+    exec(source.replace(old, new), scope)
+    return scope[fn.__name__]

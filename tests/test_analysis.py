@@ -3,7 +3,6 @@ recursion coefficient, the p/q ratio functions with their large-m
 decomposition, the phi sequence, and the assembled identity audits."""
 
 import random
-import re
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +11,6 @@ import pytest
 from jacobilin import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
-    RationalPolynomial,
     chi_m_poly,
     classify_region,
     find_negativity_witness,
@@ -32,6 +30,7 @@ from jacobilin import (
     theta_iota_kappa,
 )
 from jacobilin import analysis
+from jacobilin import jacobi
 from jacobilin.analysis import (
     SCAN_MODES,
     VERDICT_ALL_NONNEG,
@@ -57,6 +56,7 @@ from make_outcome_digests import (
     identity_lines,
     limit_parts_lines,
 )
+from symbolic import Poly, slipped
 
 F = Fraction
 BETWEEN = make_params(F(-33, 100), F(-87, 100))
@@ -317,42 +317,71 @@ class TestPQ:
         check_recorded(request.node, limit_parts_lines(point))
 
 
-class TestInternalErrors:
-    """Each cross-check of the ratio machinery, failed by a change of
-    1/10**6, names its route, the point and the indices."""
+# The proof's variables: the common denominator d, alpha d, beta d, m, s and
+# j; a d and b d are formed from them.
+D, AL, BE, M, S, J = Poly.variables(6)
+A, B = AL + BE + D, AL - BE
 
-    @pytest.mark.parametrize(
-        "target, perturb, call, message",
-        [
-            pytest.param(
-                "_pq_limit_parts", lambda parts: (parts[0] + F(1, 10**6), *parts[1:]),
-                lambda: pq_values(BETWEEN, 3, 1),
-                "p/q decomposition fails (route pq-split, alpha=-33/100, beta=-87/100, "
-                "m=3, n=4, j=1)",
-                id="pq-split",
-            ),
-            pytest.param(
-                "omega_value", lambda omega: omega + F(1, 10**6),
-                lambda: pq_inequality_check(BETWEEN, 3, 1),
-                "omega closed form disagrees with limit parts (route omega, "
-                "alpha=-33/100, beta=-87/100, m=3, n=4, j=1)",
-                id="omega",
-            ),
-            pytest.param(
-                "_iota_bracket", lambda poly: poly + RationalPolynomial([0] * 5 + [F(1, 10**6)]),
-                lambda: chi_m_poly(BETWEEN, 3),
-                "chi_m has degree above 4 (route chi-m, alpha=-33/100, beta=-87/100, m=3)",
-                id="chi-m",
-            ),
-        ],
-    )
-    def test_failed_check_names_route_point_and_indices(
-        self, monkeypatch, target, perturb, call, message
-    ):
-        original = getattr(analysis, target)
-        monkeypatch.setattr(analysis, target, lambda *args: perturb(original(*args)))
-        with pytest.raises(RuntimeError, match=re.escape(f"internal: {message}") + "$"):
-            call()
+
+def odd_scale(j):
+    """r(j) = c_{2s+2j+1} / a_{2s+2j-1} as a pair, from the library's odd
+    gencheb rows 2s+2j-1 and 2s+2j+1 (half-indices s+j and s+j+1)."""
+    a, _, _, a_den = jacobi._gencheb_row(D, AL, BE, (S + j) * D, True)
+    _, _, c, c_den = jacobi._gencheb_row(D, AL, BE, (S + j + 1) * D, True)
+    return c * a_den, c_den * a
+
+
+def identity_holds(identity):
+    """The identity as a polynomial equality, with every factor from the
+    library helpers as the analysis module holds them when called:
+
+        p = p_inf + p_star / D_m,  q = q_inf + q_star / D_m,
+        D_m = (2m - j + a)(2m + 2s + j + a + 2),
+
+    in (d, alpha d, beta d, m, s, j), or omega_j = q_inf(j+1) - (1 +
+    p_inf(j+1)) (q_inf(j) - p_inf(j)) in (d, alpha d, beta d, s, j)."""
+    p_inf, p_star, q_inf, q_star, e = analysis._pq_limit_parts(D, A, B, S, J * D)
+    if identity == "omega":
+        num, den = analysis._omega_ratio(D, A, B, S, J * D)
+        p_inf1, _, q_inf1, _, e1 = analysis._pq_limit_parts(D, A, B, S, J * D + D)
+        return num * e1 * e == den * (q_inf1 * e - (e1 + p_inf1) * (q_inf - p_inf))
+    p_n, p_d, q_n, q_d = analysis._pq_quotients(D, A, B, M, S, J * D, odd_scale(J),
+                                                odd_scale(J + 1))
+    # d_m = D_m d^2, as a = A / d; the limit parts are numerators over e.
+    d_m = ((2 * M - J) * D + A) * ((2 * M + 2 * S + J + 2) * D + A)
+    if identity == "p_split":
+        return p_n * e * d_m == p_d * (p_inf * d_m + p_star * D**2)
+    return q_n * e * d_m == q_d * (q_inf * d_m + q_star * D**2)
+
+
+# One planted typo per identity, in the library formula named, and one in
+# iota's weight, which the p split reads: (identity, module, helper, text,
+# replacement).
+SLIPS = {
+    "p_split": ("p_split", analysis, "_pq_limit_parts",
+                "(one - b) * (s2 + j) *", "(one + b) * (s2 + j) *"),
+    "q_split": ("q_split", analysis, "_pq_limit_parts",
+                "q_star = (one - a)", "q_star = (one + a)"),
+    "omega": ("omega", analysis, "_omega_ratio", "(one - a) * one)", "(one + a) * one)"),
+    "iota": ("p_split", analysis, "_recursion_weights",
+             "shared_ik * sj * j * up", "shared_ik * sj * j * down"),
+}
+
+
+class TestIdentityProofs:
+    """The p/q split and omega against its limit parts hold for all
+    parameters, as polynomial identities, so `pq_values` and
+    `pq_inequality_check` need no cross-check when they run."""
+
+    @pytest.mark.parametrize("identity", ["p_split", "q_split", "omega"])
+    def test_identity_holds(self, identity):
+        assert identity_holds(identity)
+
+    @pytest.mark.parametrize("slip", SLIPS)
+    def test_planted_slip_fails(self, monkeypatch, slip):
+        identity, module, name, old, new = SLIPS[slip]
+        monkeypatch.setattr(module, name, slipped(getattr(module, name), old, new))
+        assert not identity_holds(identity)
 
 
 class TestPhi:

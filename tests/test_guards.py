@@ -73,12 +73,25 @@ GUARDS = {
         lambda: RecurrenceCoeffs(2, 2, 0, 1, 4),
         "recurrence row does not sum to 1 at n=2",
     ),
+    "RecurrenceCoeffs/lowest": (
+        lambda: RecurrenceCoeffs(1, 2, 0, 2, 4),
+        "recurrence row not in lowest terms over den > 0 at n=1",
+    ),
+    "RecurrenceCoeffs/den": (
+        lambda: RecurrenceCoeffs(1, -1, 0, -1, -2),
+        "recurrence row not in lowest terms over den > 0 at n=1",
+    ),
     "CoeffVector/family": (
         lambda: CoeffVector(0, 1, "legendre", (1,), 1), "unknown family 'legendre'"
     ),
     "CoeffVector/length": (
         lambda: CoeffVector(1, 2, FAMILY_JACOBI, (1,), 1),
         "coefficient vector has the wrong length",
+    ),
+    "CoeffVector/den": (
+        # Its values are (1/2, 0, 1/2), but a scan reads the numerators.
+        lambda: CoeffVector(1, 1, FAMILY_GENCHEB, (-1, 0, -1), -2),
+        "coefficient vector denominator must be positive",
     ),
     "CoeffVector/sum": (
         lambda: CoeffVector(1, 2, FAMILY_JACOBI, (4, 2, 1), 8),

@@ -1,7 +1,6 @@
 """The plain polynomial family: recurrence, evaluation, three-point recursion
 coefficients, closed-form boundary entries, and the full product expansions."""
 
-import inspect
 import random
 from fractions import Fraction
 from math import gcd
@@ -42,7 +41,7 @@ from make_outcome_digests import (
     kernel_lines,
     row_lines,
 )
-from symbolic import Poly
+from symbolic import Poly, slipped
 
 F = Fraction
 
@@ -169,15 +168,6 @@ def identity_holds(identity, jacobi_row, gencheb_row):
     return a * a_den == a_ref * den and c * c_den == c_ref * den
 
 
-def slipped(fn, old, new):
-    """`fn` recompiled from its source with the one `old` replaced by `new`."""
-    source = inspect.getsource(fn)
-    assert source.count(old) == 1, old
-    scope = dict(fn.__globals__)
-    exec(source.replace(old, new), scope)
-    return scope[fn.__name__]
-
-
 class TestRowProofs:
     """Each builder types its row once; its one formula is proved equal to
     the other parametrization for all parameters, as polynomials in (d,
@@ -201,6 +191,7 @@ class TestRowProofs:
         assert (x + y) ** 2 == x * x + 2 * x * y + y * y
         assert 1 - x + x == 1 and 3 * x - x * 3 == 0
         assert x * y - y * x == Poly() and x != y and x + 1 != 1 + y
+        assert not Poly() and not x - x and not 0 * y and x and x - y and 1 + x - x
         with pytest.raises(TypeError):
             x + F(1, 2)
 
