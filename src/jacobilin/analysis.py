@@ -17,9 +17,12 @@ weights of `_recursion_weights` (theta, iota, kappa as T, I, K over one
 denominator D) and the boundary ratios g(s+1)/g(s) and g(s+2m-1)/g(s+2m) of
 `_boundary_ratios`: each value is one integer quotient, and each check one
 cross-multiplication by factors that are nonzero for alpha, beta > -1.  A
-`Fraction` is formed only for a returned value.  The p/q split and omega's
-closed form are not checked per call: their helpers also run on polynomials,
-and tests/test_analysis.py proves both for all parameters.
+`Fraction` is formed only for a returned value.  Each identity's core
+(`_pq_quotients`, `_pq_limit_parts`, `_omega_ratio`, `_gasper_sides`,
+`_necessity_sides`) also runs on polynomials, and tests/test_analysis.py
+proves the p/q split, omega's closed form and sign, phi's recurrence and the
+Gasper and necessity identities for all parameters.  So omega's refusal is
+one sign test, and no call re-checks an identity that a proof covers.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from fractions import Fraction
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import _companion, gencheb_rec_coeffs, linearize_gencheb
 from .jacobi import _boundary_ratios, _recursion_weights, linearize_jacobi
-from .params import JacobiParams, classify_region, gasper_q, gasper_v, make_params
+from .params import JacobiParams, _gasper_qv, classify_region, make_params
 
 VERDICT_ALL_NONNEG = "all_nonneg"
 VERDICT_ALL_POSITIVE = "all_positive_on_support"
@@ -298,7 +301,10 @@ def omega_value(p: JacobiParams, s: int, j: int) -> Fraction:
         (b-a) b (2s(2s+2j+a+2) + (j+a)(2j+4) + 1-a) (2s+2j+a+2)(2s+2j+a+4)
         / ((2s+j+1)(2s+j+2)(j+1)(j+2) (2s+2j+a+b+1)(2s+2j+a+b+3)),
 
-    one integer quotient with a, b over L (`_omega_ratio`)."""
+    one integer quotient with a, b over L (`_omega_ratio`).  Every factor but
+    (b-a) b is positive for alpha, beta > -1, s >= 0 and j >= 1, so omega_j
+    has the sign of (b-a) b: tests/test_analysis.py proves both for all
+    parameters."""
     if s < 0 or j < 1:
         raise ValueError("need s >= 0 and j >= 1")
     one, a, b = p.over_lcm_ab
@@ -309,11 +315,12 @@ def pq_inequality_check(p: JacobiParams, m: int, s: int) -> list[bool]:
     """Checks [1 + p(j+1)] [q(j) - p(j)] < q(j+1) for j = 1 .. 2m-2, each by
     one cross-multiplication by positive denominators.
 
-    Refuses a point where some margin omega_j is not positive
+    Refuses a point where the margins omega_j are not positive
     (NotApplicableError): these margins are what makes the inequality
-    uniform in m inside the validity region."""
+    uniform in m inside the validity region.  Every omega_j has the sign of
+    b (b - a) (`omega_value`), so that one product decides the refusal."""
     run = _pq_run(p, m, s)
-    if any(omega_value(p, s, j) <= 0 for j in range(1, 2 * m - 1)):
+    if p.b * (p.b - p.a) <= 0:
         raise NotApplicableError(
             "omega margin not positive: parameters outside the validity region"
         )
@@ -397,9 +404,32 @@ def find_negativity_witness(
     return None
 
 
-def _times(x: Fraction, scale: int) -> int:
-    """x scale, for a Fraction x whose denominator divides scale."""
-    return x.numerator * (scale // x.denominator)
+def _gasper_sides(one, a, b, m, s):
+    """((lhs1, rhs1), (lhs2, rhs2)) of `gasper_simplification_values` as
+    (numerator, denominator) pairs, for a and b integers over L (one = L).
+    It runs on polynomials, as does `_necessity_sides`."""
+    m2, m4, s2 = 2 * m * one, 4 * m * one, 2 * s * one
+    (lo_n, lo_d), (hi_n, hi_d) = _boundary_ratios(one, a, b, m, s)
+    _, iota, kappa, den = _recursion_weights(one, a, b, m, s, one)
+    lhs1 = (
+        (m2 + a - one) * (s2 + a - b + one) * (m2 + s2 + a + one) * (s2 + a + 3 * one)
+        * (iota * lo_n + kappa * lo_d),
+        4 * m * (m * one + s * one + a) * (s2 + a + one) * one**2 * den * lo_d,
+    )
+    q, v = _gasper_qv(one, a, b, s)
+    sq_a = b * b + a * one  # (b^2 + a) L^2
+    rhs1 = (2 * m - 4) * (m2 + s2 + 2 * a + 4 * one) * (sq_a * 2 * s + q) * one + v, one**4
+    theta, iota, _, den = _recursion_weights(one, a, b, m, s, m2 - one)
+    lhs2 = (
+        (m2 + a - one) * (m2 + s2 + a - one) * (m4 + s2 + a - 3 * one)
+        * (m4 + s2 + a + b - one) * (theta * hi_d - iota * hi_n),
+        4 * m * (m + s) * (m4 + s2 + a - one) * one**3 * den * hi_d,
+    )
+    rhs2 = (2 * m - 4) * one * (
+        sq_a * (2 * m + 2 * s - 4) * (m4 + s2 + 2 * a)
+        + q * (6 * m * one + 6 * s * one + 4 * a + 4 * one)
+    ) + v, one**4
+    return (lhs1, rhs1), (lhs2, rhs2)
 
 
 def gasper_simplification_values(
@@ -407,61 +437,62 @@ def gasper_simplification_values(
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Both product-form identities that reduce the second and second-to-last
     coefficients to the region-defining polynomial; returns ((lhs, rhs), ...)
-    pairs that must be exactly equal:
+    pairs, equal for all parameters (tests/test_analysis.py proves both):
 
         lhs1 = (2m+a-1)(2s+a-b+1)(2m+2s+a+1)(2s+a+3) / (4m(m+s+a)(2s+a+1))
                * (iota(1) g(s+1)/g(s) + kappa(1)),
         rhs1 = (2m-4)(2m+2s+2a+4)((b^2+a) 2s + Q) + V_s,
         lhs2 = (2m+a-1)(2m+2s+a-1)(4m+2s+a-3)(4m+2s+a+b-1) / (4m(m+s)(4m+2s+a-1))
                * (theta(2m-1) - iota(2m-1) g(s+2m-1)/g(s+2m)),
-        rhs2 = (2m-4)((b^2+a)(2m+2s-4)(4m+2s+2a) + Q(6m+6s+4a+4)) + V_s.
+        rhs2 = (2m-4)((b^2+a)(2m+2s-4)(4m+2s+2a) + Q(6m+6s+4a+4)) + V_s,
 
-    Each is one integer quotient, with a, b over L, theta, iota, kappa the
-    weights of `_recursion_weights` over their denominator D and the two
-    boundary ratios the pairs of `_boundary_ratios`; every factor cleared is
-    nonzero for alpha, beta > -1 and m >= 2."""
+    with Q and V_s of `params._gasper_qv`.  Each is one integer quotient of
+    `_gasper_sides`, from the weights of `_recursion_weights` and the pairs
+    of `_boundary_ratios`; every factor cleared is nonzero for alpha,
+    beta > -1 and m >= 2."""
     if m < 2 or s < 0:
         raise ValueError("need m >= 2 and s >= 0")
-    one, a, b = p.over_lcm_ab
-    m2, m4, s2 = 2 * m * one, 4 * m * one, 2 * s * one
-    (lo_n, lo_d), (hi_n, hi_d) = _boundary_ratios(one, a, b, m, s)
-    _, iota, kappa, den = _recursion_weights(one, a, b, m, s, one)
-    lhs1 = Fraction(
-        (m2 + a - one) * (s2 + a - b + one) * (m2 + s2 + a + one) * (s2 + a + 3 * one)
-        * (iota * lo_n + kappa * lo_d),
-        4 * m * (m * one + s * one + a) * (s2 + a + one) * one**2 * den * lo_d,
+    (l1, r1), (l2, r2) = _gasper_sides(*p.over_lcm_ab, m, s)
+    return (Fraction(*l1), Fraction(*r1)), (Fraction(*l2), Fraction(*r2))
+
+
+def _necessity_sides(one, a, b, m, s, r1, r2):
+    """((lhs1, rhs1), (lhs2, rhs2)) of `necessity_identity_values` as
+    (numerator, denominator) pairs, for a and b integers over L (one = L)
+    and the odd scales r1, r2 as pairs.  At b = 1 the second pair's
+    denominators are 0."""
+    m2, s2 = 2 * m * one, 2 * s * one
+    (lo_n, lo_d), _ = _boundary_ratios(one, a + one, b - one, m, s)
+    (r1_n, r1_d), (r2_n, r2_d) = r1, r2
+    lhs1 = (
+        (m2 + a) * (m2 + s2 + a + 2 * one) * (s2 + a + b + one) * (r1_n * lo_n + r1_d * lo_d),
+        (s2 + a + 2 * one) * one**2 * r1_d * lo_d,
     )
-    q = gasper_q(p)
-    q_n, v_n = _times(q, one**2), _times(gasper_v(p, q, s), one**4)
-    sq_a = b * b + a * one  # (b^2 + a) L^2
-    rhs1 = Fraction(
-        (2 * m - 4) * (m2 + s2 + 2 * a + 4 * one) * (sq_a * 2 * s + q_n) * one + v_n,
-        one**4,
+    rhs1 = 4 * b * m * m * one + 4 * b * (s * one + a + one) * m + a * (s2 + a + b + one), one**2
+    theta, iota, kappa, _ = _recursion_weights(one, a + one, b - one, m, s, one)
+    rho_n, rho_d = iota * lo_n + kappa * lo_d, theta * lo_n
+    q, _ = _gasper_qv(one, a, b)
+    lhs2 = (
+        4 * (s + 1) * (b - one) * (m2 + a - one) * (m2 + s2 + a + 3 * one)
+        * (s2 + a + b + 3 * one) * (r2_n * rho_n + r2_d * rho_d),
+        (s2 + a + 4 * one) * one**3 * r2_d * rho_d,
     )
-    theta, iota, _, den = _recursion_weights(one, a, b, m, s, (2 * m - 1) * one)
-    lhs2 = Fraction(
-        (m2 + a - one) * (m2 + s2 + a - one) * (m4 + s2 + a - 3 * one)
-        * (m4 + s2 + a + b - one) * (theta * hi_d - iota * hi_n),
-        4 * m * (m + s) * (m4 + s2 + a - one) * one**3 * den * hi_d,
-    )
-    rhs2 = Fraction(
-        (2 * m - 4) * one * (
-            sq_a * (2 * m + 2 * s - 4) * (m4 + s2 + 2 * a)
-            + q_n * (6 * m * one + 6 * s * one + 4 * a + 4 * one)
-        ) + v_n,
-        one**4,
-    )
+    rhs2 = (
+        (4 * m - 4) * (m * one + s * one + a + 2 * one) * (q * (s + 1) - a * (a + one) * s) * one
+        + (a + one) * (s2 + a + b + 3 * one) * ((a + 2 * b) * (s2 + 2 * one - b) + q)
+    ), one**4
     return (lhs1, rhs1), (lhs2, rhs2)
 
 
 def necessity_identity_values(
     p: JacobiParams, m: int, s: int
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction] | None]:
-    """The two assembled identities behind the necessity direction.
+    """The two assembled identities behind the necessity direction, equal
+    for all parameters (tests/test_analysis.py proves both).
 
-    The first holds for all admissible parameters; the second needs b != 1
-    (it divides by the companion second coefficient) and is None at b = 1.
-    With r1, r2 the odd scales, g+ the companion entries and Q = `gasper_q`:
+    The second divides by the companion second coefficient, which is 0 at
+    b = 1, and is None there.  With r1, r2 the odd scales, g+ the companion
+    entries and Q of `params._gasper_qv`:
 
         lhs1 = (2m+a)(2m+2s+a+2)(2s+a+b+1) / (2s+a+2) * (r1 g+(s+1)/g+(s) + 1),
         rhs1 = 4b m^2 + 4b(s+a+1) m + a(2s+a+b+1),
@@ -470,39 +501,12 @@ def necessity_identity_values(
         rhs2 = (4m-4)(m+s+a+2)(Q(s+1) - a(a+1)s)
                + (a+1)(2s+a+b+3)((a+2b)(2s+2-b) + Q).
 
-    Each is one integer quotient, with a, b over L, and theta+, iota+,
+    Each is one integer quotient of `_necessity_sides`, with theta+, iota+,
     kappa+ and g+(s+1)/g+(s) read from `_recursion_weights` and
-    `_boundary_ratios` at the companion point (a+1, b-1), whose integers over
-    L are (L, A+L, B-L); T is positive there at j = 1."""
+    `_boundary_ratios` at the companion point (a+1, b-1), whose integers
+    over L are (L, A+L, B-L); T is positive there at j = 1."""
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     one, a, b = p.over_lcm_ab
-    m2, s2 = 2 * m * one, 2 * s * one
-    (lo_n, lo_d), _ = _boundary_ratios(one, a + one, b - one, m, s)
-    (r1_n, r1_d), (r2_n, r2_d) = _odd_scales(p, s, 2)
-    lhs1 = Fraction(
-        (m2 + a) * (m2 + s2 + a + 2 * one) * (s2 + a + b + one) * (r1_n * lo_n + r1_d * lo_d),
-        (s2 + a + 2 * one) * one**2 * r1_d * lo_d,
-    )
-    rhs1 = Fraction(
-        4 * b * m * m * one + 4 * b * (s * one + a + one) * m + a * (s2 + a + b + one),
-        one**2,
-    )
-    if b == one:
-        return (lhs1, rhs1), None
-    # At b != 1, g+(s+1) != 0: lo_n is a nonzero factor.
-    theta, iota, kappa, _ = _recursion_weights(one, a + one, b - one, m, s, one)
-    rho_n, rho_d = iota * lo_n + kappa * lo_d, theta * lo_n
-    q_n = _times(gasper_q(p), one**2)
-    lhs2 = Fraction(
-        4 * (s + 1) * (b - one) * (m2 + a - one) * (m2 + s2 + a + 3 * one)
-        * (s2 + a + b + 3 * one) * (r2_n * rho_n + r2_d * rho_d),
-        (s2 + a + 4 * one) * one**3 * r2_d * rho_d,
-    )
-    rhs2 = Fraction(
-        (4 * m - 4) * (m * one + s * one + a + 2 * one)
-        * (q_n * (s + 1) - a * (a + one) * s) * one
-        + (a + one) * (s2 + a + b + 3 * one) * ((a + 2 * b) * (s2 + 2 * one - b) + q_n),
-        one**4,
-    )
-    return (lhs1, rhs1), (lhs2, rhs2)
+    (l1, r1), (l2, r2) = _necessity_sides(one, a, b, m, s, *_odd_scales(p, s, 2))
+    return (Fraction(*l1), Fraction(*r1)), None if b == one else (Fraction(*l2), Fraction(*r2))

@@ -13,7 +13,8 @@ Exit codes: 0 success / property holds, 1 property violated or methods
 disagree (witness printed), 2 usage or range error (message on stderr),
 3 `verify` property not applicable at a valid point (verdict
 `not_applicable` with the reason), 4 internal consistency failure (message on
-stderr naming the point, the indices and the route).
+stderr naming the point, the indices and the route) or a division by zero,
+which no subcommand raises on purpose.
 """
 
 import argparse
@@ -30,7 +31,6 @@ from .analysis import (
     VERDICT_ALL_POSITIVE,
     VERDICT_VIOLATION,
     NotApplicableError,
-    _pq_run,
     find_negativity_witness,
     iota_zero_count,
     necessity_identity_values,
@@ -318,15 +318,7 @@ def _pq_check(p, m, s):
 
 
 def _phi_check(p, m, s):
-    seq = phi_sequence(p, m, s)
-    good = seq.alternation_holds()
-    if m >= 2:
-        for j, (p_n, p_d, q_n, q_d) in enumerate(_pq_run(p, m, s), start=1):
-            # phi(j+1) = p + q / phi(j), times phi(j) (negative, so nonzero)
-            # and the positive denominators of p, q and both phi.
-            (u, v), (u1, v1) = (seq.value(i).as_integer_ratio() for i in (j, j + 1))
-            if u1 * u * p_d * q_d != (p_n * u * q_d + q_n * v * p_d) * v1:
-                good = False
+    good = phi_sequence(p, m, s).alternation_holds()
     return good, f"alternation {'holds' if good else 'FAILS'}"
 
 
@@ -504,10 +496,10 @@ def run_command(argv: list[str]) -> int:
         try:
             p = make_params(ns.alpha, ns.beta)
             payload, verdict, lines, code = globals()[f"_cmd_{ns.subcommand}"](p, ns)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except RuntimeError as exc:
+        except (RuntimeError, ZeroDivisionError) as exc:
             print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
             return 4
         if ns.format == "json":

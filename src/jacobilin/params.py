@@ -92,27 +92,26 @@ class RegionReport:
     label: RegionLabel
 
 
-def gasper_q(p: JacobiParams) -> Fraction:
-    """Q = a^2 + 2b^2 + 3a, whose sign with b >= 0 defines V'."""
-    a, b = p.a, p.b
-    return a * a + 2 * b * b + 3 * a
+def _gasper_qv(one, a, b, s=0):
+    """(Q L^2, V_s L^4) for a and b given as integers over L (one = L), with
 
+        Q   = a^2 + 2b^2 + 3a,
+        V_s = Q (2s + a + 3)(2s + a + 5) - 3(a+1)(a+2) b^2.
 
-def gasper_v(p: JacobiParams, q: Fraction, s: int = 0) -> Fraction:
-    """V_s = Q (2s + a + 3)(2s + a + 5) - 3(a+1)(a+2) b^2, given
-    q = `gasper_q(p)`.  V_0 >= 0 with b >= 0 defines V, and V_s is the value
-    at m = 2 of both of Gasper's simplified second coefficients
-    (`gasper_simplification_values`)."""
-    a, b = p.a, p.b
-    return q * (a + (2 * s + 3)) * (a + (2 * s + 5)) - 3 * (a + 1) * (a + 2) * b * b
+    Q >= 0 with b >= 0 defines V', V_0 >= 0 with b >= 0 defines V, and V_s
+    is the value at m = 2 of both of Gasper's simplified second coefficients
+    (`analysis.gasper_simplification_values`).  Only +, - and * touch the
+    arguments, so tests/test_analysis.py runs it on polynomials."""
+    q = a * a + 2 * b * b + 3 * a * one
+    s2 = 2 * s * one
+    return q, q * (s2 + a + 3 * one) * (s2 + a + 5 * one) - 3 * (a + one) * (a + 2 * one) * b * b
 
 
 def classify_region(p: JacobiParams) -> RegionReport:
     a, b = p.a, p.b
     in_delta = a >= 0 and b >= 0
     in_delta_interior = a > 0 and b > 0
-    q = gasper_q(p)
-    v = gasper_v(p, q)
+    q, v = _gasper_qv(*p.over_lcm_ab)
     in_v = b >= 0 and v >= 0
     in_v_interior = b > 0 and v > 0
     in_vprime = b >= 0 and q >= 0

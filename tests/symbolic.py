@@ -2,8 +2,9 @@
 
 A formula of the library typed with +, - and * on ints runs unchanged on
 `Poly`s, so two such formulas that are equal as polynomials are equal at
-every parameter value, not only at the points a test visits.  `slipped`
-plants a typo in a library formula, which such a proof must reject."""
+every parameter value, not only at the points a test visits.  `positive`
+certifies a sign on a domain the same way, and `slipped` plants a typo in
+a library formula, which such a proof must reject."""
 
 import inspect
 
@@ -76,6 +77,15 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.terms!r})"
+
+
+def positive(poly: Poly, strict) -> bool:
+    """A certificate that poly > 0 wherever the variables in `strict` are
+    > 0 and the others are >= 0: every coefficient is positive, and some
+    monomial uses only `strict` variables (that one is > 0, the rest >= 0).
+    False says only that this certificate does not apply."""
+    mask = sum(e * ((1 << WIDTH) - 1) for v in strict for e in v.terms)
+    return all(c > 0 for c in poly.terms.values()) and any(not e & ~mask for e in poly.terms)
 
 
 def slipped(fn, old, new):

@@ -5,6 +5,7 @@ decomposition, the phi sequence, and the assembled identity audits."""
 import random
 from fractions import Fraction
 from math import gcd
+from types import FunctionType
 
 import pytest
 
@@ -33,6 +34,7 @@ from jacobilin import analysis
 from jacobilin import jacobi
 from jacobilin.analysis import (
     SCAN_MODES,
+    NotApplicableError,
     VERDICT_ALL_NONNEG,
     VERDICT_ALL_POSITIVE,
     VERDICT_VIOLATION,
@@ -56,7 +58,7 @@ from make_outcome_digests import (
     identity_lines,
     limit_parts_lines,
 )
-from symbolic import Poly, slipped
+from symbolic import Poly, positive, slipped
 
 F = Fraction
 BETWEEN = make_params(F(-33, 100), F(-87, 100))
@@ -299,6 +301,22 @@ class TestPQ:
         assert omega_value(p, 0, 1) == 0
         assert omega_value(p, 2, 3) == 0
 
+    @pytest.mark.parametrize("point, refused", [
+        pytest.param((F(1, 4), F(-1, 2)), True, id="b-equals-a"),
+        pytest.param((F(1, 3), F(1, 3)), True, id="b-zero"),
+        pytest.param((BETWEEN.alpha, BETWEEN.beta), False, id="between"),
+    ])
+    def test_refused_where_omega_is_not_positive(self, point, refused):
+        # omega_j has the sign of b (b - a) (TestIdentityProofs, omega_sign):
+        # it is 0 on both lines, so the check refuses there.
+        p = make_params(*point)
+        assert (omega_value(p, 1, 2) <= 0) == refused
+        if refused:
+            with pytest.raises(NotApplicableError, match="omega margin not positive"):
+                pq_inequality_check(p, 2, 1)
+        else:
+            assert pq_inequality_check(p, 2, 1) == [True, True]
+
     def test_omega_positive_between_regions(self):
         for s in range(3):
             for j in range(1, 6):
@@ -318,8 +336,10 @@ class TestPQ:
 
 
 # The proof's variables: the common denominator d, alpha d, beta d, m, s and
-# j; a d and b d are formed from them.
-D, AL, BE, M, S, J = Poly.variables(6)
+# j, with a d and b d formed from them; the weights T, I, K and the
+# companion entries g+(s+j-1), g+(s+j) as free symbols for phi's recurrence;
+# and x = (alpha+1) d, y = (beta+1) d, u = (j-1) d for omega's sign.
+D, AL, BE, M, S, J, T, I, K, G0, G1, X, Y, U = Poly.variables(14)
 A, B = AL + BE + D, AL - BE
 
 
@@ -331,15 +351,17 @@ def odd_scale(j):
     return c * a_den, c_den * a
 
 
-def identity_holds(identity):
-    """The identity as a polynomial equality, with every factor from the
-    library helpers as the analysis module holds them when called:
+def equal(sides):
+    """lhs == rhs for the (numerator, denominator) pairs (lhs, rhs)."""
+    (l_n, l_d), (r_n, r_d) = sides
+    return l_n * r_d == r_n * l_d
 
-        p = p_inf + p_star / D_m,  q = q_inf + q_star / D_m,
-        D_m = (2m - j + a)(2m + 2s + j + a + 2),
 
-    in (d, alpha d, beta d, m, s, j), or omega_j = q_inf(j+1) - (1 +
-    p_inf(j+1)) (q_inf(j) - p_inf(j)) in (d, alpha d, beta d, s, j)."""
+def split_holds(identity):
+    """p = p_inf + p_star / D_m and q = q_inf + q_star / D_m, D_m = (2m - j
+    + a)(2m + 2s + j + a + 2), in (d, alpha d, beta d, m, s, j), or omega_j
+    = q_inf(j+1) - (1 + p_inf(j+1)) (q_inf(j) - p_inf(j)) in (d, alpha d,
+    beta d, s, j)."""
     p_inf, p_star, q_inf, q_star, e = analysis._pq_limit_parts(D, A, B, S, J * D)
     if identity == "omega":
         num, den = analysis._omega_ratio(D, A, B, S, J * D)
@@ -354,9 +376,64 @@ def identity_holds(identity):
     return q_n * e * d_m == q_d * (q_inf * d_m + q_star * D**2)
 
 
-# One planted typo per identity, in the library formula named, and one in
-# iota's weight, which the p split reads: (identity, module, helper, text,
-# replacement).
+def omega_sign():
+    """omega_j has the sign of (b - a) b: its numerator is (b - a) b F
+    (2s+2j+a+2)(2s+2j+a+4), and F, both factors and its denominator are
+    positive for d, x, y > 0 and u, s >= 0, which is alpha, beta > -1 and
+    j >= 1."""
+    a, b, j = X + Y - D, X - Y, D + U
+    s2 = 2 * S * D
+    f = s2 * (s2 + 2 * j + a + 2 * D) + (j + a) * (2 * j + 4 * D) + (D - a) * D
+    w2, w4 = s2 + 2 * j + a + 2 * D, s2 + 2 * j + a + 4 * D
+    num, den = analysis._omega_ratio(D, a, b, S, j)
+    return num == (b - a) * b * f * w2 * w4 and all(
+        positive(x, (D, X, Y)) for x in (f, w2, w4, den)
+    )
+
+
+def phi_recurrence():
+    """phi(j+1) = p(j) + q(j) / phi(j) for phi(j) = r(j) g+(s+j) /
+    g+(s+j-1), where g+(s+j+1) = (I g+(s+j) + K g+(s+j-1)) / T is the
+    companion recursion that `linearize_jacobi(plus_params(p), ...)` runs:
+    the weights are free symbols, which `_pq_quotients` must ask for at the
+    companion's integers (L, A+L, B-L) and at (m, s, j)."""
+    calls = []
+
+    def weights(*args):
+        calls.append(args)
+        return T, I, K, None  # the denominator cancels from p and q
+
+    fn = analysis._pq_quotients
+    quotients = FunctionType(fn.__code__, {**fn.__globals__, "_recursion_weights": weights})
+    r0, r1 = odd_scale(J), odd_scale(J + 1)
+    p_n, p_d, q_n, q_d = quotients(D, A, B, M, S, J * D, r0, r1)
+    (r0_n, r0_d), (r1_n, r1_d) = r0, r1
+    phi0_n, phi0_d = r0_n * G1, r0_d * G0
+    phi1_n, phi1_d = r1_n * (I * G1 + K * G0), r1_d * T * G1
+    return calls == [(D, A + D, B - D, M, S, J * D)] and (
+        phi1_n * p_d * q_d * phi0_n == phi1_d * (p_n * q_d * phi0_n + q_n * p_d * phi0_d)
+    )
+
+
+# Gasper's and the necessity identities in (d, alpha d, beta d, m, s); the
+# necessity identities read the odd scales r(1) and r(2).
+PROOFS = {
+    "p_split": lambda: split_holds("p_split"),
+    "q_split": lambda: split_holds("q_split"),
+    "omega": lambda: split_holds("omega"),
+    "gasper_1": lambda: equal(analysis._gasper_sides(D, A, B, M, S)[0]),
+    "gasper_2": lambda: equal(analysis._gasper_sides(D, A, B, M, S)[1]),
+    "necessity_1": lambda: equal(
+        analysis._necessity_sides(D, A, B, M, S, odd_scale(1), odd_scale(2))[0]),
+    "necessity_2": lambda: equal(
+        analysis._necessity_sides(D, A, B, M, S, odd_scale(1), odd_scale(2))[1]),
+    "omega_sign": omega_sign,
+    "phi_recurrence": phi_recurrence,
+}
+
+# One planted typo per identity, in the library formula named as the analysis
+# module holds it (`_gasper_qv` comes from params), and one in iota's weight,
+# which the p split reads: (identity, module, helper, text, replacement).
 SLIPS = {
     "p_split": ("p_split", analysis, "_pq_limit_parts",
                 "(one - b) * (s2 + j) *", "(one + b) * (s2 + j) *"),
@@ -365,23 +442,34 @@ SLIPS = {
     "omega": ("omega", analysis, "_omega_ratio", "(one - a) * one)", "(one + a) * one)"),
     "iota": ("p_split", analysis, "_recursion_weights",
              "shared_ik * sj * j * up", "shared_ik * sj * j * down"),
+    "gasper_1": ("gasper_1", analysis, "_gasper_qv", "(s2 + a + 3 * one)", "(s2 + a + 2 * one)"),
+    "gasper_2": ("gasper_2", analysis, "_gasper_sides",
+                 "(m4 + s2 + a - 3 * one)", "(m4 + s2 + a - 2 * one)"),
+    "necessity_1": ("necessity_1", analysis, "_necessity_sides",
+                    "a * (s2 + a + b + one)", "a * (s2 + a + b - one)"),
+    "necessity_2": ("necessity_2", analysis, "_necessity_sides",
+                    "(s2 + 2 * one - b)", "(s2 + 2 * one + b)"),
+    "omega_sign": ("omega_sign", analysis, "_omega_ratio",
+                   "(j2 + 4 * one)", "(j2 + 3 * one)"),
+    "phi_recurrence": ("phi_recurrence", analysis, "_pq_quotients",
+                       "return r1_n * iota, r1_d * theta", "return r0_n * iota, r0_d * theta"),
 }
 
 
 class TestIdentityProofs:
-    """The p/q split and omega against its limit parts hold for all
-    parameters, as polynomial identities, so `pq_values` and
-    `pq_inequality_check` need no cross-check when they run."""
+    """The p/q split, omega against its limit parts and omega's sign,
+    phi's recurrence, and Gasper's and the necessity identities hold for
+    all parameters, as polynomial identities, so no call re-checks them."""
 
-    @pytest.mark.parametrize("identity", ["p_split", "q_split", "omega"])
+    @pytest.mark.parametrize("identity", PROOFS)
     def test_identity_holds(self, identity):
-        assert identity_holds(identity)
+        assert PROOFS[identity]()
 
     @pytest.mark.parametrize("slip", SLIPS)
     def test_planted_slip_fails(self, monkeypatch, slip):
         identity, module, name, old, new = SLIPS[slip]
         monkeypatch.setattr(module, name, slipped(getattr(module, name), old, new))
-        assert not identity_holds(identity)
+        assert not PROOFS[identity]()
 
 
 class TestPhi:

@@ -41,7 +41,7 @@ from make_outcome_digests import (
     kernel_lines,
     row_lines,
 )
-from symbolic import Poly, slipped
+from symbolic import Poly, positive, slipped
 
 F = Fraction
 
@@ -194,6 +194,12 @@ class TestRowProofs:
         assert not Poly() and not x - x and not 0 * y and x and x - y and 1 + x - x
         with pytest.raises(TypeError):
             x + F(1, 2)
+        # d - 2y has a negative coefficient; with y >= 0 only, x y has no
+        # monomial in the strict d and x alone, and 0 has no monomial.
+        d, x, y = Poly.variables(3)
+        assert not positive(d - 2 * y, (d, x, y)) and not positive(x * y, (d, x))
+        assert not positive(Poly(), (d, x))
+        assert positive(2 * d * d + 5 * d * x, (d, x, y)) and positive(3 + x * y, (d, x))
 
 
 class TestEvaluation:
