@@ -19,18 +19,19 @@ denominator D) and the boundary ratios g(s+1)/g(s) and g(s+2m-1)/g(s+2m) of
 cross-multiplication by factors that are nonzero for alpha, beta > -1.  A
 `Fraction` is formed only for a returned value.  Each identity's core
 (`_pq_quotients`, `_pq_limit_parts`, `_omega_ratio`, `_gasper_sides`,
-`_necessity_sides`) also runs on polynomials, and tests/test_analysis.py
-proves the p/q split, omega's closed form and sign, phi's recurrence and the
-Gasper and necessity identities for all parameters.  So omega's refusal is
-one sign test, and no call re-checks an identity that a proof covers.
+`_necessity_sides`, the odd scale `_odd_scale`) also runs on polynomials,
+and tests/test_analysis.py proves the p/q split, omega's closed form and
+sign, phi's recurrence and the Gasper and necessity identities for all
+parameters.  So omega's refusal is one sign test, and no call re-checks an
+identity that a proof covers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import RationalPolynomial, count_real_roots
-from .gencheb import _companion, gencheb_rec_coeffs, linearize_gencheb
-from .jacobi import _boundary_ratios, _recursion_weights, linearize_jacobi
+from .gencheb import _companion, linearize_gencheb
+from .jacobi import _boundary_ratios, _gencheb_row, _recursion_weights, linearize_jacobi
 from .params import JacobiParams, _gasper_qv, classify_region, make_params
 
 VERDICT_ALL_NONNEG = "all_nonneg"
@@ -230,14 +231,21 @@ def _pq_limit_parts(one, a, b, s, j):
     return (w2 * bracket - one * den) * one, p_star, q_inf * one**2, q_star, one**2 * den
 
 
+def _odd_scale(d, al, be, w):
+    """r(j) = c_{2s+2j+1} / a_{2s+2j-1}, which turns a ratio of consecutive
+    companion entries g+ into one of gencheb odd-index entries, as a
+    (numerator, denominator) pair of the odd `_gencheb_row` rows, for alpha
+    and beta given as integers over d and w = (s+j) d; both parts are
+    positive for alpha, beta > -1 and s + j >= 1."""
+    a, _, _, a_den = _gencheb_row(d, al, be, w, True)
+    _, _, c, c_den = _gencheb_row(d, al, be, w + d, True)
+    return c * a_den, c_den * a
+
+
 def _odd_scales(p: JacobiParams, s: int, count: int) -> list[tuple[int, int]]:
-    """r(1..count), r(j) = c_{2s+2j+1} / a_{2s+2j-1} of the gencheb rows, as
-    (numerator, positive denominator) pairs: the factor that turns a ratio of
-    consecutive companion entries g+ into one of gencheb odd-index entries.
-    r depends on s + j only; the count + 1 odd rows 2s+1 .. 2s+2count+1 are
-    each built once."""
-    rows = [gencheb_rec_coeffs(p, 2 * s + 2 * i + 1) for i in range(count + 1)]
-    return [(c.c * a.den, c.den * a.a) for a, c in zip(rows, rows[1:])]
+    """r(1..count) of `_odd_scale` at the point's integers over d."""
+    d, al, be, _, _ = p.over_lcm_all
+    return [_odd_scale(d, al, be, (s + j) * d) for j in range(1, count + 1)]
 
 
 def _pq_quotients(one, a, b, m, s, j, r0, r1):
@@ -253,7 +261,7 @@ def _pq_quotients(one, a, b, m, s, j, r0, r1):
 
 def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple[int, int, int, int]]:
     """p(j) and q(j) for j = 1 .. 2m-1 as (p_N, p_D, q_N, q_D)
-    (`_pq_quotients`), with r(1..2m) from one run of odd rows.
+    (`_pq_quotients`), with r(1..2m) of `_odd_scales`.
 
     T is positive: its factors 2m-j+a, 2m+2s+j+a+2, 2s+j+1, 2s+2j+2beta+4,
     j+1, 2s+2j+a and 2s+2j+a-1 (the last two down and e at the companion
@@ -268,7 +276,7 @@ def _pq_run(p: JacobiParams, m: int, s: int) -> list[tuple[int, int, int, int]]:
 def pq_values(p: JacobiParams, m: int, s: int) -> tuple[PQRecord, ...]:
     """p(j) and q(j) for the odd-index even-position analysis at (m, s), as
     one run j = 1 .. 2m-1 like phi_sequence: the record for j is at index
-    j - 1, and the 2m+1 odd gencheb rows behind r(1..2m) are each built once."""
+    j - 1, and each odd scale r(1..2m) is formed once."""
     one, a, b = p.over_lcm_ab
     records = []
     for j, (p_n, p_d, q_n, q_d) in enumerate(_pq_run(p, m, s), start=1):

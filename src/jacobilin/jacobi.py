@@ -248,9 +248,9 @@ def _recursion_weights(
     e = 0 and kappa_N = 0, and e is taken as 1.  At a rational j where e = 0
     and kappa_N != 0, a pole of kappa, D is 0.
 
-    Each factor (2m - j + a - 1) of the rational formulas reads mj + a - one
-    here, with mj = 2mL - j and one = L; the factors that recur are formed
-    once."""
+    A factor (2m - j + a - 1) reads mj + a - one, with mj = 2mL - j and one
+    = L.  It runs on polynomials: tests/test_jacobi.py proves the weights equal
+    to the paper's for all parameters, all but the removable zero's branch."""
     one = big_l
     m2, sj = 2 * m * one, 2 * s * one + j  # 2mL, (2s + j) L
     mj, mt = m2 - j, m2 + sj + a  # (2m - j) L, (2m + 2s + j + a) L
@@ -305,8 +305,8 @@ def _boundary_ratios(big_l: int, a: int, b: int, m: int, s: int) -> tuple[tuple[
         g(s+2m-1) / g(s+2m) = 4bm(m+s)(4m+2s+a-2) / ((4m+2s+a+b-1)(2m+2s+a-1)(2m+a-1)),
 
     as (numerator, denominator) pairs scaled by L^3, for a = A/L and b = B/L
-    given as A and B.  The denominators are positive for alpha, beta > -1 and
-    m >= 1, so both ratios have the sign of b."""
+    given as A and B.  Each has the sign of b for alpha, beta > -1 and m >= 1:
+    tests/test_jacobi.py proves both pairs and their signs for all parameters."""
     one, m_l, s_l = big_l, m * big_l, s * big_l
     m2a = 2 * m_l + a - one  # (2m + a - 1) L
     return (

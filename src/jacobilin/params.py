@@ -115,9 +115,7 @@ def classify_region(p: JacobiParams) -> RegionReport:
     in_v = b >= 0 and v >= 0
     in_v_interior = b > 0 and v > 0
     in_vprime = b >= 0 and q >= 0
-    disc = 4 * a * a + 11 * a + 3
-    above = disc > 0
-    on_threshold = disc == 0
+    above = 4 * a * a + 11 * a + 3 > 0
 
     if in_delta_interior:
         label = RegionLabel.DELTA_INTERIOR
@@ -139,6 +137,6 @@ def classify_region(p: JacobiParams) -> RegionReport:
         in_v_interior=in_v_interior,
         in_vprime=in_vprime,
         above_iota_threshold=above,
-        on_iota_threshold=on_threshold,
+        on_iota_threshold=False,  # 4a^2 + 11a + 3 has no rational root (discriminant 73)
         label=label,
     )

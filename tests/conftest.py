@@ -1,4 +1,5 @@
-"""Shared test data: the committed parameter grid and random-point helpers.
+"""Shared test data: the committed parameter grid, random-point helpers and
+the forms in which tests compare outcomes.
 
 The grid is fixed (not generated) so that every run checks the same points.
 It spans all the region classes the library distinguishes, plus one point
@@ -9,6 +10,9 @@ instance so each test module controls its own seed.
 import math
 import random
 from fractions import Fraction
+
+from jacobilin.exact import _over_lcm
+from jacobilin.jacobi import CoeffVector
 
 F = Fraction
 
@@ -104,3 +108,31 @@ def rand_fraction(rng: random.Random, lo, hi, max_den: int = 40) -> Fraction:
 def rand_alpha_beta(rng: random.Random, lo=F(-19, 20), hi=F(3)):
     """A random valid parameter pair, biased toward small denominators."""
     return rand_fraction(rng, lo, hi), rand_fraction(rng, lo, hi)
+
+
+def rational_vector(m, n, family, values):
+    """The `CoeffVector` of the rational values: their numerators over
+    their lcm, which is in lowest terms."""
+    den, *nums = _over_lcm(*values)
+    return CoeffVector(m, n, family, tuple(nums), den)
+
+
+def outcome(fn, *args):
+    """("value", result) or ("raises", exception type), for recording a
+    call on inputs that may be invalid."""
+    try:
+        return "value", fn(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return "raises", type(exc)
+
+
+def outcome_with_message(fn, *args):
+    """Like `outcome`, with the exception message as well; a
+    ZeroDivisionError is recorded by type only, since its message names the
+    operation that divided."""
+    try:
+        return "value", fn(*args)
+    except ZeroDivisionError as exc:
+        return "raises", type(exc)
+    except (ValueError, TypeError) as exc:
+        return "raises", type(exc), str(exc)

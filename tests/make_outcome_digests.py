@@ -2,22 +2,27 @@
 
 Tier-1 compares the library with outputs recorded once, not with a second
 kernel run alongside it:
-- `TestClosedFormExactness` (9F8 series and Dougall's product),
-  `TestKernelExactness` (`gasper_boundary` and `theta_iota_kappa`),
-  `TestBruteforceExactness` (the brute-force oracle),
-  `TestPolynomialExactness` (`RationalPolynomial` and `count_real_roots`)
-  and `TestRecurrenceCoeffs::test_rows_match_recorded` (every recurrence
-  row of both families to n = 32 on the grid);
-- `test_vector_digests.py`: every `linearize_jacobi` and `linearize_gencheb`
-  vector with m <= n <= 12 at each grid point, one line "m n: v_0 v_1 ..."
-  per product, each value as `str(Fraction)`;
-- `TestTallPointScans` in `test_cli.py`: `jacobilin scan --max-degree 20
-  --json` in every `--check` mode at two tall points, as one JSON line of
-  the exit code, verdict, min_value, witness and witness_value;
-- `TestIdentityOutcomes` and `TestPQ::test_limit_parts_match_reference` in
-  `test_analysis.py` (the p/q machinery, phi and the assembled identities)
-  and `TestVerifyRecords` in `test_cli.py` (`jacobilin verify`, as one JSON
-  line of the exit code, stdout and stderr per invocation).
+- `TestClosedFormExactness` (9F8 series and Dougall's product) and
+  `TestTermSum` (the 9F8 term sum) in test_hypergeom.py;
+- `TestKernelExactness` (`gasper_boundary` and `theta_iota_kappa`),
+  `TestRecursionStep` (`linearize_jacobi`, uncached), `TestBruteforceExactness`
+  (the brute-force oracle) and `TestRecurrenceCoeffs::test_rows_match_recorded`
+  (every recurrence row of both families to n = 32 on the grid) in
+  test_jacobi.py;
+- `TestKernelExactness` (`pochhammer`) and `TestPolynomialExactness`
+  (`RationalPolynomial` and `count_real_roots`) in test_exact.py;
+- `TestLinearize::test_matches_reference_assembly` (the gencheb assembly)
+  in test_gencheb.py, and `test_vector_digests.py`: every `linearize_jacobi`
+  and `linearize_gencheb` vector with m <= n <= 12 at each grid point, one
+  line "m n: v_0 v_1 ..." per product, each value as `str(Fraction)`;
+- `TestScan` and `TestIntegerScan` (`scan_sign_pattern`), `TestIdentityOutcomes`
+  and `TestPQ::test_limit_parts_match_reference` (the p/q machinery, phi and
+  the assembled identities) in test_analysis.py;
+- `TestTallPointScans` (`jacobilin scan --max-degree 20 --json` in every
+  `--check` mode at two tall points, as one JSON line of the exit code,
+  verdict, min_value, witness and witness_value) and `TestVerifyRecords`
+  (`jacobilin verify`, as one JSON line of the exit code, stdout and stderr
+  per invocation) in test_cli.py.
 Each of these test ids writes the library's output on every one of its
 inputs as one canonical line: the value, or the exception type, plus the
 message where the test keeps messages.  The sha256 of those lines is
@@ -26,10 +31,12 @@ tests/data/outcome_digests.json, so a failure names its test and its point
 or operation.  The inputs, seeds and enumeration order live here, so this
 script needs no pytest.
 
-The digests of the four kernel classes were first written from the library
-at a commit where tier-1 required the library to equal the reference copies
-of the earlier kernels on all of their inputs, and the reference copies
-wrote the same file.  Regenerate only when outputs are meant to change:
+The digests of the kernel, recursion step, assembly, scan, term sum and
+brute-force ids were first written from the library at a commit where
+tier-1 required the library to equal the one-`Fraction`-at-a-time reference
+copies of the earlier kernels on all of their inputs, and the reference
+copies, swapped in for the library, wrote the same file.  Regenerate only
+when outputs are meant to change:
 
     PYTHONPATH=src python tests/make_outcome_digests.py
 """
@@ -44,7 +51,14 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from conftest import GRID, GRID_WIDE, rand_alpha_beta
+from conftest import (
+    GRID,
+    GRID_WIDE,
+    outcome,
+    outcome_with_message,
+    rand_alpha_beta,
+    rand_fraction,
+)
 from jacobilin import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
@@ -66,12 +80,13 @@ from jacobilin import (
     plus_params,
     pq_inequality_check,
     pq_values,
+    scan_sign_pattern,
     theta_iota_kappa,
 )
+from jacobilin.analysis import SCAN_MODES
 from jacobilin.cli import run_command
-from jacobilin.hypergeom import rahman_coefficient, rahman_special
-
-from kernel_reference import outcome, outcome_with_message
+from jacobilin.exact import _over_lcm, pochhammer
+from jacobilin.hypergeom import HypTermSum, rahman_coefficient, rahman_special
 
 F = Fraction
 OUTCOME_FILE = Path(__file__).resolve().parent / "data" / "outcome_digests.json"
@@ -355,6 +370,113 @@ def verify_lines(point):
             yield json.dumps([code, out.getvalue(), err.getvalue()])
 
 
+# --- the recursion steps of linearize_jacobi, uncached
+
+
+def _step_examples(seed, first, draw=None, same_degree=False):
+    """(alpha, beta, m, n), 1 <= m <= n <= 10, at `first` and then at distinct
+    points from `draw` (denominators up to 1000), 25 in all, from Random(seed)."""
+    rng = random.Random(seed)
+    points = dict.fromkeys(first)
+    while draw and len(points) < 25:
+        points[draw(lambda lo, hi: rand_fraction(rng, lo, hi, max_den=1000))] = None
+    return [(alpha, beta, (m := rng.randint(1, 10)), m if same_degree else rng.randint(m, 10))
+            for alpha, beta in points]
+
+
+# The scan grid, tall denominators, the line a = 0 (with n = m, so that the
+# loop runs the kappa = 0 step j = 1, s = 0) and the line b = 0.
+STEP_EXAMPLES = {
+    "grid": _step_examples(3901, GRID),
+    "tall": _step_examples(3902, [(F(0), F(0))], lambda t: (t(-1, 3), t(-1, 3))),
+    "a = 0": _step_examples(3903, [], lambda t: (x := t(-1, 0), -1 - x), same_degree=True),
+    "b = 0": _step_examples(3904, [(F(0), F(0))], lambda t: (x := t(-1, 3), x)),
+}
+
+
+def step_lines(source):
+    for alpha, beta, m, n in STEP_EXAMPLES[source]:
+        cv = linearize_jacobi.__wrapped__(make_params(alpha, beta), m, n)
+        yield f"{alpha} {beta}: {text(cv)}"
+
+
+# --- gencheb assembly on GRID_WIDE, m <= n <= 12
+
+
+def assembly_lines(point):
+    p = make_params(*point)
+    for n in range(13):
+        for m in range(n + 1):
+            yield text(linearize_gencheb(p, m, n))
+
+
+# --- sign scans in every mode: GRID_WIDE at degrees 0, 1, 4, 8, and the
+# grid, the boundary point of V and a point with 82-bit denominators at
+# degree 10 or 5
+
+
+def _tall_point() -> tuple[Fraction, Fraction]:
+    """A seeded point whose alpha and beta have 82-bit denominators."""
+    rng = random.Random(8282)
+    den = rng.getrandbits(82) | 1 << 81
+    return F(rng.randrange(-den + 1, 3 * den), den), F(rng.randrange(-den + 1, 3 * den), den)
+
+
+TALL_POINT = _tall_point()
+ENTRY_SCANS = [(point, 10) for point in GRID] + [
+    ((F(-346, 1057), F(-1333, 1661)), 10), (TALL_POINT, 5),
+]
+
+
+def scan_report_lines(point, degrees=(0, 1, 4, 8)):
+    p = make_params(*point)
+    for mode in SCAN_MODES:
+        for max_degree in degrees:
+            yield f"{mode} {max_degree}: {text(scan_sign_pattern(p, max_degree, mode))}"
+
+
+def entry_scan_lines(case):
+    point, max_degree = case
+    return scan_report_lines(point, (max_degree,))
+
+
+# --- the 9F8 term sum and pochhammer on seeded and listed inputs
+
+
+def term_sum_lines(_=None):
+    """5000 seeded series with parameters k/d, k in -8..8 and d in {1, 2, 3},
+    many of them nonpositive integers, so that stops and singular sums are
+    both common.  Each series is summed over the lcm of its parameters and
+    over 2 and 3 times it, as the 9F8 forms put theirs over a multiple of
+    their lcm: three lines per series."""
+    rng = random.Random(19)
+
+    def params(most):
+        return tuple(
+            F(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(rng.randint(0, most))
+        )
+
+    for _ in range(5000):
+        nums, dens, count = params(9), params(8), rng.randint(0, 9)
+        q, *xs = _over_lcm(*nums, *dens)
+        ups, downs = xs[:len(nums)], xs[len(nums):]
+        for scale in (1, 2, 3):
+            series = HypTermSum(q * scale, tuple(x * scale for x in ups),
+                                tuple(x * scale for x in downs), count)
+            yield text(outcome_with_message(series.evaluate))
+
+
+POCHHAMMER_ARGS = [
+    F(1, 2), F(-7, 3), F(22, 7), F(-33, 100), F(-181, 400),
+    0, 5, -4, "3/8", 0.5,
+]
+
+
+def pochhammer_lines(x):
+    for n in range(-1, 14):
+        yield text(outcome(pochhammer, x, n))
+
+
 # --- the recorded test ids
 
 # test function -> (its parameter ids and arguments, the lines of one id)
@@ -368,8 +490,16 @@ CASES = {
     "test_jacobi.py::TestRecurrenceCoeffs::test_rows_match_recorded": (
         {f"point{i}": pt for i, pt in enumerate(GRID)}, row_lines,
     ),
+    "test_jacobi.py::TestRecursionStep::test_matches_reference_loop": (
+        {source: source for source in STEP_EXAMPLES}, step_lines,
+    ),
     "test_jacobi.py::TestBruteforceExactness::test_matches_reference": (
         {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, bruteforce_lines,
+    ),
+    "test_exact.py::TestKernelExactness::test_matches_reference": (
+        {f"x{i}" if isinstance(x, Fraction) else str(x): x
+         for i, x in enumerate(POCHHAMMER_ARGS)},
+        pochhammer_lines,
     ),
     "test_exact.py::TestPolynomialExactness::test_binary": (
         {name: name for name in sorted(BINARY)}, binary_lines,
@@ -379,6 +509,18 @@ CASES = {
     ),
     "test_exact.py::TestPolynomialExactness::test_count_real_roots": (
         {None: None}, count_real_roots_lines,
+    ),
+    "test_gencheb.py::TestLinearize::test_matches_reference_assembly": (
+        {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, assembly_lines,
+    ),
+    "test_hypergeom.py::TestTermSum::test_matches_reference_on_seeded_series": (
+        {None: None}, term_sum_lines,
+    ),
+    "test_analysis.py::TestScan::test_matches_reference_scan": (
+        {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, scan_report_lines,
+    ),
+    "test_analysis.py::TestIntegerScan::test_matches_entry_scan": (
+        {f"point{i}-{case[1]}": case for i, case in enumerate(ENTRY_SCANS)}, entry_scan_lines,
     ),
     "test_vector_digests.py::test_vectors_match_committed_digest": (
         {f"{family}-point{i}": (family, pt)

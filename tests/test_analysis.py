@@ -31,9 +31,7 @@ from jacobilin import (
     theta_iota_kappa,
 )
 from jacobilin import analysis
-from jacobilin import jacobi
 from jacobilin.analysis import (
-    SCAN_MODES,
     NotApplicableError,
     VERDICT_ALL_NONNEG,
     VERDICT_ALL_POSITIVE,
@@ -50,13 +48,17 @@ from conftest import (
     GRID_WIDE,
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
+    rational_vector,
 )
-from kernel_reference import rational_vector, ref_scan_sign_pattern, ref_theta_iota_kappa
 from make_outcome_digests import (
+    ENTRY_SCANS,
     IDENTITY_POINTS,
+    TALL_POINT,
     check_recorded,
+    entry_scan_lines,
     identity_lines,
     limit_parts_lines,
+    scan_report_lines,
 )
 from symbolic import Poly, positive, slipped
 
@@ -112,41 +114,26 @@ class TestScan:
             scan_sign_pattern(make_params(1, 0), 3, "bogus")
 
     @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_matches_reference_scan(self, point):
-        # Pins the degree budget and the min_value default as well: at
-        # max_degree 0 the gencheb_odd scan has no entries at all.
-        p = make_params(*point)
-        for mode in SCAN_MODES:
-            for max_degree in (0, 1, 4, 8):
-                assert scan_sign_pattern(p, max_degree, mode) == ref_scan_sign_pattern(
-                    p, max_degree, mode
-                )
-
-
-def _tall_point() -> tuple[Fraction, Fraction]:
-    """A seeded point whose alpha and beta have 82-bit denominators."""
-    rng = random.Random(8282)
-    den = rng.getrandbits(82) | 1 << 81
-    return F(rng.randrange(-den + 1, 3 * den), den), F(rng.randrange(-den + 1, 3 * den), den)
+    def test_matches_reference_scan(self, point, request):
+        # Every mode at degrees 0, 1, 4 and 8, as recorded while the scan
+        # equalled the reference that compared `Fraction` entries
+        # (`make_outcome_digests.scan_report_lines`).  Pins the degree budget
+        # and the min_value default as well: at max_degree 0 the gencheb_odd
+        # scan has no entries at all.
+        check_recorded(request.node, scan_report_lines(point))
 
 
 class TestIntegerScan:
-    """The scan reads each vector's integer numerators; the reference scan
-    compares `Fraction` entries of the reference gencheb assembly."""
+    """The scan reads each vector's integer numerators.  Its reports at the
+    grid and two tall points are recorded while they equalled the scan that
+    compared `Fraction` entries of the gencheb assembly from two `Fraction`
+    products per entry (`make_outcome_digests.entry_scan_lines`)."""
 
-    @pytest.mark.parametrize(
-        "point, max_degree",
-        [(point, 10) for point in GRID]
-        + [((F(-346, 1057), F(-1333, 1661)), 10), (_tall_point(), 5)],
-    )
-    def test_matches_entry_scan(self, point, max_degree):
-        p = make_params(*point)
-        for mode in SCAN_MODES:
-            assert scan_sign_pattern(p, max_degree, mode) == ref_scan_sign_pattern(
-                p, max_degree, mode
-            )
+    @pytest.mark.parametrize("point, max_degree", ENTRY_SCANS)
+    def test_matches_entry_scan(self, point, max_degree, request):
+        check_recorded(request.node, entry_scan_lines((point, max_degree)))
 
-    @pytest.mark.parametrize("point", GRID_WIDE + [_tall_point()])
+    @pytest.mark.parametrize("point", GRID_WIDE + [TALL_POINT])
     def test_vectors_in_lowest_terms(self, point):
         p = make_params(*point)
         for family, linearize in ((FAMILY_JACOBI, linearize_jacobi),
@@ -201,8 +188,10 @@ class TestIotaZeroCount:
                 else:
                     assert (poly(j) == 0) == (iota == 0)
                     assert (poly(j) > 0) == (iota > 0)
-        # Exactly iota times its cleared denominators, against the independent
-        # typing, at integer and at rational j in [1, 2m-1].
+        # Exactly iota times its cleared denominators, against
+        # `theta_iota_kappa` (whose weights test_jacobi.py::TestKernelProofs
+        # proves equal to the paper's), at integer and at rational j in
+        # [1, 2m-1].
         for point in GRID:
             p = make_params(*point)
             for m in range(1, 5):
@@ -212,7 +201,7 @@ class TestIotaZeroCount:
                 for s in range(4):
                     poly = iota_numerator_poly(p, m, s)
                     for j in js:
-                        _, iota, _ = ref_theta_iota_kappa(p, m, s, j)
+                        _, iota, _ = theta_iota_kappa(p, m, s, j)
                         up, down = 2 * s + 2 * j + p.a + 1, 2 * s + 2 * j + p.a - 1
                         assert poly(j) == iota * up * down
 
@@ -249,7 +238,7 @@ class TestChiPolynomial:
             chi = chi_m_poly(p, m)
             a, b = p.a, p.b
             for j in (F(1), F(3, 2), F(2), F(2 * m - 1)):
-                _, iota, _ = ref_theta_iota_kappa(p, m, 0, j)
+                _, iota, _ = theta_iota_kappa(p, m, 0, j)
                 assert iota * (2 * j + a - 1) * (2 * j + a + 1) == -b * chi(j)
 
 
@@ -344,11 +333,8 @@ A, B = AL + BE + D, AL - BE
 
 
 def odd_scale(j):
-    """r(j) = c_{2s+2j+1} / a_{2s+2j-1} as a pair, from the library's odd
-    gencheb rows 2s+2j-1 and 2s+2j+1 (half-indices s+j and s+j+1)."""
-    a, _, _, a_den = jacobi._gencheb_row(D, AL, BE, (S + j) * D, True)
-    _, _, c, c_den = jacobi._gencheb_row(D, AL, BE, (S + j + 1) * D, True)
-    return c * a_den, c_den * a
+    """r(j) as a pair in (d, alpha d, beta d, s, j): `analysis._odd_scale`."""
+    return analysis._odd_scale(D, AL, BE, (S + j) * D)
 
 
 def equal(sides):
@@ -432,8 +418,9 @@ PROOFS = {
 }
 
 # One planted typo per identity, in the library formula named as the analysis
-# module holds it (`_gasper_qv` comes from params), and one in iota's weight,
-# which the p split reads: (identity, module, helper, text, replacement).
+# module holds it (`_gasper_qv` comes from params), one in iota's weight,
+# which the p split reads, and one in the odd scale r(j), which necessity_1
+# reads: (identity, module, helper, text, replacement).
 SLIPS = {
     "p_split": ("p_split", analysis, "_pq_limit_parts",
                 "(one - b) * (s2 + j) *", "(one + b) * (s2 + j) *"),
@@ -449,6 +436,8 @@ SLIPS = {
                     "a * (s2 + a + b + one)", "a * (s2 + a + b - one)"),
     "necessity_2": ("necessity_2", analysis, "_necessity_sides",
                     "(s2 + 2 * one - b)", "(s2 + 2 * one + b)"),
+    "odd_scale": ("necessity_1", analysis, "_odd_scale",
+                  "(d, al, be, w + d, True)", "(d, al, be, w, True)"),
     "omega_sign": ("omega_sign", analysis, "_omega_ratio",
                    "(j2 + 4 * one)", "(j2 + 3 * one)"),
     "phi_recurrence": ("phi_recurrence", analysis, "_pq_quotients",
@@ -510,24 +499,24 @@ class TestPhi:
 
 
 def test_each_odd_row_built_once(monkeypatch):
-    # r(j) = c_{2s+2j+1} / a_{2s+2j-1}: count scales need count + 1 odd rows.
+    # r(j) = c_{2s+2j+1} / a_{2s+2j-1} is read once per index from
+    # `_odd_scale` at w = (s+j) d, which types both odd rows itself: no
+    # cached gencheb row is built.
     calls = []
-
-    def counting(p, n):
-        calls.append(n)
-        return gencheb_rec_coeffs(p, n)
-
-    monkeypatch.setattr(analysis, "gencheb_rec_coeffs", counting)
-    for run, expected in [
-        (lambda: pq_values(BETWEEN, 3, 1), 7),
-        (lambda: pq_inequality_check(BETWEEN, 3, 1), 7),
-        (lambda: phi_sequence(BETWEEN, 3, 1), 7),
-        (lambda: necessity_identity_values(BETWEEN, 3, 1), 3),
+    original = analysis._odd_scale
+    monkeypatch.setattr(analysis, "_odd_scale",
+                        lambda d, al, be, w: calls.append(w // d) or original(d, al, be, w))
+    gencheb_rec_coeffs.cache_clear()
+    for run, count in [
+        (lambda: pq_values(BETWEEN, 3, 1), 6),
+        (lambda: pq_inequality_check(BETWEEN, 3, 1), 6),
+        (lambda: phi_sequence(BETWEEN, 3, 1), 6),
+        (lambda: necessity_identity_values(BETWEEN, 3, 1), 2),
     ]:
         calls.clear()
         run()
-        assert len(calls) == expected
-        assert len(set(calls)) == expected
+        assert calls == list(range(2, count + 2))
+    assert gencheb_rec_coeffs.cache_info().misses == 0
 
 
 class TestWitnessSearch:

@@ -28,8 +28,7 @@ from jacobilin import (
 from jacobilin.analysis import VERDICT_VIOLATION
 from jacobilin.cli import fmt_approx, run_command
 
-from conftest import GRID_WIDE
-from kernel_reference import rational_vector
+from conftest import GRID_WIDE, rational_vector
 from make_outcome_digests import (
     IDENTITY_POINTS,
     SCAN_CHECKS,
@@ -630,9 +629,9 @@ class TestVerifySubcommand:
             "--property", "phi-alternation", "--m", "3", "--s", "1",
         )
         assert code == 0
-        # phi_sequence and pq_values read the same 2m + 1 odd rows: each is
-        # built once.
-        assert gencheb_rec_coeffs.cache_info().misses == 7
+        # phi_sequence and pq_values read the odd scales r(j) from
+        # `analysis._odd_scale`, which builds no cached gencheb row.
+        assert gencheb_rec_coeffs.cache_info().misses == 0
 
     def test_iota_zeros_below_threshold(self, capsys):
         code, out, _ = run(

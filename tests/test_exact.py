@@ -17,14 +17,16 @@ from jacobilin.exact import (
     to_fraction,
 )
 
-from kernel_reference import outcome, ref_pochhammer
+from conftest import outcome
 from make_outcome_digests import (
     BINARY,
     PAIRS,
+    POCHHAMMER_ARGS,
     UNARY,
     binary_lines,
     check_recorded,
     count_real_roots_lines,
+    pochhammer_lines,
     unary_lines,
 )
 
@@ -63,18 +65,13 @@ class TestPochhammer:
 
 
 class TestKernelExactness:
-    """Integer-numerator Pochhammer equals the reference product of Fractions
-    exactly, with the same exception types."""
+    """Integer-numerator Pochhammer gives the values and exception types
+    recorded for n -1..13 while it equalled the product of `Fraction`s it
+    replaced (`make_outcome_digests.pochhammer_lines`)."""
 
-    ARGS = [
-        F(1, 2), F(-7, 3), F(22, 7), F(-33, 100), F(-181, 400),
-        0, 5, -4, "3/8", 0.5,
-    ]
-
-    @pytest.mark.parametrize("x", ARGS)
-    def test_matches_reference(self, x):
-        for n in range(-1, 14):
-            assert outcome(pochhammer, x, n) == outcome(ref_pochhammer, x, n)
+    @pytest.mark.parametrize("x", POCHHAMMER_ARGS)
+    def test_matches_reference(self, x, request):
+        check_recorded(request.node, pochhammer_lines(x))
 
     def test_exception_types(self):
         assert outcome(pochhammer, F(1, 2), -1) == ("raises", ValueError)
@@ -120,7 +117,7 @@ class TestPochhammerRatio:
         assert _rising_ratio(3, [(1, 3)], [(2, 1)]) == (28, 18)
         assert _rising_ratio(3, [(1, 2)], [(2, 2)]) == (4, 10)
 
-    @pytest.mark.parametrize("x", TestKernelExactness.ARGS)
+    @pytest.mark.parametrize("x", POCHHAMMER_ARGS)
     def test_one_pair_is_pochhammer(self, x):
         # One pair over x's denominator, or over a multiple of it, as the
         # closed forms pass their factors.
@@ -133,6 +130,8 @@ class TestPochhammerRatio:
                     assert F(*pair) == want[1]
 
     def test_matches_product_of_references(self):
+        # The product of `pochhammer` values, each pinned by its recorded
+        # outcomes (TestKernelExactness), against one `_rising_ratio` pair.
         rng = random.Random(18)
         xs = [F(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(120)]
         for _ in range(200):
@@ -140,10 +139,10 @@ class TestPochhammerRatio:
             downs = [(rng.choice(xs), rng.randint(0, 6)) for _ in range(rng.randint(0, 5))]
             num = F(1)
             for x, n in ups:
-                num *= ref_pochhammer(x, n)
+                num *= pochhammer(x, n)
             den = F(1)
             for x, n in downs:
-                den *= ref_pochhammer(x, n)
+                den *= pochhammer(x, n)
             expected = outcome(lambda: num / den)
             q, *big_xs = _over_lcm(*(x for x, _ in ups + downs))
             pairs = [(big_x, n) for big_x, (_, n) in zip(big_xs, ups + downs)]

@@ -23,7 +23,7 @@ from jacobilin import (
 )
 
 from conftest import GRID, GRID_WIDE, rand_alpha_beta
-from kernel_reference import ref_linearize_gencheb
+from make_outcome_digests import assembly_lines, check_recorded
 
 F = Fraction
 
@@ -221,11 +221,11 @@ class TestLinearize:
             assert norm_h(p, n) == 1 / linearize_gencheb(p, n, n)[0]
 
     @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_matches_reference_assembly(self, point):
-        p = make_params(*point)
-        for n in range(13):
-            for m in range(n + 1):
-                assert linearize_gencheb(p, m, n) == ref_linearize_gencheb(p, m, n)
+    def test_matches_reference_assembly(self, point, request):
+        # The vectors m <= n <= 12, as recorded while they equalled the
+        # assembly from two `Fraction` products per entry that they replaced
+        # (`make_outcome_digests.assembly_lines`).
+        check_recorded(request.node, assembly_lines(point))
 
 
 class TestProductIdentity:

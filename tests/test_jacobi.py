@@ -25,21 +25,17 @@ from jacobilin import (
     theta_iota_kappa,
 )
 
-from conftest import GRID, GRID_WIDE, rand_alpha_beta, rand_fraction
-from kernel_reference import (
-    outcome,
-    ref_gasper_boundary,
-    ref_linearize_jacobi,
-    ref_theta_iota_kappa,
-)
+from conftest import GRID, GRID_WIDE, outcome, rand_alpha_beta
 from make_outcome_digests import (
     BOUNDARY_POINTS,
     IDENTITY_POINTS,
     KERNEL_POINTS,
+    STEP_EXAMPLES,
     bruteforce_lines,
     check_recorded,
     kernel_lines,
     row_lines,
+    step_lines,
 )
 from symbolic import Poly, positive, slipped
 
@@ -128,9 +124,11 @@ def ab_gencheb_pairs(d, a, b, r, odd):
     return (r + a, 2 * r + a), (r, 2 * r + a)
 
 
-# The proof's variables: the common denominator d, alpha d, beta d, n and the
-# scaled half-index r; a d and b d are formed from them.
-D, AL, BE, N, R = Poly.variables(5)
+# The proofs' variables: the common denominator d, alpha d, beta d, n and the
+# scaled half-index r for the rows, m, s and j for the recursion kernel, and
+# x = (alpha+1) d, y = (beta+1) d and m' = m - 1 for the ratios' signs; a d
+# and b d are formed from them.
+D, AL, BE, N, R, M, S, J, X, Y, M1 = Poly.variables(11)
 A, B = AL + BE + D, AL - BE
 REFERENCE = {
     "jacobi_row_0": szego_jacobi_pairs(D, AL, BE, 0),
@@ -201,6 +199,104 @@ class TestRowProofs:
         assert not positive(Poly(), (d, x))
         assert positive(2 * d * d + 5 * d * x, (d, x, y)) and positive(3 + x * y, (d, x))
 
+
+
+def paper_weights(d, a, b, m, s, j):
+    """theta, iota and kappa of the three-point recursion as the paper types
+    them, as (numerator, denominator) pairs for a, b and j given as integers
+    over d; each linear factor is scaled by d, so theta = theta_N / (theta_D
+    d^3), iota = iota_N / (iota_D d^4) and kappa = kappa_N / (kappa_D d^3).
+    The reference `_recursion_weights` is proved against."""
+    m2, s2 = 2 * m * d, 2 * s * d
+    up, down = s2 + 2 * j + a + d, s2 + 2 * j + a - d
+    theta = (
+        (m2 - j + a - d) * (m2 + s2 + j + a + d) * (s2 + j + d) * (s2 + 2 * j + a - b + d)
+        * (j + d),
+        up * (up + d),
+    )
+    iota = (
+        b * ((m2 - j) * (m2 + s2 + j + 2 * a) * (s2 + j + d) * (j + d) * down
+             - (m2 - j + d) * (m2 + s2 + j + 2 * a - d) * (s2 + j) * j * up),
+        up * down,
+    )
+    kappa = (
+        (m2 - j + d) * (m2 + s2 + j + 2 * a - d) * (s2 + j + a - d)
+        * (s2 + 2 * j + a + b - d) * (j + a - d),
+        (down - d) * down,
+    )
+    return theta, iota, kappa
+
+
+def paper_ratios(d, a, b, m, s):
+    """g(s+1)/g(s) and g(s+2m-1)/g(s+2m) as the paper types them, each b
+    times a cofactor over a denominator: (cofactor, denominator) pairs for a
+    and b given as integers over d, scaled so that a ratio is b cofactor /
+    denominator.  The reference `_boundary_ratios` is proved against."""
+    md, sd = m * d, s * d
+    return (
+        (4 * m * (md + sd + a) * (2 * sd + a + 2 * d),
+         (2 * md + 2 * sd + a + d) * (2 * md + a - d) * (2 * sd + a - b + d)),
+        (4 * m * (md + sd) * (4 * md + 2 * sd + a - 2 * d),
+         (4 * md + 2 * sd + a + b - d) * (2 * md + 2 * sd + a - d) * (2 * md + a - d)),
+    )
+
+
+WEIGHTS = ("theta", "iota", "kappa")
+RATIOS = ("ratio_lo", "ratio_hi")
+
+
+def kernel_identity_holds(identity):
+    """A weight of `_recursion_weights` equals the paper's, cross-multiplied,
+    in (d, alpha d, beta d, m, s, j); or a pair of `_boundary_ratios` equals
+    the paper's ratio in (d, alpha d, beta d, m, s), and with a = x + y - d,
+    b = x - y and m = 1 + m', which is alpha, beta > -1 and m >= 1, its
+    numerator is b times the paper's cofactor, and that cofactor and its
+    denominator are certified positive."""
+    if identity in WEIGHTS:
+        i = WEIGHTS.index(identity)
+        *weights, den = jacobi_module._recursion_weights(D, A, B, M, S, J * D)
+        ref_n, ref_d = paper_weights(D, A, B, M, S, J * D)[i]
+        return weights[i] * ref_d * D ** (4 if identity == "iota" else 3) == den * ref_n
+    i = RATIOS.index(identity)
+    num, den = jacobi_module._boundary_ratios(D, A, B, M, S)[i]
+    cof, ref_d = paper_ratios(D, A, B, M, S)[i]
+    a, b, m = X + Y - D, X - Y, 1 + M1
+    num_xy, den_xy = jacobi_module._boundary_ratios(D, a, b, m, S)[i]
+    cof_xy = paper_ratios(D, a, b, m, S)[i][0]
+    return num * ref_d == B * cof * den and num_xy == b * cof_xy and (
+        positive(cof_xy, (D, X, Y)) and positive(den_xy, (D, X, Y))
+    )
+
+
+# One planted typo per identity, in the jacobi helper named: (helper, text,
+# replacement).  The iota slip is the one the p split of
+# test_analysis.py::TestIdentityProofs also rejects.
+KERNEL_SLIPS = {
+    "theta": ("_recursion_weights", "(w - b + one)", "(w - b - one)"),
+    "iota": ("_recursion_weights", "shared_ik * sj * j * up", "shared_ik * sj * j * down"),
+    "kappa": ("_recursion_weights", "(sj + a - one)", "(sj + a + one)"),
+    "ratio_lo": ("_boundary_ratios", "(2 * s_l + a + 2 * one)", "(2 * s_l + a + one)"),
+    "ratio_hi": ("_boundary_ratios", "(2 * m_l + 2 * s_l + a - one) * m2a",
+                 "(2 * m_l + 2 * s_l + a + one) * m2a"),
+}
+
+
+class TestKernelProofs:
+    """The recursion weights and the boundary ratios are each typed once on
+    integers, and equal the paper's rational formulas for all parameters,
+    as polynomial identities; both ratios have the sign of b for alpha,
+    beta > -1 and m >= 1.  Only kappa's removable zero, a branch taken at
+    one integer point, is left to `TestKernelExactness`."""
+
+    @pytest.mark.parametrize("identity", KERNEL_SLIPS)
+    def test_identity_holds(self, identity):
+        assert kernel_identity_holds(identity)
+
+    @pytest.mark.parametrize("identity", KERNEL_SLIPS)
+    def test_planted_slip_fails(self, monkeypatch, identity):
+        name, old, new = KERNEL_SLIPS[identity]
+        monkeypatch.setattr(jacobi_module, name, slipped(getattr(jacobi_module, name), old, new))
+        assert not kernel_identity_holds(identity)
 
 class TestEvaluation:
     @pytest.mark.parametrize("point", GRID[::4])
@@ -375,21 +471,21 @@ class TestGasperBoundary:
 
     @pytest.mark.parametrize("point", IDENTITY_POINTS)
     def test_ratios_match_reference_closed_forms(self, point):
-        # `_boundary_ratios` at a point's integers (L, A, B) and at its
-        # companion's (L, A+L, B-L), against the reference closed forms at p
-        # and plus_params(p).  The identities cross-multiply by both
-        # denominators, so these must be positive.
+        # `_boundary_ratios` at the integers (L, A+L, B-L) that the identities
+        # pass for the companion point gives the ratios at plus_params(p)'s
+        # own integers; `TestKernelProofs` ties both to the closed forms.  The
+        # identities cross-multiply by both denominators, so these must be
+        # positive.
         p = make_params(*point)
         big_l, a, b = p.over_lcm_ab
-        for q, ints in ((p, (a, b)), (plus_params(p), (a + big_l, b - big_l))):
-            for m in range(1, 7):
-                for s in range(5):
-                    (lo_n, lo_d), (hi_n, hi_d) = jacobi_module._boundary_ratios(
-                        big_l, *ints, m, s
-                    )
-                    assert lo_d > 0 and hi_d > 0
-                    g_lo, g_lo1, g_hi1, g_hi = ref_gasper_boundary(q, m, s)
-                    assert (F(lo_n, lo_d), F(hi_n, hi_d)) == (g_lo1 / g_lo, g_hi1 / g_hi)
+        for m in range(1, 7):
+            for s in range(5):
+                shortcut = jacobi_module._boundary_ratios(big_l, a + big_l, b - big_l, m, s)
+                own = jacobi_module._boundary_ratios(*plus_params(p).over_lcm_ab, m, s)
+                assert [F(*r) for r in shortcut] == [F(*r) for r in own]
+                for ints in ((a, b), (a + big_l, b - big_l)):
+                    ratios = jacobi_module._boundary_ratios(big_l, *ints, m, s)
+                    assert all(den > 0 for _, den in ratios)
 
 
 class TestLinearize:
@@ -511,10 +607,10 @@ class TestReflection:
 
 
 class TestKernelExactness:
-    """The integer-numerator kernel equals the one-Fraction-at-a-time
-    reference exactly, and raises the same exception types: on the grid and
-    the boundary points through the outcomes recorded while the two agreed
-    (`make_outcome_digests.kernel_lines`), and live below."""
+    """The integer-numerator kernel gives the outcomes, values and exception
+    types, recorded on the grid and the boundary points while it equalled
+    the one-Fraction-at-a-time reference (`make_outcome_digests.kernel_lines`);
+    `TestKernelProofs` proves its weights and ratios for all parameters."""
 
     @pytest.mark.parametrize("point", KERNEL_POINTS)
     def test_matches_reference(self, point, request):
@@ -523,9 +619,9 @@ class TestKernelExactness:
     def test_degenerate_kappa_at_one(self):
         p = make_params(F(-1, 4), F(-3, 4))
         assert p.a == 0
-        got = theta_iota_kappa(p, 3, 0, 1)
-        assert got == ref_theta_iota_kappa(p, 3, 0, 1)
-        assert got[2] == 0
+        # kappa's removable zero at j = 1, s = 0, a = 0: the one branch of
+        # `_recursion_weights` that its proof on polynomials never takes.
+        assert theta_iota_kappa(p, 3, 0, 1) == (F(80, 3), F(16, 3), 0)
 
     @pytest.mark.parametrize(
         "args, exc",
@@ -544,7 +640,6 @@ class TestKernelExactness:
         # 2s + 2j + a - 2 = 0, a zero denominator of kappa.
         p = make_params(F(-1, 4), F(-19, 20))
         assert outcome(theta_iota_kappa, p, *args) == ("raises", exc)
-        assert outcome(ref_theta_iota_kappa, p, *args) == ("raises", exc)
         if exc is ZeroDivisionError:
             message = r"^kappa has a pole at j=11/10, s=0 \(alpha=-1/4, beta=-19/20\)$"
             with pytest.raises(ZeroDivisionError, match=message):
@@ -554,41 +649,17 @@ class TestKernelExactness:
     def test_boundary_rejects_bad_degrees(self, m, s):
         p = make_params(1, 0)
         assert outcome(gasper_boundary, p, m, s) == ("raises", ValueError)
-        assert outcome(ref_gasper_boundary, p, m, s) == ("raises", ValueError)
-
-
-def _step_examples(seed, first, draw=None, same_degree=False):
-    """(alpha, beta, m, n), 1 <= m <= n <= 10, at `first` and then at distinct
-    points from `draw` (denominators up to 1000), 25 in all, from Random(seed)."""
-    rng = random.Random(seed)
-    points = dict.fromkeys(first)
-    while draw and len(points) < 25:
-        points[draw(lambda lo, hi: rand_fraction(rng, lo, hi, max_den=1000))] = None
-    return [(alpha, beta, (m := rng.randint(1, 10)), m if same_degree else rng.randint(m, 10))
-            for alpha, beta in points]
-
-
-# Points for the differential test of the recursion step: the scan grid,
-# tall denominators, the line a = 0 (with n = m, so that the loop runs the
-# kappa = 0 step j = 1, s = 0) and the line b = 0.
-STEP_EXAMPLES = {
-    "grid": _step_examples(3901, GRID),
-    "tall": _step_examples(3902, [(F(0), F(0))], lambda t: (t(-1, 3), t(-1, 3))),
-    "a = 0": _step_examples(3903, [], lambda t: (x := t(-1, 0), -1 - x), same_degree=True),
-    "b = 0": _step_examples(3904, [(F(0), F(0))], lambda t: (x := t(-1, 3), x)),
-}
 
 
 class TestRecursionStep:
-    """Each step of linearize_jacobi, one integer quotient, equals the loop
-    over reduced theta, iota and kappa `Fraction`s it replaced."""
+    """Each step of linearize_jacobi, one integer quotient, gives the vectors
+    recorded while it equalled the loop over reduced theta, iota and kappa
+    `Fraction`s it replaced, at the grid, tall denominators and the lines
+    a = 0 and b = 0 (`make_outcome_digests.step_lines`)."""
 
     @pytest.mark.parametrize("source", STEP_EXAMPLES)
-    def test_matches_reference_loop(self, source):
-        for alpha, beta, m, n in STEP_EXAMPLES[source]:
-            p = make_params(alpha, beta)
-            got = linearize_jacobi.__wrapped__(p, m, n)
-            assert got == ref_linearize_jacobi(p, m, n), (alpha, beta, m, n)
+    def test_matches_reference_loop(self, source, request):
+        check_recorded(request.node, step_lines(source))
 
     def test_perturbed_theta_is_caught(self, monkeypatch):
         original = jacobi_module._recursion_weights

@@ -225,6 +225,12 @@ def test_threshold_flags():
             assert not rep.above_iota_threshold
         else:
             assert rep.above_iota_threshold
+    # Convergents of the root -0.30700... of 4a^2 + 11a + 3, two on each side
+    # (b = 0): the root is irrational, so no point is on the threshold.
+    for a, above in ((F(-307, 1000), False), (F(-35, 114), False),
+                     (F(-443, 1443), True), (F(-136, 443), True)):
+        rep = classify_region(make_params(*_point_ab(a, 0)))
+        assert (rep.above_iota_threshold, rep.on_iota_threshold) == (above, False)
 
 
 def _point_ab(a, b):
