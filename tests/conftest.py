@@ -1,15 +1,22 @@
-"""Shared test data: the committed parameter grid, random-point helpers and
-the forms in which tests compare outcomes.
+"""Shared test data: the committed parameter grid, random-point helpers,
+the forms in which tests compare outcomes, and the `recorded` fixture.
 
 The grid is fixed (not generated) so that every run checks the same points.
 It spans all the region classes the library distinguishes, plus one point
 below the zero-count threshold.  Random helpers take an explicit Random
 instance so each test module controls its own seed.
+
+A test that takes `recorded` is a recorded test: `pytest_generate_tests`
+parametrizes it from its entry in `make_outcome_digests.CASES`, with the ids
+listed there, and fails its collection if it has none; `recorded()` checks
+its lines against the committed digest.
 """
 
 import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from jacobilin.exact import _over_lcm
 from jacobilin.jacobi import CoeffVector
@@ -91,6 +98,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def pytest_generate_tests(metafunc):
+    if "recorded" in metafunc.fixturenames:
+        # Imported here: make_outcome_digests imports this module.
+        from make_outcome_digests import case_of
+        _, params, _ = case_of(metafunc.definition.nodeid)
+        if list(params) != [None]:
+            metafunc.parametrize("recorded", list(params.values()), ids=list(params),
+                                 indirect=True)
+
+
+@pytest.fixture
+def recorded(request):
+    """`recorded()` writes the test's lines on its CASES argument, fails
+    unless they hash to the digest committed for its id, and returns them."""
+    from make_outcome_digests import case_of, check_recorded
+    key, params, lines = case_of(request.node.nodeid)
+    arg = request.param if hasattr(request, "param") else params[None]
+    return lambda: check_recorded(key, lines(arg))
 
 
 def rand_fraction(rng: random.Random, lo, hi, max_den: int = 40) -> Fraction:

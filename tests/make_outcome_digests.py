@@ -1,29 +1,16 @@
 """Recorded outputs of the library on fixed inputs, one digest per test id.
 
 Tier-1 compares the library with outputs recorded once, not with a second
-kernel run alongside it:
-- `TestClosedFormExactness` (9F8 series and Dougall's product) and
-  `TestTermSum` (the 9F8 term sum) in test_hypergeom.py;
-- `TestKernelExactness` (`gasper_boundary` and `theta_iota_kappa`),
-  `TestRecursionStep` (`linearize_jacobi`, uncached), `TestBruteforceExactness`
-  (the brute-force oracle) and `TestRecurrenceCoeffs::test_rows_match_recorded`
-  (every recurrence row of both families to n = 32 on the grid) in
-  test_jacobi.py;
-- `TestKernelExactness` (`pochhammer`) and `TestPolynomialExactness`
-  (`RationalPolynomial` and `count_real_roots`) in test_exact.py;
-- `TestLinearize::test_matches_reference_assembly` (the gencheb assembly)
-  in test_gencheb.py, and `test_vector_digests.py`: every `linearize_jacobi`
-  and `linearize_gencheb` vector with m <= n <= 12 at each grid point, one
-  line "m n: v_0 v_1 ..." per product, each value as `str(Fraction)`;
-- `TestScan` and `TestIntegerScan` (`scan_sign_pattern`), `TestIdentityOutcomes`
-  and `TestPQ::test_limit_parts_match_reference` (the p/q machinery, phi and
-  the assembled identities) in test_analysis.py;
-- `TestTallPointScans` (`jacobilin scan --max-degree 20 --json` in every
-  `--check` mode at two tall points, as one JSON line of the exit code,
-  verdict, min_value, witness and witness_value) and `TestVerifyRecords`
-  (`jacobilin verify`, as one JSON line of the exit code, stdout and stderr
-  per invocation) in test_cli.py.
-Each of these test ids writes the library's output on every one of its
+kernel run alongside it.  CASES, at the end, is the one list of recorded
+tests: it keys each test function by "file::Class::name" and gives its
+parameter ids with their arguments, and the function that writes the lines
+of one id; the sections above it hold those functions and their inputs.  A
+recorded test takes the `recorded` fixture of conftest.py and calls it: the
+fixture's hook parametrizes the test from its CASES entry, so its ids come
+from here alone, and a test that takes `recorded` without an entry fails at
+collection.
+
+Each recorded test id writes the library's output on every one of its
 inputs as one canonical line: the value, or the exception type, plus the
 message where the test keeps messages.  The sha256 of those lines is
 compared with the digest committed for that id in
@@ -283,17 +270,15 @@ def count_real_roots_lines(_=None):
         yield f"{lo} {hi}: {text(outcome(count_real_roots, RationalPolynomial(a), lo, hi))}"
 
 
-# --- linearization vectors: both families on the grid, m <= n <= 12
+# --- linearize_jacobi vectors on the grid, m <= n <= 12 (the gencheb
+# vectors are the assembly ids)
 
-VECTOR_FAMILIES = {"gencheb": linearize_gencheb, "jacobi": linearize_jacobi}
 
-
-def vector_lines(case):
-    family, point = case
-    p, linearize = make_params(*point), VECTOR_FAMILIES[family]
+def vector_lines(point):
+    p = make_params(*point)
     for n in range(13):
         for m in range(n + 1):
-            yield f"{m} {n}: {' '.join(map(str, linearize(p, m, n).values))}"
+            yield f"{m} {n}: {' '.join(map(str, linearize_jacobi(p, m, n).values))}"
 
 
 # --- sign scans through the CLI at two tall points, degree 20
@@ -479,68 +464,57 @@ def pochhammer_lines(x):
 
 # --- the recorded test ids
 
-# test function -> (its parameter ids and arguments, the lines of one id)
+
+def points(xs) -> dict:
+    """Parameter ids point0, point1, ... for the arguments xs."""
+    return {f"point{i}": x for i, x in enumerate(xs)}
+
+
+# test function -> (its parameter ids and arguments, the lines of one id); a
+# test whose only id is None is not parametrized
 CASES = {
-    "test_hypergeom.py::TestClosedFormExactness::test_matches_reference": (
-        {f"point{i}": pt for i, pt in enumerate(CLOSED_FORM_POINTS)}, closed_form_lines,
-    ),
-    "test_jacobi.py::TestKernelExactness::test_matches_reference": (
-        {f"point{i}": pt for i, pt in enumerate(KERNEL_POINTS)}, kernel_lines,
-    ),
-    "test_jacobi.py::TestRecurrenceCoeffs::test_rows_match_recorded": (
-        {f"point{i}": pt for i, pt in enumerate(GRID)}, row_lines,
-    ),
-    "test_jacobi.py::TestRecursionStep::test_matches_reference_loop": (
-        {source: source for source in STEP_EXAMPLES}, step_lines,
-    ),
-    "test_jacobi.py::TestBruteforceExactness::test_matches_reference": (
-        {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, bruteforce_lines,
-    ),
+    "test_hypergeom.py::TestClosedFormExactness::test_matches_reference":
+        (points(CLOSED_FORM_POINTS), closed_form_lines),
+    "test_jacobi.py::TestKernelExactness::test_matches_reference":
+        (points(KERNEL_POINTS), kernel_lines),
+    "test_jacobi.py::TestRecurrenceCoeffs::test_rows_match_recorded":
+        (points(GRID), row_lines),
+    "test_jacobi.py::TestRecursionStep::test_matches_reference_loop":
+        ({source: source for source in STEP_EXAMPLES}, step_lines),
+    "test_jacobi.py::TestBruteforceExactness::test_matches_reference":
+        (points(GRID_WIDE), bruteforce_lines),
     "test_exact.py::TestKernelExactness::test_matches_reference": (
         {f"x{i}" if isinstance(x, Fraction) else str(x): x
          for i, x in enumerate(POCHHAMMER_ARGS)},
         pochhammer_lines,
     ),
-    "test_exact.py::TestPolynomialExactness::test_binary": (
-        {name: name for name in sorted(BINARY)}, binary_lines,
-    ),
-    "test_exact.py::TestPolynomialExactness::test_unary": (
-        {name: name for name in sorted(UNARY)}, unary_lines,
-    ),
-    "test_exact.py::TestPolynomialExactness::test_count_real_roots": (
-        {None: None}, count_real_roots_lines,
-    ),
-    "test_gencheb.py::TestLinearize::test_matches_reference_assembly": (
-        {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, assembly_lines,
-    ),
-    "test_hypergeom.py::TestTermSum::test_matches_reference_on_seeded_series": (
-        {None: None}, term_sum_lines,
-    ),
-    "test_analysis.py::TestScan::test_matches_reference_scan": (
-        {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, scan_report_lines,
-    ),
-    "test_analysis.py::TestIntegerScan::test_matches_entry_scan": (
-        {f"point{i}-{case[1]}": case for i, case in enumerate(ENTRY_SCANS)}, entry_scan_lines,
-    ),
-    "test_vector_digests.py::test_vectors_match_committed_digest": (
-        {f"{family}-point{i}": (family, pt)
-         for family in VECTOR_FAMILIES for i, pt in enumerate(GRID)},
-        vector_lines,
-    ),
+    "test_exact.py::TestPolynomialExactness::test_binary":
+        ({name: name for name in sorted(BINARY)}, binary_lines),
+    "test_exact.py::TestPolynomialExactness::test_unary":
+        ({name: name for name in sorted(UNARY)}, unary_lines),
+    "test_exact.py::TestPolynomialExactness::test_count_real_roots":
+        ({None: None}, count_real_roots_lines),
+    "test_gencheb.py::TestLinearize::test_matches_reference_assembly":
+        (points(GRID_WIDE), assembly_lines),
+    "test_hypergeom.py::TestTermSum::test_matches_reference_on_seeded_series":
+        ({None: None}, term_sum_lines),
+    "test_analysis.py::TestScan::test_matches_reference_scan":
+        (points(GRID_WIDE), scan_report_lines),
+    "test_analysis.py::TestIntegerScan::test_matches_entry_scan":
+        ({f"point{i}-{case[1]}": case for i, case in enumerate(ENTRY_SCANS)}, entry_scan_lines),
+    "test_vector_digests.py::test_vectors_match_committed_digest":
+        ({f"jacobi-point{i}": pt for i, pt in enumerate(GRID)}, vector_lines),
     "test_cli.py::TestTallPointScans::test_matches_recorded_output": (
         {f"{check}-point{i}": (pt, check)
          for check in SCAN_CHECKS for i, pt in enumerate(TALL_POINTS)},
         scan_lines,
     ),
-    "test_analysis.py::TestPQ::test_limit_parts_match_reference": (
-        {f"point{i}": pt for i, pt in enumerate(GRID_WIDE)}, limit_parts_lines,
-    ),
-    "test_analysis.py::TestIdentityOutcomes::test_matches_recorded_output": (
-        {f"point{i}": pt for i, pt in enumerate(IDENTITY_POINTS)}, identity_lines,
-    ),
-    "test_cli.py::TestVerifyRecords::test_matches_recorded_output": (
-        {f"point{i}": pt for i, pt in enumerate(IDENTITY_POINTS)}, verify_lines,
-    ),
+    "test_analysis.py::TestPQ::test_limit_parts_match_reference":
+        (points(GRID_WIDE), limit_parts_lines),
+    "test_analysis.py::TestIdentityOutcomes::test_matches_recorded_output":
+        (points(IDENTITY_POINTS), identity_lines),
+    "test_cli.py::TestVerifyRecords::test_matches_recorded_output":
+        (points(IDENTITY_POINTS), verify_lines),
 }
 
 
@@ -563,16 +537,28 @@ def committed() -> dict:
     return json.loads(OUTCOME_FILE.read_text())["digests"]
 
 
-def check_recorded(node, lines) -> None:
-    """Fail, naming the test, unless the lines hash to the digest recorded
-    for the pytest item `node` under its file name, class and name."""
-    path, _, rest = node.nodeid.partition("::")
+def case_of(nodeid: str) -> tuple:
+    """(test id, parameter ids and arguments, lines function) of the pytest
+    node `nodeid`: the id its digest is recorded under (file name, class,
+    name and parameter id), then the CASES entry of its test function.  A
+    LookupError names a test that has no entry."""
+    path, _, rest = nodeid.partition("::")
     key = f"{Path(path).name}::{rest}"
+    test = key.partition("[")[0]
+    if test not in CASES:
+        raise LookupError(f"{test} takes `recorded` but has no entry in "
+                          "make_outcome_digests.CASES")
+    return key, *CASES[test]
+
+
+def check_recorded(key: str, lines) -> list:
+    """The lines as a list; fails, naming the test id `key`, unless they hash
+    to the digest recorded for it."""
+    lines = list(lines)
     want = committed().get(key)
     assert want is not None, f"{key}: no outcome digest recorded in {OUTCOME_FILE.name}"
-    assert digest(lines) == want, (
-        f"{key}: outcomes differ from the digest recorded in {OUTCOME_FILE.name}"
-    )
+    assert digest(lines) == want, f"{key}: outcomes differ from {OUTCOME_FILE.name}"
+    return lines
 
 
 def main() -> int:

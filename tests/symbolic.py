@@ -1,10 +1,13 @@
-"""Sparse polynomials with integer coefficients in several variables.
+"""Sparse polynomials with integer coefficients in several variables, and
+the one runner of the proofs made with them.
 
 A formula of the library typed with +, - and * on ints runs unchanged on
 `Poly`s, so two such formulas that are equal as polynomials are equal at
-every parameter value, not only at the points a test visits.  `positive`
-certifies a sign on a domain the same way, and `slipped` plants a typo in
-a library formula, which such a proof must reject."""
+every parameter value, not only at the points a test visits.  `equal`
+compares two (numerator, denominator) pairs, and `positive` certifies a sign
+on a domain the same way.  A test class that subclasses `Proofs` lists its
+proofs, and typos to plant in library formulas, which its proofs must
+reject; `Proofs` runs both."""
 
 import inspect
 
@@ -79,6 +82,12 @@ class Poly:
         return f"Poly({self.terms!r})"
 
 
+def equal(sides) -> bool:
+    """lhs == rhs for the (numerator, denominator) pairs (lhs, rhs)."""
+    (l_n, l_d), (r_n, r_d) = sides
+    return l_n * r_d == r_n * l_d
+
+
 def positive(poly: Poly, strict) -> bool:
     """A certificate that poly > 0 wherever the variables in `strict` are
     > 0 and the others are >= 0: every coefficient is positive, and some
@@ -88,10 +97,31 @@ def positive(poly: Poly, strict) -> bool:
     return all(c > 0 for c in poly.terms.values()) and any(not e & ~mask for e in poly.terms)
 
 
-def slipped(fn, old, new):
-    """`fn` recompiled from its source with the one `old` replaced by `new`."""
-    source = inspect.getsource(fn)
-    assert source.count(old) == 1, old
-    scope = dict(fn.__globals__)
-    exec(source.replace(old, new), scope)
-    return scope[fn.__name__]
+class Proofs:
+    """A test class's proofs.  PROOFS maps each identity to a zero-argument
+    callable that is true when the identity holds for all parameters, and
+    SLIPS maps each slip id to (identity, module, helper, old, new): with
+    `helper` recompiled from its source with its one `old` replaced by `new`,
+    and set in the `module` that reads it, the identity's proof must be
+    false."""
+
+    PROOFS: dict = {}
+    SLIPS: dict = {}
+
+    def pytest_generate_tests(self, metafunc):
+        for name, table in (("identity", self.PROOFS), ("slip", self.SLIPS)):
+            if name in metafunc.fixturenames:
+                metafunc.parametrize(name, list(table))
+
+    def test_identity_holds(self, identity):
+        assert self.PROOFS[identity]()
+
+    def test_planted_slip_fails(self, monkeypatch, slip):
+        identity, module, helper, old, new = self.SLIPS[slip]
+        fn = getattr(module, helper)
+        source = inspect.getsource(fn)
+        assert source.count(old) == 1, old
+        scope = dict(fn.__globals__)
+        exec(source.replace(old, new), scope)
+        monkeypatch.setattr(module, helper, scope[fn.__name__])
+        assert not self.PROOFS[identity]()

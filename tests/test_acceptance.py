@@ -9,7 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import conftest
 from conftest import (
     ACCEPTANCE_LINES,
     GRID,

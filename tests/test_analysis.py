@@ -43,24 +43,14 @@ from conftest import (
     GRID,
     GRID_B_NEGATIVE,
     GRID_DELTA_INTERIOR,
-    GRID_IN_V,
     GRID_VPRIME_NOT_V,
     GRID_WIDE,
     POINT_BELOW_THRESHOLD,
     rand_alpha_beta,
     rational_vector,
 )
-from make_outcome_digests import (
-    ENTRY_SCANS,
-    IDENTITY_POINTS,
-    TALL_POINT,
-    check_recorded,
-    entry_scan_lines,
-    identity_lines,
-    limit_parts_lines,
-    scan_report_lines,
-)
-from symbolic import Poly, positive, slipped
+from make_outcome_digests import TALL_POINT
+from symbolic import Poly, Proofs, equal, positive
 
 F = Fraction
 BETWEEN = make_params(F(-33, 100), F(-87, 100))
@@ -113,14 +103,13 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_sign_pattern(make_params(1, 0), 3, "bogus")
 
-    @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_matches_reference_scan(self, point, request):
+    def test_matches_reference_scan(self, recorded):
         # Every mode at degrees 0, 1, 4 and 8, as recorded while the scan
         # equalled the reference that compared `Fraction` entries
         # (`make_outcome_digests.scan_report_lines`).  Pins the degree budget
         # and the min_value default as well: at max_degree 0 the gencheb_odd
         # scan has no entries at all.
-        check_recorded(request.node, scan_report_lines(point))
+        recorded()
 
 
 class TestIntegerScan:
@@ -129,9 +118,8 @@ class TestIntegerScan:
     compared `Fraction` entries of the gencheb assembly from two `Fraction`
     products per entry (`make_outcome_digests.entry_scan_lines`)."""
 
-    @pytest.mark.parametrize("point, max_degree", ENTRY_SCANS)
-    def test_matches_entry_scan(self, point, max_degree, request):
-        check_recorded(request.node, entry_scan_lines((point, max_degree)))
+    def test_matches_entry_scan(self, recorded):
+        recorded()
 
     @pytest.mark.parametrize("point", GRID_WIDE + [TALL_POINT])
     def test_vectors_in_lowest_terms(self, point):
@@ -317,11 +305,10 @@ class TestPQ:
         with pytest.raises(ValueError, match="need m >= 2 and s >= 0"):
             pq_values(BETWEEN, 2, -1)
 
-    @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_limit_parts_match_reference(self, point, request):
+    def test_limit_parts_match_reference(self, recorded):
         # The limit parts as recorded while they equalled the one-Fraction-
         # per-factor reference (make_outcome_digests.limit_parts_lines).
-        check_recorded(request.node, limit_parts_lines(point))
+        recorded()
 
 
 # The proof's variables: the common denominator d, alpha d, beta d, m, s and
@@ -335,12 +322,6 @@ A, B = AL + BE + D, AL - BE
 def odd_scale(j):
     """r(j) as a pair in (d, alpha d, beta d, s, j): `analysis._odd_scale`."""
     return analysis._odd_scale(D, AL, BE, (S + j) * D)
-
-
-def equal(sides):
-    """lhs == rhs for the (numerator, denominator) pairs (lhs, rhs)."""
-    (l_n, l_d), (r_n, r_d) = sides
-    return l_n * r_d == r_n * l_d
 
 
 def split_holds(identity):
@@ -401,64 +382,54 @@ def phi_recurrence():
     )
 
 
-# Gasper's and the necessity identities in (d, alpha d, beta d, m, s); the
-# necessity identities read the odd scales r(1) and r(2).
-PROOFS = {
-    "p_split": lambda: split_holds("p_split"),
-    "q_split": lambda: split_holds("q_split"),
-    "omega": lambda: split_holds("omega"),
-    "gasper_1": lambda: equal(analysis._gasper_sides(D, A, B, M, S)[0]),
-    "gasper_2": lambda: equal(analysis._gasper_sides(D, A, B, M, S)[1]),
-    "necessity_1": lambda: equal(
-        analysis._necessity_sides(D, A, B, M, S, odd_scale(1), odd_scale(2))[0]),
-    "necessity_2": lambda: equal(
-        analysis._necessity_sides(D, A, B, M, S, odd_scale(1), odd_scale(2))[1]),
-    "omega_sign": omega_sign,
-    "phi_recurrence": phi_recurrence,
-}
-
-# One planted typo per identity, in the library formula named as the analysis
-# module holds it (`_gasper_qv` comes from params), one in iota's weight,
-# which the p split reads, and one in the odd scale r(j), which necessity_1
-# reads: (identity, module, helper, text, replacement).
-SLIPS = {
-    "p_split": ("p_split", analysis, "_pq_limit_parts",
-                "(one - b) * (s2 + j) *", "(one + b) * (s2 + j) *"),
-    "q_split": ("q_split", analysis, "_pq_limit_parts",
-                "q_star = (one - a)", "q_star = (one + a)"),
-    "omega": ("omega", analysis, "_omega_ratio", "(one - a) * one)", "(one + a) * one)"),
-    "iota": ("p_split", analysis, "_recursion_weights",
-             "shared_ik * sj * j * up", "shared_ik * sj * j * down"),
-    "gasper_1": ("gasper_1", analysis, "_gasper_qv", "(s2 + a + 3 * one)", "(s2 + a + 2 * one)"),
-    "gasper_2": ("gasper_2", analysis, "_gasper_sides",
-                 "(m4 + s2 + a - 3 * one)", "(m4 + s2 + a - 2 * one)"),
-    "necessity_1": ("necessity_1", analysis, "_necessity_sides",
-                    "a * (s2 + a + b + one)", "a * (s2 + a + b - one)"),
-    "necessity_2": ("necessity_2", analysis, "_necessity_sides",
-                    "(s2 + 2 * one - b)", "(s2 + 2 * one + b)"),
-    "odd_scale": ("necessity_1", analysis, "_odd_scale",
-                  "(d, al, be, w + d, True)", "(d, al, be, w, True)"),
-    "omega_sign": ("omega_sign", analysis, "_omega_ratio",
-                   "(j2 + 4 * one)", "(j2 + 3 * one)"),
-    "phi_recurrence": ("phi_recurrence", analysis, "_pq_quotients",
-                       "return r1_n * iota, r1_d * theta", "return r0_n * iota, r0_d * theta"),
-}
-
-
-class TestIdentityProofs:
+class TestIdentityProofs(Proofs):
     """The p/q split, omega against its limit parts and omega's sign,
     phi's recurrence, and Gasper's and the necessity identities hold for
     all parameters, as polynomial identities, so no call re-checks them."""
 
-    @pytest.mark.parametrize("identity", PROOFS)
-    def test_identity_holds(self, identity):
-        assert PROOFS[identity]()
+    # Gasper's and the necessity identities in (d, alpha d, beta d, m, s);
+    # the necessity identities read the odd scales r(1) and r(2).
+    PROOFS = {
+        "p_split": lambda: split_holds("p_split"),
+        "q_split": lambda: split_holds("q_split"),
+        "omega": lambda: split_holds("omega"),
+        "gasper_1": lambda: equal(analysis._gasper_sides(D, A, B, M, S)[0]),
+        "gasper_2": lambda: equal(analysis._gasper_sides(D, A, B, M, S)[1]),
+        "necessity_1": lambda: equal(
+            analysis._necessity_sides(D, A, B, M, S, odd_scale(1), odd_scale(2))[0]),
+        "necessity_2": lambda: equal(
+            analysis._necessity_sides(D, A, B, M, S, odd_scale(1), odd_scale(2))[1]),
+        "omega_sign": omega_sign,
+        "phi_recurrence": phi_recurrence,
+    }
 
-    @pytest.mark.parametrize("slip", SLIPS)
-    def test_planted_slip_fails(self, monkeypatch, slip):
-        identity, module, name, old, new = SLIPS[slip]
-        monkeypatch.setattr(module, name, slipped(getattr(module, name), old, new))
-        assert not PROOFS[identity]()
+    # One planted typo per identity, in the library formula named as the
+    # analysis module holds it (`_gasper_qv` comes from params), one in
+    # iota's weight, which the p split reads, and one in the odd scale r(j),
+    # which necessity_1 reads.
+    SLIPS = {
+        "p_split": ("p_split", analysis, "_pq_limit_parts",
+                    "(one - b) * (s2 + j) *", "(one + b) * (s2 + j) *"),
+        "q_split": ("q_split", analysis, "_pq_limit_parts",
+                    "q_star = (one - a)", "q_star = (one + a)"),
+        "omega": ("omega", analysis, "_omega_ratio", "(one - a) * one)", "(one + a) * one)"),
+        "iota": ("p_split", analysis, "_recursion_weights",
+                 "shared_ik * sj * j * up", "shared_ik * sj * j * down"),
+        "gasper_1": ("gasper_1", analysis, "_gasper_qv",
+                     "(s2 + a + 3 * one)", "(s2 + a + 2 * one)"),
+        "gasper_2": ("gasper_2", analysis, "_gasper_sides",
+                     "(m4 + s2 + a - 3 * one)", "(m4 + s2 + a - 2 * one)"),
+        "necessity_1": ("necessity_1", analysis, "_necessity_sides",
+                        "a * (s2 + a + b + one)", "a * (s2 + a + b - one)"),
+        "necessity_2": ("necessity_2", analysis, "_necessity_sides",
+                        "(s2 + 2 * one - b)", "(s2 + 2 * one + b)"),
+        "odd_scale": ("necessity_1", analysis, "_odd_scale",
+                      "(d, al, be, w + d, True)", "(d, al, be, w, True)"),
+        "omega_sign": ("omega_sign", analysis, "_omega_ratio",
+                       "(j2 + 4 * one)", "(j2 + 3 * one)"),
+        "phi_recurrence": ("phi_recurrence", analysis, "_pq_quotients",
+                           "return r1_n * iota, r1_d * theta", "return r0_n * iota, r0_d * theta"),
+    }
 
 
 class TestPhi:
@@ -593,9 +564,8 @@ class TestIdentityOutcomes:
     outcomes, values and refusals, at GRID_WIDE and on the lines a = 0,
     b = 0, b = 1 and beta = -1/2 (`make_outcome_digests.identity_lines`)."""
 
-    @pytest.mark.parametrize("point", IDENTITY_POINTS)
-    def test_matches_recorded_output(self, point, request):
-        check_recorded(request.node, identity_lines(point))
+    def test_matches_recorded_output(self, recorded):
+        recorded()
 
 
 class TestIdentityAudits:

@@ -29,14 +29,6 @@ from jacobilin.analysis import VERDICT_VIOLATION
 from jacobilin.cli import fmt_approx, run_command
 
 from conftest import GRID_WIDE, rational_vector
-from make_outcome_digests import (
-    IDENTITY_POINTS,
-    SCAN_CHECKS,
-    TALL_POINTS,
-    check_recorded,
-    scan_lines,
-    verify_lines,
-)
 
 F = Fraction
 
@@ -284,10 +276,8 @@ class TestTallPointScans:
     the recorded exit code, verdict, minimum and witness
     (`make_outcome_digests.scan_lines`)."""
 
-    @pytest.mark.parametrize("point", TALL_POINTS)
-    @pytest.mark.parametrize("check", SCAN_CHECKS)
-    def test_matches_recorded_output(self, point, check, request):
-        check_recorded(request.node, scan_lines((point, check)))
+    def test_matches_recorded_output(self, recorded):
+        recorded()
 
 
 class TestVerifyRecords:
@@ -295,9 +285,8 @@ class TestVerifyRecords:
     single (m, s), gives the recorded exit code, stdout and stderr
     (`make_outcome_digests.verify_lines`)."""
 
-    @pytest.mark.parametrize("point", IDENTITY_POINTS)
-    def test_matches_recorded_output(self, point, request):
-        check_recorded(request.node, verify_lines(point))
+    def test_matches_recorded_output(self, recorded):
+        recorded()
 
 
 class TestExitCodes:

@@ -18,17 +18,7 @@ from jacobilin.exact import (
 )
 
 from conftest import outcome
-from make_outcome_digests import (
-    BINARY,
-    PAIRS,
-    POCHHAMMER_ARGS,
-    UNARY,
-    binary_lines,
-    check_recorded,
-    count_real_roots_lines,
-    pochhammer_lines,
-    unary_lines,
-)
+from make_outcome_digests import PAIRS, POCHHAMMER_ARGS
 
 F = Fraction
 
@@ -69,9 +59,8 @@ class TestKernelExactness:
     recorded for n -1..13 while it equalled the product of `Fraction`s it
     replaced (`make_outcome_digests.pochhammer_lines`)."""
 
-    @pytest.mark.parametrize("x", POCHHAMMER_ARGS)
-    def test_matches_reference(self, x, request):
-        check_recorded(request.node, pochhammer_lines(x))
+    def test_matches_reference(self, recorded):
+        recorded()
 
     def test_exception_types(self):
         assert outcome(pochhammer, F(1, 2), -1) == ("raises", ValueError)
@@ -224,16 +213,14 @@ class TestPolynomialExactness:
     class it replaced, which held one Fraction per coefficient
     (`make_outcome_digests`); every result is in canonical form."""
 
-    @pytest.mark.parametrize("name", sorted(BINARY))
-    def test_binary(self, name, request):
-        check_recorded(request.node, binary_lines(name))
+    def test_binary(self, recorded):
+        recorded()
 
-    @pytest.mark.parametrize("name", sorted(UNARY))
-    def test_unary(self, name, request):
-        check_recorded(request.node, unary_lines(name))
+    def test_unary(self, recorded):
+        recorded()
 
-    def test_count_real_roots(self, request):
-        check_recorded(request.node, count_real_roots_lines())
+    def test_count_real_roots(self, recorded):
+        recorded()
 
     def test_canonical_form(self):
         for a, b in PAIRS:

@@ -22,8 +22,7 @@ from jacobilin import (
     make_params,
 )
 
-from conftest import GRID, GRID_WIDE, rand_alpha_beta
-from make_outcome_digests import assembly_lines, check_recorded
+from conftest import GRID, rand_alpha_beta
 
 F = Fraction
 
@@ -220,12 +219,11 @@ class TestLinearize:
                 )
             assert norm_h(p, n) == 1 / linearize_gencheb(p, n, n)[0]
 
-    @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_matches_reference_assembly(self, point, request):
+    def test_matches_reference_assembly(self, recorded):
         # The vectors m <= n <= 12, as recorded while they equalled the
         # assembly from two `Fraction` products per entry that they replaced
         # (`make_outcome_digests.assembly_lines`).
-        check_recorded(request.node, assembly_lines(point))
+        recorded()
 
 
 class TestProductIdentity:

@@ -17,12 +17,6 @@ from jacobilin import (
 from jacobilin.hypergeom import HypTermSum, rahman_coefficient, rahman_special
 
 from conftest import GRID_DELTA_INTERIOR, rand_alpha_beta
-from make_outcome_digests import (
-    CLOSED_FORM_POINTS,
-    check_recorded,
-    closed_form_lines,
-    term_sum_lines,
-)
 
 F = Fraction
 
@@ -65,13 +59,12 @@ class TestTermSum:
         series = HypTermSum(q=1, nums=(5,), dens=(0,), term_count=0)
         assert series.evaluate() == 1
 
-    def test_matches_reference_on_seeded_series(self, request):
+    def test_matches_reference_on_seeded_series(self, recorded):
         # 5000 seeded series, each over three multiples of its lcm, as
         # recorded while they equalled the loop of one `Fraction` product per
         # parameter that the sum was (`make_outcome_digests.term_sum_lines`);
         # a singular sum is its exception.  The seeds must keep both kinds.
-        lines = list(term_sum_lines())
-        check_recorded(request.node, lines)
+        lines = recorded()
         singular = sum(line.startswith("(raises") for line in lines[::3])
         assert 1000 < singular < 4000
 
@@ -279,6 +272,5 @@ class TestClosedFormExactness:
     record was written while the factor tables equalled the chains of one
     `Fraction` per factor that they replaced."""
 
-    @pytest.mark.parametrize("point", CLOSED_FORM_POINTS)
-    def test_matches_reference(self, point, request):
-        check_recorded(request.node, closed_form_lines(point))
+    def test_matches_reference(self, recorded):
+        recorded()

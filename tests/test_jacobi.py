@@ -3,6 +3,7 @@ coefficients, closed-form boundary entries, and the full product expansions."""
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -26,18 +27,8 @@ from jacobilin import (
 )
 
 from conftest import GRID, GRID_WIDE, outcome, rand_alpha_beta
-from make_outcome_digests import (
-    BOUNDARY_POINTS,
-    IDENTITY_POINTS,
-    KERNEL_POINTS,
-    STEP_EXAMPLES,
-    bruteforce_lines,
-    check_recorded,
-    kernel_lines,
-    row_lines,
-    step_lines,
-)
-from symbolic import Poly, positive, slipped
+from make_outcome_digests import BOUNDARY_POINTS, IDENTITY_POINTS
+from symbolic import Poly, Proofs, equal, positive
 
 F = Fraction
 
@@ -91,11 +82,10 @@ class TestRecurrenceCoeffs:
         for rc in gencheb_rows:
             assert rc.b == 0 and gcd(rc.a, rc.den) == 1
 
-    @pytest.mark.parametrize("point", GRID)
-    def test_rows_match_recorded(self, point, request):
+    def test_rows_match_recorded(self, recorded):
         # Every jacobi row n 0..32 and gencheb row n 1..32, as recorded
         # (`make_outcome_digests.row_lines`).
-        check_recorded(request.node, row_lines(point))
+        recorded()
 
 
 def szego_jacobi_pairs(d, al, be, n):
@@ -130,59 +120,54 @@ def ab_gencheb_pairs(d, a, b, r, odd):
 # and b d are formed from them.
 D, AL, BE, N, R, M, S, J, X, Y, M1 = Poly.variables(11)
 A, B = AL + BE + D, AL - BE
-REFERENCE = {
-    "jacobi_row_0": szego_jacobi_pairs(D, AL, BE, 0),
-    "jacobi_rows": szego_jacobi_pairs(D, AL, BE, N),
-    "gencheb_odd": ab_gencheb_pairs(D, A, B, R, True),
-    "gencheb_even": ab_gencheb_pairs(D, A, B, R, False),
-}
-SUM = "row_sum"
-# One planted typo per identity, in the library formula named: (helper,
-# text, replacement).  The row_sum identity, a + b + c = den for every row,
-# gets its slip in b_n, which no ratio identity reads.
-SLIPS = {
-    "jacobi_row_0": ("_jacobi_row", "0, a + d", "0, a + 2 * d"),
-    "jacobi_rows": ("_jacobi_row", "(2 * n_d + a + b + one) * lo", "(2 * n_d + a + b - one) * lo"),
-    "gencheb_odd": ("_gencheb_row", "0, r + be,", "0, r + al,"),
-    "gencheb_even": ("_gencheb_row", "return r + al + be + d", "return r + al + be - d"),
-    SUM: ("_jacobi_row", "4 * b * n * (n_d + a)", "4 * b * n * (n_d + b)"),
+# Each row: its builder in jacobi, the builder's arguments, and a_n and c_n
+# in the other parametrization.
+ROWS = {
+    "jacobi_row_0": ("_jacobi_row", (D, A, B, 0), szego_jacobi_pairs(D, AL, BE, 0)),
+    "jacobi_rows": ("_jacobi_row", (D, A, B, N), szego_jacobi_pairs(D, AL, BE, N)),
+    "gencheb_odd": ("_gencheb_row", (D, AL, BE, R, True), ab_gencheb_pairs(D, A, B, R, True)),
+    "gencheb_even": ("_gencheb_row", (D, AL, BE, R, False), ab_gencheb_pairs(D, A, B, R, False)),
 }
 
 
-def identity_holds(identity, jacobi_row, gencheb_row):
-    """The identity as a polynomial equality, for the given row formulas:
-    each row's a_n and c_n equal the reference's, cross-multiplied, or
-    every row sums to its denominator."""
-    rows = {
-        "jacobi_row_0": jacobi_row(D, A, B, 0),
-        "jacobi_rows": jacobi_row(D, A, B, N),
-        "gencheb_odd": gencheb_row(D, AL, BE, R, True),
-        "gencheb_even": gencheb_row(D, AL, BE, R, False),
-    }
-    if identity == SUM:
-        return all(a + b + c == den for a, b, c, den in rows.values())
-    a, _, c, den = rows[identity]
-    (a_ref, a_den), (c_ref, c_den) = REFERENCE[identity]
-    return a * a_den == a_ref * den and c * c_den == c_ref * den
+def row(identity):
+    """(a, b, c, den) of the row, from its builder as jacobi holds it."""
+    helper, args, _ = ROWS[identity]
+    return getattr(jacobi_module, helper)(*args)
 
 
-class TestRowProofs:
+def row_matches_reference(identity):
+    """The row's a_n and c_n equal the other parametrization's."""
+    a, _, c, den = row(identity)
+    a_ref, c_ref = ROWS[identity][2]
+    return equal(((a, den), a_ref)) and equal(((c, den), c_ref))
+
+
+class TestRowProofs(Proofs):
     """Each builder types its row once; its one formula is proved equal to
     the other parametrization for all parameters, as polynomials in (d,
     alpha d, beta d, n) for jacobi and in (d, alpha d, beta d, r) for
-    gencheb, so the rows need no cross-check when they are built."""
+    gencheb, so the rows need no cross-check when they are built; and every
+    row sums to its denominator."""
 
-    @pytest.mark.parametrize("identity", SLIPS)
-    def test_identity_holds(self, identity):
-        assert identity_holds(identity, jacobi_module._jacobi_row, jacobi_module._gencheb_row)
-
-    @pytest.mark.parametrize("identity", SLIPS)
-    def test_planted_slip_fails(self, identity):
-        helpers = {"_jacobi_row": jacobi_module._jacobi_row,
-                   "_gencheb_row": jacobi_module._gencheb_row}
-        name, old, new = SLIPS[identity]
-        helpers[name] = slipped(helpers[name], old, new)
-        assert not identity_holds(identity, *helpers.values())
+    PROOFS = {
+        **{identity: partial(row_matches_reference, identity) for identity in ROWS},
+        "row_sum": lambda: all(a + b + c == den for a, b, c, den in map(row, ROWS)),
+    }
+    # One planted typo per identity, in the row builder named; row_sum's is
+    # in b_n, which no other identity reads.
+    SLIPS = {
+        "jacobi_row_0": ("jacobi_row_0", jacobi_module, "_jacobi_row",
+                         "0, a + d", "0, a + 2 * d"),
+        "jacobi_rows": ("jacobi_rows", jacobi_module, "_jacobi_row",
+                        "(2 * n_d + a + b + one) * lo", "(2 * n_d + a + b - one) * lo"),
+        "gencheb_odd": ("gencheb_odd", jacobi_module, "_gencheb_row",
+                        "0, r + be,", "0, r + al,"),
+        "gencheb_even": ("gencheb_even", jacobi_module, "_gencheb_row",
+                         "return r + al + be + d", "return r + al + be - d"),
+        "row_sum": ("row_sum", jacobi_module, "_jacobi_row",
+                    "4 * b * n * (n_d + a)", "4 * b * n * (n_d + b)"),
+    }
 
     def test_polynomial_arithmetic(self):
         x, y = Poly.variables(2)
@@ -198,7 +183,6 @@ class TestRowProofs:
         assert not positive(d - 2 * y, (d, x, y)) and not positive(x * y, (d, x))
         assert not positive(Poly(), (d, x))
         assert positive(2 * d * d + 5 * d * x, (d, x, y)) and positive(3 + x * y, (d, x))
-
 
 
 def paper_weights(d, a, b, m, s, j):
@@ -256,47 +240,42 @@ def kernel_identity_holds(identity):
         i = WEIGHTS.index(identity)
         *weights, den = jacobi_module._recursion_weights(D, A, B, M, S, J * D)
         ref_n, ref_d = paper_weights(D, A, B, M, S, J * D)[i]
-        return weights[i] * ref_d * D ** (4 if identity == "iota" else 3) == den * ref_n
+        return equal(((weights[i], den), (ref_n, ref_d * D ** (4 if identity == "iota" else 3))))
     i = RATIOS.index(identity)
     num, den = jacobi_module._boundary_ratios(D, A, B, M, S)[i]
     cof, ref_d = paper_ratios(D, A, B, M, S)[i]
     a, b, m = X + Y - D, X - Y, 1 + M1
     num_xy, den_xy = jacobi_module._boundary_ratios(D, a, b, m, S)[i]
     cof_xy = paper_ratios(D, a, b, m, S)[i][0]
-    return num * ref_d == B * cof * den and num_xy == b * cof_xy and (
+    return equal(((num, den), (B * cof, ref_d))) and num_xy == b * cof_xy and (
         positive(cof_xy, (D, X, Y)) and positive(den_xy, (D, X, Y))
     )
 
 
-# One planted typo per identity, in the jacobi helper named: (helper, text,
-# replacement).  The iota slip is the one the p split of
-# test_analysis.py::TestIdentityProofs also rejects.
-KERNEL_SLIPS = {
-    "theta": ("_recursion_weights", "(w - b + one)", "(w - b - one)"),
-    "iota": ("_recursion_weights", "shared_ik * sj * j * up", "shared_ik * sj * j * down"),
-    "kappa": ("_recursion_weights", "(sj + a - one)", "(sj + a + one)"),
-    "ratio_lo": ("_boundary_ratios", "(2 * s_l + a + 2 * one)", "(2 * s_l + a + one)"),
-    "ratio_hi": ("_boundary_ratios", "(2 * m_l + 2 * s_l + a - one) * m2a",
-                 "(2 * m_l + 2 * s_l + a + one) * m2a"),
-}
-
-
-class TestKernelProofs:
+class TestKernelProofs(Proofs):
     """The recursion weights and the boundary ratios are each typed once on
     integers, and equal the paper's rational formulas for all parameters,
     as polynomial identities; both ratios have the sign of b for alpha,
     beta > -1 and m >= 1.  Only kappa's removable zero, a branch taken at
     one integer point, is left to `TestKernelExactness`."""
 
-    @pytest.mark.parametrize("identity", KERNEL_SLIPS)
-    def test_identity_holds(self, identity):
-        assert kernel_identity_holds(identity)
+    PROOFS = {identity: partial(kernel_identity_holds, identity) for identity in WEIGHTS + RATIOS}
+    # One planted typo per identity, in the jacobi helper named.  The iota
+    # slip is the one the p split of test_analysis.py::TestIdentityProofs
+    # also rejects.
+    SLIPS = {
+        "theta": ("theta", jacobi_module, "_recursion_weights",
+                  "(w - b + one)", "(w - b - one)"),
+        "iota": ("iota", jacobi_module, "_recursion_weights",
+                 "shared_ik * sj * j * up", "shared_ik * sj * j * down"),
+        "kappa": ("kappa", jacobi_module, "_recursion_weights",
+                  "(sj + a - one)", "(sj + a + one)"),
+        "ratio_lo": ("ratio_lo", jacobi_module, "_boundary_ratios",
+                     "(2 * s_l + a + 2 * one)", "(2 * s_l + a + one)"),
+        "ratio_hi": ("ratio_hi", jacobi_module, "_boundary_ratios",
+                     "(2 * m_l + 2 * s_l + a - one) * m2a", "(2 * m_l + 2 * s_l + a + one) * m2a"),
+    }
 
-    @pytest.mark.parametrize("identity", KERNEL_SLIPS)
-    def test_planted_slip_fails(self, monkeypatch, identity):
-        name, old, new = KERNEL_SLIPS[identity]
-        monkeypatch.setattr(jacobi_module, name, slipped(getattr(jacobi_module, name), old, new))
-        assert not kernel_identity_holds(identity)
 
 class TestEvaluation:
     @pytest.mark.parametrize("point", GRID[::4])
@@ -612,9 +591,8 @@ class TestKernelExactness:
     the one-Fraction-at-a-time reference (`make_outcome_digests.kernel_lines`);
     `TestKernelProofs` proves its weights and ratios for all parameters."""
 
-    @pytest.mark.parametrize("point", KERNEL_POINTS)
-    def test_matches_reference(self, point, request):
-        check_recorded(request.node, kernel_lines(point))
+    def test_matches_reference(self, recorded):
+        recorded()
 
     def test_degenerate_kappa_at_one(self):
         p = make_params(F(-1, 4), F(-3, 4))
@@ -657,9 +635,8 @@ class TestRecursionStep:
     `Fraction`s it replaced, at the grid, tall denominators and the lines
     a = 0 and b = 0 (`make_outcome_digests.step_lines`)."""
 
-    @pytest.mark.parametrize("source", STEP_EXAMPLES)
-    def test_matches_reference_loop(self, source, request):
-        check_recorded(request.node, step_lines(source))
+    def test_matches_reference_loop(self, recorded):
+        recorded()
 
     def test_perturbed_theta_is_caught(self, monkeypatch):
         original = jacobi_module._recursion_weights
@@ -703,9 +680,8 @@ class TestBruteforceExactness:
     elimination it replaced, in every family and at the companion point, for
     m <= n <= 10 (`make_outcome_digests.bruteforce_lines`)."""
 
-    @pytest.mark.parametrize("point", GRID_WIDE)
-    def test_matches_reference(self, point, request):
-        check_recorded(request.node, bruteforce_lines(point))
+    def test_matches_reference(self, recorded):
+        recorded()
 
 
 class TestCacheBounds:
