@@ -5,7 +5,8 @@ Everything is computed in rational arithmetic (fractions.Fraction); there is
 no floating point anywhere on a result path.  The package provides:
 
 - closed-form and recursion-based product expansions for the normalized
-  Jacobi family, cross-checked against a brute-force basis reduction;
+  Jacobi family, cross-checked against a brute-force basis reduction, and
+  every product of a degree triangle in one pass over the recurrence rows;
 - the same for the generalized Chebyshev family built from it by a
   quadratic substitution, with parity-aware assembly;
 - terminating hypergeometric closed forms for single coefficients, valid
@@ -42,6 +43,7 @@ from .jacobi import (
     jacobi_rec_coeffs,
     linearize_bruteforce,
     linearize_jacobi,
+    product_triangle,
     theta_iota_kappa,
 )
 from .gencheb import (
@@ -97,6 +99,7 @@ __all__ = [
     "jacobi_rec_coeffs",
     "linearize_bruteforce",
     "linearize_jacobi",
+    "product_triangle",
     "theta_iota_kappa",
     "gencheb_eval",
     "gencheb_rec_coeffs",

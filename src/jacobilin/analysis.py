@@ -2,7 +2,10 @@
 
 Everything here consumes the exact coefficient vectors from the linearization
 modules.  scan_sign_pattern enumerates a coefficient family exhaustively up to
-a degree bound and reports the minimum together with the first violating entry.
+a degree bound and reports the minimum together with the first violating entry;
+it reads every vector of the point from one `jacobi.product_triangle` pass over
+the recurrence rows, whose steps assert that the entries below each support
+cancel (README has its time against the per-vector routes by height).
 The remaining functions isolate the quantities that control where the gencheb
 coefficients stay nonnegative: the zero count of the middle recursion
 coefficient iota over its index range, the ratio functions p and q with their
@@ -31,7 +34,14 @@ from fractions import Fraction
 
 from .exact import RationalPolynomial, count_real_roots
 from .gencheb import _companion, linearize_gencheb
-from .jacobi import _boundary_ratios, _gencheb_row, _recursion_weights, linearize_jacobi
+from .jacobi import (
+    FAMILY_GENCHEB,
+    FAMILY_JACOBI,
+    _boundary_ratios,
+    _gencheb_row,
+    _recursion_weights,
+    product_triangle,
+)
 from .params import JacobiParams, _gasper_qv, classify_region, make_params
 
 VERDICT_ALL_NONNEG = "all_nonneg"
@@ -77,41 +87,42 @@ def scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport
     reflected family, which by P_n^(al,be)(-x) = (-1)^n P_n^(be,al)(x) is
     jacobi at the point (beta, alpha); m+n+k has the parity of the position.
 
-    Each vector is read on its integer numerators over its one positive
-    denominator: its minimum is the least numerator, compared with the
-    running minimum min_n/min_d by cross-multiplying once, and its first
-    negative entry is its first negative numerator.
+    The vectors come from one `product_triangle` pass of the family at the
+    point, in scan order, so a scan reads only the recurrence rows and fills
+    no linearize cache.  Each vector is read on its integer numerators over
+    its one positive denominator: its minimum is the least numerator,
+    compared with the running minimum min_n/min_d by cross-multiplying once,
+    and its first negative entry is its first negative numerator.
     """
     if mode not in SCAN_MODES:
         raise ValueError(f"unknown scan mode {mode!r}")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     gencheb = mode.startswith("gencheb")
-    linearize = linearize_gencheb if gencheb else linearize_jacobi
+    family = FAMILY_GENCHEB if gencheb else FAMILY_JACOBI
     oscillation = mode == "oscillation"
     point = make_params(p.beta, p.alpha) if oscillation else p
     skip_odd = gencheb or p.b == 0
     min_n, min_d = None, 1
     witness = None
     witness_value = None
-    for n in range(max_degree + 1):
-        for m in range(n + 1):
-            if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
-                continue
-            cv = linearize(point, m, n)
-            if skip_odd:
-                nums, step = cv.nums[::2], 2
-            elif oscillation:
-                nums, step = [-x if i % 2 else x for i, x in enumerate(cv.nums)], 1
-            else:
-                nums, step = cv.nums, 1
-            least, den = min(nums), cv.den
-            if min_n is None or least * min_d < min_n * den:
-                min_n, min_d = least, den
-            if least < 0 and witness is None:
-                i = next(i for i, x in enumerate(nums) if x < 0)
-                witness = (m, n, cv.k_min + step * i)
-                witness_value = Fraction(nums[i], den)
+    for cv in product_triangle(point, family, max_degree):
+        m, n = cv.m, cv.n
+        if mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0:
+            continue
+        if skip_odd:
+            nums, step = cv.nums[::2], 2
+        elif oscillation:
+            nums, step = [-x if i % 2 else x for i, x in enumerate(cv.nums)], 1
+        else:
+            nums, step = cv.nums, 1
+        least, den = min(nums), cv.den
+        if min_n is None or least * min_d < min_n * den:
+            min_n, min_d = least, den
+        if least < 0 and witness is None:
+            i = next(i for i, x in enumerate(nums) if x < 0)
+            witness = (m, n, cv.k_min + step * i)
+            witness_value = Fraction(nums[i], den)
     min_value = Fraction(0) if min_n is None else Fraction(min_n, min_d)
     if witness is not None:
         verdict = VERDICT_VIOLATION

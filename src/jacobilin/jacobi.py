@@ -20,7 +20,10 @@ coefficients theta, iota and kappa are the weights T, I and K over one
 denominator D of `_recursion_weights`.  The two inner closed forms are the
 extremes times `_boundary_ratios`, the one integer form of g(s+1)/g(s) and
 g(s+2m-1)/g(s+2m).  A brute-force route through monomial coefficients
-provides a fully independent oracle.
+provides a fully independent oracle.  `product_triangle` gives every vector
+m <= n <= N of either family in one pass from the rows alone, by the product
+recurrence P_m P_n = (P_1 P_{n-1} P_m - b P_{n-1} P_m - c P_{n-2} P_m) / a;
+the sign scans read it.
 """
 
 from dataclasses import dataclass
@@ -180,8 +183,8 @@ def gencheb_rec_coeffs(p: JacobiParams, n: int) -> RecurrenceCoeffs:
     """Row n >= 1 of x T_n = a_n T_{n+1} + c_n T_{n-1} (b = 0):
     `_gencheb_row` at the point's integers over d (`p.over_lcm_all`),
     reduced by one gcd; a_n + c_n = 1, so the reduced a_n and c_n share the
-    row's denominator.  Cached, so a scan to degree 31 builds each row of
-    its point once."""
+    row's denominator.  Cached, so the gencheb assembly of many products at
+    one point builds each row once."""
     if n < 1:
         raise ValueError("recurrence index must be >= 1")
     d, al, be, _, _ = p.over_lcm_all
@@ -338,10 +341,10 @@ def gasper_boundary(
 
     where (X | Q)_n = X (X+Q) ... (X+(n-1)Q) is an integer.  One `Fraction`
     per entry.  The code scales by L itself instead of passing the extremes
-    to `exact._rising_ratio` over the point's d: a scan calls it at every
-    (m, s), and that route was 1.23x as slow over the 22 grid points, m 1..8,
-    s 0..8 (slower in 40 of 40 rounds), and whole scans 1.056x as slow
-    (2-core x86_64, Python 3.11.7).
+    to `exact._rising_ratio` over the point's d: `linearize_jacobi` calls it
+    at every (m, s), and that route was 1.23x as slow over the 22 grid
+    points, m 1..8, s 0..8 (slower in 40 of 40 rounds), and whole scans
+    through `linearize_jacobi` 1.056x as slow (2-core x86_64, Python 3.11.7).
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
@@ -434,6 +437,107 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
                 m=m, n=n, k=s + 2 * m,
             )
     return _coeff_vector(m, n, FAMILY_JACOBI, vals)
+
+
+def _product_step(rows, v, v_lo, w, w_lo, r, step):
+    """(P_1 V/D - b_r V/D - c_r W/D') / a_r at k = v_lo - 1, v_lo - 1 + step,
+    .., v_hi + 1, as integers over lcm(D, D') (R / R_r) A_r, and that
+    denominator.  V holds the entries at k = v_lo, v_lo + step, .., and W
+    those at k = w_lo, w_lo + step, ..; rows is (As, Bs, Cs, dens) by k, and
+    row k is (A_k, B_k, C_k) over R_k.  Multiplying by P_1 moves V_k by row
+    k: a_k to k+1, b_k to k, c_k to k-1.  R is the lcm of R_r and of each
+    R_k over gcd(V_k, R_k): what V_k cancels of its row is not carried.
+    step is 2 when every b_k is 0: then the entries of the other parity are
+    0 and are not carried."""
+    big_a, big_b, big_c, dens = rows
+    (nums, den), (w_nums, w_den) = v, w
+    v_rows = dens[v_lo : v_lo + step * len(nums) : step]
+    big_r = lcm(dens[r], *[d // gcd(x, d) for x, d in zip(nums, v_rows)])
+    e = lcm(den, w_den)
+    e_v, s = e // den, big_r // dens[r]
+    scale = e_v * big_r  # u_k = V_k e_v R / R_k: V_k / (D R_k) over e R
+    out = [0] * (len(nums) + 3 - step)
+    if step == 1:
+        b_r = big_b[r] * s * e_v
+        for i, (x, d) in enumerate(zip(nums, v_rows)):
+            k = v_lo + i
+            u = x * scale // d
+            out[i] += big_c[k] * u
+            out[i + 1] += big_b[k] * u - b_r * x
+            out[i + 2] = big_a[k] * u
+    else:
+        for i, (x, d) in enumerate(zip(nums, v_rows)):
+            k = v_lo + 2 * i
+            u = x * scale // d
+            out[i] += big_c[k] * u
+            out[i + 1] = big_a[k] * u
+    c_r = big_c[r] * s * (e // w_den)
+    for i, y in enumerate(w_nums, (w_lo - v_lo + 1) // step):
+        out[i] -= c_r * y
+    return out, e * s * big_a[r]
+
+
+def product_triangle(p: JacobiParams, family: str, max_degree: int):
+    """The `CoeffVector` of P_m P_n for every 0 <= m <= n <= max_degree, in
+    scan order (n, then m), from the family's recurrence rows alone.
+
+    Row 0 is read as P_1 P_0 = P_1, (1, 0, 0) over 1, for both families
+    (jacobi row 0 is the x-row).  Then, by row n-1,
+
+        P_m P_n = (P_1 (P_{n-1} P_m) - b_{n-1} P_{n-1} P_m - c_{n-1} P_{n-2} P_m) / a_{n-1},
+
+    so g(m, n) for m < n comes from g(m, n-1) and g(m, n-2) (g(n-2, n-1)
+    at m = n-1), and g(n, n) from g(n-1, n) and g(n-2, n) by the
+    first-index step: two columns of the triangle are live.  Each step is
+    one integer formula (`_product_step`) over lcm(D, D') (R / R_{n-1})
+    a_{n-1}, reduced by one gcd.  Where every b_k is 0 (gencheb, and jacobi
+    on b = 0) only the entries at k = m + n mod 2 are carried.
+
+    The entries below n - m must cancel, and the pass asserts it
+    (`internal_error`, route rows/<family>, naming the point, m, n and k).
+    Any rows with nonzero a_k and c_k define an orthogonal family (Favard),
+    so the check guards the steps and the vectors they read, not the rows:
+    a wrong but valid row gives another family's vectors.  The rows are
+    proved equal to Szego's form in tests/test_jacobi.py.  The pass reads no
+    Gasper weight, closed form or companion vector."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    row_at = gencheb_rec_coeffs if family == FAMILY_GENCHEB else jacobi_rec_coeffs
+    table = [_GENCHEB_ROW0, *(row_at(p, k) for k in range(1, 2 * max_degree))]
+    rows = tuple([getattr(row, f) for row in table] for f in ("a", "b", "c", "den"))
+    step = 1 if any(rows[1]) else 2
+    unit, empty = ((1,), 1), ((), 1)
+    before = last = []  # columns n-2 and n-1: (entries, den) of g(m, n) by m
+    for n in range(max_degree + 1):
+        col = [unit]
+        yield CoeffVector(0, n, family, *unit)
+        live = (before, last, col)  # g(x, y), x <= y, is live[y - n + 2][x]
+        for m in range(1, n + 1):
+            # g(m, n) from g(n-1, m) and g(n-2, m) by row n-1.
+            v = live[max(n - 1, m) - n + 2][min(n - 1, m)]
+            w = live[max(n - 2, m) - n + 2][min(n - 2, m)] if n > 1 else empty
+            v_lo = abs(n - 1 - m)
+            out, den = _product_step(rows, v, v_lo, w, abs(n - 2 - m), n - 1, step)
+            start = (n - m - v_lo + 1) // step
+            for i, x in enumerate(out[:start]):
+                if x:
+                    raise internal_error(
+                        p, f"rows/{family}", "entry below the support does not cancel",
+                        m=m, n=n, k=v_lo - 1 + step * i,
+                    )
+            kept = out[start:]
+            g = gcd(den, *kept)  # den > 0: a_{n-1} > 0 for alpha, beta > -1
+            if g != 1:
+                kept, den = [x // g for x in kept], den // g
+            col.append((kept, den))
+            nums = kept
+            if step == 2:  # the entries of the other parity are 0
+                nums = [0] * (2 * m + 1)
+                nums[::2] = kept
+            yield CoeffVector(m, n, family, tuple(nums), den)
+        before, last = last, col
 
 
 @lru_cache(maxsize=64)

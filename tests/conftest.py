@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import jacobilin.jacobi as jacobi_module
 from jacobilin.exact import _over_lcm
 from jacobilin.jacobi import CoeffVector
 
@@ -118,6 +119,23 @@ def recorded(request):
     key, params, lines = case_of(request.node.nodeid)
     arg = request.param if hasattr(request, "param") else params[None]
     return lambda: check_recorded(key, lines(arg))
+
+
+@pytest.fixture
+def broken_product_step(monkeypatch):
+    """Perturb g(1, 1) where `jacobi.product_triangle`'s step to g(1, 3)
+    reads it, so the entry of g(1, 3) at k = 0, below its support, does not
+    cancel.  A wrong recurrence row would not do: any rows with nonzero a_k
+    and c_k give an orthogonal family (Favard), whose supports cancel."""
+    original = jacobi_module._product_step
+
+    def perturbed(rows, v, v_lo, w, w_lo, r, step):
+        if (v_lo, w_lo, r) == (1, 0, 2):  # v = g(1, 2), w = g(1, 1), row 2
+            nums, den = w
+            w = [nums[0] + 1, *nums[1:]], den
+        return original(rows, v, v_lo, w, w_lo, r, step)
+
+    monkeypatch.setattr(jacobi_module, "_product_step", perturbed)
 
 
 def rand_fraction(rng: random.Random, lo, hi, max_den: int = 40) -> Fraction:

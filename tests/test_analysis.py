@@ -12,6 +12,7 @@ import pytest
 from jacobilin import (
     FAMILY_GENCHEB,
     FAMILY_JACOBI,
+    SCAN_MODES,
     chi_m_poly,
     classify_region,
     find_negativity_witness,
@@ -102,6 +103,25 @@ class TestScan:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             scan_sign_pattern(make_params(1, 0), 3, "bogus")
+
+    @pytest.mark.parametrize("mode", SCAN_MODES)
+    def test_witness_is_first_negative_of_linearize(self, mode):
+        # At a point outside V' the scan's witness is the first negative
+        # entry of the linearize functions over (n, m, k), under the scan's
+        # skip rule and the oscillation sign.
+        p = make_params(F(-1, 4), F(-1, 5))
+        gencheb = mode.startswith("gencheb")
+        point = make_params(p.beta, p.alpha) if mode == "oscillation" else p
+        linearize = linearize_gencheb if gencheb else linearize_jacobi
+        signed = (
+            ((m, n, k), -v if mode == "oscillation" and (m + n + k) % 2 else v)
+            for n in range(9) for m in range(n + 1)
+            if not (mode == "gencheb_odd" and m % 2 == 0 and n % 2 == 0)
+            for k, v in linearize(point, m, n).items()
+            if not (gencheb and (m + n - k) % 2)
+        )
+        rep = scan_sign_pattern(p, 8, mode)
+        assert (rep.witness, rep.witness_value) == next((at, v) for at, v in signed if v < 0)
 
     def test_matches_reference_scan(self, recorded):
         # Every mode at degrees 0, 1, 4 and 8, as recorded while the scan

@@ -538,34 +538,55 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize(
-        "argv, points",
+        "argv, points, fault, route",
         [
-            (["compare", "--max-degree", "3"], ["alpha=-1/2, beta=0"]),
-            (["scan", "--check", "nonneg", "--max-degree", "4"], ["alpha=-1/2, beta=0"]),
-            (["verify", "--property", "recursion-consistency"], ["alpha=-1/2, beta=0"]),
+            (
+                ["compare", "--max-degree", "3"],
+                ["alpha=-1/2, beta=0"],
+                "broken_gasper",
+                "gasper",
+            ),
+            (
+                ["scan", "--check", "nonneg", "--max-degree", "4"],
+                ["alpha=-1/2, beta=0, m=1, n=3"],
+                "broken_product_step",
+                "rows/jacobi",
+            ),
+            (
+                ["verify", "--property", "recursion-consistency"],
+                ["alpha=-1/2, beta=0"],
+                "broken_gasper",
+                "gasper",
+            ),
             (
                 ["verify", "--property", "phi-alternation"],
                 ["alpha=-1/2, beta=1", "companion of alpha=-1/2, beta=0"],
+                "broken_gasper",
+                "gasper",
             ),
             (
                 ["witness", "--max-degree", "8"],
                 ["alpha=-1/2, beta=1", "companion of alpha=-1/2, beta=0"],
+                "broken_gasper",
+                "gasper",
             ),
         ],
         ids=["compare", "scan", "verify", "verify-phi", "witness"],
     )
     def test_internal_failure_exits_four_in_every_subcommand(
-        self, capsys, broken_gasper, argv, points, json_flag
+        self, capsys, request, argv, points, fault, route, json_flag
     ):
         # (-1/2, 0) lies outside V' (b < 0).  phi and the odd products of the
         # gencheb family run at the companion point (-1/2, 1), and the message
-        # names the point asked about as well.
+        # names the point asked about as well.  The scan reads the product
+        # pass, not the Gasper route, so its fault is planted there.
+        request.getfixturevalue(fault)
         code, out, err = run(capsys, argv[0], "--alpha", "-1/2", "--beta", "0",
                              *argv[1:], *json_flag)
         assert code == 4
         assert out == ""
         assert err.startswith("internal error: ")
-        assert "route gasper" in err
+        assert f"route {route}" in err
         for point in points:
             assert point in err
 

@@ -23,6 +23,7 @@ from jacobilin import (
 )
 
 from conftest import GRID, rand_alpha_beta
+from make_outcome_digests import BOUNDARY_POINTS
 
 F = Fraction
 
@@ -200,14 +201,7 @@ class TestLinearize:
         cv = linearize_gencheb(make_params(1, 0), 0, 4)
         assert cv.values == (F(1),)
 
-    # Points on boundary lines that GRID misses or only touches at a corner.
-    BOUNDARY_POINTS = [
-        (F(-1, 4), F(-3, 4)),  # a = 0, b != 0
-        (F(1, 3), F(-2, 3)),  # b = 1
-        (F(5, 7), F(-1, 2)),  # beta = -1/2, alpha != beta
-        (F(2, 7), F(2, 7)),  # alpha = beta
-    ]
-
+    # One point on each of a = 0, alpha = beta, b = 1 and beta = -1/2.
     @pytest.mark.parametrize("point", BOUNDARY_POINTS)
     def test_matches_bruteforce_on_boundary_lines(self, point):
         p = make_params(*point)

@@ -23,6 +23,7 @@ from jacobilin import (
     make_params,
     plus_params,
     pochhammer,
+    product_triangle,
     theta_iota_kappa,
 )
 
@@ -553,6 +554,53 @@ class TestLinearize:
                 linearize_bruteforce(p, 1, 3, family)
         finally:
             jacobi_module._monomial_basis.cache_clear()
+
+
+class TestProductTriangle:
+    @pytest.mark.parametrize("point", GRID_WIDE + BOUNDARY_POINTS)
+    def test_matches_linearize(self, point):
+        # Every vector m <= n <= 10 of both families, in scan order.
+        p = make_params(*point)
+        for family, linearize in ((FAMILY_JACOBI, linearize_jacobi),
+                                  (FAMILY_GENCHEB, linearize_gencheb)):
+            want = [linearize(p, m, n) for n in range(11) for m in range(n + 1)]
+            assert list(product_triangle(p, family, 10)) == want
+
+    @pytest.mark.parametrize("family", [FAMILY_JACOBI, FAMILY_GENCHEB])
+    def test_uncancelled_entry_names_its_point_and_indices(self, family, broken_product_step):
+        p = make_params(F(1, 2), F(1, 4))
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^internal: entry below the support does not cancel \(route rows/{family}, "
+            rf"alpha=1/2, beta=1/4, m=1, n=3, k=0\)$",
+        ):
+            list(product_triangle(p, family, 3))
+
+    def test_swapped_row_gives_another_family(self, monkeypatch):
+        # Row 2 with a and c swapped still sums to its denominator, and the
+        # rows still define an orthogonal family (Favard): every support
+        # cancels, and the vectors differ from the library's silently.  The
+        # row proofs (TestRowProofs) are what see such a slip.
+        original = jacobi_module.jacobi_rec_coeffs
+
+        def swapped(p, n):
+            row = original(p, n)
+            if n != 2:
+                return row
+            return jacobi_module.RecurrenceCoeffs(n, row.c, row.b, row.a, row.den)
+
+        monkeypatch.setattr(jacobi_module, "jacobi_rec_coeffs", swapped)
+        p = make_params(F(1, 2), F(1, 4))
+        got = list(product_triangle(p, FAMILY_JACOBI, 4))
+        assert got != [linearize_jacobi(p, m, n) for n in range(5) for m in range(n + 1)]
+
+    def test_rejects_bad_requests(self):
+        p = make_params(1, 0)
+        assert [(cv.m, cv.n) for cv in product_triangle(p, FAMILY_JACOBI, 0)] == [(0, 0)]
+        with pytest.raises(ValueError, match="unknown family"):
+            next(product_triangle(p, "bogus", 3))
+        with pytest.raises(ValueError, match="max_degree"):
+            next(product_triangle(p, FAMILY_GENCHEB, -1))
 
 
 class TestClosedFormSpots:
