@@ -4,8 +4,8 @@ Everything here consumes the exact coefficient vectors from the linearization
 modules.  scan_sign_pattern enumerates a coefficient family exhaustively up to
 a degree bound and reports the minimum together with the first violating entry;
 it reads every vector of the point from one `jacobi.product_triangle` pass over
-the recurrence rows, whose steps assert that the entries below each support
-cancel (README has its time against the per-vector routes by height).
+the recurrence rows, each vector checked as a `CoeffVector` before it is read
+(README has its time against the per-vector routes by height).
 The remaining functions isolate the quantities that control where the gencheb
 coefficients stay nonnegative: the zero count of the middle recursion
 coefficient iota over its index range, the ratio functions p and q with their

@@ -22,8 +22,8 @@ extremes times `_boundary_ratios`, the one integer form of g(s+1)/g(s) and
 g(s+2m-1)/g(s+2m).  A brute-force route through monomial coefficients
 provides a fully independent oracle.  `product_triangle` gives every vector
 m <= n <= N of either family in one pass from the rows alone, by the product
-recurrence P_m P_n = (P_1 P_{n-1} P_m - b P_{n-1} P_m - c P_{n-2} P_m) / a;
-the sign scans read it.
+recurrence on the first index, P_m P_n = (P_1 P_{m-1} P_n - b P_{m-1} P_n -
+c P_{m-2} P_n) / a; the sign scans read it.
 """
 
 from dataclasses import dataclass
@@ -439,16 +439,16 @@ def linearize_jacobi(p: JacobiParams, m: int, n: int) -> CoeffVector:
     return _coeff_vector(m, n, FAMILY_JACOBI, vals)
 
 
-def _product_step(rows, v, v_lo, w, w_lo, r, step):
+def _product_step(rows, v, v_lo, w, r, step):
     """(P_1 V/D - b_r V/D - c_r W/D') / a_r at k = v_lo - 1, v_lo - 1 + step,
     .., v_hi + 1, as integers over lcm(D, D') (R / R_r) A_r, and that
     denominator.  V holds the entries at k = v_lo, v_lo + step, .., and W
-    those at k = w_lo, w_lo + step, ..; rows is (As, Bs, Cs, dens) by k, and
-    row k is (A_k, B_k, C_k) over R_k.  Multiplying by P_1 moves V_k by row
-    k: a_k to k+1, b_k to k, c_k to k-1.  R is the lcm of R_r and of each
-    R_k over gcd(V_k, R_k): what V_k cancels of its row is not carried.
-    step is 2 when every b_k is 0: then the entries of the other parity are
-    0 and are not carried."""
+    those at k = v_lo + 1, v_lo + 1 + step, .., one position inside V; rows
+    is (As, Bs, Cs, dens) by k, and row k is (A_k, B_k, C_k) over R_k.
+    Multiplying by P_1 moves V_k by row k: a_k to k+1, b_k to k, c_k to k-1.
+    R is the lcm of R_r and of each R_k over gcd(V_k, R_k): what V_k cancels
+    of its row is not carried.  step is 2 when every b_k is 0: then the
+    entries of the other parity are 0 and are not carried."""
     big_a, big_b, big_c, dens = rows
     (nums, den), (w_nums, w_den) = v, w
     v_rows = dens[v_lo : v_lo + step * len(nums) : step]
@@ -472,7 +472,7 @@ def _product_step(rows, v, v_lo, w, w_lo, r, step):
             out[i] += big_c[k] * u
             out[i + 1] = big_a[k] * u
     c_r = big_c[r] * s * (e // w_den)
-    for i, y in enumerate(w_nums, (w_lo - v_lo + 1) // step):
+    for i, y in enumerate(w_nums, 2 // step):
         out[i] -= c_r * y
     return out, e * s * big_a[r]
 
@@ -481,25 +481,28 @@ def product_triangle(p: JacobiParams, family: str, max_degree: int):
     """The `CoeffVector` of P_m P_n for every 0 <= m <= n <= max_degree, in
     scan order (n, then m), from the family's recurrence rows alone.
 
-    Row 0 is read as P_1 P_0 = P_1, (1, 0, 0) over 1, for both families
-    (jacobi row 0 is the x-row).  Then, by row n-1,
+    Each column n is its own run from g(0, n) = P_n.  Row 0 is read as
+    P_1 P_0 = P_1, (1, 0, 0) over 1, for both families (jacobi row 0 is the
+    x-row), and then, by row m-1,
 
-        P_m P_n = (P_1 (P_{n-1} P_m) - b_{n-1} P_{n-1} P_m - c_{n-1} P_{n-2} P_m) / a_{n-1},
+        P_m P_n = (P_1 (P_{m-1} P_n) - b_{m-1} P_{m-1} P_n - c_{m-1} P_{m-2} P_n) / a_{m-1},
 
-    so g(m, n) for m < n comes from g(m, n-1) and g(m, n-2) (g(n-2, n-1)
-    at m = n-1), and g(n, n) from g(n-1, n) and g(n-2, n) by the
-    first-index step: two columns of the triangle are live.  Each step is
-    one integer formula (`_product_step`) over lcm(D, D') (R / R_{n-1})
-    a_{n-1}, reduced by one gcd.  Where every b_k is 0 (gencheb, and jacobi
-    on b = 0) only the entries at k = m + n mod 2 are carried.
+    so g(m, n) comes from g(m-1, n) and g(m-2, n), the column's two live
+    vectors, and each step forms exactly the 2m+1 entries of its support
+    n-m .. n+m.  Each step is one integer formula (`_product_step`) over
+    lcm(D, D') (R / R_{m-1}) a_{m-1}, reduced by one gcd.  Where every b_k
+    is 0 (gencheb, and jacobi on b = 0) only the entries at k = m + n mod 2
+    are carried.
 
-    The entries below n - m must cancel, and the pass asserts it
-    (`internal_error`, route rows/<family>, naming the point, m, n and k).
-    Any rows with nonzero a_k and c_k define an orthogonal family (Favard),
-    so the check guards the steps and the vectors they read, not the rows:
-    a wrong but valid row gives another family's vectors.  The rows are
-    proved equal to Szego's form in tests/test_jacobi.py.  The pass reads no
-    Gasper weight, closed form or companion vector."""
+    Every vector passes the `CoeffVector` checks before it is yielded (it
+    sums to 1, the jacobi extremes are positive, the gencheb parity entries
+    are 0); a failure raises `internal_error` on route rows/<family>, naming
+    the point, m and n.  Any rows with nonzero a_k and c_k define an
+    orthogonal family (Favard), so the checks guard the steps and the
+    vectors they read, not the rows: a wrong but valid row gives another
+    family's vectors.  The rows are proved equal to Szego's form in
+    tests/test_jacobi.py.  The pass reads no Gasper weight, closed form or
+    companion vector."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if max_degree < 0:
@@ -508,36 +511,24 @@ def product_triangle(p: JacobiParams, family: str, max_degree: int):
     table = [_GENCHEB_ROW0, *(row_at(p, k) for k in range(1, 2 * max_degree))]
     rows = tuple([getattr(row, f) for row in table] for f in ("a", "b", "c", "den"))
     step = 1 if any(rows[1]) else 2
-    unit, empty = ((1,), 1), ((), 1)
-    before = last = []  # columns n-2 and n-1: (entries, den) of g(m, n) by m
     for n in range(max_degree + 1):
-        col = [unit]
-        yield CoeffVector(0, n, family, *unit)
-        live = (before, last, col)  # g(x, y), x <= y, is live[y - n + 2][x]
+        w, v = ((), 1), ((1,), 1)  # g(-1, n) = 0 and g(0, n) = P_n
+        yield CoeffVector(0, n, family, *v)
         for m in range(1, n + 1):
-            # g(m, n) from g(n-1, m) and g(n-2, m) by row n-1.
-            v = live[max(n - 1, m) - n + 2][min(n - 1, m)]
-            w = live[max(n - 2, m) - n + 2][min(n - 2, m)] if n > 1 else empty
-            v_lo = abs(n - 1 - m)
-            out, den = _product_step(rows, v, v_lo, w, abs(n - 2 - m), n - 1, step)
-            start = (n - m - v_lo + 1) // step
-            for i, x in enumerate(out[:start]):
-                if x:
-                    raise internal_error(
-                        p, f"rows/{family}", "entry below the support does not cancel",
-                        m=m, n=n, k=v_lo - 1 + step * i,
-                    )
-            kept = out[start:]
-            g = gcd(den, *kept)  # den > 0: a_{n-1} > 0 for alpha, beta > -1
+            out, den = _product_step(rows, v, n - m + 1, w, m - 1, step)
+            g = gcd(den, *out)  # den > 0: a_{m-1} > 0 for alpha, beta > -1
             if g != 1:
-                kept, den = [x // g for x in kept], den // g
-            col.append((kept, den))
-            nums = kept
+                out, den = [x // g for x in out], den // g
+            w, v = v, (out, den)
+            nums = out
             if step == 2:  # the entries of the other parity are 0
                 nums = [0] * (2 * m + 1)
-                nums[::2] = kept
-            yield CoeffVector(m, n, family, tuple(nums), den)
-        before, last = last, col
+                nums[::2] = out
+            try:
+                cv = CoeffVector(m, n, family, tuple(nums), den)
+            except ValueError as exc:
+                raise internal_error(p, f"rows/{family}", str(exc), m=m, n=n) from exc
+            yield cv
 
 
 @lru_cache(maxsize=64)

@@ -121,21 +121,44 @@ def recorded(request):
     return lambda: check_recorded(key, lines(arg))
 
 
-@pytest.fixture
-def broken_product_step(monkeypatch):
-    """Perturb g(1, 1) where `jacobi.product_triangle`'s step to g(1, 3)
-    reads it, so the entry of g(1, 3) at k = 0, below its support, does not
-    cancel.  A wrong recurrence row would not do: any rows with nonzero a_k
-    and c_k give an orthogonal family (Favard), whose supports cancel."""
+def _plant_in_step_to_g23(monkeypatch, fault):
+    """Replace the step of `jacobi.product_triangle` to g(2, 3), the one
+    whose V = g(1, 3) starts at k = 2 and whose row is 1, by
+    `fault(original, rows, v, v_lo, w, r, step)`."""
     original = jacobi_module._product_step
 
-    def perturbed(rows, v, v_lo, w, w_lo, r, step):
-        if (v_lo, w_lo, r) == (1, 0, 2):  # v = g(1, 2), w = g(1, 1), row 2
-            nums, den = w
-            w = [nums[0] + 1, *nums[1:]], den
-        return original(rows, v, v_lo, w, w_lo, r, step)
+    def planted(rows, v, v_lo, w, r, step):
+        if (v_lo, r) == (2, 1):
+            return fault(original, rows, v, v_lo, w, r, step)
+        return original(rows, v, v_lo, w, r, step)
 
-    monkeypatch.setattr(jacobi_module, "_product_step", perturbed)
+    monkeypatch.setattr(jacobi_module, "_product_step", planted)
+
+
+@pytest.fixture
+def broken_product_step(monkeypatch):
+    """Add 1 to the first carried entry of g(1, 3) where the step to g(2, 3)
+    reads it, so g(2, 3) no longer sums to 1, in both families.  A wrong
+    recurrence row would not do: any rows with nonzero a_k and c_k give an
+    orthogonal family (Favard), whose vectors pass every check."""
+
+    def fault(original, rows, v, v_lo, w, r, step):
+        nums, den = v
+        return original(rows, ([nums[0] + 1, *nums[1:]], den), v_lo, w, r, step)
+
+    _plant_in_step_to_g23(monkeypatch, fault)
+
+
+@pytest.fixture
+def flat_product_extreme(monkeypatch):
+    """Move the lowest entry the step to g(2, 3) forms into the next one: the
+    vector still sums to 1, and its jacobi extreme at k = 1 is 0."""
+
+    def fault(original, *step_args):
+        out, den = original(*step_args)
+        return [0, out[0] + out[1], *out[2:]], den
+
+    _plant_in_step_to_g23(monkeypatch, fault)
 
 
 def rand_fraction(rng: random.Random, lo, hi, max_den: int = 40) -> Fraction:

@@ -27,7 +27,8 @@ TARGETS = {
              "count_real_roots",
     "jacobi": "CoeffVector _reduced_row _jacobi_row _gencheb_row walk_recurrence "
               "linearize_bruteforce _boundary_ratios gasper_boundary _recursion_weights "
-              "theta_iota_kappa linearize_jacobi jacobi_rec_coeffs gencheb_rec_coeffs",
+              "theta_iota_kappa linearize_jacobi jacobi_rec_coeffs gencheb_rec_coeffs "
+              "_product_step product_triangle",
     "analysis": "_pq_limit_parts _odd_scale _odd_scales _pq_quotients _pq_run pq_values "
                 "_omega_ratio omega_value pq_inequality_check phi_sequence _gasper_sides "
                 "gasper_simplification_values _necessity_sides necessity_identity_values",

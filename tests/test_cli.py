@@ -548,8 +548,20 @@ class TestExitCodes:
             ),
             (
                 ["scan", "--check", "nonneg", "--max-degree", "4"],
-                ["alpha=-1/2, beta=0, m=1, n=3"],
+                ["alpha=-1/2, beta=0, m=2, n=3"],
                 "broken_product_step",
+                "rows/jacobi",
+            ),
+            (
+                ["scan", "--check", "all", "--max-degree", "4"],
+                ["alpha=-1/2, beta=0, m=2, n=3"],
+                "broken_product_step",
+                "rows/gencheb",
+            ),
+            (
+                ["scan", "--check", "strict", "--max-degree", "4"],
+                ["alpha=-1/2, beta=0, m=2, n=3"],
+                "flat_product_extreme",
                 "rows/jacobi",
             ),
             (
@@ -571,7 +583,8 @@ class TestExitCodes:
                 "gasper",
             ),
         ],
-        ids=["compare", "scan", "verify", "verify-phi", "witness"],
+        ids=["compare", "scan", "scan-gencheb", "scan-extreme", "verify", "verify-phi",
+             "witness"],
     )
     def test_internal_failure_exits_four_in_every_subcommand(
         self, capsys, request, argv, points, fault, route, json_flag
@@ -579,7 +592,8 @@ class TestExitCodes:
         # (-1/2, 0) lies outside V' (b < 0).  phi and the odd products of the
         # gencheb family run at the companion point (-1/2, 1), and the message
         # names the point asked about as well.  The scan reads the product
-        # pass, not the Gasper route, so its fault is planted there.
+        # pass, not the Gasper route, so its faults are planted there; the
+        # extreme fault keeps the sum, and the extreme check sees it.
         request.getfixturevalue(fault)
         code, out, err = run(capsys, argv[0], "--alpha", "-1/2", "--beta", "0",
                              *argv[1:], *json_flag)

@@ -566,20 +566,29 @@ class TestProductTriangle:
             want = [linearize(p, m, n) for n in range(11) for m in range(n + 1)]
             assert list(product_triangle(p, family, 10)) == want
 
-    @pytest.mark.parametrize("family", [FAMILY_JACOBI, FAMILY_GENCHEB])
-    def test_uncancelled_entry_names_its_point_and_indices(self, family, broken_product_step):
+    @pytest.mark.parametrize(
+        "fault, family, what",
+        [
+            ("broken_product_step", FAMILY_JACOBI, "coefficient vector does not sum to 1"),
+            ("broken_product_step", FAMILY_GENCHEB, "coefficient vector does not sum to 1"),
+            # The vector still sums to 1: the extreme check is what sees it.
+            ("flat_product_extreme", FAMILY_JACOBI, "extreme coefficients must be positive"),
+        ],
+        ids=["sum-jacobi", "sum-gencheb", "extreme-jacobi"],
+    )
+    def test_failed_check_names_its_point_and_indices(self, request, fault, family, what):
+        request.getfixturevalue(fault)
         p = make_params(F(1, 2), F(1, 4))
         with pytest.raises(
             RuntimeError,
-            match=rf"^internal: entry below the support does not cancel \(route rows/{family}, "
-            rf"alpha=1/2, beta=1/4, m=1, n=3, k=0\)$",
+            match=rf"^internal: {what} \(route rows/{family}, alpha=1/2, beta=1/4, m=2, n=3\)$",
         ):
             list(product_triangle(p, family, 3))
 
     def test_swapped_row_gives_another_family(self, monkeypatch):
         # Row 2 with a and c swapped still sums to its denominator, and the
-        # rows still define an orthogonal family (Favard): every support
-        # cancels, and the vectors differ from the library's silently.  The
+        # rows still define an orthogonal family (Favard): every vector passes
+        # its checks, and the vectors differ from the library's silently.  The
         # row proofs (TestRowProofs) are what see such a slip.
         original = jacobi_module.jacobi_rec_coeffs
 
