@@ -135,28 +135,25 @@ def scan_sign_pattern(p: JacobiParams, max_degree: int, mode: str) -> SignReport
 
 def _iota_bracket(a: Fraction, m: int, s: int) -> RationalPolynomial:
     """iota(m, m+s; j) (2s+2j+a-1)(2s+2j+a+1) / b as a polynomial in j; it
-    does not depend on b."""
+    does not depend on b.  Each factor c0 + c_a a + c_j j is the integer list
+    (c0 q + c_a A, c_j q) over a = A/q, so both products are integer lists
+    over q**5 and the bracket is one normalization."""
     q, big_a = a.denominator, a.numerator
 
-    def linear(c0: int, c_a: int, c_j: int) -> RationalPolynomial:
-        # c0 + c_a a + c_j j, on integers over a's denominator q.
-        return RationalPolynomial._of([c0 * q + c_a * big_a, c_j * q], q)
+    def product(*factors):
+        out = [1]
+        for c0, c_a, c_j in factors:
+            u, v = c0 * q + c_a * big_a, c_j * q
+            out = [u * x + v * y for x, y in zip(out + [0], [0, *out])]
+        return out
 
-    first = (
-        linear(2 * m, 0, -1)
-        * linear(2 * m + 2 * s, 2, 1)
-        * linear(2 * s + 1, 0, 1)
-        * linear(1, 0, 1)
-        * linear(2 * s - 1, 1, 2)
+    first = product(
+        (2 * m, 0, -1), (2 * m + 2 * s, 2, 1), (2 * s + 1, 0, 1), (1, 0, 1), (2 * s - 1, 1, 2)
     )
-    second = (
-        linear(2 * m + 1, 0, -1)
-        * linear(2 * m + 2 * s - 1, 2, 1)
-        * linear(2 * s, 0, 1)
-        * linear(0, 0, 1)
-        * linear(2 * s + 1, 1, 2)
+    second = product(
+        (2 * m + 1, 0, -1), (2 * m + 2 * s - 1, 2, 1), (2 * s, 0, 1), (0, 0, 1), (2 * s + 1, 1, 2)
     )
-    return first - second
+    return RationalPolynomial._of([x - y for x, y in zip(first, second)], q**5)
 
 
 def iota_numerator_poly(p: JacobiParams, m: int, s: int) -> RationalPolynomial:
@@ -171,18 +168,19 @@ def iota_zero_count(p: JacobiParams, m: int, s: int) -> int | None:
     """Number of zeros of iota(m, m+s; .) on the closed index range [1, 2m-1].
 
     Returns None for b = 0, where iota vanishes identically (degenerate).
-    A zero exactly at j = 1 is detected by direct evaluation; the rest are
-    counted by Sturm sequences on (1, 2m-1].
+    The count runs on the b-free bracket of `iota_numerator_poly`, which b
+    only scales: a zero exactly at j = 1 is read from its coefficient sum,
+    and the rest are counted by Sturm sequences on (1, 2m-1].
     """
     if m < 1 or s < 0:
         raise ValueError("need m >= 1 and s >= 0")
     if p.b == 0:
         return None
-    poly = iota_numerator_poly(p, m, s)
-    at_one = 1 if poly(1) == 0 else 0
+    bracket = _iota_bracket(p.a, m, s)
+    at_one = 1 if sum(bracket.nums) == 0 else 0
     if m == 1:
         return at_one
-    return at_one + count_real_roots(poly, 1, 2 * m - 1)
+    return at_one + count_real_roots(bracket, 1, 2 * m - 1)
 
 
 def chi_m_poly(p: JacobiParams, m: int) -> RationalPolynomial:

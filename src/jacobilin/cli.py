@@ -13,8 +13,9 @@ Exit codes: 0 success / property holds, 1 property violated or methods
 disagree (witness printed), 2 usage or range error (message on stderr),
 3 `verify` property not applicable at a valid point (verdict
 `not_applicable` with the reason), 4 internal consistency failure (message on
-stderr naming the point, the indices and the route) or a division by zero,
-which no subcommand raises on purpose.
+stderr naming the point, the indices and the route) or any other exception
+inside a subcommand, such as a division by zero, which no subcommand raises on
+purpose.
 """
 
 import argparse
@@ -499,7 +500,7 @@ def run_command(argv: list[str]) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (RuntimeError, ZeroDivisionError) as exc:
+        except Exception as exc:
             print(f"internal error: {str(exc).removeprefix('internal: ')}", file=sys.stderr)
             return 4
         if ns.format == "json":

@@ -5,6 +5,13 @@ Every scalar a caller sees is a `fractions.Fraction`; nothing in this module
 symbols, dense rational polynomials, and Sturm root counting with the
 half-open (lo, hi] convention, from one remainder sequence per count.
 
+The Sturm chain runs on integer lists, not on `RationalPolynomial`s: only the
+signs of its elements matter, so each element is kept as a primitive integer
+multiple of the rational one, formed by pseudo-division and read by integer
+Horner, and no step normalizes a rational polynomial or builds a `Fraction`.
+`_convolve` is the integer product of coefficient lists that
+`RationalPolynomial`, the recurrence walk and the brute-force oracle share.
+
 Pochhammer symbols are evaluated on integer numerators: for x = X/Q the
 rising factorial is the integer product (X)(X+Q)...(X+(n-1)Q) over Q**n.
 `_rising_ratio` is the one evaluator of products of rising factorials: it
@@ -67,6 +74,16 @@ def pochhammer(x: Rational, n: int) -> Fraction:
         raise ValueError("pochhammer needs n >= 0")
     x = to_fraction(x)
     return Fraction(*_rising_ratio(x.denominator, [(x.numerator, n)], ()))
+
+
+def _convolve(xs, ys) -> list[int]:
+    """The coefficient list of the product of two nonempty integer lists."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        if a:
+            for j, b in enumerate(ys, i):
+                out[j] += a * b
+    return out
 
 
 class RationalPolynomial:
@@ -174,12 +191,7 @@ class RationalPolynomial:
         other = self._coerce(other)
         if self.is_zero or other.is_zero:
             return RationalPolynomial()
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums, i):
-                    out[j] += a * b
-        return RationalPolynomial._of(out, self.den * other.den)
+        return RationalPolynomial._of(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -235,20 +247,64 @@ class RationalPolynomial:
         )
 
 
-def _sturm_chain(p: RationalPolynomial) -> list[RationalPolynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
+def _primitive(nums: list[int]) -> list[int]:
+    """nums over the gcd of its entries: a positive multiple, primitive."""
+    g = gcd(*nums)
+    return [c // g for c in nums] if g > 1 else nums
+
+
+def _sturm_chain(p: RationalPolynomial) -> list[list[int]]:
+    """p's Sturm chain as primitive integer lists, each a positive multiple of
+    the rational element: p's numerators, their derivative, and then
+    -(previous mod current) by pseudo-division with |lead|, which scales the
+    remainder by a power of |lead| > 0.  Ends at the last nonzero element."""
+    first = _primitive(list(p.nums))
+    chain = [first, _primitive([i * c for i, c in enumerate(first)][1:])]
+    while chain[-1]:
+        rem, d = list(chain[-2]), chain[-1]
+        if d[-1] < 0:
+            d = [-c for c in d]
+        lead, top = d[-1], len(d) - 1
+        while len(rem) > top:
+            c = rem.pop()
+            if c:
+                rem = [r * lead for r in rem]
+                i = len(rem) - top
+                for j in range(top):
+                    rem[i + j] -= c * d[j]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        chain.append(_primitive([-r for r in rem]))
     chain.pop()
     return chain
 
 
+def _exact_quotient(nums: list[int], g: list[int]) -> list[int]:
+    """nums / g for a primitive g that divides nums over the rationals: by
+    Gauss's lemma the quotient has integer coefficients, so every step of the
+    long division is an exact integer division."""
+    rem, top = list(nums), len(g) - 1
+    q = [0] * (len(rem) - top)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = rem.pop() // g[-1]
+        for j in range(top):
+            rem[i + j] -= q[i] * g[j]
+    return q
+
+
 def _sign_variations(chain, x: Fraction) -> int:
+    """Sign changes along the integer lists at x = xn / xd, zeros dropped:
+    each sign is read from homogenized Horner, sum c_i xn**i xd**(d-i), which
+    has the sign of the value because xd > 0."""
+    xn, xd = x.numerator, x.denominator
     signs = []
     for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        acc, scale = 0, 1
+        for c in reversed(q):
+            acc = acc * xn + c * scale
+            scale *= xd
+        if acc:
+            signs.append(acc > 0)
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -261,6 +317,10 @@ def count_real_roots(p: RationalPolynomial, lo: Rational, hi: Rational) -> int:
     second element p'/g is nonzero at each of its roots.  Sign variations are
     taken with zeros dropped, which yields exactly the (lo, hi] convention:
     a root at lo is excluded, a root at hi included.
+
+    The chain runs on integer lists (`_sturm_chain`), each element a positive
+    multiple of the rational one, so every sign, and the count, is the same;
+    the division by g is exact on the integers (`_exact_quotient`).
     """
     if p.is_zero:
         raise ValueError("indeterminate root count for the zero polynomial")
@@ -269,6 +329,6 @@ def count_real_roots(p: RationalPolynomial, lo: Rational, hi: Rational) -> int:
         raise ValueError("count_real_roots needs lo < hi")
     chain = _sturm_chain(p)
     g = chain[-1]
-    if g.degree > 0:
-        chain = [q.exact_div(g) for q in chain]
+    if len(g) > 1:
+        chain = [_exact_quotient(q, g) for q in chain]
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)

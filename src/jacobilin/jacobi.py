@@ -31,8 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import Rational, _over_lcm, _rising, to_fraction
-from .exact import RationalPolynomial
+from .exact import Rational, RationalPolynomial, _convolve, _over_lcm, _rising, to_fraction
 from .params import JacobiParams
 
 FAMILY_JACOBI = "jacobi"
@@ -217,10 +216,7 @@ def walk_recurrence(p: JacobiParams, family: str, n: int) -> list:
         # (R Y - b Y_D) E, with b on the constant term only.
         y = [t * row.den * e for t in y]
         y[0] -= row.b * y_d * e
-        out = [0] * (len(y) + len(big_n) - 1)
-        for i, u in enumerate(y):
-            for j, v in enumerate(big_n, i):
-                out[j] += u * v
+        out = _convolve(y, big_n)
         down = row.c * y_d * d
         for i, t in enumerate(big_m):
             out[i] -= down * t
@@ -545,11 +541,13 @@ def linearize_bruteforce(
     leading-term elimination, and assert exact orthogonality: all positions
     below |m-n| vanish.
 
-    The elimination is fraction-free: the remainder is integers R over one Q.
-    With P_k = N_k / D_k and lead = N_k[k], step k writes g(k) = R[k] D_k /
-    (Q lead) as a reduced (numerator, denominator) pair, sets R <- R lead -
-    R[k] N_k (zeroing R[k]) and Q <- Q lead, and divides R and Q by their
-    gcd.  The vector is the pairs from |m-n| up, over their lcm."""
+    The elimination is fraction-free: the remainder is integers R over one Q,
+    first the product P_m P_n as one integer convolution N_m N_n over
+    D_m D_n, left unreduced for the first step's gcd.  With P_k = N_k / D_k
+    and lead = N_k[k], step k writes g(k) = R[k] D_k / (Q lead) as a reduced
+    (numerator, denominator) pair, sets R <- R lead - R[k] N_k (zeroing R[k])
+    and Q <- Q lead, and divides R and Q by their gcd.  The vector is the
+    pairs from |m-n| up, over their lcm."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if m < 0 or n < 0:
@@ -557,8 +555,7 @@ def linearize_bruteforce(
     if m > n:
         m, n = n, m
     basis = walk_recurrence(p, family, m + n)
-    product = basis[m] * basis[n]
-    rem, big_q = list(product.nums), product.den
+    rem, big_q = _convolve(basis[m].nums, basis[n].nums), basis[m].den * basis[n].den
     pairs = [(0, 1)] * (m + n + 1)
     for k in range(m + n, -1, -1):
         top, n_k = rem.pop(), basis[k].nums

@@ -23,15 +23,16 @@ TARGETS = {
     "hypergeom": "_require_open_region _check_indices _very_well_poised _prefactor "
                  "rahman_coefficient rahman_special dougall_coefficient HypTermSum.__init__ "
                  "HypTermSum.evaluate",
-    "exact": "_rising_ratio pochhammer RationalPolynomial _sturm_chain _sign_variations "
-             "count_real_roots",
+    "exact": "_rising_ratio pochhammer _convolve RationalPolynomial _primitive _sturm_chain "
+             "_exact_quotient _sign_variations count_real_roots",
     "jacobi": "CoeffVector _reduced_row _jacobi_row _gencheb_row walk_recurrence "
               "linearize_bruteforce _boundary_ratios gasper_boundary _recursion_weights "
               "theta_iota_kappa linearize_jacobi jacobi_rec_coeffs gencheb_rec_coeffs "
               "_product_step product_triangle",
-    "analysis": "_pq_limit_parts _odd_scale _odd_scales _pq_quotients _pq_run pq_values "
-                "_omega_ratio omega_value pq_inequality_check phi_sequence _gasper_sides "
-                "gasper_simplification_values _necessity_sides necessity_identity_values",
+    "analysis": "_iota_bracket iota_zero_count _pq_limit_parts _odd_scale _odd_scales "
+                "_pq_quotients _pq_run pq_values _omega_ratio omega_value pq_inequality_check "
+                "phi_sequence _gasper_sides gasper_simplification_values _necessity_sides "
+                "necessity_identity_values",
     "cli": "_phi_check _recursion_check _cmd_compare",
     "gencheb": "linearize_gencheb",
     "params": "_gasper_qv classify_region",

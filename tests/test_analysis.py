@@ -50,7 +50,7 @@ from conftest import (
     rand_alpha_beta,
     rational_vector,
 )
-from make_outcome_digests import TALL_POINT
+from make_outcome_digests import BOUNDARY_POINTS, TALL_POINT
 from symbolic import Poly, Proofs, equal, positive
 
 F = Fraction
@@ -154,6 +154,44 @@ class TestIntegerScan:
                     assert all(v is _ZERO for v in cv.values if v == 0)
 
 
+def _fraction_root_count(cs, lo, hi):
+    """Distinct roots of sum(cs[i] x**i) in (lo, hi], one `Fraction` at a
+    time: the Sturm chain of the squarefree part p / gcd(p, p'), sharing no
+    code with `exact.count_real_roots`."""
+
+    def divmod_(a, b):
+        a, q = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+        b = [c / b[-1] for c in b]
+        for i in reversed(range(len(q))):
+            q[i] = a.pop()
+            for k, t in enumerate(b[:-1]):
+                a[i + k] -= q[i] * t
+        while a and a[-1] == 0:
+            a.pop()
+        return q, a
+
+    def chain(p):
+        out = [p, [i * c for i, c in enumerate(p)][1:]]
+        while out[-1]:
+            out.append([-c for c in divmod_(out[-2], out[-1])[1]])
+        return out[:-1]
+
+    def variations(x):
+        signs = []
+        for q in sturm:
+            value = F(0)
+            for c in reversed(q):
+                value = value * x + c
+            if value:
+                signs.append(value > 0)
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    sturm = chain(cs)
+    if len(sturm[-1]) > 1:
+        sturm = chain(divmod_(cs, sturm[-1])[0])
+    return variations(lo) - variations(hi)
+
+
 class TestIotaZeroCount:
     def test_above_threshold_at_most_one(self):
         assert iota_zero_count(make_params(1, 0), 3, 0) <= 1
@@ -166,6 +204,28 @@ class TestIotaZeroCount:
         p = make_params(*POINT_BELOW_THRESHOLD)
         assert not classify_region(p).above_iota_threshold
         assert iota_zero_count(p, 2, 0) == 2
+
+    def test_matches_fraction_sturm_reference(self):
+        # On [1, 2m-1], against a Sturm chain on `Fraction` lists run on the
+        # numerator polynomial's integer numerators (a positive multiple of
+        # it, b included); at (beta, alpha) b changes sign only, and the
+        # count stays.
+        rng = random.Random(4301)
+        points = GRID_WIDE + BOUNDARY_POINTS + [rand_alpha_beta(rng) for _ in range(50)]
+        for alpha, beta in points:
+            p, swapped = make_params(alpha, beta), make_params(beta, alpha)
+            for m in range(1, 9):
+                for s in range(6):
+                    count = iota_zero_count(p, m, s)
+                    if p.b == 0:
+                        assert count is None
+                        continue
+                    poly = iota_numerator_poly(p, m, s)
+                    want = poly(1) == 0
+                    if m > 1:
+                        want += _fraction_root_count(list(map(F, poly.nums)), 1, 2 * m - 1)
+                    assert count == want, (alpha, beta, m, s)
+                    assert iota_zero_count(swapped, m, s) == count, (alpha, beta, m, s)
 
     def test_symmetric_line_degenerate(self):
         assert iota_zero_count(make_params(F(1, 4), F(1, 4)), 3, 1) is None

@@ -614,6 +614,19 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err == "internal error: Fraction(1, 0)\n"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_any_other_exception_is_an_internal_error(self, capsys, monkeypatch, json_flag):
+        # A fault of any other type, here a TypeError, exits 4 as well
+        # instead of escaping as a traceback.
+        def faulty(p, m, s):
+            return None + m
+
+        monkeypatch.setattr(cli, "iota_zero_count", faulty)
+        code, out, err = run(capsys, "verify", "--alpha", "1/2", "--beta", "1/4",
+                             "--property", "iota-zeros", *json_flag)
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: unsupported operand type(s) for +")
+
 
 class TestParser:
     def test_built_once_and_commands_looked_up_at_call_time(self, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from jacobilin.exact import (
     RationalPolynomial,
     _over_lcm,
     _rising_ratio,
+    _sturm_chain,
     count_real_roots,
     pochhammer,
     to_fraction,
@@ -285,6 +286,70 @@ class TestCountRealRoots:
         p = (x + 3) * (x + 3) * (x + 2)
         counts = [count_real_roots(p, lo, hi) for lo, hi in [(-4, -3), (-3, -2), (-4, -2)]]
         assert counts == [1, 1, 2]
+
+    # The integer chain's sign rules, each on a polynomial whose chain shows
+    # the case, against the count from its known real roots on intervals
+    # with endpoints at the roots and between them.
+
+    @staticmethod
+    def _check_known_roots(p, roots, endpoints):
+        for lo in endpoints:
+            for hi in endpoints:
+                if lo < hi:
+                    want = sum(1 for r in roots if lo < r <= hi)
+                    for q in (p, p * p):
+                        assert count_real_roots(q, lo, hi) == want, (p, lo, hi)
+
+    def test_negative_leading_coefficients_in_chain(self):
+        x = RationalPolynomial.variable()
+        # x^3 + x: p and p' lead with +, the last two chain elements with -.
+        p = x * x * x + x
+        assert [q[-1] > 0 for q in _sturm_chain(p)] == [True, True, False, False]
+        self._check_known_roots(p, [0], [-2, 0, F(1, 3), 2])
+        # A negative p: every element of the chain leads with -.
+        p = -(x - 1) * (x - 2) * (x - F(7, 2)) * (x * x + 1)
+        assert any(q[-1] < 0 for q in _sturm_chain(p))
+        self._check_known_roots(p, [1, 2, F(7, 2)], [-1, 1, F(3, 2), 2, F(7, 2), 5])
+
+    def test_remainder_degree_drops_by_two_or_more(self):
+        x = RationalPolynomial.variable()
+        # x^5 - x: the remainder of p by p' = 5x^4 - 1 is -4x/5, degree 1;
+        # 64x - x^7 = -x (x^6 - 64): degree 6 to 1, with negative leads.
+        x5 = x * x * x * x * x
+        for p, roots in ((x5 - x, [-1, 0, 1]), (64 * x - x5 * x * x, [-2, 0, 2])):
+            degrees = [len(q) - 1 for q in _sturm_chain(p)]
+            assert degrees[1] - degrees[2] >= 3, degrees
+            self._check_known_roots(p, roots, [-3, -2, -1, 0, F(1, 2), 1, 2, 3])
+
+    def test_nonconstant_gcd_with_negative_lead(self):
+        # (x + 3)^2 (x^2 + 5): the chain ends in a negative multiple of x + 3,
+        # and every element is divided by it.
+        x = RationalPolynomial.variable()
+        p = (x + 3) * (x + 3) * (x * x + 5)
+        g = _sturm_chain(p)[-1]
+        assert len(g) == 2 and g[-1] < 0
+        self._check_known_roots(p, [-3], [-5, -3, F(-5, 2), 0])
+        p = p * (x - F(1, 2))
+        g = _sturm_chain(p)[-1]
+        assert len(g) == 2
+        self._check_known_roots(p, [-3, F(1, 2)], [-5, -3, 0, F(1, 2), 1])
+
+    def test_degree_zero_and_one(self):
+        for c in (F(3), F(-2, 7)):
+            assert _sturm_chain(RationalPolynomial([c])) == [[1 if c > 0 else -1]]
+            assert count_real_roots(RationalPolynomial([c]), -5, 5) == 0
+        for root, lead in ((F(1, 3), F(-3)), (F(-2, 5), F(7, 2))):
+            p = RationalPolynomial([-lead * root, lead])
+            self._check_known_roots(p, [root], [root - 1, root, root + F(1, 7), root + 2])
+
+    def test_endpoints_with_60_bit_denominators(self):
+        # Roots and endpoints 2^-60 apart: (d-1)/d < d/(d+1) < 1 for d > 2^60.
+        x = RationalPolynomial.variable()
+        d = 2**60 + 33
+        roots = [F(d - 1, d), F(1), F(-(d + 7), d)]
+        p = (x - roots[0]) * (x - roots[1]) * (x - roots[2]) * (x * x + 1)
+        between = [F(d, d + 1), F(d + 1, d), F(-(d + 8), d), F(-(d + 6), d), F(d - 2, d)]
+        self._check_known_roots(p, roots, sorted(roots + between))
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
